@@ -1,0 +1,8 @@
+"""``pytest bench/tests``: pure tests of the harness (no sockets, < 10 s)."""
+
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))

@@ -37,7 +37,9 @@ from repro.httpcore.client import _split_url
 from repro.httpcore.cookies import parse_cookie_header
 from repro.metrics import Registry
 from repro.proxy import CLIENT_COOKIE, BifrostProxy, FilterChain
-from repro.proxy.server import _HOP_BY_HOP
+
+#: The static hop-by-hop tuple the seed proxy removed field by field.
+_HOP_BY_HOP = ("connection", "keep-alive", "te", "transfer-encoding", "upgrade")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

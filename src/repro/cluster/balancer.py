@@ -13,6 +13,7 @@ import itertools
 import logging
 
 from ..httpcore import HttpClient, HttpError, HttpServer, Request, Response
+from ..proxy.plan import parse_endpoint
 
 logger = logging.getLogger(__name__)
 
@@ -50,14 +51,12 @@ class LoadBalancer(HttpServer):
         last_error: Exception | None = None
         for offset in range(attempts):
             address = self.instances[(start + offset) % len(self.instances)]
-            headers = request.headers.copy()
-            headers.set("Host", address)
+            headers = request.headers.forward_copy()
+            headers.add("Host", address)
             try:
-                response = await self._client.request(
-                    request.method,
-                    f"http://{address}{request.target}",
-                    headers=headers,
-                    body=request.body,
+                response = await self._client.send(
+                    Request(request.method, request.target, headers, request.body),
+                    *parse_endpoint(address),
                 )
             except (HttpError, ConnectionError, OSError) as exc:
                 last_error = exc

@@ -12,10 +12,9 @@ from __future__ import annotations
 import logging
 
 from ..httpcore import HttpClient, HttpError, HttpServer, Request, Response
+from ..proxy.plan import parse_endpoint
 
 logger = logging.getLogger(__name__)
-
-_HOP_BY_HOP = ("connection", "keep-alive", "te", "transfer-encoding", "upgrade")
 
 
 class Gateway(HttpServer):
@@ -61,16 +60,12 @@ class Gateway(HttpServer):
             return Response.from_json(
                 {"error": "no route", "path": request.path}, status=404
             )
-        headers = request.headers.copy()
-        for name in _HOP_BY_HOP:
-            headers.remove(name)
-        headers.set("Host", upstream)
+        headers = request.headers.forward_copy()
+        headers.add("Host", upstream)
         try:
-            return await self._client.request(
-                request.method,
-                f"http://{upstream}{request.target}",
-                headers=headers,
-                body=request.body,
+            return await self._client.send(
+                Request(request.method, request.target, headers, request.body),
+                *parse_endpoint(upstream),
             )
         except (HttpError, ConnectionError, OSError) as exc:
             logger.warning("gateway upstream %s failed: %s", upstream, exc)

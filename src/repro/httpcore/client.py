@@ -49,6 +49,12 @@ class HttpClient:
     the stale-connection retry on a request that could have gone straight
     to a fresh socket.  The client is safe for concurrent use from many
     tasks (each in-flight request owns its connection).
+
+    *timeout* is the budget of one whole round trip — writing the request,
+    reading the response and, for a streamed request body, finishing the
+    body — not of each step.  A request that runs out of it raises
+    ``RequestTimeout``, is never retried, and its connection is closed
+    rather than pooled.
     """
 
     def __init__(
@@ -146,29 +152,38 @@ class HttpClient:
     ) -> Response:
         reader, writer = connection
         pump: asyncio.Task[None] | None = None
-        if request.stream is None:
-            writer.write(request.serialize())
-        else:
-            # Streamed request body: the pump task relays chunks while we
-            # wait for the response head, so an upstream that answers as
-            # it reads (a streaming echo, the proxy relay) overlaps its
-            # first response bytes with our last request bytes.
-            writer.write(request.serialize_head())
-            pump = asyncio.get_running_loop().create_task(
-                relay_body(writer, request.stream)
-            )
-            pump.add_done_callback(_on_pump_done(writer))
+        response: Response | None = None
+        deferred = False
         try:
-            await asyncio.wait_for(writer.drain(), deadline)
-            response = await asyncio.wait_for(
-                read_response(
+            # One scope around the round trip, not a ``wait_for`` per await:
+            # those cost a Task each on 3.11 and each got the full deadline.
+            async with asyncio.timeout(deadline):
+                if request.stream is None:
+                    writer.write(request.serialize())
+                else:
+                    # Streamed request body: the pump task relays chunks
+                    # while we wait for the response head, so an upstream
+                    # that answers as it reads (a streaming echo, the proxy
+                    # relay) overlaps its first response bytes with our
+                    # last request bytes.
+                    writer.write(request.serialize_head())
+                    pump = asyncio.get_running_loop().create_task(
+                        relay_body(writer, request.stream)
+                    )
+                    pump.add_done_callback(_on_pump_done(writer))
+                await writer.drain()
+                response = await read_response(
                     reader, stream=stream, max_body=self.max_body_bytes
-                ),
-                deadline,
-            )
-        except asyncio.TimeoutError as exc:
+                )
+                # A streamed response defers the pool decision to stream
+                # exhaustion; otherwise the request body has to finish too.
+                deferred = stream and response.stream is not None
+                if pump is not None and not deferred:
+                    await _settle_pump(pump)
+        except TimeoutError as exc:
             await _cancel_pump(pump)
-            raise RequestTimeout(f"{request.method} {request.target}") from exc
+            if response is None:
+                raise RequestTimeout(f"{request.method} {request.target}") from exc
         except BaseException as exc:
             await _cancel_pump(pump)
             # A failed body pump closes the connection, which surfaces
@@ -183,19 +198,14 @@ class HttpClient:
             ):
                 raise pump.exception() from exc
             raise
-        if stream and response.stream is not None:
-            # Defer the pool decision to stream exhaustion: release on a
-            # clean drain, close on abort/error/abandonment.
+        if deferred:
+            # Release on a clean drain, close on abort/error/abandonment.
             response.stream.set_on_complete(
                 self._stream_finalizer(key, connection, response, pump)
             )
-            return response
-        if pump is not None and not await _await_pump(pump, deadline):
-            # Response complete but the request body never finished: the
-            # reply is valid, the connection is not.
-            _close_now(writer)
-            return response
-        if response.headers.get("Connection", "").lower() == "close":
+        elif not _pump_clean(pump) or response.connection_close:
+            # A reply whose request body never finished is still valid;
+            # the connection is not.
             _close_now(writer)
         else:
             self._release(key, connection)
@@ -211,14 +221,7 @@ class HttpClient:
         """The drain-rule hook for a streamed response body."""
 
         def finish(clean: bool) -> None:
-            pump_ok = pump is None or (
-                pump.done() and not pump.cancelled() and pump.exception() is None
-            )
-            if (
-                clean
-                and pump_ok
-                and response.headers.get("Connection", "").lower() != "close"
-            ):
+            if clean and _pump_clean(pump) and not response.connection_close:
                 self._release(key, connection)
             else:
                 _close_now(connection[1])
@@ -352,11 +355,16 @@ async def _cancel_pump(pump: "asyncio.Task[None] | None") -> None:
         pass
 
 
-async def _await_pump(pump: "asyncio.Task[None]", deadline: float) -> bool:
-    """Wait for the request-body pump; ``True`` if it finished cleanly."""
+async def _settle_pump(pump: "asyncio.Task[None]") -> None:
+    """Wait for the request-body pump to finish, however it ends."""
     try:
-        await asyncio.wait_for(asyncio.shield(pump), deadline)
-    except (asyncio.TimeoutError, Exception):
-        await _cancel_pump(pump)
-        return False
-    return True
+        await pump
+    except Exception:
+        pass
+
+
+def _pump_clean(pump: "asyncio.Task[None] | None") -> bool:
+    """No request-body pump, or one that ran to completion."""
+    return pump is None or (
+        pump.done() and not pump.cancelled() and pump.exception() is None
+    )

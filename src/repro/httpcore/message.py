@@ -76,6 +76,9 @@ class Request:
     stream: BodyStream | None = field(default=None, repr=False, compare=False)
     #: Path parameters extracted by the router (e.g. ``{"id": "42"}``).
     path_params: dict[str, str] = field(default_factory=dict)
+    #: The peer sent ``Connection: close`` (resolved while the head was
+    #: parsed; the server's keep-alive decision reads this, not the headers).
+    connection_close: bool = field(default=False, repr=False, compare=False)
     # Per-object parse caches, keyed on the raw input so header or target
     # mutation invalidates them.  The proxy reads ``cookies`` and ``path``
     # several times per request; each used to re-parse from scratch.
@@ -163,27 +166,19 @@ class Request:
         Any caller-supplied ``Content-Length`` is superseded by the actual
         body length (matching the old copy-and-set behaviour).
         """
-        parts = [f"{self.method} {self.target} {self.http_version}\r\n"]
-        append = parts.append
-        for name, value in self.headers.raw_items():
-            lowered = name.lower()
-            # A buffered body is length-framed by definition: a stale
-            # Transfer-Encoding (e.g. from a chunked message that was
-            # buffered) must not survive, or the peer reads chunk framing
-            # that is not there.
-            if lowered != "content-length" and lowered != "transfer-encoding":
-                append(f"{name}: {value}\r\n")
-        append(f"Content-Length: {len(self.body)}\r\n\r\n")
-        return "".join(parts).encode("latin-1") + self.body
+        head = self.headers.wire_head(
+            f"{self.method} {self.target} {self.http_version}\r\n",
+            f"Content-Length: {len(self.body)}\r\n\r\n",
+        )
+        return head + self.body
 
     def serialize_head(self) -> bytes:
         """Wire bytes for the head of a **streamed** request: framing is
         taken from :attr:`stream` (``Content-Length`` when the length is
         known, ``Transfer-Encoding: chunked`` otherwise)."""
-        return _serialize_stream_head(
+        return self.headers.wire_head(
             f"{self.method} {self.target} {self.http_version}\r\n",
-            self.headers,
-            self.stream,
+            _stream_framing(self.stream),
         )
 
 
@@ -197,6 +192,8 @@ class Response:
     http_version: str = "HTTP/1.1"
     #: Streaming body — see :class:`Request.stream`.
     stream: BodyStream | None = field(default=None, repr=False, compare=False)
+    #: The peer sent ``Connection: close``: the client will not pool it.
+    connection_close: bool = field(default=False, repr=False, compare=False)
 
     @property
     def reason(self) -> str:
@@ -288,23 +285,18 @@ class Response:
     def serialize(self) -> bytes:
         """Render the response as HTTP/1.1 wire bytes (single join +
         single encode, no header copy — see :meth:`Request.serialize`)."""
-        parts = [f"{self.http_version} {self.status} {self.reason}\r\n"]
-        append = parts.append
-        for name, value in self.headers.raw_items():
-            lowered = name.lower()
-            # See Request.serialize: buffered bodies are length-framed.
-            if lowered != "content-length" and lowered != "transfer-encoding":
-                append(f"{name}: {value}\r\n")
-        append(f"Content-Length: {len(self.body)}\r\n\r\n")
-        return "".join(parts).encode("latin-1") + self.body
+        head = self.headers.wire_head(
+            f"{self.http_version} {self.status} {self.reason}\r\n",
+            f"Content-Length: {len(self.body)}\r\n\r\n",
+        )
+        return head + self.body
 
     def serialize_head(self) -> bytes:
         """Wire bytes for the head of a **streamed** response — see
         :meth:`Request.serialize_head`."""
-        return _serialize_stream_head(
+        return self.headers.wire_head(
             f"{self.http_version} {self.status} {self.reason}\r\n",
-            self.headers,
-            self.stream,
+            _stream_framing(self.stream),
         )
 
 
@@ -327,24 +319,14 @@ def _iter_body(message: "Request | Response") -> AsyncIterator[bytes]:
     return _buffered_chunks(message.body)
 
 
-def _serialize_stream_head(
-    start_line: str, headers: Headers, stream: BodyStream | None
-) -> bytes:
-    """One head render for streamed messages: caller-supplied framing
+def _stream_framing(stream: BodyStream | None) -> str:
+    """The framing line of a streamed head: caller-supplied framing
     headers are superseded by the stream's actual framing."""
     if stream is None:
         raise ValueError("serialize_head() needs a streaming body")
-    parts = [start_line]
-    append = parts.append
-    for name, value in headers.raw_items():
-        lowered = name.lower()
-        if lowered != "content-length" and lowered != "transfer-encoding":
-            append(f"{name}: {value}\r\n")
     if stream.length is not None:
-        append(f"Content-Length: {stream.length}\r\n\r\n")
-    else:
-        append("Transfer-Encoding: chunked\r\n\r\n")
-    return "".join(parts).encode("latin-1")
+        return f"Content-Length: {stream.length}\r\n\r\n"
+    return "Transfer-Encoding: chunked\r\n\r\n"
 
 
 async def _read_head(reader: asyncio.StreamReader) -> bytes | None:
@@ -365,21 +347,24 @@ async def _read_head(reader: asyncio.StreamReader) -> bytes | None:
     return head
 
 
-def _parse_headers(lines: list[str]) -> Headers:
-    return _parse_header_lines(lines, 0)
+#: The fields the head parser resolves while it builds the header list.
+_RESOLVED_IN_PARSE = frozenset(("content-length", "transfer-encoding", "connection"))
 
 
-def _parse_header_lines(lines: list[str], start: int) -> Headers:
-    """Parse header field lines into :class:`Headers`.
+def _parse_fields(lines: list[str]) -> tuple[Headers, int | None, bool, bool]:
+    """Parse the field lines after the start line, in one pass, into
+    ``(headers, content_length, chunked, connection_close)``.
 
-    Appends straight onto the internal field list — one tuple per field,
-    no per-field method dispatch — since this runs for every request and
-    response crossing a proxy.
+    Each name is lower-cased once, here (see :class:`Headers`), and the
+    first ``Transfer-Encoding``, ``Content-Length`` and ``Connection``
+    values are picked up on the way, so framing and persistence need no
+    second scan.  ``Transfer-Encoding`` wins over ``Content-Length`` (RFC
+    7230 §3.3.3), the only transfer coding we speak is ``chunked``, and
+    ``(None, False)`` means "no body".
     """
-    headers = Headers()
-    items = headers.raw_items()
-    for index in range(start, len(lines)):
-        line = lines[index]
+    fields: list[tuple[str, str, str]] = []
+    found: dict[str, str] = {}
+    for line in lines[1:]:
         if not line:
             continue
         name, sep, value = line.partition(":")
@@ -388,18 +373,16 @@ def _parse_header_lines(lines: list[str], start: int) -> Headers:
         if not name or name != name.strip():
             # RFC 7230: no whitespace between field name and colon.
             raise ProtocolError(f"malformed header name: {name!r}")
-        items.append((name, value.strip()))
-    return headers
-
-
-def _body_framing(headers: Headers) -> tuple[int | None, bool]:
-    """Resolve body framing as ``(content_length, chunked)``.
-
-    ``Transfer-Encoding`` wins over ``Content-Length`` (RFC 7230 §3.3.3);
-    the only transfer coding we speak is ``chunked``.  ``(None, False)``
-    means "no body".
-    """
-    encoding = headers.get("Transfer-Encoding")
+        key = name.lower()
+        value = value.strip()
+        fields.append((key, name, value))
+        if key in _RESOLVED_IN_PARSE:
+            found.setdefault(key, value)
+    headers = Headers._adopt(fields)
+    if not found:
+        return headers, None, False, False
+    close = found.get("connection", "").lower() == "close"
+    encoding = found.get("transfer-encoding")
     if encoding is not None:
         tokens = [
             token.strip().lower()
@@ -408,26 +391,26 @@ def _body_framing(headers: Headers) -> tuple[int | None, bool]:
         ]
         if tokens != ["chunked"]:
             raise ProtocolError(f"unsupported Transfer-Encoding: {encoding!r}")
-        return None, True
-    raw_length = headers.get("Content-Length")
+        return headers, None, True, close
+    raw_length = found.get("content-length")
     if raw_length is None:
-        return None, False
+        return headers, None, False, close
     try:
         length = int(raw_length)
     except ValueError as exc:
         raise ProtocolError(f"bad Content-Length: {raw_length!r}") from exc
     if length < 0:
         raise ProtocolError(f"negative Content-Length: {length}")
-    return length, False
+    return headers, length, False, close
 
 
 async def _read_body(
     reader: asyncio.StreamReader,
-    headers: Headers,
+    length: int | None,
+    chunked: bool,
     max_body: int | None = MAX_BODY_BYTES,
 ) -> bytes:
-    """Buffer one message body, whichever framing the headers declare."""
-    length, chunked = _body_framing(headers)
+    """Buffer one message body, whichever framing the head declared."""
     if chunked:
         parts: list[bytes] = []
         total = 0
@@ -437,7 +420,7 @@ async def _read_body(
                 raise BodyTooLarge(f"chunked body exceeds {max_body} bytes")
             parts.append(chunk)
         return b"".join(parts)
-    if length is None or length == 0:
+    if not length:
         return b""
     if max_body is not None and length > max_body:
         raise BodyTooLarge(f"declared body of {length} bytes")
@@ -449,7 +432,8 @@ async def _read_body(
 
 def _body_stream(
     reader: asyncio.StreamReader,
-    headers: Headers,
+    length: int | None,
+    chunked: bool,
     max_body: int | None,
 ) -> BodyStream | None:
     """A framed :class:`BodyStream` over the body, or ``None`` if bodiless.
@@ -458,10 +442,9 @@ def _body_stream(
     stream chunk-by-chunk is unbounded in body size, but materializing it
     (``aread()``) is capped.
     """
-    length, chunked = _body_framing(headers)
     if chunked:
         return BodyStream.from_reader(reader, chunked=True, max_buffer=max_body)
-    if length is None or length == 0:
+    if not length:
         return None
     return BodyStream.from_reader(
         reader, content_length=length, max_buffer=max_body
@@ -491,23 +474,19 @@ async def read_request(
     method, target, version = parts
     if not version.startswith("HTTP/"):
         raise ProtocolError(f"bad HTTP version: {version!r}")
-    headers = _parse_header_lines(lines, 1)
-    if stream:
-        return Request(
-            method=method.upper(),
-            target=target,
-            headers=headers,
-            stream=_body_stream(reader, headers, max_body),
-            http_version=version,
-        )
-    body = await _read_body(reader, headers, max_body)
-    return Request(
+    headers, length, chunked, close = _parse_fields(lines)
+    request = Request(
         method=method.upper(),
         target=target,
         headers=headers,
-        body=body,
         http_version=version,
+        connection_close=close,
     )
+    if stream:
+        request.stream = _body_stream(reader, length, chunked, max_body)
+    elif chunked or length:  # a bodiless message has nothing to await
+        request.body = await _read_body(reader, length, chunked, max_body)
+    return request
 
 
 async def read_response(
@@ -533,18 +512,15 @@ async def read_response(
         status = int(parts[1])
     except ValueError as exc:
         raise ProtocolError(f"bad status code: {parts[1]!r}") from exc
-    headers = _parse_header_lines(lines, 1)
-    if stream:
-        return Response(
-            status=status,
-            headers=headers,
-            stream=_body_stream(reader, headers, max_body),
-            http_version=parts[0],
-        )
-    body = await _read_body(reader, headers, max_body)
-    return Response(
+    headers, length, chunked, close = _parse_fields(lines)
+    response = Response(
         status=status,
         headers=headers,
-        body=body,
         http_version=parts[0],
+        connection_close=close,
     )
+    if stream:
+        response.stream = _body_stream(reader, length, chunked, max_body)
+    elif chunked or length:
+        response.body = await _read_body(reader, length, chunked, max_body)
+    return response

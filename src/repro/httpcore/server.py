@@ -61,6 +61,9 @@ class HttpServer:
         self.max_body_bytes = max_body_bytes
         self.router = Router()
         self._middleware: list[Middleware] = []
+        #: handler -> handler inside the whole middleware chain: composed
+        #: once (no closure per request), dropped when the chain changes.
+        self._composed: dict[Handler, Handler] = {}
         self._server: asyncio.Server | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         #: Count of requests that reached a handler, for tests and metrics.
@@ -115,8 +118,10 @@ class HttpServer:
     # -- request handling ----------------------------------------------------
 
     def add_middleware(self, middleware: Middleware) -> None:
-        """Wrap all handlers with *middleware* (outermost first)."""
+        """Wrap all handlers with *middleware* (outermost first), from the
+        next request on — also on a running server."""
         self._middleware.append(middleware)
+        self._composed.clear()
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -145,16 +150,12 @@ class HttpServer:
                 if request is None:
                     break
                 response = await self._dispatch(request)
-                keep_alive = request.headers.get("Connection", "keep-alive")
-                if keep_alive.lower() == "close":
+                if request.connection_close:
                     response.headers.set("Connection", "close")
                 if not await self._write_response(writer, response):
                     break
-                if (
-                    keep_alive.lower() == "close"
-                    or response.headers.get("Connection", "").lower() == "close"
-                ):
-                    break
+                if response.headers.get("Connection", "").lower() == "close":
+                    break  # asked for by the request (just set) or the handler
                 if not await self._drain_request(request):
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -224,11 +225,16 @@ class HttpServer:
             # logging/metrics layers observe 404s.
             handler = self.handle_not_found
 
-        wrapped: Handler = handler
-        for middleware in reversed(self._middleware):
-            wrapped = self._bind(middleware, wrapped)
+        if self._middleware:
+            wrapped = self._composed.get(handler)
+            if wrapped is None:
+                wrapped = handler
+                for middleware in reversed(self._middleware):
+                    wrapped = self._bind(middleware, wrapped)
+                self._composed[handler] = wrapped
+            handler = wrapped
         try:
-            return await wrapped(request)
+            return await handler(request)
         except asyncio.CancelledError:
             raise
         except BodyTooLarge as exc:

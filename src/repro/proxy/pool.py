@@ -39,7 +39,7 @@ import threading
 import uuid
 
 from ..core.routing import FilterKind, RoutingConfig, RoutingError
-from ..httpcore import Headers, HttpClient, HttpServer, Request, Response, SetCookie
+from ..httpcore import HttpClient, HttpServer, Request, Response, SetCookie
 from ..metrics import MetricPoint, render_exposition_lines
 from .filters import CLIENT_COOKIE
 from .plan import RoutingPlan, normalize_endpoints
@@ -209,12 +209,12 @@ class ProxyWorkerPool(HttpServer):
 
     def _with_cookie(self, request: Request, client_id: str) -> Request:
         """A copy of *request* carrying the freshly minted client cookie."""
-        items = list(request.headers.raw_items())
-        items.append(("Cookie", f"{CLIENT_COOKIE}={client_id}"))
+        headers = request.headers.copy()
+        headers.add("Cookie", f"{CLIENT_COOKIE}={client_id}")
         return Request(
             method=request.method,
             target=request.target,
-            headers=Headers.from_raw(items),
+            headers=headers,
             body=request.body,
             stream=request.stream,
         )

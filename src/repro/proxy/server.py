@@ -43,12 +43,6 @@ from .sticky import StickyStore
 
 logger = logging.getLogger(__name__)
 
-#: Hop-by-hop headers never forwarded upstream (RFC 7230 section 6.1).
-#: Headers nominated by the ``Connection`` header are stripped as well.
-_HOP_BY_HOP = frozenset(
-    ("connection", "keep-alive", "te", "transfer-encoding", "upgrade")
-)
-
 
 class BifrostProxy(HttpServer):
     """A reverse proxy enforcing one service's dynamic routing state."""
@@ -237,17 +231,20 @@ class BifrostProxy(HttpServer):
 
     async def _handle_proxy(self, request: Request) -> Response:
         if self._chain is None:
-            return await self._forward(request, self._default_ring.next(), "default")
+            headers = self._forward_headers(request, None)
+            return await self._forward(
+                request, headers, self._default_ring.next(), "default"
+            )
 
         decision = self._chain.decide(request)
+        # One overlay per request: every shadow copies it, then the
+        # primary takes it over.
+        headers = self._forward_headers(request, decision.client_id)
         if decision.shadows:
-            self._dispatch_shadows(request, decision)
+            self._dispatch_shadows(request, headers, decision)
 
         response = await self._forward(
-            request,
-            self._rings[decision.version].next(),
-            decision.version,
-            client_id=decision.client_id,
+            request, headers, self._rings[decision.version].next(), decision.version
         )
         if decision.set_cookie and decision.client_id:
             response.headers.add(
@@ -255,11 +252,25 @@ class BifrostProxy(HttpServer):
             )
         return response
 
-    def _dispatch_shadows(self, request: Request, decision: RoutingDecision) -> None:
+    def _forward_headers(self, request: Request, client_id: str | None) -> Headers:
+        """What every upstream copy of *request* carries, before its own
+        ``Host``: :meth:`Headers.forward_copy` minus a previous hop's
+        ``X-Forwarded-By``, with the proxy-issued client cookie spliced
+        into the ``Cookie`` header (or appended) when the client does not
+        carry it yet.  The incoming request is never mutated."""
+        headers = request.headers.forward_copy()
+        headers.remove("X-Forwarded-By")
+        if client_id is not None and CLIENT_COOKIE not in request.cookies:
+            headers.merge("Cookie", f"{CLIENT_COOKIE}={client_id}", "; ")
+        return headers
+
+    def _dispatch_shadows(
+        self, request: Request, headers: Headers, decision: RoutingDecision
+    ) -> None:
         shadows = decision.shadows
         if request.stream is None:
             for shadow in shadows:
-                self._dispatch_shadow(request, shadow, decision.client_id)
+                self._dispatch_shadow(request, headers, shadow)
             return
         # A streamed body can be teed exactly once without double-buffering:
         # the primary keeps stream ownership (its reads drive the tee), the
@@ -267,103 +278,60 @@ class BifrostProxy(HttpServer):
         # the same request are dropped with accounting rather than buffered.
         tee = self.shadower.tee(request.stream)
         request.stream = tee.primary
-        self._dispatch_shadow(
-            request, shadows[0], decision.client_id, stream=tee.branch
-        )
+        self._dispatch_shadow(request, headers, shadows[0], stream=tee.branch)
         for _ in shadows[1:]:
             self.shadower.note_drop()
 
-    def _dispatch_shadow(self, request, shadow, client_id, stream=None) -> None:
+    def _dispatch_shadow(self, request, headers, shadow, stream=None) -> None:
         """Duplicate *request* to the shadow target's next instance.
 
         Builds a dedicated request sharing the (immutable) body bytes with
-        the primary — the only allocation is the overlaid header list.  A
+        the primary — the only allocation is the copied header list.  A
         streamed duplicate instead carries a tee *branch* as its body.
         """
         endpoint, host, port = self._rings[shadow.target_version].next()
-        items = self._overlay_items(request, client_id)
-        items.append(("Host", endpoint))
-        items.append(("X-Forwarded-By", self.name))
-        items.append(("X-Bifrost-Shadow", "true"))
+        headers = headers.copy()
+        headers.add("Host", endpoint)
+        headers.add("X-Forwarded-By", self.name)
+        headers.add("X-Bifrost-Shadow", "true")
         shadow_request = Request(
             method=request.method,
             target=request.target,
-            headers=Headers.from_raw(items),
+            headers=headers,
             body=request.body,
             stream=stream,
         )
         if self.shadower.shadow(shadow_request, endpoint, host, port):
             self._m_shadow_sent.inc()
 
-    def _overlay_items(self, request: Request, client_id: str | None) -> list:
-        """Forward headers as a fresh field list (header-delta overlay).
-
-        One pass over the incoming fields: hop-by-hop headers — the static
-        RFC 7230 §6.1 set plus any nominated by the ``Connection`` header —
-        ``Host``, and ``X-Forwarded-By`` are skipped; the proxy-issued
-        client cookie is spliced into the ``Cookie`` header (or appended)
-        when the client does not carry it yet.  The incoming request is
-        never mutated and nothing is copied-then-removed.
-        """
-        headers = request.headers
-        drop = _HOP_BY_HOP
-        connection = headers.get("Connection")
-        if connection is not None:
-            nominated = {
-                token.strip().lower()
-                for token in connection.split(",")
-                if token.strip()
-            }
-            if nominated:
-                drop = _HOP_BY_HOP | nominated
-        cookie_pair = None
-        if client_id is not None and CLIENT_COOKIE not in request.cookies:
-            cookie_pair = f"{CLIENT_COOKIE}={client_id}"
-        items = []
-        for name, value in headers.raw_items():
-            lowered = name.lower()
-            if lowered in drop or lowered == "host" or lowered == "x-forwarded-by":
-                continue
-            if cookie_pair is not None and lowered == "cookie":
-                items.append((name, f"{value}; {cookie_pair}"))
-                cookie_pair = None
-                continue
-            items.append((name, value))
-        if cookie_pair is not None:
-            items.append(("Cookie", cookie_pair))
-        return items
-
     async def _forward(
         self,
         request: Request,
+        headers: Headers,
         destination: tuple[str, str, int],
         version: str,
-        client_id: str | None = None,
     ) -> Response:
+        """Send *request* upstream under *headers*, which this call takes over."""
         endpoint, host, port = destination
-        items = self._overlay_items(request, client_id)
-        items.append(("Host", endpoint))
-        items.append(("X-Forwarded-By", self.name))
+        headers.add("Host", endpoint)
+        headers.add("X-Forwarded-By", self.name)
         upstream_request = Request(
             method=request.method,
             target=request.target,
-            headers=Headers.from_raw(items),
+            headers=headers,
             body=request.body,
             stream=request.stream,
         )
         started = time.monotonic()
         try:
-            if self.stream_bodies:
-                # End-to-end relay: the request body streams up as it
-                # arrives, and the response returns at head-parse time —
-                # its body flows back through ``response.stream`` while the
-                # server relays it to the client.  First upstream bytes can
-                # reach the client before the last client bytes arrive.
-                response = await self._client.send(
-                    upstream_request, host, port, stream=True
-                )
-            else:
-                response = await self._client.send(upstream_request, host, port)
+            # With stream_bodies this is an end-to-end relay: the request
+            # body streams up as it arrives and the response returns at
+            # head-parse time, its body flowing back through
+            # ``response.stream`` — first upstream bytes can reach the
+            # client before the last client bytes arrive.
+            response = await self._client.send(
+                upstream_request, host, port, stream=self.stream_bodies
+            )
         except (HttpError, ConnectionError, OSError) as exc:
             self.upstream_errors += 1
             self._m_upstream_errors.inc()

@@ -94,3 +94,41 @@ def test_values_are_coerced_to_strings():
     headers = Headers()
     headers.add("Content-Length", 42)  # type: ignore[arg-type]
     assert headers.get("content-length") == "42"
+
+
+def test_merge_joins_onto_the_first_field_in_place_or_adds():
+    headers = Headers([("A", "1"), ("COOKIE", "x=1"), ("cookie", "y=2")])
+    headers.merge("Cookie", "z=3", "; ")
+    assert headers.items() == [("A", "1"), ("COOKIE", "x=1; z=3"), ("cookie", "y=2")]
+    headers.merge("Via", "1.1 gw", ", ")
+    assert headers.items()[-1] == ("Via", "1.1 gw")
+    assert headers.get("via") == "1.1 gw"
+
+
+def test_forward_copy_drops_hop_by_hop_nominated_and_host_only():
+    original = Headers(
+        [
+            ("Host", "a"),
+            ("Set-Cookie", "a=1"),
+            ("CONNECTION", "close, X-Private"),
+            ("x-private", "1"),
+            ("connection", "x-other"),
+            ("X-Other", "2"),
+            ("Keep-Alive", "timeout=5"),
+            ("TE", "trailers"),
+            ("Transfer-Encoding", "chunked"),
+            ("Upgrade", "h2c"),
+            ("set-cookie", "b=2"),
+            ("Content-Length", "3"),
+        ]
+    )
+    before = original.items()
+    forwarded = original.forward_copy()
+    assert forwarded.items() == [
+        ("Set-Cookie", "a=1"),
+        ("set-cookie", "b=2"),
+        ("Content-Length", "3"),
+    ]
+    forwarded.add("Host", "b")
+    assert original.items() == before  # a copy: the receiver is untouched
+    assert forwarded.get("host") == "b"

@@ -162,3 +162,107 @@ async def test_pipelined_requests_parse_sequentially():
     assert first is not None and first.path == "/a"
     assert second is not None and second.path == "/b"
     assert third is None
+
+
+# -- hostile framing: the single-pass parser against a reference ------------
+#
+# ``_reference_parse`` is the parser as it was before the head was resolved
+# in one pass: build the field list, then scan it once per question.  It
+# stays here as the oracle.
+
+HOSTILE_LINES = [
+    "Host: a", "hOsT:b", "X-Colon: a:b:c", "X-Empty:", "X-Empty:   ",
+    "Set-Cookie: a=1", "set-cookie: b=2",
+    "Content-Length: 5", "content-length: 7", "CONTENT-LENGTH: -1",
+    "Content-Length: abc", "Content-Length:   5 ", "Content-Length: +5",
+    "Content-Length:", "Content-Length: 0",
+    "Transfer-Encoding: chunked", "transfer-encoding: Chunked",
+    "Transfer-Encoding: gzip, chunked", "Transfer-Encoding:",
+    "Connection: close", "Connection: close, x-foo", "connection: CLOSE",
+    "Connection: keep-alive",
+    "X-Foo : bar", " X-Lead: v", "NoColonHere", ": empty-name",
+]
+
+
+def _hostile_corpus() -> list[tuple[str, ...]]:
+    import itertools
+    import random
+
+    rng = random.Random(17)
+    corpus = [(line,) for line in HOSTILE_LINES]
+    corpus += list(itertools.permutations(HOSTILE_LINES, 2))
+    corpus += [
+        tuple(rng.choice(HOSTILE_LINES) for _ in range(rng.randint(3, 7)))
+        for _ in range(400)
+    ]
+    return corpus
+
+
+def _reference_parse(lines):
+    items = []
+    for line in lines:
+        name, sep, value = line.partition(":")
+        if not sep or not name or name != name.strip():
+            raise ProtocolError(line)
+        items.append((name, value.strip()))
+
+    def first(wanted):
+        return next((v for n, v in items if n.lower() == wanted), None)
+
+    close = (first("connection") or "").lower() == "close"
+    encoding = first("transfer-encoding")
+    if encoding is not None:
+        if [t.strip().lower() for t in encoding.split(",") if t.strip()] != ["chunked"]:
+            raise ProtocolError(encoding)
+        return items, (None, True), close
+    raw_length = first("content-length")
+    try:
+        length = None if raw_length is None else int(raw_length)
+    except ValueError:
+        raise ProtocolError(raw_length)
+    if length is not None and length < 0:
+        raise ProtocolError(raw_length)
+    return items, (length or None, False), close
+
+
+def _reference_head(start_line, items, framing_line):
+    kept = [
+        f"{n}: {v}\r\n"
+        for n, v in items
+        if n.lower() not in ("content-length", "transfer-encoding")
+    ]
+    return (start_line + "".join(kept) + framing_line + "\r\n").encode("latin-1")
+
+
+@pytest.mark.parametrize(
+    "start_line, read",
+    [("POST /x HTTP/1.1\r\n", read_request), ("HTTP/1.1 200 OK\r\n", read_response)],
+)
+async def test_single_pass_parser_matches_reference_on_hostile_heads(start_line, read):
+    parsed = 0
+    for lines in _hostile_corpus():
+        raw = (start_line + "".join(f"{line}\r\n" for line in lines) + "\r\n").encode()
+        try:
+            expected = _reference_parse(lines)
+        except ProtocolError:
+            with pytest.raises(ProtocolError):
+                await read(feed(raw + b"x" * 16), stream=True)
+            continue
+        items, framing, close = expected
+        message = await read(feed(raw + b"x" * 16), stream=True)
+        stream = message.stream
+        assert message.headers.items() == items, lines
+        assert (stream and stream.length, stream is not None and stream.length is None) == framing, lines
+        assert message.connection_close is close, lines
+        # serialize . parse renders what it always rendered.
+        if stream is not None:
+            framing_line = (
+                "Transfer-Encoding: chunked\r\n"
+                if framing[1]
+                else f"Content-Length: {framing[0]}\r\n"
+            )
+            assert message.serialize_head() == _reference_head(start_line, items, framing_line)
+        message.stream = None
+        assert message.serialize() == _reference_head(start_line, items, "Content-Length: 0\r\n")
+        parsed += 1
+    assert parsed > 300  # the corpus is not all errors

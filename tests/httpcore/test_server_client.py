@@ -1,14 +1,17 @@
 """Integration tests: HttpServer and HttpClient talking over localhost."""
 
 import asyncio
+import contextlib
 
 import pytest
 
 from repro.httpcore import (
+    BodyStream,
     ConnectionClosed,
     Headers,
     HttpClient,
     HttpServer,
+    Request,
     RequestTimeout,
     Response,
 )
@@ -119,6 +122,95 @@ async def test_request_timeout():
     async with make_server() as server, HttpClient() as client:
         with pytest.raises(RequestTimeout):
             await client.get(f"http://{server.address}/slow", timeout=0.05)
+
+
+@contextlib.asynccontextmanager
+async def raw_peer(handler):
+    """A raw TCP server running *handler(reader, writer)* per connection;
+    yields its port and, on exit, waits until every connection is closed."""
+    tasks = []
+
+    async def tracked(reader, writer):
+        tasks.append(asyncio.current_task())
+        try:
+            await handler(reader, writer)
+        finally:
+            writer.close()
+            with contextlib.suppress(ConnectionError):
+                await writer.wait_closed()
+
+    server = await asyncio.start_server(tracked, "127.0.0.1", 0)
+    try:
+        yield server.sockets[0].getsockname()[1]
+    finally:
+        server.close()
+        await server.wait_closed()
+        await asyncio.wait_for(asyncio.gather(*tasks), 2.0)
+
+
+@pytest.mark.parametrize(
+    "partial",
+    [b"", b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nonly-this-much"],
+    ids=["before-the-head", "mid-body"],
+)
+async def test_timeout_budget_covers_the_round_trip_and_burns_the_connection(partial):
+    timeout = 0.5
+    loop = asyncio.get_running_loop()
+    connections = 0
+    saw_close = asyncio.Event()
+
+    async def answer_once_then_stall(reader, writer):
+        nonlocal connections
+        connections += 1
+        await reader.readuntil(b"\r\n\r\n")
+        writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+        await reader.readuntil(b"\r\n\r\n")
+        writer.write(partial)
+        if await reader.read() == b"":  # the client hung up on the stall
+            saw_close.set()
+
+    async with raw_peer(answer_once_then_stall) as port:
+        async with HttpClient(timeout=timeout) as client:
+            url = f"http://127.0.0.1:{port}/"
+            assert (await client.get(url)).body == b"ok"
+            assert client.idle_connections() == 1
+            started = loop.time()
+            with pytest.raises(RequestTimeout):
+                await client.get(url)  # rides the pooled connection
+            assert loop.time() - started < 1.2 * timeout
+            await asyncio.wait_for(saw_close.wait(), 1.0)  # closed ...
+            assert client.idle_connections() == 0  # ... not pooled ...
+            assert connections == 1  # ... and a timeout is never retried
+
+
+async def test_timeout_budget_includes_the_request_body_pump():
+    # The reply arrives late in the budget while the streamed request body
+    # is still trickling: the send hands back the (valid) reply when the
+    # budget is spent and does not pool the connection, instead of granting
+    # the pump a second full timeout.
+    timeout = 0.4
+    loop = asyncio.get_running_loop()
+
+    async def answer_late(reader, writer):
+        await reader.readuntil(b"\r\n\r\n")
+        await asyncio.sleep(0.75 * timeout)
+        writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nreply")
+        await reader.read()
+
+    async def trickle():
+        for _ in range(40):
+            yield b"x"
+            await asyncio.sleep(0.05)
+
+    async with raw_peer(answer_late) as port, HttpClient(timeout=timeout) as client:
+        request = Request(
+            "POST", "/", Headers({"Host": "peer"}), stream=BodyStream.from_iterable(trickle())
+        )
+        started = loop.time()
+        response = await client.send(request, "127.0.0.1", port)
+        assert response.body == b"reply"
+        assert loop.time() - started < 1.2 * timeout
+        assert client.idle_connections() == 0
 
 
 async def test_client_close_rejects_further_use():

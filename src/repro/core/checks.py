@@ -19,7 +19,7 @@ import asyncio
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable
+from typing import Awaitable, Callable, Sequence
 
 from ..clock import Clock
 from ..metrics.provider import MetricsProvider, ProviderError
@@ -160,6 +160,29 @@ class ProviderErrorPolicy:
         return self.mode
 
 
+#: What one provider call yielded: ``(value, None)``, or ``(None, error
+#: text)`` when the provider could not answer.
+Answer = tuple[float | None, str | None]
+
+
+async def fetch_answer(provider: MetricsProvider, query: str) -> Answer:
+    """Ask *provider* one question; its failure becomes "no data".
+
+    Any provider exception — ``ProviderError`` or an unexpected one a
+    backend leaks (``ConnectionError``, ``OSError``, ...) — downgrades the
+    metric to "no data" rather than crashing the enactment; only
+    ``CancelledError`` propagates.
+    """
+    try:
+        return await provider.query(query), None
+    except ProviderError as exc:
+        logger.warning("query %r failed: %s", query, exc)
+        return None, str(exc)
+    except Exception as exc:
+        logger.exception("query %r raised unexpectedly; treating as no data", query)
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 @dataclass(frozen=True)
 class ConditionEvaluation:
     """One execution of f_ci, with provenance.
@@ -255,20 +278,11 @@ class MetricCondition:
         """One execution of f_ci: fetch every query, then decide 0 or 1."""
         return (await self.evaluate_detailed(providers)).result
 
-    async def evaluate_detailed(
+    def questions(
         self, providers: dict[str, MetricsProvider]
-    ) -> ConditionEvaluation:
-        """One execution of f_ci, distinguishing *failed* from *no data*.
-
-        Multi-query conditions fan out concurrently: all provider fetches
-        run under ``asyncio.gather``, so a condition costs roughly its
-        slowest query rather than the sum of all query latencies.  Any
-        provider exception — ``ProviderError`` or an unexpected one a
-        backend leaks (``ConnectionError``, ``OSError``, ...) — downgrades
-        that metric to "no data" rather than crashing the enactment; only
-        ``CancelledError`` propagates.
-        """
-        resolved: list[tuple[MetricQuery, MetricsProvider]] = []
+    ) -> list[tuple[MetricsProvider, str]]:
+        """The ``(provider, query string)`` behind each query, in order."""
+        asked = []
         for query in self.queries:
             provider = providers.get(query.provider)
             if provider is None:
@@ -276,38 +290,37 @@ class MetricCondition:
                     f"no provider named {query.provider!r} configured; "
                     f"known: {sorted(providers)}"
                 )
-            resolved.append((query, provider))
+            asked.append((provider, query.query))
+        return asked
 
-        errors: list[str] = []
+    async def evaluate_detailed(
+        self,
+        providers: dict[str, MetricsProvider],
+        answers: Sequence[Answer] | None = None,
+    ) -> ConditionEvaluation:
+        """One execution of f_ci, distinguishing *failed* from *no data*.
 
-        async def fetch(query: MetricQuery, provider: MetricsProvider) -> float | None:
-            try:
-                return await provider.query(query.query)
-            except asyncio.CancelledError:
-                raise
-            except ProviderError as exc:
-                logger.warning("query %r failed: %s", query.query, exc)
-                errors.append(f"{query.name}: {exc}")
-                return None
-            except Exception as exc:
-                logger.exception(
-                    "query %r raised unexpectedly; treating as no data",
-                    query.query,
+        *answers* are this condition's already fetched values, one
+        :data:`Answer` per query in order (the scheduler fetches each
+        distinct question of a wave once and hands it to every asker);
+        the call then returns without suspending.  Without them the
+        queries are fetched here, concurrently, so a condition costs
+        roughly its slowest query rather than the sum of all latencies.
+        """
+        if answers is None:
+            asked = self.questions(providers)
+            if len(asked) == 1:
+                answers = [await fetch_answer(*asked[0])]
+            else:
+                answers = await asyncio.gather(
+                    *(fetch_answer(provider, query) for provider, query in asked)
                 )
-                errors.append(f"{query.name}: {type(exc).__name__}: {exc}")
-                return None
-
-        if len(resolved) == 1:
-            query, provider = resolved[0]
-            values = {query.name: await fetch(query, provider)}
-        else:
-            fetched = await asyncio.gather(
-                *(fetch(query, provider) for query, provider in resolved)
-            )
-            values = {
-                query.name: value
-                for (query, _), value in zip(resolved, fetched)
-            }
+        values: dict[str, float | None] = {}
+        errors: list[str] = []
+        for query, (value, error) in zip(self.queries, answers):
+            values[query.name] = value
+            if error is not None:
+                errors.append(f"{query.name}: {error}")
         if self.validator is not None:
             subject = self.subject or self.queries[0].name
             return ConditionEvaluation(

@@ -5,9 +5,10 @@ per check — the paper's Figure 9/10 sweep (hundreds to thousands of
 parallel checks) therefore meant hundreds to thousands of parked tasks,
 each woken individually per tick.  :class:`CheckScheduler` replaces that
 with a single heap-driven driver task: every scheduled check contributes
-one heap entry, the driver sleeps until the earliest deadline, and a due
-tick dispatches the check's condition evaluation as a short-lived task
-that re-arms the heap when it completes.
+one heap entry, the driver sleeps until the earliest deadline, and the
+checks due together are evaluated as one *wave*: each distinct
+``(provider, query)`` the wave asks is fetched once, by one short-lived
+task, and its answer is handed to every check that asked.
 
 Semantics are inherited from :class:`~repro.core.checks.CheckProgress`
 (the same object the per-task reference runner folds ticks through), so
@@ -16,8 +17,8 @@ and observer callbacks behave identically — property tests assert
 observational equivalence under a :class:`~repro.clock.VirtualClock`.
 
 Cost model: N checks waiting for their next tick cost one parked timer
-(the driver's sleep) and zero dedicated tasks; evaluation tasks exist only
-while a condition is actually being evaluated.
+(the driver's sleep) and zero dedicated tasks; a wave costs one task per
+distinct fetch, none per check.
 """
 
 from __future__ import annotations
@@ -30,15 +31,31 @@ import logging
 from ..clock import Clock
 from ..metrics.provider import MetricsProvider
 from .checks import (
+    Answer,
     Check,
+    CheckError,
     CheckProgress,
     CheckResult,
     ExceptionTriggered,
-    Execution,
     ExecutionObserver,
+    fetch_answer,
 )
 
 logger = logging.getLogger(__name__)
+
+
+class _Fetch:
+    """One provider call of a wave, owned by the checks still waiting for it."""
+
+    __slots__ = ("provider", "query", "askers", "waiting", "task")
+
+    def __init__(self, provider: MetricsProvider, query: str):
+        self.provider = provider
+        self.query = query
+        #: (entry, position of the question among the entry's queries)
+        self.askers: list[tuple[_Entry, int]] = []
+        self.waiting = 0
+        self.task: asyncio.Task[None] | None = None
 
 
 class _Entry:
@@ -52,7 +69,8 @@ class _Entry:
         "progress",
         "remaining",
         "future",
-        "eval_task",
+        "answers",
+        "fetches",
     )
 
     def __init__(
@@ -70,7 +88,10 @@ class _Entry:
         self.progress = CheckProgress(check)
         self.remaining = check.timer.repetitions
         self.future = future
-        self.eval_task: asyncio.Task | None = None
+        #: This tick's answers, one slot per query, and the fetches of the
+        #: current wave whose answer has not arrived yet.
+        self.answers: list[Answer | None] = []
+        self.fetches: list[_Fetch] = []
 
 
 class CheckScheduler:
@@ -79,9 +100,11 @@ class CheckScheduler:
     ``schedule`` arms a check and returns a future resolving to its
     :class:`CheckResult` (or raising :class:`ExceptionTriggered` /
     whatever the evaluation raised).  Cancelling the future deschedules
-    the check and aborts its in-flight evaluation, which is how the
-    engine implements exception-check preemption: the first triggered
-    check fails its future, and the state executor cancels the rest.
+    the check and withdraws it from the fetches it waits on — a fetch
+    nobody waits on any more is cancelled, one somebody does is not —
+    which is how the engine implements exception-check preemption: the
+    first triggered check fails its future, and the state executor
+    cancels the rest.
 
     The driver starts lazily on the first ``schedule`` and exits on its
     own once no checks remain, so a scheduler needs no explicit lifecycle
@@ -95,6 +118,7 @@ class CheckScheduler:
         self._active: set[_Entry] = set()
         self._wake = asyncio.Event()
         self._driver: asyncio.Task[None] | None = None
+        self._fetching: set[asyncio.Task[None]] = set()
         #: How many dispatches grouped 2+ same-deadline checks into one
         #: evaluation wave, and the size of the latest wave (observability
         #: for the shared-evaluation-plan path).
@@ -166,27 +190,45 @@ class CheckScheduler:
         """Dispatch every due check as one evaluation wave.
 
         Due entries are drained from the heap *before* any task is
-        created, so checks sharing a deadline evaluate at the same clock
-        instant — against a shared store their plan nodes carry the same
-        ``(tick, generation)`` stamp and each distinct subexpression runs
-        once for the whole wave (see :mod:`repro.metrics.plan`).
+        created, and each distinct ``(provider, query)`` they ask becomes
+        one fetch: checks that decide on the same tick decide on the same
+        evidence, and a wave costs as many tasks and provider calls as it
+        has distinct questions.  Providers are told apart by identity, so
+        a wrapper around a provider is a different one.
         """
         now = self.clock.now()
         heap = self._heap
         due: list[_Entry] = []
         while heap and heap[0][0] <= now:
             _, _, entry = heapq.heappop(heap)
-            if entry.future.done() or entry.eval_task is not None:
-                continue
-            due.append(entry)
+            if not entry.future.done():
+                due.append(entry)
         if not due:
             return
         if len(due) > 1:
             self.tick_waves += 1
             self.last_wave_size = len(due)
-        loop = asyncio.get_running_loop()
+        wave: dict[tuple[int, str], _Fetch] = {}
         for entry in due:
-            entry.eval_task = loop.create_task(self._evaluate(entry))
+            try:
+                asked = entry.check.condition.questions(entry.providers)
+            except CheckError as exc:
+                self._finish(entry, error=exc)
+                continue
+            entry.answers = [None] * len(asked)
+            for position, (provider, query) in enumerate(asked):
+                key = (id(provider), query)
+                fetch = wave.get(key)
+                if fetch is None:
+                    fetch = wave[key] = _Fetch(provider, query)
+                fetch.askers.append((entry, position))
+                fetch.waiting += 1
+                entry.fetches.append(fetch)
+        loop = asyncio.get_running_loop()
+        for fetch in wave.values():
+            fetch.task = loop.create_task(self._fetch(fetch))
+            self._fetching.add(fetch.task)
+            fetch.task.add_done_callback(self._fetching.discard)
 
     async def _wait_for_wake(self, timeout: float | None) -> None:
         """Park until the next deadline or until new/changed work arrives."""
@@ -211,39 +253,46 @@ class CheckScheduler:
             sleeper.cancel()
         self._wake.clear()
 
-    async def _evaluate(self, entry: _Entry) -> None:
-        """One tick: evaluate the condition, fold it in, re-arm or finish."""
+    async def _fetch(self, fetch: _Fetch) -> None:
+        """Ask one question, then fold every check whose last answer it was."""
+        answer = await fetch_answer(fetch.provider, fetch.query)
+        # Hand the answer out before folding anything: from here on no
+        # entry lists this fetch, so a check cancelled while a peer's
+        # observer runs cannot cancel the task out from under the rest.
+        complete: list[_Entry] = []
+        for entry, position in fetch.askers:
+            if entry.future.done():
+                continue
+            entry.answers[position] = answer
+            entry.fetches.remove(fetch)
+            if not entry.fetches:
+                complete.append(entry)
+        for entry in complete:
+            if not entry.future.done():
+                await self._fold(entry)
+
+    async def _fold(self, entry: _Entry) -> None:
+        """One tick: decide on the wave's answers, fold in, re-arm or finish."""
         try:
             evaluation = await entry.check.condition.evaluate_detailed(
-                entry.providers
+                entry.providers, entry.answers
             )
             at = self.clock.now()
             outcome = entry.progress.apply(evaluation, at)
-            if outcome.execution is not None:
-                await self._notify(entry, outcome.execution)
+            if outcome.execution is not None and entry.observer is not None:
+                seen = entry.observer(entry.check, outcome.execution)
+                if asyncio.iscoroutine(seen):
+                    await seen
             if outcome.triggered:
-                entry.eval_task = None
                 self._finish(entry, error=ExceptionTriggered(entry.check, at))
                 return
             entry.remaining -= 1
             if entry.remaining <= 0:
-                entry.eval_task = None
                 await self._finish_result(entry)
-                return
-            entry.eval_task = None
-            self._arm(entry, self.clock.now() + entry.check.timer.interval)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # defensive: a broken provider/observer
-            entry.eval_task = None
+            elif not entry.future.done():
+                self._arm(entry, self.clock.now() + entry.check.timer.interval)
+        except Exception as exc:  # defensive: a broken observer or callback
             self._finish(entry, error=exc)
-
-    async def _notify(self, entry: _Entry, execution: Execution) -> None:
-        if entry.observer is None:
-            return
-        outcome = entry.observer(entry.check, execution)
-        if asyncio.iscoroutine(outcome):
-            await outcome
 
     async def _finish_result(self, entry: _Entry) -> None:
         result = entry.progress.result()
@@ -270,8 +319,13 @@ class CheckScheduler:
         self, entry: _Entry, future: "asyncio.Future[CheckResult]"
     ) -> None:
         self._active.discard(entry)
-        if future.cancelled() and entry.eval_task is not None:
-            entry.eval_task.cancel()
+        # Whatever the check still waited for loses an owner; a fetch
+        # without owners is cancelled, not leaked.
+        for fetch in entry.fetches:
+            fetch.waiting -= 1
+            if fetch.waiting == 0:
+                fetch.task.cancel()
+        entry.fetches = []
         # Wake the driver so it can re-plan (or exit when idle).
         self._wake.set()
 
@@ -281,15 +335,14 @@ class CheckScheduler:
         return len(self._active)
 
     async def close(self) -> None:
-        """Cancel every scheduled check and stop the driver."""
+        """Cancel every scheduled check, its fetches, and the driver."""
         for entry in list(self._active):
             entry.future.cancel()
-        driver = self._driver
-        if driver is not None and not driver.done():
-            driver.cancel()
-            try:
-                await driver
-            except asyncio.CancelledError:
-                pass
+        stopping = list(self._fetching)
+        if self._driver is not None and not self._driver.done():
+            stopping.append(self._driver)
+        for task in stopping:
+            task.cancel()
+        await asyncio.gather(*stopping, return_exceptions=True)
         self._driver = None
         self._heap.clear()

@@ -24,8 +24,6 @@ import enum
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-import networkx
-
 from .automaton import Automaton
 from .model import Strategy
 
@@ -52,6 +50,8 @@ class Finding:
 
 def strategy_graph(automaton: Automaton) -> "networkx.DiGraph":
     """The automaton as a directed graph (transitions + fallbacks)."""
+    import networkx  # only this helper needs it: the engine must import without
+
     graph = networkx.DiGraph()
     for name, state in automaton.states.items():
         graph.add_node(name, final=state.final, rollback=state.rollback)

@@ -217,7 +217,9 @@ class StaticProvider(MetricsProvider):
     """Returns canned values, for unit tests and documentation examples.
 
     Values may be scalars (returned every time) or lists (consumed one per
-    query, repeating the last element when exhausted).
+    query, repeating the last element when exhausted).  The check
+    scheduler asks each distinct query once per wave, so a list is
+    consumed once per wave, not once per check asking in it.
     """
 
     name = "static"

@@ -10,6 +10,7 @@ observer streams, aggregation, and trigger instants must be identical.
 """
 
 import asyncio
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,14 +19,16 @@ from repro.core import (
     CheckResult,
     CheckRunner,
     CheckScheduler,
+    Comparison,
     ExceptionCheck,
     ExceptionTriggered,
     MetricCondition,
+    MetricQuery,
     ProviderErrorPolicy,
     Timer,
     simple_basic_check,
 )
-from repro.metrics import StaticProvider
+from repro.metrics import ProviderError, StaticProvider
 
 # Value sequences: 1.0 passes "<5", 99.0 fails it, None is "no data".
 tick_values = st.lists(
@@ -169,5 +172,131 @@ def test_scheduler_single_check_matches_runner_run(specs):
 
     async def scenario():
         assert await one("run") == await one("run_sequential")
+
+    asyncio.run(scenario())
+
+
+# -- populations whose checks share queries ---------------------------------
+#
+# The wave fetches each distinct (provider, query) once per dispatch and
+# hands the answer to every check that asked; the per-task reference asks
+# once per check.  The two can only be compared over a provider whose
+# answer is a pure function of (query, clock.now()) — which is also the
+# semantic claim: checks deciding on the same tick decide on the same
+# evidence.
+
+POOL = ("q0", "q1", "q2")
+
+
+class PureProvider(StaticProvider):
+    """Answer, failure and latency are functions of (seed, query, now) only."""
+
+    def __init__(self, seed, clock):
+        super().__init__({})
+        self.seed = seed
+        self.clock = clock
+
+    async def query(self, query):
+        self.query_log.append(query)
+        now = self.clock.now()
+        draw = random.Random(f"{self.seed}:{query}:{now}").randrange(8)
+        if query == "q2":
+            await self.clock.sleep(1.0)  # a slow question beside instant ones
+        if draw == 0:
+            raise ProviderError(f"{query} unavailable at {now}")
+        if draw == 1:
+            raise ConnectionError(f"{query} reset at {now}")
+        return {2: None, 3: 99.0}.get(draw, 1.0)
+
+
+shared_specs = st.lists(
+    st.tuples(
+        st.sampled_from(["basic", "exception", "comparison"]),
+        st.sampled_from([1.0, 2.0, 3.0]),  # interval
+        st.integers(min_value=1, max_value=5),  # repetitions
+        st.sampled_from(POOL),
+        st.sampled_from(POOL),  # right-hand side of a comparison
+        policies,
+    ),
+    min_size=2,
+    max_size=8,
+)
+
+
+def build_shared_checks(specs):
+    checks = []
+    for index, (kind, interval, repetitions, query, other, policy) in enumerate(specs):
+        name = f"check{index}"
+        if kind == "exception":
+            checks.append(
+                ExceptionCheck(
+                    name=name,
+                    condition=MetricCondition.simple(query, "<5", provider="static"),
+                    timer=Timer(interval, repetitions),
+                    fallback_state="rollback",
+                    on_provider_error=policy,
+                )
+            )
+            continue
+        check = simple_basic_check(
+            name, query, "<5", interval, repetitions, threshold=1, provider="static"
+        )
+        if kind == "comparison":
+            check.condition = MetricCondition(
+                queries=(
+                    MetricQuery("left", query, "static"),
+                    MetricQuery("right", other, "static"),
+                ),
+                comparison=Comparison("left", "<=", "right"),
+            )
+        checks.append(check)
+    return checks
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_specs, st.integers(min_value=0, max_value=2**16))
+def test_wave_equivalent_to_per_task_runner_when_checks_share_queries(specs, seed):
+    checks = build_shared_checks(specs)
+    # Every tick may also wait for the slow question.
+    horizon = max(
+        (check.timer.interval + 1.0) * check.timer.repetitions for check in checks
+    ) + 1.0
+
+    async def population(schedule_all):
+        clock = VirtualClock()
+        provider = PureProvider(seed, clock)
+        observed: dict[str, list] = {}
+        scheduler = CheckScheduler(clock)
+        try:
+            waiters = schedule_all(
+                scheduler, {"static": provider}, clock, observer_into(observed)
+            )
+            await asyncio.sleep(0)
+            await clock.advance(horizon)
+            outcomes = await asyncio.gather(*waiters, return_exceptions=True)
+        finally:
+            await scheduler.close()
+        return [normalize(outcome) for outcome in outcomes], observed, provider
+
+    def per_task(scheduler, providers, clock, observer):
+        return [
+            asyncio.ensure_future(
+                CheckRunner(check, providers, clock, observer).run_sequential()
+            )
+            for check in checks
+        ]
+
+    def wave(scheduler, providers, clock, observer):
+        return [
+            scheduler.schedule(check, providers, observer=observer) for check in checks
+        ]
+
+    async def scenario():
+        *sequential, asked_each = await population(per_task)
+        *scheduled, asked_once = await population(wave)
+        assert scheduled == sequential
+        # Never more provider calls than the reference, and the same questions.
+        assert len(asked_once.query_log) <= len(asked_each.query_log)
+        assert set(asked_once.query_log) == set(asked_each.query_log)
 
     asyncio.run(scenario())

@@ -7,8 +7,8 @@ scrape lands one new sample per series.  The baseline replays the seed
 engine: streaming aggregates off, every check evaluated independently
 (full window rescan per range function), samples recorded one at a time.
 The incremental engine uses the shared evaluation plan
-(:class:`repro.metrics.plan.EvaluationPlan`), streaming window aggregates,
-and ``record_batch`` ingest.
+(:class:`repro.metrics.plan.Planner`), streaming window aggregates, and
+``record_batch`` ingest.
 
 A second microbench isolates ingest throughput: points/sec for per-point
 ``record`` vs grouped ``record_batch``.
@@ -23,7 +23,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.metrics import EvaluationPlan, MetricStore, evaluate_scalar
+from repro.metrics import MetricStore, evaluate_scalar, planner_for
 from repro.metrics import aggregate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -121,21 +121,25 @@ def _run_incremental(queries) -> tuple[float, dict[str, float | None], dict]:
     assert aggregate.enabled()
     store = MetricStore(retention=3600.0)
     now = _seed(store, batched=True)
-    plan = EvaluationPlan(store, {query: query for query in queries})
+    planner = planner_for(store)
+
+    def evaluate_all(at: float) -> dict[str, float | None]:
+        return {query: planner.evaluate_scalar(store, query, at) for query in queries}
+
     # Warm tick: creates the window states (the one-time seed scans).
     now += SCRAPE_SPACING_S
     store.record_batch(_tick_batch(999, now))
-    plan.evaluate_all(now)
+    evaluate_all(now)
     results: dict[str, float | None] = {}
     start = time.perf_counter()
     for tick in range(TICKS):
         now += SCRAPE_SPACING_S
         store.record_batch(_tick_batch(1000 + tick, now))
-        results = plan.evaluate_all(now)
+        results = evaluate_all(now)
     elapsed = time.perf_counter() - start
     stats = {
-        "plan_shared_nodes": plan.shared_nodes,
-        "plan_evaluations_saved": plan.evaluations_saved,
+        "plan_shared_nodes": planner.shared_nodes,
+        "plan_evaluations_saved": planner.evaluations_saved,
         "aggregate": aggregate.cache_info(),
     }
     return elapsed / TICKS, results, stats

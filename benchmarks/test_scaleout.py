@@ -1,37 +1,24 @@
-"""Scale-out benchmark: sharded metric stores + proxy worker pools.
+"""Proxy pool concurrency-slot model (a model on one CPU, not throughput).
 
-Two architectural effects, both measurable deterministically on a single
-core (the container has one CPU, so neither number depends on true
-parallel execution):
+Upstream round-trips are modelled by a stub client with latency L and a
+bounded connection pool of C concurrent requests — the shape of a real
+``HttpClient`` against a real upstream.  One worker can therefore sustain
+at most ``C/L`` requests per second no matter how fast its event loop is.
+A shared-nothing pool of W workers owns W independent connection pools,
+so the same I/O-bound workload drains through ``W*C`` concurrent slots.
 
-**Proxy pool capacity.**  Upstream round-trips are modelled by a stub
-client with latency L and a bounded connection pool of C concurrent
-requests — the shape of a real ``HttpClient`` against a real upstream.
-One worker can therefore sustain at most ``C/L`` requests per second no
-matter how fast its event loop is.  A shared-nothing pool of W workers
-owns W independent connection pools, so the same I/O-bound workload
-drains through ``W*C`` concurrent slots.  Dispatch overhead is the only
-thing the pool adds; the benchmark shows throughput scaling with W.
-
-**Sharded store invalidation scoping.**  Under the paper's scalability
-workload (many strategies re-evaluating per-tick instant queries while
-scrapes keep landing), the monolithic store's single generation counter
-invalidates the per-(tick, generation) query memo on *every* ingest —
-one hot metric poisons the memo for all queries.  A sharded store bumps
-only the owning shard's counter, and the provider stamps each query with
-the generations of only the shards it reads, so ingest into shard k
-leaves memoized results for the other shards' metrics live within the
-tick.  The benchmark interleaves ingest and a fixed query set and shows
-evaluated-expression count (and wall time) dropping as shards increase,
-with results staying bit-identical to the monolithic store.
+What the curve shows is that slot arithmetic: ``rps ≈ W*C/L`` until the
+single event loop saturates.  The container has one CPU and every worker
+shares it, so the "speedup" here says nothing about scaling over cores;
+it only bounds the dispatch overhead the pool adds.  A throughput claim
+needs a measurement on real cores or processes (ROADMAP, open item 1).
 
 Artifacts: ``benchmarks/output/scaleout.json``, a run record in
 ``benchmarks/output/history.jsonl``, plus the tracked repo-root
 ``BENCH_scaleout.json``.
 
-Environment knobs: ``BIFROST_BENCH_SCALEOUT_REQUESTS`` (proxy requests
-per run), ``BIFROST_BENCH_SCALEOUT_ROUNDS`` (store workload ticks) — CI
-smoke reduces both.
+Environment knob: ``BIFROST_BENCH_SCALEOUT_REQUESTS`` (proxy requests per
+run) — CI smoke reduces it.
 """
 
 import asyncio
@@ -40,16 +27,11 @@ import os
 import time
 from pathlib import Path
 
-from repro.clock import VirtualClock
 from repro.core import canary_split
 from repro.httpcore import Headers, Request, Response
-from repro.metrics import MetricStore, ShardedMetricStore, evaluate_scalar
-from repro.metrics.provider import LocalPrometheusProvider
 from repro.proxy import CLIENT_COOKIE, ProxyWorkerPool, worker_index
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-# -- proxy pool workload -------------------------------------------------------
 
 REQUESTS = int(os.environ.get("BIFROST_BENCH_SCALEOUT_REQUESTS", "320"))
 WORKER_COUNTS = (1, 2, 4)
@@ -157,68 +139,7 @@ async def _drive_pool(workers: int) -> dict:
     }
 
 
-# -- sharded store workload ----------------------------------------------------
-
-ROUNDS = int(os.environ.get("BIFROST_BENCH_SCALEOUT_ROUNDS", "24"))
-SHARD_COUNTS = (1, 2, 4)
-METRIC_NAMES = [f"service_requests_total_{index}" for index in range(64)]
-INSTANCES = [f"inst-{index}" for index in range(8)]
-PRELOAD_SAMPLES = 60
-INGESTS_PER_TICK = 8
-
-# The range window spans the whole preload for every round, so each cache
-# miss re-reads a full-size window — the workload stays evaluation-bound
-# across the sweep instead of thinning out as the clock advances.
-QUERIES = [
-    f'sum(rate({name}{{instance=~"inst-.*"}}[120s]))' for name in METRIC_NAMES
-]
-
-
-def _make_store(shards: int) -> MetricStore | ShardedMetricStore:
-    if shards > 1:
-        return ShardedMetricStore(shard_count=shards)
-    return MetricStore()
-
-
-def _preload(store) -> None:
-    for name in METRIC_NAMES:
-        for instance in INSTANCES:
-            labels = {"instance": instance}
-            for t in range(PRELOAD_SAMPLES):
-                store.record(name, float(t * 3), float(t), labels)
-
-
-async def _drive_store(store) -> dict:
-    clock = VirtualClock()
-    # Jump past the preload window so range queries see the same data on
-    # every shard count.
-    await clock.advance(float(PRELOAD_SAMPLES))
-    provider = LocalPrometheusProvider(store, clock=clock)
-    queries_issued = 0
-    start = time.perf_counter()
-    for round_index in range(ROUNDS):
-        await clock.advance(1.0)
-        now = clock.now()
-        for rep in range(INGESTS_PER_TICK):
-            hot = METRIC_NAMES[
-                (round_index * INGESTS_PER_TICK + rep) % len(METRIC_NAMES)
-            ]
-            store.record(hot, float(queries_issued), now, {"instance": "inst-0"})
-            for query in QUERIES:
-                await provider.query(query)
-                queries_issued += 1
-    wall = time.perf_counter() - start
-    return {
-        "queries_issued": queries_issued,
-        "wall_s": round(wall, 4),
-        "qps": round(queries_issued / wall),
-        "evaluations": provider.cache_misses,
-        "memo_hits": provider.cache_hits,
-    }
-
-
 def test_scaleout(artifact_writer, history_appender):
-    # -- proxy pool sweep --------------------------------------------------
     pool_points = {}
     for workers in WORKER_COUNTS:
         asyncio.run(_drive_pool(workers))  # warm-up
@@ -230,32 +151,14 @@ def test_scaleout(artifact_writer, history_appender):
         for workers in WORKER_COUNTS
     }
 
-    # -- sharded store sweep ----------------------------------------------
-    stores = {shards: _make_store(shards) for shards in SHARD_COUNTS}
-    for store in stores.values():
-        _preload(store)
-
-    store_points = {}
-    for shards, store in stores.items():
-        store_points[shards] = asyncio.run(_drive_store(store))
-    store_speedup = {
-        shards: round(
-            store_points[1]["wall_s"] / store_points[shards]["wall_s"], 2
-        )
-        for shards in SHARD_COUNTS
-    }
-
-    # Equivalence: after identical preload + identical ingest interleaving,
-    # every query answers bit-identically on every shard count.
-    at = float(PRELOAD_SAMPLES + ROUNDS)
-    for query in QUERIES[:16]:
-        reference = evaluate_scalar(stores[1], query, at)
-        for shards in SHARD_COUNTS[1:]:
-            assert evaluate_scalar(stores[shards], query, at) == reference
-
     results = {
         "benchmark": "scaleout",
         "proxy_pool": {
+            "kind": (
+                "W x C concurrency-slot model on one CPU: rps is bounded by "
+                "workers * upstream_capacity_per_worker / upstream_latency_s; "
+                "not a throughput or core-scaling measurement"
+            ),
             "workload": {
                 "requests_per_run": REQUESTS,
                 "distinct_clients": len(CLIENTS),
@@ -264,18 +167,6 @@ def test_scaleout(artifact_writer, history_appender):
             },
             "points": {str(w): p for w, p in pool_points.items()},
             "speedup": {str(w): s for w, s in pool_speedup.items()},
-        },
-        "sharded_store": {
-            "workload": {
-                "metric_names": len(METRIC_NAMES),
-                "instances_per_name": len(INSTANCES),
-                "preload_samples": PRELOAD_SAMPLES,
-                "rounds": ROUNDS,
-                "ingests_per_tick": INGESTS_PER_TICK,
-                "queries_per_ingest": len(QUERIES),
-            },
-            "points": {str(s): p for s, p in store_points.items()},
-            "speedup": {str(s): s2 for s, s2 in store_speedup.items()},
         },
         "measured_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -287,23 +178,11 @@ def test_scaleout(artifact_writer, history_appender):
         {
             "proxy_rps": {str(w): p["rps"] for w, p in pool_points.items()},
             "proxy_speedup": {str(w): s for w, s in pool_speedup.items()},
-            "store_qps": {str(s): p["qps"] for s, p in store_points.items()},
-            "store_speedup": {str(s): v for s, v in store_speedup.items()},
         },
     )
-
-    # Shard scoping shows up structurally, not just in wall time: the
-    # monolith re-evaluates every query after every ingest, while four
-    # shards keep most per-tick memo entries live.
-    assert store_points[4]["evaluations"] < store_points[1]["evaluations"] / 2
 
     assert pool_speedup[4] >= 2.5, (
         f"4-worker pool only {pool_speedup[4]:.2f}x over one worker "
         f"(need >= 2.5x): {pool_points}"
     )
     assert pool_speedup[2] >= 1.5, pool_points
-    assert store_speedup[4] >= 2.0, (
-        f"4-shard store only {store_speedup[4]:.2f}x over the monolith "
-        f"(need >= 2x): {store_points}"
-    )
-    assert store_speedup[2] >= 1.2, store_points

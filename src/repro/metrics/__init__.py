@@ -12,7 +12,7 @@ from .exposition import parse as parse_exposition
 from .exposition import parse_tolerant as parse_exposition_tolerant
 from .exposition import render as render_exposition
 from .exposition import render_lines as render_exposition_lines
-from .plan import EvaluationPlan, plan_cache_info, planner_for
+from .plan import planner_for
 from .provider import (
     HealthProvider,
     HttpPrometheusProvider,
@@ -26,7 +26,6 @@ from .query import (
     VectorSample,
     evaluate,
     evaluate_scalar,
-    expression_generation,
     layout_cache_info,
     parse,
 )
@@ -34,7 +33,7 @@ from .registry import Counter, Gauge, Histogram, MetricPoint, Registry
 from .scraper import Scraper, ScrapeTarget
 from .series import Sample, SeriesKey, TimeSeries
 from .server import MetricsServer
-from .store import LabelMatcher, MetricStore, ShardedMetricStore, shard_index_for
+from .store import LabelMatcher, MetricStore
 
 __all__ = [
     "aggregate_cache_info",
@@ -43,8 +42,6 @@ __all__ = [
     "CpuMeter",
     "evaluate",
     "evaluate_scalar",
-    "EvaluationPlan",
-    "expression_generation",
     "Gauge",
     "HealthProvider",
     "Histogram",
@@ -59,7 +56,6 @@ __all__ = [
     "parse",
     "parse_exposition",
     "parse_exposition_tolerant",
-    "plan_cache_info",
     "planner_for",
     "process_cpu_seconds",
     "process_rss_bytes",
@@ -73,8 +69,6 @@ __all__ = [
     "Scraper",
     "ScrapeTarget",
     "SeriesKey",
-    "shard_index_for",
-    "ShardedMetricStore",
     "StaticProvider",
     "TimeSeries",
     "VectorSample",

@@ -53,7 +53,6 @@ order.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -323,7 +322,7 @@ _TRACKED: "WeakSet[TimeSeries]" = WeakSet()
 
 _STATS = {"hits": 0, "fallbacks": 0, "registrations": 0}
 
-_ENABLED = os.environ.get("BIFROST_INCREMENTAL", "1") not in ("0", "false")
+_ENABLED = True
 
 #: Re-sum interval applied to newly created states (tests tighten it).
 _RESUM_INTERVAL = DEFAULT_RESUM_INTERVAL
@@ -332,11 +331,6 @@ _RESUM_INTERVAL = DEFAULT_RESUM_INTERVAL
 def enabled() -> bool:
     """Whether range functions consult streaming aggregates."""
     return _ENABLED
-
-
-def set_enabled(value: bool) -> None:
-    global _ENABLED
-    _ENABLED = bool(value)
 
 
 @contextmanager
@@ -403,7 +397,7 @@ def cache_info() -> dict[str, int]:
 
 
 #: Import-friendly alias (``metrics.aggregate_cache_info``), mirroring
-#: ``layout_cache_info``/``plan_cache_info`` naming at the package level.
+#: ``layout_cache_info`` naming at the package level.
 aggregate_cache_info = cache_info
 
 
@@ -417,6 +411,5 @@ __all__ = [
     "range_value",
     "rescan_value",
     "resum_interval",
-    "set_enabled",
     "state_for",
 ]

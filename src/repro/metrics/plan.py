@@ -3,19 +3,17 @@
 Many checks active in the same phase share query structure — twenty
 canary checks might all contain ``rate(http_requests_total{...}[30s])``
 somewhere in their expressions, wrapped in different arithmetic or
-aggregations.  Historically each check evaluated its whole tree
-independently; the only sharing was the provider's per-query-string memo,
-which two *different* strings never hit.
+aggregations.  Evaluating each check's whole tree independently would
+repeat that work once per check.
 
-:class:`Planner` fixes that structurally.  Compiled ASTs are frozen
+:class:`Planner` shares it structurally.  Compiled ASTs are frozen
 dataclasses, so structurally identical subtrees compare (and hash) equal;
 the planner interns every subexpression into a DAG of :class:`PlanNode`\\ s
 where each distinct subtree exists once, no matter how many checks
 reference it.  Evaluation walks the DAG with a per-node memo stamped
-``(at, generation-of-the-node's-shards)``: within one tick every distinct
-node evaluates exactly once and the result fans out to every subscribing
-expression — and because the stamp uses ``expression_generation``, a node
-reading only quiet shards stays memoized across ticks too.
+``(at, store.generation)``: within one tick against an unchanged store
+every distinct node evaluates exactly once and the result fans out to
+every subscribing expression.
 
 One planner exists per store (:func:`planner_for`, weakly keyed);
 :class:`~repro.metrics.provider.LocalPrometheusProvider` and the metrics
@@ -34,7 +32,7 @@ never ran) surface on the metrics server's ``/healthz``.
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary, WeakSet
+from weakref import WeakKeyDictionary
 
 from . import aggregate
 from .query import (
@@ -47,8 +45,6 @@ from .query import (
     _eval,
     _reduce,
     compile_query,
-    expression_names,
-    resolve_shard,
 )
 from .store import MetricStore
 
@@ -62,7 +58,6 @@ class PlanNode:
     __slots__ = (
         "expression",
         "children",
-        "names",
         "uses",
         "memo_stamp",
         "memo_value",
@@ -74,7 +69,6 @@ class PlanNode:
     ):
         self.expression = expression
         self.children = children
-        self.names = expression_names(expression)
         #: How many distinct parents/roots reference this node; > 1 means
         #: the node is shared across expressions.
         self.uses = 0
@@ -133,8 +127,7 @@ class Planner:
         if expression in self._roots:
             return self._nodes[expression]
         if len(self._roots) >= _ROOT_LIMIT:
-            # Unbounded distinct roots would leak nodes; start over like
-            # the provider's instant cache does.
+            # Unbounded distinct roots would leak nodes; start over.
             self._nodes.clear()
             self._roots.clear()
         self._roots.add(expression)
@@ -171,7 +164,7 @@ class Planner:
     def _eval_node(
         self, store: MetricStore, node: PlanNode, at: float
     ) -> list[VectorSample]:
-        stamp = (at, self._generation(store, node))
+        stamp = (at, store.generation)
         if node.memo_stamp == stamp:
             self.node_hits += 1
             return node.memo_value
@@ -192,16 +185,6 @@ class Planner:
         node.memo_stamp = stamp
         node.memo_value = value
         return value
-
-    @staticmethod
-    def _generation(store: MetricStore, node: PlanNode) -> int:
-        """Generation over only the shards *node* reads (scoped staleness)."""
-        shard_for = getattr(store, "shard_for", None)
-        if shard_for is None:
-            return store.generation
-        if not node.names:
-            return 0
-        return sum(shard_for(name).generation for name in node.names)
 
     # -- observability -----------------------------------------------------
 
@@ -231,7 +214,6 @@ class Planner:
 
 
 _PLANNERS: "WeakKeyDictionary[MetricStore, Planner]" = WeakKeyDictionary()
-_LIVE: "WeakSet[Planner]" = WeakSet()
 
 
 def planner_for(store: MetricStore) -> Planner:
@@ -240,21 +222,7 @@ def planner_for(store: MetricStore) -> Planner:
     if planner is None:
         planner = Planner()
         _PLANNERS[store] = planner
-        _LIVE.add(planner)
     return planner
-
-
-def evaluate_shared(
-    store: MetricStore, expression: Expression | str, at: float
-) -> list[VectorSample]:
-    """Evaluate via the store's shared plan (the provider/server hot path)."""
-    return planner_for(store).evaluate(store, expression, at)
-
-
-def evaluate_shared_scalar(
-    store: MetricStore, expression: Expression | str, at: float
-) -> float | None:
-    return planner_for(store).evaluate_scalar(store, expression, at)
 
 
 def subscribe(store: MetricStore, expression: Expression | str) -> None:
@@ -276,74 +244,13 @@ def subscribe(store: MetricStore, expression: Expression | str) -> None:
         inner = current.expression
         if isinstance(inner, FunctionCall) and inner.argument.window:
             selector = inner.argument
-            owner = resolve_shard(store, selector.name)
-            for series in owner.select(selector.name, selector.matchers):
+            for series in store.select(selector.name, selector.matchers):
                 aggregate.state_for(series, selector.window)
 
 
-def plan_cache_info() -> dict[str, int]:
-    """Aggregated counters over every live planner (process-wide view)."""
-    totals = {
-        "roots": 0,
-        "interned_nodes": 0,
-        "plan_shared_nodes": 0,
-        "plan_evaluations_saved": 0,
-        "node_hits": 0,
-        "node_misses": 0,
-    }
-    for planner in list(_LIVE):
-        for key, value in planner.cache_info().items():
-            totals[key] += value
-    return totals
-
-
-class EvaluationPlan:
-    """A named batch of subscribed queries evaluated as one per-tick wave.
-
-    The explicit form of what the provider memo does implicitly: build it
-    from every check query active in a phase, call :meth:`evaluate_all`
-    once per tick, and each distinct subexpression across the whole batch
-    evaluates exactly once — the scalar results fan out per subscriber.
-    """
-
-    def __init__(self, store: MetricStore, queries: dict[str, Expression | str]):
-        self.store = store
-        self.planner = planner_for(store)
-        self._roots: dict[str, PlanNode] = {}
-        for name, expression in queries.items():
-            if isinstance(expression, str):
-                expression = compile_query(expression)
-            self._roots[name] = self.planner.subscribe(expression)
-
-    def evaluate_all(self, at: float) -> dict[str, float | None]:
-        """One tick: every subscriber's scalar, shared nodes computed once."""
-        results: dict[str, float | None] = {}
-        for name, node in self._roots.items():
-            vector = self.planner._eval_node(self.store, node, at)
-            results[name] = (
-                sum(sample.value for sample in vector) if vector else None
-            )
-        return results
-
-    @property
-    def shared_nodes(self) -> int:
-        return self.planner.shared_nodes
-
-    @property
-    def evaluations_saved(self) -> int:
-        return self.planner.evaluations_saved
-
-    def __len__(self) -> int:
-        return len(self._roots)
-
-
 __all__ = [
-    "EvaluationPlan",
     "PlanNode",
     "Planner",
-    "evaluate_shared",
-    "evaluate_shared_scalar",
-    "plan_cache_info",
     "planner_for",
     "subscribe",
 ]

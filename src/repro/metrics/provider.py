@@ -23,7 +23,7 @@ from ..clock import Clock, RealClock
 from ..httpcore import HttpClient
 from . import plan
 from .compile import compile_query
-from .query import QueryError, expression_generation
+from .query import QueryError
 from .store import MetricStore
 
 
@@ -44,25 +44,15 @@ class MetricsProvider:
         """Release any resources (HTTP connections)."""
 
 
-#: Distinct query strings memoized per provider before the memo resets.
-_INSTANT_CACHE_LIMIT = 4096
-
-
 class LocalPrometheusProvider(MetricsProvider):
     """Evaluates mini-PromQL against an in-process store.
 
-    Query strings go through the compiled-query cache
-    (:mod:`repro.metrics.compile`), and results are memoized per instant:
-    when parallel strategies issue the same query at the same clock tick
-    against an unchanged store, the expression evaluates once and every
-    other caller gets the cached scalar.  The memo is keyed per query on
-    ``(tick, expression_generation)`` — for a sharded store that stamp
-    covers only the shards the query can read, so scrape churn in one
-    shard leaves memoized results for every other shard's metrics live.
-    Under a real clock ``now()`` differs between calls, so the cache
-    naturally degrades to a no-op; under the virtual clock of the
-    scalability experiments it collapses N identical per-tick queries
-    into one.
+    Every query goes through the store's shared evaluation plan
+    (:mod:`repro.metrics.plan`), whose nodes are memoized per
+    ``(now, store.generation)``: when parallel strategies issue the same
+    query at the same clock tick against an unchanged store, the
+    expression evaluates once.  Under a real clock ``now()`` differs
+    between calls, so the memo only shares work inside one virtual tick.
     """
 
     name = "prometheus"
@@ -70,16 +60,6 @@ class LocalPrometheusProvider(MetricsProvider):
     def __init__(self, store: MetricStore, clock: Clock | None = None):
         self.store = store
         self.clock = clock or RealClock()
-        #: query string -> ((tick, scoped generation), value)
-        self._instant_cache: dict[str, tuple[tuple[float, int], float | None]] = {}
-        #: Memo tallies, for observability and the scale-out benchmark.
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    @property
-    def planner(self) -> "plan.Planner":
-        """The store's shared evaluation planner (one per store)."""
-        return plan.planner_for(self.store)
 
     def subscribe(self, query: str) -> None:
         """Pre-register *query* with the shared evaluation plan.
@@ -98,19 +78,9 @@ class LocalPrometheusProvider(MetricsProvider):
         plan.subscribe(self.store, expression)
 
     async def query(self, query: str) -> float | None:
-        now = self.clock.now()
-        expression = compile_query(query)
-        stamp = (now, expression_generation(self.store, expression))
-        entry = self._instant_cache.get(query)
-        if entry is not None and entry[0] == stamp:
-            self.cache_hits += 1
-            return entry[1]
-        self.cache_misses += 1
-        value = plan.evaluate_shared_scalar(self.store, expression, now)
-        if len(self._instant_cache) >= _INSTANT_CACHE_LIMIT:
-            self._instant_cache.clear()
-        self._instant_cache[query] = (stamp, value)
-        return value
+        return plan.planner_for(self.store).evaluate_scalar(
+            self.store, query, self.clock.now()
+        )
 
 
 class HttpPrometheusProvider(MetricsProvider):
@@ -118,10 +88,8 @@ class HttpPrometheusProvider(MetricsProvider):
 
     Identical queries issued concurrently are *single-flighted*: the first
     caller performs the HTTP request and every overlapping caller awaits
-    the same in-flight result — the network analogue of
-    :class:`LocalPrometheusProvider`'s per-(tick, generation) memo.  When
-    N parallel strategies run the same per-tick check, the server sees one
-    request instead of N.
+    the same in-flight result.  When N parallel strategies run the same
+    per-tick check, the server sees one request instead of N.
     """
 
     name = "prometheus"

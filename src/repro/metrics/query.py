@@ -30,7 +30,6 @@ from typing import Callable
 from weakref import WeakKeyDictionary
 
 from . import aggregate
-from .aggregate import RANGE_REFERENCE, _rate  # noqa: F401  (re-exported reference)
 from .series import TimeSeries
 from .store import LabelMatcher, MetricStore
 
@@ -251,7 +250,10 @@ class _Parser:
         if kind != "string":
             raise QueryError(f"expected quoted label value, got {raw!r}")
         value = raw[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-        return LabelMatcher(label, op, value)
+        try:
+            return LabelMatcher(label, op, value)
+        except ValueError as exc:  # a regex that does not compile
+            raise QueryError(str(exc)) from None
 
     def _duration(self) -> float:
         kind, number = self._next()
@@ -310,66 +312,6 @@ def compile_query(query: str) -> Expression:
 # -- Evaluation ----------------------------------------------------------------
 
 
-def resolve_shard(store: MetricStore, name: str) -> MetricStore:
-    """The store owning metric *name*'s series.
-
-    For a :class:`~repro.metrics.store.ShardedMetricStore` this is the
-    shard the name hashes to; for a plain store it is the store itself.
-    Selectors, range functions, and histogram bucket groups each read one
-    metric name, so resolving the shard here keeps every per-store cache
-    (selector results, histogram bucket layouts) scoped to one shard —
-    churn in other shards never invalidates them.
-    """
-    shard_for = getattr(store, "shard_for", None)
-    if shard_for is None:
-        return store
-    return shard_for(name)
-
-
-@lru_cache(maxsize=4096)
-def expression_names(expression: Expression) -> frozenset[str]:
-    """Every metric name *expression* can read (memoized per AST)."""
-    names: set[str] = set()
-    _collect_names(expression, names)
-    return frozenset(names)
-
-
-def _collect_names(node: Expression, names: set[str]) -> None:
-    if isinstance(node, Selector):
-        names.add(node.name)
-    elif isinstance(node, (FunctionCall, HistogramQuantile)):
-        names.add(node.argument.name)
-    elif isinstance(node, Aggregation):
-        _collect_names(node.argument, names)
-    elif isinstance(node, BinaryOp):
-        _collect_names(node.left, names)
-        _collect_names(node.right, names)
-
-
-def expression_generation(store: MetricStore, expression: Expression) -> int:
-    """Generation stamp over only the shards *expression* can read.
-
-    Instant-result memos keyed on this stamp survive ingest into
-    unrelated shards: with N shards, a scrape landing in one shard
-    invalidates roughly 1/N of the cached queries instead of all of
-    them.  For unsharded stores (or scalar-only expressions against a
-    sharded store) this degrades to the store-wide generation.
-    """
-    shard_for = getattr(store, "shard_for", None)
-    if shard_for is None:
-        return store.generation
-    names = expression_names(expression)
-    if not names:
-        return 0  # pure scalar arithmetic: no store reads, never stale
-    return sum(shard_for(name).generation for name in names)
-
-
-#: The rescanning reference reductions now live in
-#: :mod:`repro.metrics.aggregate` next to the streaming states they verify;
-#: the historical name is kept for callers that reach for it directly.
-_RANGE_IMPL = RANGE_REFERENCE
-
-
 def evaluate(store: MetricStore, expression: Expression | str, at: float) -> list[VectorSample]:
     """Evaluate an instant query at time *at* against *store*.
 
@@ -402,7 +344,7 @@ def _eval(store: MetricStore, node: Expression, at: float) -> list[VectorSample]
         if node.window is not None:
             raise QueryError("range selector needs a function like rate()")
         result = []
-        for series in resolve_shard(store, node.name).select(node.name, node.matchers):
+        for series in store.select(node.name, node.matchers):
             value = series.value_at(at, staleness=STALENESS)
             if value is not None:
                 result.append(VectorSample(series.key.label_dict(), value))
@@ -410,21 +352,13 @@ def _eval(store: MetricStore, node: Expression, at: float) -> list[VectorSample]
     if isinstance(node, FunctionCall):
         selector = node.argument
         window = selector.window or 0.0
-        matched = resolve_shard(store, selector.name).select(
-            selector.name, selector.matchers
+        function = node.function
+        range_value = (
+            aggregate.range_value if aggregate.enabled() else aggregate.rescan_value
         )
         result = []
-        if aggregate.enabled():
-            function = node.function
-            for series in matched:
-                value = aggregate.range_value(series, function, window, at)
-                if value is not None:
-                    result.append(VectorSample(series.key.label_dict(), value))
-            return result
-        implementation = _RANGE_IMPL[node.function]
-        for series in matched:
-            timestamps, values = series.window_arrays(at - window, at)
-            value = implementation(timestamps, values, window)
+        for series in store.select(selector.name, selector.matchers):
+            value = range_value(series, function, window, at)
             if value is not None:
                 result.append(VectorSample(series.key.label_dict(), value))
         return result
@@ -527,13 +461,10 @@ def _histogram_quantile(
     the "clamp to the highest finite bound" rule for the +Inf bucket.
     The grouping and sorting are cached per selector (see
     :func:`_bucket_layout`); each evaluation only reads current bucket
-    counts and interpolates.  The layout cache is keyed on the *owning
-    shard* (bucket series of one metric name live in one shard), so new
-    series appearing in other shards never invalidate it.
+    counts and interpolates.
     """
     result = []
-    owner = resolve_shard(store, node.argument.name)
-    for key, layout in _bucket_layout(owner, node.argument):
+    for key, layout in _bucket_layout(store, node.argument):
         # Stale/empty series drop out per tick, exactly as the uncached
         # path dropped ``None`` values before grouping.
         buckets = [

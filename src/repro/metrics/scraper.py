@@ -8,14 +8,6 @@ attaching an ``instance`` label identifying the target (e.g.
 Registries living in the same process can also be attached directly
 (*local targets*), skipping HTTP — used by the engine to publish its own
 resource metrics without a loopback scrape.
-
-The scraper can run several *scrape loops* (``loops=N``): targets are
-partitioned round-robin across N independent periodic tasks, so one slow
-or unreachable target only delays the targets sharing its partition.  A
-sharded metrics server (:class:`~repro.metrics.server.MetricsServer`
-with ``shards=N``) runs one loop per shard — the ingest path from fetch
-to ``store.record`` stays parallel end to end, with each sample landing
-in the shard owning its metric name.
 """
 
 from __future__ import annotations
@@ -50,10 +42,7 @@ class Scraper:
         interval: float = 1.0,
         clock: Clock | None = None,
         client: HttpClient | None = None,
-        loops: int = 1,
     ):
-        if loops < 1:
-            raise ValueError("loops must be at least 1")
         self.store = store
         self.interval = interval
         self.clock = clock or RealClock()
@@ -61,9 +50,7 @@ class Scraper:
         self._owns_client = client is None
         self._http_targets: list[ScrapeTarget] = []
         self._local_targets: list[tuple[str, Registry]] = []
-        #: Number of independent periodic scrape tasks targets split over.
-        self.loops = loops
-        self._tasks: list[asyncio.Task[None]] = []
+        self._task: asyncio.Task[None] | None = None
         #: Consecutive failures per instance, for observability and tests.
         self.failures: dict[str, int] = {}
         #: Cumulative malformed exposition lines per instance.  A bad line
@@ -83,50 +70,21 @@ class Scraper:
         """Collect an in-process registry without HTTP."""
         self._local_targets.append((instance, registry))
 
-    def partition_targets(
-        self, partition: int
-    ) -> tuple[list[tuple[str, Registry]], list[ScrapeTarget]]:
-        """The local and HTTP targets owned by scrape loop *partition*.
-
-        Round-robin by registration index: partitions are disjoint and
-        their union is every target, so N loops collectively scrape the
-        same set one loop would.
-        """
-        locals_ = [
-            target
-            for index, target in enumerate(self._local_targets)
-            if index % self.loops == partition
-        ]
-        https = [
-            target
-            for index, target in enumerate(self._http_targets)
-            if index % self.loops == partition
-        ]
-        return locals_, https
-
     async def scrape_once(self) -> int:
-        """Scrape every target once; returns the number of ingested points."""
-        ingested = 0
-        for partition in range(self.loops):
-            ingested += await self.scrape_partition(partition)
-        return ingested
-
-    async def scrape_partition(self, partition: int) -> int:
-        """Scrape one partition's targets once; returns ingested points.
+        """Scrape every target once; returns the number of ingested points.
 
         HTTP targets are fetched *concurrently*: each target's response
         is timestamped and ingested as soon as its own fetch completes, so
-        a slow target delays neither its partition peers' fetches nor
-        their ingest timestamps.  Each target's points land through one
+        a slow target delays neither its peers' fetches nor their ingest
+        timestamps.  Each target's points land through one
         :meth:`~repro.metrics.store.MetricStore.record_batch` call — one
         generation bump and one cache-invalidation wave per target per
         scrape instead of one per point.
         """
         ingested = 0
-        local_targets, http_targets = self.partition_targets(partition)
-        if local_targets:
+        if self._local_targets:
             timestamp = self.clock.now()
-            for instance, registry in local_targets:
+            for instance, registry in self._local_targets:
                 batch = [
                     (
                         point.name,
@@ -137,18 +95,17 @@ class Scraper:
                     for point in registry.collect()
                 ]
                 ingested += self._record_batch(batch, instance)
-        if http_targets:
-            if len(http_targets) == 1:
-                ingested += await self._scrape_http_target(http_targets[0])
-            else:
-                ingested += sum(
-                    await asyncio.gather(
-                        *(
-                            self._scrape_http_target(target)
-                            for target in http_targets
-                        )
+        if len(self._http_targets) == 1:
+            ingested += await self._scrape_http_target(self._http_targets[0])
+        elif self._http_targets:
+            ingested += sum(
+                await asyncio.gather(
+                    *(
+                        self._scrape_http_target(target)
+                        for target in self._http_targets
                     )
                 )
+            )
         return ingested
 
     async def _scrape_http_target(self, target: ScrapeTarget) -> int:
@@ -172,8 +129,8 @@ class Scraper:
                 target.instance,
                 len(bad_lines),
             )
-        # Timestamp after the fetch resolves: concurrent partition peers
-        # each stamp their own arrival time, so a stalled target cannot
+        # Timestamp after the fetch resolves: concurrent peers each
+        # stamp their own arrival time, so a stalled target cannot
         # skew the samples of targets that answered promptly.
         timestamp = self.clock.now()
         batch = [
@@ -222,41 +179,25 @@ class Scraper:
         merged["instance"] = instance
         return merged
 
-    def _ingest(
-        self,
-        name: str,
-        value: float,
-        timestamp: float,
-        labels: dict[str, str],
-        instance: str,
-    ) -> None:
-        self.store.record(
-            name, value, timestamp, self._merged_labels(labels, instance)
-        )
-
-    async def _run(self, partition: int) -> None:
+    async def _run(self) -> None:
         while True:
-            await self.scrape_partition(partition)
+            await self.scrape_once()
             await self.clock.sleep(self.interval)
 
     def start(self) -> None:
-        """Start the periodic scrape loop(s) as background tasks."""
-        if self._tasks:
+        """Start the periodic scrape loop as a background task."""
+        if self._task is not None:
             raise RuntimeError("scraper already started")
-        loop = asyncio.get_running_loop()
-        self._tasks = [
-            loop.create_task(self._run(partition)) for partition in range(self.loops)
-        ]
+        self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def stop(self) -> None:
-        """Cancel the scrape loops and release the HTTP client if owned."""
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
+        """Cancel the scrape loop and release the HTTP client if owned."""
+        if self._task is not None:
+            self._task.cancel()
             try:
-                await task
+                await self._task
             except asyncio.CancelledError:
                 pass
-        self._tasks = []
+            self._task = None
         if self._owns_client:
             await self._client.close()

@@ -18,7 +18,7 @@ for clients that need per-instance values.
 from __future__ import annotations
 
 from ..clock import Clock, RealClock
-from ..httpcore import HttpClient, HttpServer, Request, Response
+from ..httpcore import HttpClient, HttpServer, ProtocolError, Request, Response
 from .aggregate import cache_info as aggregate_cache_info
 from .compile import cache_info as compiled_query_cache_info
 from .exposition import render_lines
@@ -26,20 +26,11 @@ from .plan import planner_for
 from .query import QueryError, layout_cache_info
 from .registry import Registry
 from .scraper import Scraper
-from .store import MetricStore, ShardedMetricStore
+from .store import MetricStore
 
 
 class MetricsServer(HttpServer):
-    """HTTP facade over a metric store + scraper.
-
-    With ``shards=N`` (N > 1) the store is a
-    :class:`~repro.metrics.store.ShardedMetricStore` — series hash-
-    partitioned by metric name over N inner stores with independent
-    generation counters and caches — and the scraper runs N parallel
-    scrape loops, one per shard.  The HTTP API is unchanged; ``/healthz``
-    additionally merges per-shard series counts and generations into one
-    view.
-    """
+    """HTTP facade over a metric store + scraper."""
 
     def __init__(
         self,
@@ -49,22 +40,12 @@ class MetricsServer(HttpServer):
         clock: Clock | None = None,
         retention: float | None = 3600.0,
         client: HttpClient | None = None,
-        shards: int = 1,
     ):
         super().__init__(host=host, port=port, name="prometheus")
         self.clock = clock or RealClock()
-        if shards > 1:
-            self.store: MetricStore | ShardedMetricStore = ShardedMetricStore(
-                shard_count=shards, retention=retention
-            )
-        else:
-            self.store = MetricStore(retention=retention)
+        self.store = MetricStore(retention=retention)
         self.scraper = Scraper(
-            self.store,
-            interval=scrape_interval,
-            clock=self.clock,
-            client=client,
-            loops=max(shards, 1),
+            self.store, interval=scrape_interval, clock=self.clock, client=client
         )
         self.router.get("/api/v1/query")(self._handle_query)
         self.router.post("/api/v1/ingest")(self._handle_ingest)
@@ -79,11 +60,10 @@ class MetricsServer(HttpServer):
             "Query-path cache hits and misses",
             label_names=("cache", "event"),
         )
-        #: Per-(tick, generation) memo of rendered query responses — the
-        #: HTTP twin of ``LocalPrometheusProvider``'s instant cache.  When
-        #: N parallel strategies hit the server with the same query at the
-        #: same clock instant against an unchanged store, the expression
-        #: evaluates (and serializes) once.
+        #: Per-(tick, generation) memo of rendered query responses.  The
+        #: plan nodes below it share the same stamp and already evaluate
+        #: once; what this layer saves is rendering the JSON body again
+        #: when N parallel strategies ask the same query in one tick.
         self._query_cache: dict[str, bytes] = {}
         self._query_cache_key: tuple[float, int] | None = None
         #: Memo hit/miss tallies, exposed on ``/healthz`` for operators.
@@ -158,14 +138,13 @@ class MetricsServer(HttpServer):
         bad sample mid-list cannot leave a partial ingest behind the 400.
         No await separates validation from recording; under asyncio's
         single thread the batch is atomic.
-
-        The guarantee holds across shards: against a
-        :class:`~repro.metrics.store.ShardedMetricStore`, validation
-        reads each sample's floor through the facade (routed to the
-        owning shard) before *any* shard records, so a mid-batch failure
-        leaves every shard's series and generation counters untouched.
         """
-        samples = request.json()
+        try:
+            samples = request.json()
+        except ProtocolError as exc:
+            return Response.from_json(
+                {"status": "error", "error": str(exc)}, 400
+            )
         if not isinstance(samples, list):
             return Response.from_json(
                 {"status": "error", "error": "expected a JSON list"}, 400
@@ -188,9 +167,9 @@ class MetricsServer(HttpServer):
                 )
             batch.append((name, value, timestamp, labels))
         try:
-            # record_batch plans (validating timestamp ordering against
-            # both store floors and earlier samples in this batch, across
-            # every shard) before applying anything, giving the
+            # record_batch plans (validating each timestamp, and their
+            # ordering against both store floors and earlier samples in
+            # this batch) before applying anything, giving the
             # all-or-nothing guarantee directly.
             ingested = self.store.record_batch(batch)
         except ValueError as exc:
@@ -233,27 +212,10 @@ class MetricsServer(HttpServer):
         compiled = compiled_query_cache_info()
         layout = layout_cache_info()
         planner = planner_for(self.store)
-        shards = getattr(self.store, "shards", None)
-        shard_view = (
-            {
-                "count": len(shards),
-                "per_shard": [
-                    {
-                        "series": len(shard),
-                        "generation": shard.generation,
-                        "series_generation": shard.series_generation,
-                    }
-                    for shard in shards
-                ],
-            }
-            if shards is not None
-            else {"count": 1}
-        )
         return Response.from_json(
             {
                 "status": "up",
                 "series": len(self.store),
-                "shards": shard_view,
                 "breakers": {
                     name: breaker.snapshot()
                     for name, breaker in self.breakers.items()

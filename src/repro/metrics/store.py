@@ -16,9 +16,9 @@ selector results until a new series appears under that name.
 from __future__ import annotations
 
 import re
-import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 from typing import Sequence
 
 from .series import SeriesKey, TimeSeries
@@ -32,7 +32,11 @@ def _compile_anchored(pattern: str) -> re.Pattern[str]:
 
 @dataclass(frozen=True)
 class LabelMatcher:
-    """One label matcher: ``name op value`` with op in ``= != =~ !~``."""
+    """One label matcher: ``name op value`` with op in ``= != =~ !~``.
+
+    A regex matcher whose pattern does not compile is rejected here, with
+    :class:`ValueError`, so no matcher that exists can fail in ``matches``.
+    """
 
     label: str
     op: str
@@ -41,6 +45,14 @@ class LabelMatcher:
     def __post_init__(self) -> None:
         if self.op not in ("=", "!=", "=~", "!~"):
             raise ValueError(f"unknown label matcher op: {self.op!r}")
+        if self.op in ("=~", "!~"):
+            try:
+                _compile_anchored(self.value)
+            except re.error as exc:
+                raise ValueError(
+                    f"invalid regex {self.value!r} in matcher for "
+                    f"label {self.label!r}: {exc}"
+                ) from None
 
     def matches(self, labels: dict[str, str]) -> bool:
         actual = labels.get(self.label, "")
@@ -81,7 +93,14 @@ class MetricStore:
         timestamp: float,
         labels: dict[str, str] | None = None,
     ) -> None:
-        """Append one sample, creating the series on first sight."""
+        """Append one sample, creating the series on first sight.
+
+        A non-finite *timestamp* raises :class:`ValueError`: a NaN compares
+        false against every floor, so one would disable the out-of-order
+        guard for the series from then on.  Values may be NaN.
+        """
+        if not isfinite(timestamp):
+            raise ValueError(f"non-finite timestamp for {name}: {timestamp}")
         key = SeriesKey.make(name, labels)
         series = self._series.get(key)
         if series is None:
@@ -109,8 +128,8 @@ class MetricStore:
 
         The batch is atomic: every sample is validated against the store's
         current floors *and* earlier samples in the batch before anything
-        is recorded, so an out-of-order sample mid-list raises
-        :class:`ValueError` and leaves the store untouched.
+        is recorded, so an out-of-order or non-finite timestamp mid-list
+        raises :class:`ValueError` and leaves the store untouched.
 
         The win over per-point :meth:`record` is amortization: series/name
         lookup and selector-cache invalidation happen once per distinct
@@ -139,6 +158,8 @@ class MetricStore:
         last_labels: dict[str, str] | None = None
         entry: list | None = None
         for name, value, timestamp, labels in samples:
+            if not isfinite(timestamp):
+                raise ValueError(f"non-finite timestamp for {name}: {timestamp}")
             if entry is None or name != last_name or labels != last_labels:
                 key = SeriesKey.make(name, labels)
                 entry = plan.get(key)
@@ -223,133 +244,3 @@ class MetricStore:
         self._selector_cache.clear()
         self.generation += 1
         self.series_generation += 1
-
-
-def shard_index_for(name: str, shard_count: int) -> int:
-    """Stable shard assignment: CRC-32 of the metric name, mod the count.
-
-    CRC-32 is deterministic across processes and Python versions (unlike
-    ``hash()``), so a metric name owns the same shard in every scrape
-    worker, query evaluator, and benchmark run.
-    """
-    return zlib.crc32(name.encode("utf-8")) % shard_count
-
-
-class ShardedMetricStore:
-    """N :class:`MetricStore` partitions behind the ``MetricStore`` API.
-
-    Series are hash-partitioned by **metric name** (every series of one
-    name lives in exactly one shard), which makes the partitioning
-    invisible to the query language: an instant selector, a range
-    function, and a ``histogram_quantile`` bucket group each read a
-    single metric name, so :mod:`repro.metrics.query` resolves the owning
-    shard once per selector and evaluates there — cross-shard merging
-    happens only where queries already reduce (aggregations, binary
-    operators over different names).
-
-    Each shard keeps its *own* generation counters, selector caches, and
-    histogram bucket layouts.  That per-shard isolation is the scale-out
-    win: ingest into one shard invalidates only that shard's cached query
-    state, so under continuous scrape churn the other shards' memoized
-    results stay live (see ``expression_generation`` in
-    :mod:`repro.metrics.query`).
-    """
-
-    def __init__(self, shard_count: int = 4, retention: float | None = None):
-        if shard_count < 1:
-            raise ValueError("shard_count must be at least 1")
-        self.retention = retention
-        self.shard_count = shard_count
-        self.shards: tuple[MetricStore, ...] = tuple(
-            MetricStore(retention=retention) for _ in range(shard_count)
-        )
-
-    # -- partitioning -----------------------------------------------------
-
-    def shard_index(self, name: str) -> int:
-        """The index of the shard owning metric *name*."""
-        return shard_index_for(name, self.shard_count)
-
-    def shard_for(self, name: str) -> MetricStore:
-        """The shard owning every series of metric *name*."""
-        return self.shards[shard_index_for(name, self.shard_count)]
-
-    # -- aggregate generation counters ------------------------------------
-
-    @property
-    def generation(self) -> int:
-        """Sum of shard generations — monotonic, bumps on any mutation.
-
-        Callers needing finer invalidation (only the shards a query can
-        read) should use ``query.expression_generation`` instead.
-        """
-        return sum(shard.generation for shard in self.shards)
-
-    @property
-    def series_generation(self) -> int:
-        """Sum of shard series generations (shape changes only)."""
-        return sum(shard.series_generation for shard in self.shards)
-
-    # -- MetricStore API ---------------------------------------------------
-
-    def record(
-        self,
-        name: str,
-        value: float,
-        timestamp: float,
-        labels: dict[str, str] | None = None,
-    ) -> None:
-        """Append one sample into the owning shard."""
-        self.shards[shard_index_for(name, self.shard_count)].record(
-            name, value, timestamp, labels
-        )
-
-    def record_batch(
-        self,
-        samples: Sequence[tuple[str, float, float, dict[str, str] | None]],
-    ) -> int:
-        """Batched ingest with the same atomicity as the monolithic store.
-
-        Samples are routed by metric name, then *every* owning shard
-        validates its slice of the batch before *any* shard applies one —
-        a bad sample raises :class:`ValueError` with all shards' series
-        and generation counters untouched.  No await separates planning
-        from application, so under asyncio's single thread the cross-shard
-        batch is atomic.
-        """
-        shard_count = self.shard_count
-        by_shard: dict[int, list[tuple[str, float, float, dict[str, str] | None]]] = {}
-        for sample in samples:
-            by_shard.setdefault(
-                shard_index_for(sample[0], shard_count), []
-            ).append(sample)
-        plans = [
-            (self.shards[index], self.shards[index]._plan_batch(routed))
-            for index, routed in by_shard.items()
-        ]
-        ingested = 0
-        for shard, plan in plans:
-            if plan:
-                ingested += shard._apply_batch(plan)
-        return ingested
-
-    def series(self, key: SeriesKey) -> TimeSeries | None:
-        return self.shard_for(key.name).series(key)
-
-    def select(
-        self, name: str, matchers: Sequence[LabelMatcher] | None = None
-    ) -> list[TimeSeries]:
-        return self.shard_for(name).select(name, matchers)
-
-    def names(self) -> set[str]:
-        names: set[str] = set()
-        for shard in self.shards:
-            names |= shard.names()
-        return names
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def clear(self) -> None:
-        for shard in self.shards:
-            shard.clear()

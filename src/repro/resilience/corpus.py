@@ -14,10 +14,9 @@ express under every fault schedule the chaos layer can inject:
 * every routing config the engine ever applies — including safe-routing
   recovery after an abort — is internally consistent: splits sum to
   100, every version is declared;
-* sharded metric store generations are monotonic while the scenario
-  runs;
+* metric store generations are monotonic while the scenario runs;
 * the whole run is deterministic: one seed, one event-trace signature,
-  regardless of shard count or when the corpus is run.
+  regardless of when the corpus is run.
 
 Each scenario is derived from a single integer seed via
 ``random.Random(f"bifrost-corpus:{seed}")`` — a red scenario is
@@ -51,7 +50,7 @@ from ..core.checks import (
 from ..core.engine import Engine, RecordingController
 from ..core.routing import canary_split, single_version
 from ..metrics.provider import LocalPrometheusProvider
-from ..metrics.store import ShardedMetricStore
+from ..metrics.store import MetricStore
 from .chaos import ChaosCampaign, FaultSpec, run_game_day
 from .policy import BreakerState, CircuitBreaker
 from .wrappers import ResilientProvider
@@ -89,7 +88,6 @@ class Scenario:
     services: dict[str, dict[str, str]]
     specs: list[FaultSpec]
     workload: dict[str, float]
-    shard_count: int
     use_breaker: bool
     steady_tolerant: bool
 
@@ -134,7 +132,7 @@ class CorpusReport:
 # -- generation -------------------------------------------------------------
 
 
-def generate_scenario(seed: int, shard_count: int | None = None) -> Scenario:
+def generate_scenario(seed: int) -> Scenario:
     """Derive one scenario from *seed* (pure: same seed, same scenario)."""
     rng = random.Random(f"bifrost-corpus:{seed}")
     versions = {"v1": "127.0.0.1:8081", "v2": "127.0.0.1:8082"}
@@ -203,7 +201,6 @@ def generate_scenario(seed: int, shard_count: int | None = None) -> Scenario:
         services=services,
         specs=specs,
         workload=workload,
-        shard_count=shard_count if shard_count is not None else rng.randint(1, 3),
         use_breaker=use_breaker,
         steady_tolerant=steady_tolerant,
     )
@@ -287,7 +284,7 @@ def _check_config(config, versions: set[str]) -> None:
 async def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Run one scenario and enforce every corpus invariant."""
     clock = VirtualClock()
-    store = ShardedMetricStore(shard_count=scenario.shard_count)
+    store = MetricStore()
     for name, value in scenario.workload.items():
         for second in range(0, 600, 2):
             store.record(name, value, float(second))
@@ -332,7 +329,7 @@ async def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     # Invariant: generations never move backwards while soaking.
     for earlier, later in zip(generations, generations[1:]):
-        assert later >= earlier, "sharded store generation went backwards"
+        assert later >= earlier, "store generation went backwards"
 
     # Invariant: every config the engine applied is internally valid.
     versions = {
@@ -374,7 +371,6 @@ async def run_scenario(scenario: Scenario) -> ScenarioResult:
 async def run_corpus(
     count: int = 200,
     base_seed: int = 0,
-    shard_count: int | None = None,
     progress=None,
 ) -> CorpusReport:
     """Run *count* scenarios with seeds ``base_seed .. base_seed+count-1``.
@@ -386,7 +382,7 @@ async def run_corpus(
     report = CorpusReport()
     for offset in range(count):
         seed = base_seed + offset
-        scenario = generate_scenario(seed, shard_count=shard_count)
+        scenario = generate_scenario(seed)
         try:
             result = await run_scenario(scenario)
         except Exception as exc:
@@ -413,9 +409,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--count", type=int, default=200)
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument(
-        "--shards", type=int, default=None, help="fix the shard count"
-    )
-    parser.add_argument(
         "--only-seed", type=int, default=None, help="reproduce one scenario"
     )
     parser.add_argument(
@@ -440,7 +433,6 @@ def main(argv: list[str] | None = None) -> int:
         run_corpus(
             count=args.count,
             base_seed=args.base_seed,
-            shard_count=args.shards,
             progress=progress,
         )
     )

@@ -14,7 +14,7 @@ from repro.core import (
     ProviderErrorPolicy,
     Timer,
 )
-from repro.metrics import StaticProvider
+from repro.metrics import LocalPrometheusProvider, MetricStore, StaticProvider
 from repro.metrics.provider import MetricsProvider, ProviderError
 
 
@@ -84,6 +84,16 @@ async def test_unexpected_provider_exception_is_no_data_not_a_crash():
         provider = ScriptedProvider([leaked])
         evaluation = await condition.evaluate_detailed({"static": provider})
         assert (evaluation.result, evaluation.data_available) == (0, False)
+
+
+async def test_query_that_does_not_parse_is_no_data_with_the_parse_message():
+    store = MetricStore()
+    store.record("x", 1.0, 0.0, {"a": "b"})
+    provider = LocalPrometheusProvider(store, VirtualClock())
+    condition = MetricCondition.simple('x{a=~"("}', ">0")
+    evaluation = await condition.evaluate_detailed({"prometheus": provider})
+    assert (evaluation.result, evaluation.data_available) == (0, False)
+    assert "invalid regex" in evaluation.errors[0]
 
 
 async def test_cancelled_error_still_propagates():

@@ -5,6 +5,8 @@ exactly the rule under test, and asserts the stable code — and, for
 document fixtures, the YAML line the diagnostic points at.
 """
 
+import pytest
+
 from repro.core import (
     RoutingConfig,
     StrategyBuilder,
@@ -480,7 +482,10 @@ strategy:
 # -- BF3xx checks and metrics -------------------------------------------------
 
 
-def test_bf301_malformed_query_golden():
+@pytest.mark.parametrize(
+    "query", ['"rate(http_requests_total"', """'errors{code=~"("}'"""]
+)
+def test_bf301_malformed_query_golden(query):
     document = (
         """\
 strategy:
@@ -491,7 +496,7 @@ strategy:
         checks:
           - metric:
               name: m
-              query: "rate(http_requests_total"
+              query: QUERY
               validator: "<5"
               intervalTime: 1
               intervalLimit: 2
@@ -502,7 +507,7 @@ strategy:
     - final:
         name: rollback
         rollback: true
-"""
+""".replace("QUERY", query)
         + DEPLOYMENT
     )
     result = lint(document)

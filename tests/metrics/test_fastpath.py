@@ -1,4 +1,4 @@
-"""The metrics query fast path: compile cache, name index, instant cache.
+"""The metrics query fast path: compile cache, name index, per-tick memo.
 
 Behavioral tests for the performance machinery added around the store and
 providers — correctness of caching and invalidation, not speed (speed is
@@ -15,6 +15,7 @@ from repro.metrics import (
     compile_query,
     evaluate_scalar,
     parse,
+    planner_for,
 )
 from repro.metrics.compile import cache_info, clear_cache
 from repro.metrics.series import SeriesKey, TimeSeries
@@ -130,7 +131,54 @@ def test_value_at_matches_at():
     assert series.value_at(100.0, staleness=10.0) is None
 
 
-# -- per-instant provider cache -----------------------------------------------------
+# -- per-instant memo (the plan's root node) ---------------------------------------
+#
+# The provider keeps no memo of its own: what makes a repeated question
+# free is the plan node stamped ``(now, store.generation)``.
+
+
+def _provider(start=10.0):
+    clock = VirtualClock(start=start)
+    store = MetricStore()
+    return clock, store, LocalPrometheusProvider(store, clock=clock), planner_for(store)
+
+
+async def test_same_tick_evaluates_identical_queries_once():
+    clock, store, provider, planner = _provider()
+    store.record("errors", 3.0, 9.0, {"instance": "search:80"})
+    query = 'errors{instance="search:80"}'
+    assert await provider.query(query) == 3.0
+    assert (planner.node_hits, planner.node_misses) == (0, 1)
+    assert await provider.query(query) == 3.0  # same tick: served from the memo
+    assert (planner.node_hits, planner.node_misses) == (1, 1)
+
+
+async def test_clock_step_re_evaluates():
+    clock, store, provider, planner = _provider()
+    store.record("m", 1.0, 9.0)
+    assert await provider.query("m") == 1.0
+    await clock.advance(1.0)
+    assert await provider.query("m") == 1.0  # re-evaluated at the new tick
+    assert (planner.node_hits, planner.node_misses) == (0, 2)
+
+
+async def test_store_mutation_re_evaluates():
+    clock, store, provider, planner = _provider()
+    store.record("m", 1.0, 9.0)
+    assert await provider.query("m") == 1.0
+    store.record("m", 2.0, 10.0)  # same tick, but the store changed
+    assert await provider.query("m") == 2.0
+    assert (planner.node_hits, planner.node_misses) == (0, 2)
+
+
+async def test_empty_result_is_memoized_too():
+    clock, store, provider, planner = _provider()
+    assert await provider.query("missing") is None
+    assert await provider.query("missing") is None
+    assert (planner.node_hits, planner.node_misses) == (1, 1)
+
+
+# -- histogram bucket layout cache --------------------------------------------------
 
 
 class CountingStore(MetricStore):
@@ -141,53 +189,6 @@ class CountingStore(MetricStore):
     def select(self, name, matchers=None):
         self.select_calls += 1
         return super().select(name, matchers)
-
-
-async def test_instant_cache_collapses_identical_queries_per_tick():
-    clock = VirtualClock(start=10.0)
-    store = CountingStore()
-    store.record("errors", 3.0, 9.0, {"instance": "search:80"})
-    provider = LocalPrometheusProvider(store, clock=clock)
-    query = 'errors{instance="search:80"}'
-    assert await provider.query(query) == 3.0
-    before = store.select_calls
-    assert await provider.query(query) == 3.0  # same tick: served from cache
-    assert store.select_calls == before
-
-
-async def test_instant_cache_invalidated_by_clock_tick():
-    clock = VirtualClock(start=10.0)
-    store = CountingStore()
-    store.record("m", 1.0, 9.0)
-    provider = LocalPrometheusProvider(store, clock=clock)
-    assert await provider.query("m") == 1.0
-    before = store.select_calls
-    await clock.advance(1.0)
-    assert await provider.query("m") == 1.0  # re-evaluated at the new tick
-    assert store.select_calls > before
-
-
-async def test_instant_cache_invalidated_by_store_mutation():
-    clock = VirtualClock(start=10.0)
-    store = MetricStore()
-    store.record("m", 1.0, 9.0)
-    provider = LocalPrometheusProvider(store, clock=clock)
-    assert await provider.query("m") == 1.0
-    store.record("m", 2.0, 10.0)  # same tick, but the store changed
-    assert await provider.query("m") == 2.0
-
-
-async def test_instant_cache_caches_empty_results_too():
-    clock = VirtualClock(start=10.0)
-    store = CountingStore()
-    provider = LocalPrometheusProvider(store, clock=clock)
-    assert await provider.query("missing") is None
-    before = store.select_calls
-    assert await provider.query("missing") is None
-    assert store.select_calls == before
-
-
-# -- histogram bucket layout cache --------------------------------------------------
 
 
 def _record_histogram(store, at, counts, instance="a"):

@@ -2,10 +2,8 @@
 
 from repro.clock import VirtualClock
 from repro.metrics import (
-    EvaluationPlan,
     LocalPrometheusProvider,
     MetricStore,
-    ShardedMetricStore,
     evaluate_scalar,
     planner_for,
 )
@@ -13,9 +11,8 @@ from repro.metrics.compile import compile_query
 from repro.metrics.plan import Planner, subscribe
 
 
-def _populated(store=None):
-    if store is None:
-        store = MetricStore()
+def _populated():
+    store = MetricStore()
     for t in range(30):
         store.record("hits_total", float(t * 2), float(t), {"instance": "a"})
         store.record("errs_total", float(t), float(t), {"instance": "a"})
@@ -68,45 +65,26 @@ def test_memo_invalidated_by_ingest():
     assert second == evaluate_scalar(store, query, 29.0)
 
 
-def test_sharded_memo_survives_unrelated_shard_ingest():
-    store = _populated(ShardedMetricStore(shard_count=4))
-    # Pick a name living in a different shard than hits_total.
-    other = next(
-        f"pad_total_{i}"
-        for i in range(64)
-        if store.shard_index(f"pad_total_{i}") != store.shard_index("hits_total")
-    )
-    planner = planner_for(store)
-    query = "rate(hits_total[10s])"
-    planner.evaluate_scalar(store, query, 29.0)
-    hits_before = planner.node_hits
-    store.record(other, 1.0, 29.0)
-    planner.evaluate_scalar(store, query, 29.0)
-    # The ingest touched a shard the expression never reads: pure memo hit.
-    assert planner.node_hits > hits_before
-
-
-def test_evaluation_plan_fans_out_shared_subexpressions():
+def test_planner_fans_out_shared_subexpressions():
     store = _populated()
-    plan = EvaluationPlan(
-        store,
-        {
-            "scaled": "rate(hits_total[10s]) * 100",
-            "shifted": "rate(hits_total[10s]) + 1",
-            "errors": "rate(errs_total[10s])",
-        },
-    )
-    assert len(plan) == 3
-    assert plan.shared_nodes >= 1
-    results = plan.evaluate_all(29.0)
-    assert set(results) == {"scaled", "shifted", "errors"}
-    for name, query in (
-        ("scaled", "rate(hits_total[10s]) * 100"),
-        ("shifted", "rate(hits_total[10s]) + 1"),
-        ("errors", "rate(errs_total[10s])"),
-    ):
+    planner = Planner()
+    queries = {
+        "scaled": "rate(hits_total[10s]) * 100",
+        "shifted": "rate(hits_total[10s]) + 1",
+        "errors": "rate(errs_total[10s])",
+    }
+    for query in queries.values():
+        planner.subscribe(compile_query(query))
+    assert planner.cache_info()["roots"] == 3
+    assert planner.shared_nodes >= 1
+    # One tick: every subscriber's scalar, the shared rate computed once.
+    results = {
+        name: planner.evaluate_scalar(store, query, 29.0)
+        for name, query in queries.items()
+    }
+    for name, query in queries.items():
         assert results[name] == evaluate_scalar(store, query, 29.0)
-    assert plan.evaluations_saved >= 1
+    assert planner.evaluations_saved >= 1
 
 
 def test_planner_for_is_one_per_store():

@@ -1,5 +1,7 @@
 """Tests for the metrics server and the provider implementations."""
 
+from urllib.parse import quote
+
 import pytest
 
 from repro.clock import VirtualClock
@@ -55,31 +57,6 @@ async def test_metrics_server_query_endpoint():
         await server.stop()
 
 
-async def test_metrics_server_query_requires_parameter():
-    server = MetricsServer(clock=VirtualClock())
-    await server.start(scrape=False)
-    try:
-        async with HttpClient() as client:
-            response = await client.get(f"http://{server.address}/api/v1/query")
-            assert response.status == 400
-    finally:
-        await server.stop()
-
-
-async def test_metrics_server_rejects_bad_query():
-    server = MetricsServer(clock=VirtualClock())
-    await server.start(scrape=False)
-    try:
-        async with HttpClient() as client:
-            response = await client.get(
-                f"http://{server.address}/api/v1/query?query=rate%28m%29"
-            )
-            assert response.status == 400
-            assert response.json()["status"] == "error"
-    finally:
-        await server.stop()
-
-
 async def test_metrics_server_ingest_and_series():
     clock = VirtualClock(start=5.0)
     server = MetricsServer(clock=clock)
@@ -104,22 +81,72 @@ async def test_metrics_server_ingest_and_series():
         await server.stop()
 
 
-async def test_metrics_server_ingest_validates_payload():
-    server = MetricsServer(clock=VirtualClock())
+# -- bad input: 4xx, state untouched ----------------------------------------------
+
+INGEST = "/api/v1/ingest"
+
+#: (case, method, target, raw body) — every row must answer 4xx with
+#: ``{"status": "error", ...}`` and leave the store exactly as it was.
+BAD_REQUESTS = [
+    ("query-missing", "GET", "/api/v1/query", b""),
+    ("query-empty", "GET", "/api/v1/query?query=", b""),
+    ("query-unparseable", "GET", "/api/v1/query?query=" + quote("sum((("), b""),
+    ("query-range-function-on-instant", "GET", "/api/v1/query?query=" + quote("rate(m)"), b""),
+    ("query-bare-range-selector", "GET", "/api/v1/query?query=" + quote("m[30s]"), b""),
+    ("query-invalid-regex", "GET", "/api/v1/query?query=" + quote('m{a=~"("}'), b""),
+    ("query-invalid-negated-regex", "GET", "/api/v1/query?query=" + quote('sum(m{a!~"[z"})'), b""),
+    ("ingest-not-json", "POST", INGEST, b"{not json"),
+    ("ingest-not-utf8", "POST", INGEST, b"\xff\xfe"),
+    ("ingest-not-a-list", "POST", INGEST, b'{"not": "a list"}'),
+    ("ingest-empty-body", "POST", INGEST, b""),
+    ("ingest-sample-not-an-object", "POST", INGEST, b"[1]"),
+    ("ingest-missing-name", "POST", INGEST, b'[{"value": 1}]'),
+    ("ingest-missing-value", "POST", INGEST, b'[{"name": "m"}]'),
+    ("ingest-name-not-a-string", "POST", INGEST, b'[{"name": 5, "value": 1}]'),
+    ("ingest-labels-not-an-object", "POST", INGEST, b'[{"name": "m", "value": 1, "labels": [1]}]'),
+    (
+        "ingest-bad-value-mid-batch", "POST", INGEST,
+        b'[{"name": "m", "value": 2}, {"name": "m", "value": "x"}, {"name": "m", "value": 3}]',
+    ),
+    ("ingest-timestamp-nan", "POST", INGEST, b'[{"name": "m", "value": 2, "timestamp": "nan"}]'),
+    ("ingest-timestamp-inf", "POST", INGEST, b'[{"name": "m", "value": 2, "timestamp": "inf"}]'),
+    (
+        "ingest-nan-timestamp-mid-batch", "POST", INGEST,
+        b'[{"name": "fresh", "value": 1}, {"name": "fresh", "value": 2, "timestamp": NaN}]',
+    ),
+    (
+        "ingest-behind-the-store", "POST", INGEST,
+        b'[{"name": "m", "value": 2, "labels": {"a": "b"}, "timestamp": 1.0}]',
+    ),
+    (
+        "ingest-out-of-order-in-batch", "POST", INGEST,
+        b'[{"name": "fresh", "value": 1, "timestamp": 9.0},'
+        b' {"name": "fresh", "value": 2, "timestamp": 8.0}]',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "method, target, body",
+    [row[1:] for row in BAD_REQUESTS],
+    ids=[row[0] for row in BAD_REQUESTS],
+)
+async def test_bad_input_is_4xx_and_leaves_the_store_untouched(method, target, body):
+    server = MetricsServer(clock=VirtualClock(start=10.0))
+    server.store.record("m", 1.0, 5.0, {"a": "b"})
+    series, generation = len(server.store), server.store.generation
     await server.start(scrape=False)
     try:
         async with HttpClient() as client:
-            response = await client.post(
-                f"http://{server.address}/api/v1/ingest", json_body={"not": "a list"}
+            response = await client.request(
+                method, f"http://{server.address}{target}", body=body
             )
-            assert response.status == 400
-            response = await client.post(
-                f"http://{server.address}/api/v1/ingest",
-                json_body=[{"value": 1}],  # missing name
-            )
-            assert response.status == 400
     finally:
         await server.stop()
+    assert 400 <= response.status < 500, response.body
+    assert response.json()["status"] == "error"
+    assert (len(server.store), server.store.generation) == (series, generation)
+    assert server.store.select("m")[0].latest().value == 1.0
 
 
 async def test_metrics_server_health():

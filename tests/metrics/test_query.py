@@ -91,6 +91,8 @@ def test_parse_errors():
         "sum(",  # unterminated call
         "m{a~\"x\"}",  # bad operator
         "@",  # bad character
+        'm{a=~"("}',  # regex that does not compile
+        'sum(m{a!~"[z"})',  # ... in a negated matcher, nested
     ]:
         with pytest.raises(QueryError):
             node = parse(bad)

@@ -4,13 +4,7 @@ import asyncio
 
 from repro.clock import VirtualClock
 from repro.httpcore import HttpServer, Response
-from repro.metrics import (
-    LabelMatcher,
-    MetricStore,
-    Registry,
-    Scraper,
-    ShardedMetricStore,
-)
+from repro.metrics import LabelMatcher, MetricStore, Registry, Sample, Scraper
 
 
 class FakeClient:
@@ -39,11 +33,11 @@ async def test_slow_target_does_not_delay_peer_ingest_timestamps():
     scraper = Scraper(store, clock=clock, client=client)
     scraper.add_target("fast:80", "http://fast/metrics")
     scraper.add_target("slow:80", "http://slow/metrics")
-    task = asyncio.create_task(scraper.scrape_partition(0))
+    task = asyncio.create_task(scraper.scrape_once())
     await clock.advance(10.0)
     assert await task == 2
     # The fast target's sample is stamped at its own fetch completion, not
-    # after the slow partition peer finally answered.
+    # after its slow peer finally answered.
     assert store.select("m_fast")[0].latest().timestamp == 100.0
     assert store.select("m_slow")[0].latest().timestamp == 110.0
 
@@ -97,24 +91,21 @@ async def test_unlabeled_points_share_cached_instance_labels():
     assert len(series) == 1
 
 
-async def test_sharded_and_monolithic_scrape_ingest_identically():
+async def test_labeled_points_gain_the_instance_label():
     payload = "".join(
         f'metric_{i}_total{{zone="z{i % 3}"}} {i}\n' for i in range(24)
     )
-    stores = (MetricStore(), ShardedMetricStore(shard_count=4))
-    for store in stores:
-        clock = VirtualClock(start=7.0)
-        client = FakeClient(clock, pages={"http://svc/metrics": payload})
-        scraper = Scraper(store, clock=clock, client=client, loops=2)
-        scraper.add_target("svc:80", "http://svc/metrics")
-        assert await scraper.scrape_once() == 24
-    flat, sharded = stores
-    assert flat.names() == sharded.names()
-    for name in flat.names():
-        flat_series, sharded_series = flat.select(name), sharded.select(name)
-        assert len(flat_series) == len(sharded_series) == 1
-        assert flat_series[0].latest() == sharded_series[0].latest()
-        assert flat_series[0].key == sharded_series[0].key
+    clock = VirtualClock(start=7.0)
+    store = MetricStore()
+    client = FakeClient(clock, pages={"http://svc/metrics": payload})
+    scraper = Scraper(store, clock=clock, client=client)
+    scraper.add_target("svc:80", "http://svc/metrics")
+    assert await scraper.scrape_once() == 24
+    assert store.names() == {f"metric_{i}_total" for i in range(24)}
+    for i in range(24):
+        (series,) = store.select(f"metric_{i}_total")
+        assert series.key.label_dict() == {"zone": f"z{i % 3}", "instance": "svc:80"}
+        assert series.latest() == Sample(7.0, float(i))
 
 
 async def test_http_scrape_lands_as_one_generation_bump():

@@ -74,6 +74,32 @@ def test_bad_matcher_op_rejected():
         LabelMatcher("a", "==", "b")
 
 
+@pytest.mark.parametrize("op", ["=~", "!~"])
+def test_regex_that_does_not_compile_rejected(op):
+    with pytest.raises(ValueError, match="invalid regex"):
+        LabelMatcher("a", op, "(")
+    LabelMatcher("a", "=", "(")  # only regex matchers read it as a pattern
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_timestamp_rejected(bad):
+    store = MetricStore(retention=10.0)
+    store.record("m", 1.0, 1.0)
+    generation = store.generation
+    with pytest.raises(ValueError, match="non-finite"):
+        store.record("m", 2.0, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        store.record("fresh", 2.0, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        store.record_batch([("fresh", 1.0, 2.0, None), ("m", 2.0, bad, None)])
+    assert (len(store), store.generation) == (1, generation)
+    # The ordering guard still holds, and retention kept the history.
+    with pytest.raises(ValueError, match="out-of-order"):
+        store.record("m", 3.0, 0.5)
+    assert [s.timestamp for s in store.select("m")[0].window(-1.0, 100.0)] == [1.0]
+    store.record("m", float("nan"), 2.0)  # values may be NaN
+
+
 def test_retention_drops_old_samples():
     store = MetricStore(retention=10.0)
     store.record("m", 1.0, 0.0)

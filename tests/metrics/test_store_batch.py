@@ -1,8 +1,8 @@
-"""Tests for batched ingest (``record_batch``) on both store shapes."""
+"""Tests for batched ingest (``record_batch``)."""
 
 import pytest
 
-from repro.metrics import LabelMatcher, MetricStore, SeriesKey, ShardedMetricStore
+from repro.metrics import LabelMatcher, MetricStore
 
 
 def _snapshot(store):
@@ -87,38 +87,3 @@ def test_batch_applies_retention():
     )
     series = store.select("m")[0]
     assert series.oldest_timestamp >= 25.0
-
-
-def test_sharded_batch_equals_monolithic_batch():
-    sharded = ShardedMetricStore(shard_count=4)
-    flat = MetricStore()
-    batch = [
-        (f"metric_{i}_total", float(i), float(i % 7), {"instance": f"i{i % 3}"})
-        for i in range(40)
-    ]
-    assert sharded.record_batch(batch) == flat.record_batch(batch) == 40
-    assert _snapshot(sharded) == _snapshot(flat)
-
-
-def test_sharded_batch_atomic_across_shards():
-    store = ShardedMetricStore(shard_count=4)
-    store.record("hits_total", 1.0, 50.0, None)
-    # Find a name owned by a different shard and poison its sample; the
-    # hits_total shard must stay untouched even though its slice is valid.
-    other = next(
-        f"pad_total_{i}"
-        for i in range(64)
-        if store.shard_index(f"pad_total_{i}") != store.shard_index("hits_total")
-    )
-    generations = [shard.generation for shard in store.shards]
-    with pytest.raises(ValueError):
-        store.record_batch(
-            [
-                ("hits_total", 2.0, 51.0, None),
-                (other, 1.0, 60.0, None),
-                ("hits_total", 3.0, 40.0, None),  # behind the floor
-            ]
-        )
-    assert [shard.generation for shard in store.shards] == generations
-    assert store.names() == {"hits_total"}
-    assert store.series(SeriesKey.make("hits_total")).latest().timestamp == 50.0

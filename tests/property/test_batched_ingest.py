@@ -5,15 +5,13 @@ Random sequences of single-sample ``record`` calls and multi-sample
 under test and mirrored point-by-point onto a reference store.  A batch
 that would fail validation must raise and leave the store byte-identical
 to before the call (atomicity); a valid batch must leave the store in
-exactly the state per-point recording produces.  The same sequence is run
-against a :class:`ShardedMetricStore` to prove the facade preserves both
-properties across shards.
+exactly the state per-point recording produces.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics import MetricStore, SeriesKey, ShardedMetricStore
+from repro.metrics import MetricStore, SeriesKey
 
 NAMES = ["alpha_total", "beta_total", "gamma_seconds", "delta_bytes"]
 LABELS = [None, {"instance": "a"}, {"instance": "b", "zone": "z1"}]
@@ -105,14 +103,3 @@ def test_batched_equals_per_point_on_monolithic_store(ops_list):
 
 def _batch_is_valid_replay(store, batch):
     return _batch_is_valid(store, batch)
-
-
-@settings(max_examples=150, deadline=None)
-@given(ops_list=ops, shard_count=st.sampled_from([2, 3, 5]))
-def test_sharded_equals_monolithic_under_batched_ingest(ops_list, shard_count):
-    sharded = ShardedMetricStore(shard_count=shard_count)
-    flat = MetricStore()
-    landed_sharded = _drive(sharded, ops_list)
-    landed_flat = _drive(flat, ops_list)
-    assert landed_sharded == landed_flat
-    assert _snapshot(sharded) == _snapshot(flat)

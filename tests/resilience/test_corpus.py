@@ -32,15 +32,6 @@ async def test_same_seed_same_signature():
     assert first.path == second.path
 
 
-async def test_shard_count_does_not_change_the_trace():
-    """Sharding is a storage layout, not a semantic: the event trace is
-    identical whether the metric store runs 1 shard or 3."""
-    for seed in (3, 11, 17):
-        single = await run_scenario(generate_scenario(seed, shard_count=1))
-        sharded = await run_scenario(generate_scenario(seed, shard_count=3))
-        assert single.signature == sharded.signature, seed
-
-
 async def test_failure_is_captured_not_raised(monkeypatch):
     import repro.resilience.corpus as corpus_module
 

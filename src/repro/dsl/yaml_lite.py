@@ -124,7 +124,45 @@ class _Line:
     content: str  # stripped of indentation and comments
 
 
-_KEY = re.compile(r"^(?P<key>[^:\s][^:]*?)\s*:(?:\s+|$)")
+#: A plain key runs to the first ``:`` followed by whitespace or the end of
+#: the line; a ``:`` inside it (``a:b``) belongs to the key, as in YAML.
+_PLAIN_KEY = re.compile(r"(?P<key>[^:\s'\"](?:[^:]|:(?!\s|$))*?)\s*:(?:\s+|$)")
+_SEPARATOR = re.compile(r"\s*:(?:\s+|$)")
+
+
+def _closing_quote(text: str) -> int | None:
+    """Index of the quote closing the string *text* opens, if any."""
+    quote = text[0]
+    index = 1
+    while index < len(text):
+        char = text[index]
+        if quote == '"' and char == "\\":
+            index += 2
+            continue
+        if char == quote:
+            return index
+        index += 1
+    return None
+
+
+def _split_key(content: str) -> tuple[str, str] | None:
+    """``(key token, inline value)`` of a ``key: value`` line, else ``None``.
+
+    The separator is looked for outside quotes: a quoted key may contain
+    ``": "`` itself, and a quoted scalar (``"x: y"``) is no mapping line.
+    """
+    if content[:1] in ("'", '"'):
+        end = _closing_quote(content)
+        if end is None:
+            return None
+        match = _SEPARATOR.match(content, end + 1)
+        if match is None:
+            return None
+        return content[: end + 1], content[match.end():].strip()
+    match = _PLAIN_KEY.match(content)
+    if match is None:
+        return None
+    return match.group("key").strip(), content[match.end():].strip()
 
 
 def _strip_comment(text: str, line_number: int) -> str:
@@ -258,7 +296,7 @@ class _Parser:
         assert line is not None
         if line.content.startswith("- ") or line.content == "-":
             return self._parse_sequence(indent)
-        if _KEY.match(line.content):
+        if _split_key(line.content):
             return self._parse_mapping(indent)
         # A lone scalar document / value.
         self._index += 1
@@ -279,17 +317,17 @@ class _Parser:
                     f"unexpected indentation {line.indent} (expected {indent})",
                     line.number,
                 )
-            match = _KEY.match(line.content)
-            if match is None:
+            split = _split_key(line.content)
+            if split is None:
                 if line.content.startswith("- ") or line.content == "-":
                     return mapping  # sibling sequence ends this mapping
                 raise YamlError(f"expected 'key: value', got {line.content!r}", line.number)
-            key = parse_scalar(match.group("key").strip(), line.number)
+            token, remainder = split
+            key = parse_scalar(token, line.number)
             if not isinstance(key, str):
                 key = str(key)
             if key in mapping:
                 raise YamlError(f"duplicate mapping key {key!r}", line.number)
-            remainder = line.content[match.end():].strip()
             self._index += 1
             mapping.key_lines[key] = line.number
             mapping.key_columns[key] = line.indent + 1
@@ -344,7 +382,7 @@ class _Parser:
             item_indent = indent + 2
             items.item_lines.append(line.number)
             items.item_columns.append(line.indent + 1)
-            if _KEY.match(remainder):
+            if _split_key(remainder):
                 # "- key: value": the item is a mapping whose first entry is
                 # inline; rewrite the line and parse a mapping at item depth.
                 self._lines[self._index] = _Line(line.number, item_indent, remainder)

@@ -21,19 +21,24 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class SeriesKey:
-    """Identity of a series: metric name + sorted label pairs."""
+class SeriesKey(NamedTuple):
+    """Identity of a series: metric name + sorted label pairs.
+
+    A tuple underneath, so a plain ``(name, sorted_label_pairs)`` tuple
+    hashes and compares equal to it: the store's ingest path probes its
+    series dict with such tuples and builds a ``SeriesKey`` only when a
+    series is created.
+    """
 
     name: str
     labels: tuple[tuple[str, str], ...] = ()
 
     @classmethod
     def make(cls, name: str, labels: dict[str, str] | None = None) -> "SeriesKey":
-        return cls(name, tuple(sorted((labels or {}).items())))
+        return cls(name, tuple(sorted(labels.items())) if labels else ())
 
     def label_dict(self) -> dict[str, str]:
         return dict(self.labels)
@@ -155,14 +160,21 @@ class TimeSeries:
 
     def append(self, timestamp: float, value: float) -> None:
         """Record one sample; timestamps must be non-decreasing."""
+        last = self.newest_timestamp
+        if last is not None and timestamp < last:
+            raise ValueError(
+                f"out-of-order sample for {self.key}: {timestamp} < {last}"
+            )
+        self.append_ordered(timestamp, value)
+
+    def append_ordered(self, timestamp: float, value: float) -> None:
+        """:meth:`append` for a sample already checked against
+        :attr:`newest_timestamp` — the apply phase of
+        ``MetricStore.record_batch``.  Listeners see exactly what
+        :meth:`append` would show them.
+        """
         size = self._size
         capacity = len(self._ts)
-        if size:
-            last = self._ts[(self._start + size - 1) % capacity]
-            if timestamp < last:
-                raise ValueError(
-                    f"out-of-order sample for {self.key}: {timestamp} < {last}"
-                )
         if size == capacity:
             self._resize(max(_MIN_CAPACITY, capacity * 2))
             capacity = len(self._ts)
@@ -224,6 +236,14 @@ class TimeSeries:
     def oldest_timestamp(self) -> float | None:
         """Timestamp of the first retained sample, or ``None`` when empty."""
         return self._ts[self._start] if self._size else None
+
+    @property
+    def newest_timestamp(self) -> float | None:
+        """Timestamp of the latest sample, or ``None`` when empty."""
+        size = self._size
+        if not size:
+            return None
+        return self._ts[(self._start + size - 1) % len(self._ts)]
 
     def window_bounds(self, start: float, end: float) -> tuple[int, int]:
         """Logical index bounds ``(lo, hi)`` of samples with ``start < t <= end``.

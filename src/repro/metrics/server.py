@@ -132,12 +132,13 @@ class MetricsServer(HttpServer):
     async def _handle_ingest(self, request: Request) -> Response:
         """Push-style ingestion: the whole batch lands, or none of it does.
 
-        Every sample is validated — shape, types, label map, and timestamp
-        ordering against both the store's current series and earlier
-        samples in the same batch — *before* anything is recorded, so a
-        bad sample mid-list cannot leave a partial ingest behind the 400.
-        No await separates validation from recording; under asyncio's
-        single thread the batch is atomic.
+        Every sample is validated — shape and types here; the name and
+        label values of any series it would create, and timestamp ordering
+        against both the store's current series and earlier samples in the
+        same batch, in the store's plan phase — *before* anything is
+        recorded, so a bad sample mid-list cannot leave a partial ingest
+        behind the 400.  No await separates validation from recording;
+        under asyncio's single thread the batch is atomic.
         """
         try:
             samples = request.json()
@@ -154,8 +155,6 @@ class MetricsServer(HttpServer):
         for sample in samples:
             try:
                 name = sample["name"]
-                if not isinstance(name, str):
-                    raise TypeError(f"metric name must be a string, got {name!r}")
                 labels = sample.get("labels") or {}
                 if not isinstance(labels, dict):
                     raise TypeError(f"labels must be an object, got {labels!r}")
@@ -167,10 +166,10 @@ class MetricsServer(HttpServer):
                 )
             batch.append((name, value, timestamp, labels))
         try:
-            # record_batch plans (validating each timestamp, and their
-            # ordering against both store floors and earlier samples in
-            # this batch) before applying anything, giving the
-            # all-or-nothing guarantee directly.
+            # record_batch plans (validating each timestamp, their ordering
+            # against both store floors and earlier samples in this batch,
+            # and the identity of every series it would create) before
+            # applying anything, giving the all-or-nothing guarantee.
             ingested = self.store.record_batch(batch)
         except ValueError as exc:
             return Response.from_json(

@@ -30,6 +30,28 @@ def _compile_anchored(pattern: str) -> re.Pattern[str]:
     return re.compile(f"^(?:{pattern})$")
 
 
+def _check_identity(name, labels) -> None:
+    """Reject a series no string matcher could select, with ValueError.
+
+    Runs only when a sample would create a series: a known series' name
+    and labels passed it when the series was made, so appends pay nothing.
+    """
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"metric name must be a non-empty string, got {name!r}")
+    for label, value in (labels or {}).items():
+        if not isinstance(label, str) or not label or not isinstance(value, str):
+            raise ValueError(
+                f"label {label!r}={value!r} on {name}: label names must be "
+                f"non-empty strings and values strings"
+            )
+
+
+def _out_of_order(key: tuple, timestamp: float, floor: float) -> ValueError:
+    return ValueError(
+        f"out-of-order sample for {SeriesKey(*key)}: {timestamp} < {floor}"
+    )
+
+
 @dataclass(frozen=True)
 class LabelMatcher:
     """One label matcher: ``name op value`` with op in ``= != =~ !~``.
@@ -95,30 +117,14 @@ class MetricStore:
     ) -> None:
         """Append one sample, creating the series on first sight.
 
-        A non-finite *timestamp* raises :class:`ValueError`: a NaN compares
-        false against every floor, so one would disable the out-of-order
-        guard for the series from then on.  Values may be NaN.
+        A batch of one, so it is validated exactly as :meth:`record_batch`
+        validates: a non-finite *timestamp* raises :class:`ValueError` (a
+        NaN compares false against every floor, so one would disable the
+        out-of-order guard for the series from then on; values may be
+        NaN), as does an out-of-order one or a sample that would create a
+        series no string matcher could select (see :func:`_check_identity`).
         """
-        if not isfinite(timestamp):
-            raise ValueError(f"non-finite timestamp for {name}: {timestamp}")
-        key = SeriesKey.make(name, labels)
-        series = self._series.get(key)
-        if series is None:
-            series = TimeSeries(key)
-            self._series[key] = series
-            self._by_name.setdefault(name, []).append(series)
-            # A new series can change what any cached selector for this
-            # name matches, so resolved selectors start over.
-            self._selector_cache.pop(name, None)
-            self.series_generation += 1
-        series.append(timestamp, value)
-        if self.retention is not None:
-            # O(1) guard: only pay the bisect + list surgery when the
-            # oldest retained sample has actually expired.
-            oldest = series.oldest_timestamp
-            if oldest is not None and oldest < timestamp - self.retention:
-                series.drop_before(timestamp - self.retention)
-        self.generation += 1
+        self.record_batch(((name, value, timestamp, labels),))
 
     def record_batch(
         self,
@@ -128,83 +134,95 @@ class MetricStore:
 
         The batch is atomic: every sample is validated against the store's
         current floors *and* earlier samples in the batch before anything
-        is recorded, so an out-of-order or non-finite timestamp mid-list
-        raises :class:`ValueError` and leaves the store untouched.
+        is recorded, so an out-of-order or non-finite timestamp, or a
+        sample that would create a series with a bad name or labels,
+        mid-list raises :class:`ValueError` and leaves the store untouched.
 
-        The win over per-point :meth:`record` is amortization: series/name
-        lookup and selector-cache invalidation happen once per distinct
-        series, the retention guard runs once per touched series, and
-        :attr:`generation` bumps once for the whole batch — a scrape of M
-        points costs one cache invalidation wave instead of M.
+        The win over per-point :meth:`record` is amortization: each
+        distinct series is resolved once, selector-cache invalidation
+        happens once per created series, the retention guard runs once per
+        touched series, and :attr:`generation` bumps once for the whole
+        batch — a scrape of M points costs one cache invalidation wave
+        instead of M.
         """
         plan = self._plan_batch(samples)
         if not plan:
             return 0
-        return self._apply_batch(plan)
+        self._apply_batch(plan)
+        return len(samples)
 
     def _plan_batch(
         self,
         samples: Sequence[tuple[str, float, float, dict[str, str] | None]],
-    ) -> dict[SeriesKey, list]:
+    ) -> dict[tuple, list]:
         """Validate *samples* and group them by series; mutates nothing.
 
-        Each plan entry is ``[key, last_timestamp, points]`` — one flat
-        record per series so the per-sample hot loop pays at most one
-        :class:`SeriesKey` hash, and none at all for runs of consecutive
-        samples hitting the same series (the shape scrape batches have).
+        Entries are keyed by the plain ``(name, sorted_label_pairs)``
+        tuple, so every probe hashes and compares in C, and each one is
+        ``[series, key, newest, timestamp, value, more]``: the resolved
+        series (``None`` if the batch creates it), the newest timestamp
+        the entry has accepted, the first sample as scalars, and a list of
+        further ``(timestamp, value)`` pairs only when the series repeats.
+        A run of samples with the same name and the same label dict
+        *object* skips even the key build; every other repeat, including
+        an equal but distinct dict, is found by the keyed lookup.
         """
-        plan: dict[SeriesKey, list] = {}
-        last_name: str | None = None
-        last_labels: dict[str, str] | None = None
-        entry: list | None = None
+        plan: dict[tuple, list] = {}
+        series_by_key = self._series
+        last_name = None
+        last_labels = None
+        entry = None
         for name, value, timestamp, labels in samples:
             if not isfinite(timestamp):
                 raise ValueError(f"non-finite timestamp for {name}: {timestamp}")
-            if entry is None or name != last_name or labels != last_labels:
-                key = SeriesKey.make(name, labels)
-                entry = plan.get(key)
-                if entry is None:
-                    floor = None
-                    series = self._series.get(key)
-                    if series is not None:
-                        latest = series.latest()
-                        if latest is not None:
-                            floor = latest.timestamp
-                    entry = plan[key] = [key, floor, []]
+            if labels is not last_labels or name != last_name or entry is None:
                 last_name = name
                 last_labels = labels
-            floor = entry[1]
-            if floor is not None and timestamp < floor:
-                raise ValueError(
-                    f"out-of-order sample for {entry[0]}: {timestamp} < {floor}"
-                )
-            entry[1] = timestamp
-            entry[2].append((timestamp, value))
+                try:
+                    key = (name, tuple(sorted(labels.items())) if labels else ())
+                    entry = plan.get(key)
+                except TypeError:  # an unhashable or unorderable label
+                    _check_identity(name, labels)
+                    raise
+                if entry is None:
+                    series = series_by_key.get(key)
+                    if series is None:
+                        _check_identity(name, labels)
+                    else:
+                        floor = series.newest_timestamp
+                        if floor is not None and timestamp < floor:
+                            raise _out_of_order(key, timestamp, floor)
+                    plan[key] = entry = [series, key, timestamp, timestamp, value, None]
+                    continue
+            floor = entry[2]
+            if timestamp < floor:
+                raise _out_of_order(entry[1], timestamp, floor)
+            entry[2] = timestamp
+            if entry[5] is None:
+                entry[5] = [(timestamp, value)]
+            else:
+                entry[5].append((timestamp, value))
         return plan
 
-    def _apply_batch(self, plan: dict[SeriesKey, list]) -> int:
+    def _apply_batch(self, plan: dict[tuple, list]) -> None:
         """Apply a validated :meth:`_plan_batch` result; cannot fail."""
-        ingested = 0
         retention = self.retention
-        for key, _, points in plan.values():
-            series = self._series.get(key)
+        for series, key, newest, timestamp, value, more in plan.values():
             if series is None:
-                series = TimeSeries(key)
-                self._series[key] = series
-                self._by_name.setdefault(key.name, []).append(series)
-                self._selector_cache.pop(key.name, None)
+                series = TimeSeries(SeriesKey(*key))
+                self._series[series.key] = series
+                self._by_name.setdefault(key[0], []).append(series)
+                # A new series can change what any cached selector for
+                # this name matches, so resolved selectors start over.
+                self._selector_cache.pop(key[0], None)
                 self.series_generation += 1
-            for timestamp, value in points:
-                series.append(timestamp, value)
-            ingested += len(points)
-            if retention is not None:
-                newest = points[-1][0]
-                oldest = series.oldest_timestamp
-                if oldest is not None and oldest < newest - retention:
-                    series.drop_before(newest - retention)
-        if ingested:
-            self.generation += 1
-        return ingested
+            series.append_ordered(timestamp, value)
+            if more is not None:
+                for timestamp, value in more:
+                    series.append_ordered(timestamp, value)
+            if retention is not None and series.oldest_timestamp < newest - retention:
+                series.drop_before(newest - retention)
+        self.generation += 1
 
     def series(self, key: SeriesKey) -> TimeSeries | None:
         return self._series.get(key)

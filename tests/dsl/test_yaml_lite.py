@@ -224,6 +224,13 @@ def test_error_carries_line_number():
         "plain scalar",
         None,
         3.5,
+        # A quoted scalar or key containing ": " is not split as a mapping
+        # line; a plain key may contain ":" not followed by a space.
+        "x: y",
+        ": ",
+        {"a: ": 1},
+        ["x: y", {'"k: v"': ": "}],
+        {"a:b": "c:d", "http://h:80": 1},
     ],
 )
 def test_dumps_loads_round_trip(value):

@@ -123,6 +123,21 @@ BAD_REQUESTS = [
         b'[{"name": "fresh", "value": 1, "timestamp": 9.0},'
         b' {"name": "fresh", "value": 2, "timestamp": 8.0}]',
     ),
+    # A series no string matcher could select is refused when it would be
+    # created: an empty name, a non-string label value, an empty label name.
+    ("ingest-empty-name", "POST", INGEST, b'[{"name": "", "value": 1}]'),
+    ("ingest-label-value-list", "POST", INGEST, b'[{"name": "m", "value": 1, "labels": {"a": [1]}}]'),
+    (
+        "ingest-label-value-object", "POST", INGEST,
+        b'[{"name": "m", "value": 1, "labels": {"a": {"b": "c"}}}]',
+    ),
+    ("ingest-label-value-number", "POST", INGEST, b'[{"name": "m", "value": 1, "labels": {"a": 1}}]'),
+    ("ingest-label-value-null", "POST", INGEST, b'[{"name": "m", "value": 1, "labels": {"a": null}}]'),
+    ("ingest-label-name-empty", "POST", INGEST, b'[{"name": "m", "value": 1, "labels": {"": "b"}}]'),
+    (
+        "ingest-bad-label-after-a-new-series", "POST", INGEST,
+        b'[{"name": "fresh", "value": 1}, {"name": "m", "value": 2, "labels": {"a": 7}}]',
+    ),
 ]
 
 
@@ -134,7 +149,8 @@ BAD_REQUESTS = [
 async def test_bad_input_is_4xx_and_leaves_the_store_untouched(method, target, body):
     server = MetricsServer(clock=VirtualClock(start=10.0))
     server.store.record("m", 1.0, 5.0, {"a": "b"})
-    series, generation = len(server.store), server.store.generation
+    store = server.store
+    before = (len(store), store.generation, store.series_generation)
     await server.start(scrape=False)
     try:
         async with HttpClient() as client:
@@ -145,7 +161,7 @@ async def test_bad_input_is_4xx_and_leaves_the_store_untouched(method, target, b
         await server.stop()
     assert 400 <= response.status < 500, response.body
     assert response.json()["status"] == "error"
-    assert (len(server.store), server.store.generation) == (series, generation)
+    assert (len(store), store.generation, store.series_generation) == before
     assert server.store.select("m")[0].latest().value == 1.0
 
 

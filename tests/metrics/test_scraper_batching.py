@@ -72,6 +72,19 @@ async def test_stale_batch_rejected_atomically():
     assert scraper.failures["svc:80"] == 1
 
 
+async def test_unselectable_series_fails_the_scrape_atomically():
+    clock = VirtualClock(start=5.0)
+    store = MetricStore()
+    registry = Registry()
+    registry.counter("ok_total").inc()
+    registry.counter("").inc()  # a series no selector could ever name
+    scraper = Scraper(store, clock=clock, client=FakeClient(clock, pages={}))
+    scraper.add_local("svc:80", registry)
+    assert await scraper.scrape_once() == 0
+    assert (len(store), store.generation, store.series_generation) == (0, 0, 0)
+    assert scraper.failures["svc:80"] == 1
+
+
 async def test_unlabeled_points_share_cached_instance_labels():
     clock = VirtualClock(start=1.0)
     store = MetricStore()

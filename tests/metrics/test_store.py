@@ -100,6 +100,30 @@ def test_non_finite_timestamp_rejected(bad):
     store.record("m", float("nan"), 2.0)  # values may be NaN
 
 
+@pytest.mark.parametrize(
+    "name, labels",
+    [
+        ("", None),
+        (None, None),
+        ("m", {"a": [1]}),
+        ("m", {"a": {"b": "c"}}),
+        ("m", {"a": 1}),
+        ("m", {"a": None}),
+        ("m", {"": "b"}),
+        ("m", {1: "b", "c": "d"}),  # unorderable label names
+    ],
+)
+def test_unselectable_series_rejected_on_creation(name, labels):
+    store = MetricStore()
+    store.record("m", 1.0, 1.0, {"a": "b"})
+    before = (len(store), store.generation, store.series_generation)
+    with pytest.raises(ValueError):
+        store.record(name, 2.0, 2.0, labels)
+    with pytest.raises(ValueError):
+        store.record_batch([("fresh", 1.0, 2.0, None), (name, 2.0, 2.0, labels)])
+    assert (len(store), store.generation, store.series_generation) == before
+
+
 def test_retention_drops_old_samples():
     store = MetricStore(retention=10.0)
     store.record("m", 1.0, 0.0)

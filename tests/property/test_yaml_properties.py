@@ -18,7 +18,11 @@ scalars = st.one_of(
 )
 
 keys = st.text(
-    alphabet=st.characters(codec="ascii", categories=("L", "N")), min_size=1, max_size=15
+    alphabet=st.characters(
+        codec="ascii", categories=("L", "N", "P", "S", "Z"), exclude_characters="\r"
+    ),
+    min_size=1,
+    max_size=15,
 )
 
 

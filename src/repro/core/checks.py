@@ -262,10 +262,9 @@ class MetricCondition:
 
         Providers exposing a ``subscribe(query)`` hook (currently
         :class:`~repro.metrics.provider.LocalPrometheusProvider`) intern the
-        query into their store's shared evaluation plan and warm streaming
-        window aggregates, so the check's first tick already evaluates
-        incrementally and shares subexpressions with every other subscribed
-        check.  Providers without the hook are untouched; a missing
+        query into their store's shared evaluation plan, so the check's
+        first tick already shares subexpressions with every other
+        subscribed check.  Providers without the hook are untouched; a missing
         provider is reported at evaluation time, not here.
         """
         for query in self.queries:

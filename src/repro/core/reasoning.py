@@ -115,6 +115,17 @@ def forecast_rollout(
 
     transient = [n for n, s in automaton.states.items() if not s.final]
     absorbing = [n for n, s in automaton.states.items() if s.final]
+    rollback_states = frozenset(
+        name for name in absorbing if automaton.states[name].rollback
+    )
+    if automaton.states[automaton.start].final:
+        # Absorbed before the first step: nothing runs, nothing to solve.
+        return RolloutForecast(
+            expected_duration=0.0,
+            expected_visits={},
+            absorption_probabilities={automaton.start: 1.0},
+            rollback_states=rollback_states,
+        )
     t_index = {name: i for i, name in enumerate(transient)}
     a_index = {name: i for i, name in enumerate(absorbing)}
 
@@ -175,7 +186,5 @@ def forecast_rollout(
         expected_duration=expected_duration,
         expected_visits=expected_visits,
         absorption_probabilities=absorption_probabilities,
-        rollback_states=frozenset(
-            name for name in absorbing if automaton.states[name].rollback
-        ),
+        rollback_states=rollback_states,
     )

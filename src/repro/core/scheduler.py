@@ -146,8 +146,7 @@ class CheckScheduler:
         entry = _Entry(check, providers, observer, on_complete, future)
         # Arming a check subscribes its queries to any plan-aware provider:
         # subexpressions shared with other scheduled checks intern into one
-        # evaluation-plan node, and their range windows get streaming
-        # aggregates before the first tick fires.
+        # evaluation-plan node before the first tick fires.
         check.condition.subscribe(providers)
         self._active.add(entry)
         future.add_done_callback(

@@ -34,12 +34,10 @@ from __future__ import annotations
 
 from weakref import WeakKeyDictionary
 
-from . import aggregate
 from .query import (
     Aggregation,
     BinaryOp,
     Expression,
-    FunctionCall,
     VectorSample,
     _combine,
     _eval,
@@ -226,26 +224,10 @@ def planner_for(store: MetricStore) -> Planner:
 
 
 def subscribe(store: MetricStore, expression: Expression | str) -> None:
-    """Pre-register a root with the store's planner (check scheduling).
-
-    Also warms streaming window aggregates for every range function the
-    expression contains over the series it currently matches, so the
-    subscription's first tick already evaluates incrementally.
-    """
+    """Pre-register a root with the store's planner (check scheduling)."""
     if isinstance(expression, str):
         expression = compile_query(expression)
-    node = planner_for(store).subscribe(expression)
-    if not aggregate.enabled():
-        return
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        stack.extend(current.children)
-        inner = current.expression
-        if isinstance(inner, FunctionCall) and inner.argument.window:
-            selector = inner.argument
-            for series in store.select(selector.name, selector.matchers):
-                aggregate.state_for(series, selector.window)
+    planner_for(store).subscribe(expression)
 
 
 __all__ = [

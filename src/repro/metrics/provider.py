@@ -66,10 +66,10 @@ class LocalPrometheusProvider(MetricsProvider):
 
         Called by the check scheduler when a check is armed
         (:meth:`~repro.core.checks.MetricCondition.subscribe`): the query's
-        subexpressions are interned into the store's plan DAG and its range
-        windows get streaming aggregates, so the first tick already runs
-        incrementally.  A malformed query is ignored here — evaluation
-        surfaces the error through the normal no-data path.
+        subexpressions are interned into the store's plan DAG, so the first
+        tick already shares them with every other subscribed check.  A
+        malformed query is ignored here — evaluation surfaces the error
+        through the normal no-data path.
         """
         try:
             expression = compile_query(query)

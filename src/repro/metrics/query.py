@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Callable
 from weakref import WeakKeyDictionary
 
-from . import aggregate
+from .aggregate import rescan_value
 from .series import TimeSeries
 from .store import LabelMatcher, MetricStore
 
@@ -353,12 +353,9 @@ def _eval(store: MetricStore, node: Expression, at: float) -> list[VectorSample]
         selector = node.argument
         window = selector.window or 0.0
         function = node.function
-        range_value = (
-            aggregate.range_value if aggregate.enabled() else aggregate.rescan_value
-        )
         result = []
         for series in store.select(selector.name, selector.matchers):
-            value = range_value(series, function, window, at)
+            value = rescan_value(series, function, window, at)
             if value is not None:
                 result.append(VectorSample(series.key.label_dict(), value))
         return result

@@ -65,24 +65,9 @@ _EMPTY = array("d")
 
 
 class TimeSeries:
-    """An append-only, time-ordered series of samples on ring buffers.
+    """An append-only, time-ordered series of samples on ring buffers."""
 
-    Listeners (see :meth:`add_listener`) observe every accepted append and
-    every retention trim, which is how the streaming window aggregates of
-    :mod:`repro.metrics.aggregate` stay coherent with the ring without the
-    series knowing anything about them.
-    """
-
-    __slots__ = (
-        "key",
-        "_ts",
-        "_vs",
-        "_start",
-        "_size",
-        "listeners",
-        "aggregates",
-        "__weakref__",
-    )
+    __slots__ = ("key", "_ts", "_vs", "_start", "_size")
 
     def __init__(self, key: SeriesKey):
         self.key = key
@@ -90,15 +75,6 @@ class TimeSeries:
         self._vs = array("d")  # values, parallel to _ts
         self._start = 0  # physical index of the logical first sample
         self._size = 0  # live samples (<= capacity == len(_ts))
-        #: Mutation observers: objects with ``record(t, v)`` and
-        #: ``truncate(boundary)``.  ``None`` until the first registration
-        #: so the common listener-less append stays a single falsy check.
-        self.listeners: list | None = None
-        #: Streaming window aggregate states keyed by window width, owned
-        #: by :mod:`repro.metrics.aggregate`.  Living on the series keeps
-        #: the query hot path to one plain dict lookup and ties the state
-        #: lifetime to the series itself.
-        self.aggregates: dict | None = None
 
     def __repr__(self) -> str:
         return f"TimeSeries({self.key}, samples={self._size})"
@@ -170,8 +146,7 @@ class TimeSeries:
     def append_ordered(self, timestamp: float, value: float) -> None:
         """:meth:`append` for a sample already checked against
         :attr:`newest_timestamp` — the apply phase of
-        ``MetricStore.record_batch``.  Listeners see exactly what
-        :meth:`append` would show them.
+        ``MetricStore.record_batch``.
         """
         size = self._size
         capacity = len(self._ts)
@@ -182,19 +157,6 @@ class TimeSeries:
         self._ts[position] = timestamp
         self._vs[position] = value
         self._size = size + 1
-        if self.listeners:
-            for listener in self.listeners:
-                listener.record(timestamp, value)
-
-    def add_listener(self, listener) -> None:
-        """Register a mutation observer (``record``/``truncate`` methods)."""
-        if self.listeners is None:
-            self.listeners = []
-        self.listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        if self.listeners is not None and listener in self.listeners:
-            self.listeners.remove(listener)
 
     def __len__(self) -> int:
         return self._size
@@ -287,7 +249,4 @@ class TimeSeries:
             self._start = 0
         if capacity > 4 * _MIN_CAPACITY and self._size * 4 <= capacity:
             self._resize(max(_MIN_CAPACITY, self._size * 2))
-        if self.listeners:
-            for listener in self.listeners:
-                listener.truncate(timestamp)
         return index

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from ..clock import Clock, RealClock
 from ..httpcore import HttpClient, HttpServer, ProtocolError, Request, Response
-from .aggregate import cache_info as aggregate_cache_info
 from .compile import cache_info as compiled_query_cache_info
 from .exposition import render_lines
 from .plan import planner_for
@@ -185,7 +184,6 @@ class MetricsServer(HttpServer):
         compiled = compiled_query_cache_info()
         layout = layout_cache_info()
         planner = planner_for(self.store)
-        aggregates = aggregate_cache_info()
         tallies = {
             ("query_memo", "hit"): self.query_cache_hits,
             ("query_memo", "miss"): self.query_cache_misses,
@@ -195,8 +193,6 @@ class MetricsServer(HttpServer):
             ("histogram_layout", "miss"): layout["misses"],
             ("evaluation_plan", "hit"): planner.node_hits,
             ("evaluation_plan", "miss"): planner.node_misses,
-            ("window_aggregate", "hit"): aggregates["hits"],
-            ("window_aggregate", "miss"): aggregates["fallbacks"],
         }
         for (cache, event), value in tallies.items():
             self._m_cache.labels(cache=cache, event=event).set(float(value))
@@ -232,7 +228,6 @@ class MetricsServer(HttpServer):
                     },
                     "histogram_layout": layout,
                     "evaluation_plan": planner.cache_info(),
-                    "window_aggregates": aggregate_cache_info(),
                 },
                 "plan_shared_nodes": planner.shared_nodes,
                 "plan_evaluations_saved": planner.evaluations_saved,

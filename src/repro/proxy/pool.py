@@ -43,7 +43,7 @@ from ..httpcore import HttpClient, HttpServer, Request, Response, SetCookie
 from ..metrics import MetricPoint, render_exposition_lines
 from .filters import CLIENT_COOKIE
 from .plan import RoutingPlan, normalize_endpoints
-from .server import BifrostProxy
+from .server import BifrostProxy, read_config
 
 logger = logging.getLogger(__name__)
 
@@ -246,20 +246,9 @@ class ProxyWorkerPool(HttpServer):
     # -- admin --------------------------------------------------------------
 
     async def _handle_put_config(self, request: Request) -> Response:
-        payload = await request.ajson()
         try:
-            config = RoutingConfig.from_wire(payload.get("routing", {}))
-            endpoints = payload.get("endpoints", {})
-            if not isinstance(endpoints, dict):
-                raise RoutingError("endpoints must be a mapping")
-            cleaned: dict[str, str | list[str]] = {}
-            for version, value in endpoints.items():
-                if isinstance(value, list):
-                    cleaned[version] = [str(item) for item in value]
-                else:
-                    cleaned[version] = str(value)
-            installed = self.apply_config(config, cleaned)
-        except (RoutingError, AttributeError) as exc:
+            installed = self.apply_config(*await read_config(request))
+        except RoutingError as exc:
             return Response.from_json({"status": "error", "error": str(exc)}, 400)
         return Response.from_json(
             {
@@ -395,24 +384,14 @@ class _PoolMemberProxy(BifrostProxy):
         self.worker_id = index
 
     async def _handle_put_config(self, request: Request) -> Response:
-        payload = await request.ajson()
         try:
-            config = RoutingConfig.from_wire(payload.get("routing", {}))
-            endpoints = payload.get("endpoints", {})
-            if not isinstance(endpoints, dict):
-                raise RoutingError("endpoints must be a mapping")
-            cleaned: dict[str, str | list[str]] = {}
-            for version, value in endpoints.items():
-                if isinstance(value, list):
-                    cleaned[version] = [str(item) for item in value]
-                else:
-                    cleaned[version] = str(value)
-        except (RoutingError, AttributeError) as exc:
+            config, endpoints = await read_config(request)
+        except RoutingError as exc:
             return Response.from_json({"status": "error", "error": str(exc)}, 400)
         loop = asyncio.get_running_loop()
         try:
             installed = await loop.run_in_executor(
-                None, self._pool.apply_config, config, cleaned
+                None, self._pool.apply_config, config, endpoints
             )
         except RoutingError as exc:
             return Response.from_json({"status": "error", "error": str(exc)}, 400)

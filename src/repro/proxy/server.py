@@ -30,6 +30,7 @@ from ..httpcore import (
     HttpClient,
     HttpError,
     HttpServer,
+    ProtocolError,
     Request,
     Response,
     SetCookie,
@@ -42,6 +43,39 @@ from .shadow import Shadower
 from .sticky import StickyStore
 
 logger = logging.getLogger(__name__)
+
+
+async def read_config(
+    request: Request,
+) -> tuple[RoutingConfig, dict[str, str | list[str]]]:
+    """The routing config and endpoints of a ``PUT /bifrost/config`` body.
+
+    Anything that is not a JSON object with an object ``routing`` and a
+    mapping ``endpoints`` raises :class:`RoutingError`, which every admin
+    handler answers with 400 before touching its installed plan.
+    """
+    # Buffered outside the try: a body past the size limit stays a 413.
+    await request.aread()
+    try:
+        payload = request.json()
+    except ProtocolError as exc:
+        raise RoutingError(str(exc)) from None
+    if not isinstance(payload, dict):
+        raise RoutingError("config body must be a JSON object")
+    routing = payload.get("routing", {})
+    if not isinstance(routing, dict):
+        raise RoutingError("routing must be an object")
+    endpoints = payload.get("endpoints", {})
+    if not isinstance(endpoints, dict):
+        raise RoutingError("endpoints must be a mapping")
+    config = RoutingConfig.from_wire(routing)
+    cleaned: dict[str, str | list[str]] = {}
+    for version, value in endpoints.items():
+        if isinstance(value, list):
+            cleaned[version] = [str(item) for item in value]
+        else:
+            cleaned[version] = str(value)
+    return config, cleaned
 
 
 class BifrostProxy(HttpServer):
@@ -354,20 +388,9 @@ class BifrostProxy(HttpServer):
     # -- admin API ---------------------------------------------------------
 
     async def _handle_put_config(self, request: Request) -> Response:
-        payload = await request.ajson()
         try:
-            config = RoutingConfig.from_wire(payload.get("routing", {}))
-            endpoints = payload.get("endpoints", {})
-            if not isinstance(endpoints, dict):
-                raise RoutingError("endpoints must be a mapping")
-            cleaned: dict[str, str | list[str]] = {}
-            for version, value in endpoints.items():
-                if isinstance(value, list):
-                    cleaned[version] = [str(item) for item in value]
-                else:
-                    cleaned[version] = str(value)
-            self.apply_config(config, cleaned)
-        except (RoutingError, AttributeError) as exc:
+            self.apply_config(*await read_config(request))
+        except RoutingError as exc:
             return Response.from_json({"status": "error", "error": str(exc)}, 400)
         return Response.from_json(
             {

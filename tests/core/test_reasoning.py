@@ -10,6 +10,7 @@ from repro.core import (
     single_version,
     uniform_probabilities,
 )
+from repro.core.automaton import Automaton, State
 
 
 def linear_strategy():
@@ -153,3 +154,15 @@ def test_negative_probability_rejected():
 def test_never_absorbing_chain_rejected():
     with pytest.raises(ModelError):
         forecast_rollout(looping_strategy(), {"test": {"test": 1.0, "done": 0.0}})
+
+
+@pytest.mark.parametrize("rollback", [False, True])
+def test_final_start_state_is_the_trivial_forecast(rollback):
+    automaton = Automaton()
+    automaton.add_state(State(name="done", final=True, rollback=rollback))
+    forecast = forecast_rollout(automaton)
+    assert forecast.expected_duration == 0.0
+    assert forecast.expected_visits == {}
+    assert forecast.absorption_probabilities == {"done": 1.0}
+    assert forecast.rollback_states == (frozenset({"done"}) if rollback else frozenset())
+    assert forecast.rollback_probability == (1.0 if rollback else 0.0)

@@ -8,7 +8,7 @@ from repro.metrics import (
     planner_for,
 )
 from repro.metrics.compile import compile_query
-from repro.metrics.plan import Planner, subscribe
+from repro.metrics.plan import Planner
 
 
 def _populated():
@@ -91,14 +91,6 @@ def test_planner_for_is_one_per_store():
     store_a, store_b = MetricStore(), MetricStore()
     assert planner_for(store_a) is planner_for(store_a)
     assert planner_for(store_a) is not planner_for(store_b)
-
-
-def test_subscribe_warms_window_aggregates():
-    store = _populated()
-    subscribe(store, "sum(rate(hits_total[10s]))")
-    series = store.select("hits_total")[0]
-    assert series.aggregates is not None
-    assert 10.0 in series.aggregates
 
 
 def test_provider_routes_through_shared_plan():

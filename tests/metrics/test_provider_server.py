@@ -364,7 +364,6 @@ async def test_metrics_server_health_reports_cache_counters():
                 "compiled_query",
                 "histogram_layout",
                 "evaluation_plan",
-                "window_aggregates",
             }
             assert {"hits", "misses"} <= set(caches["histogram_layout"])
             assert "plan_shared_nodes" in payload

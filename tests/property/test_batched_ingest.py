@@ -7,7 +7,8 @@ that appends straight to ``TimeSeries`` one sample at a time (``record``
 is a batch of one, so it cannot be its own oracle).  A batch that would
 fail validation must raise and leave the store byte-identical to before
 the call (atomicity); a valid batch must leave the store in exactly the
-state per-point recording produces.
+state per-point recording produces, and under retention every range
+query must answer the same on both after every op.
 
 The label strategy covers the shapes the batch plan distinguishes: one
 dict object shared across names (the scraper's memoized
@@ -21,8 +22,8 @@ from math import isfinite
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics import MetricStore, SeriesKey, TimeSeries
-from repro.metrics.aggregate import RANGE_REFERENCE, resum_interval, state_for
+from repro.metrics import MetricStore, SeriesKey, TimeSeries, evaluate
+from repro.metrics.query import RANGE_FUNCTIONS
 
 NAMES = ["alpha_total", "beta_total", "gamma_seconds", "delta_bytes"]
 LABELS = [None, {"instance": "a"}, {"instance": "b", "zone": "z1"}]
@@ -85,8 +86,11 @@ class PerPoint:
             series.drop_before(timestamp - self.retention)
         self.generation += 1
 
-    def all_series(self):
-        return list(self.by_key.values())
+    def select(self, name, matchers=None):
+        """Every series of *name*: enough of ``MetricStore.select`` for the
+        matcher-less range queries the tests evaluate."""
+        assert not matchers
+        return [series for key, series in self.by_key.items() if key.name == name]
 
     def __len__(self):
         return len(self.by_key)
@@ -94,7 +98,7 @@ class PerPoint:
 
 def _all_series(store):
     if isinstance(store, PerPoint):
-        return store.all_series()
+        return list(store.by_key.values())
     return [series for name in store.names() for series in store.select(name)]
 
 
@@ -165,39 +169,34 @@ def test_batched_equals_per_point_on_monolithic_store(ops_list):
     assert _shape(batched) == _shape(reference)
 
 
-WINDOWS = (5.0, 30.0)
+WINDOWS = (5, 30)
 
 
 def _readings(store, at):
-    """Every range function over every (series, window) state at *at*.
-
-    Attaches the states on first sight, as a query would; reading evicts,
-    so both stores must be read with the same calls in the same order.
-    """
+    """Every range function over every metric name and window at *at*."""
     readings = {}
-    for series in sorted(_all_series(store), key=lambda series: series.key):
+    for name in NAMES:
         for window in WINDOWS:
-            state = state_for(series, window)
-            for function in RANGE_REFERENCE:
-                readings[(series.key, window, function)] = state.value(function, at)
+            for function in RANGE_FUNCTIONS:
+                vector = evaluate(store, f"{function}({name}[{window}s])", at)
+                readings[(name, window, function)] = sorted(
+                    (sorted(sample.labels.items()), sample.value) for sample in vector
+                )
     return readings
 
 
 @settings(max_examples=100, deadline=None)
 @given(ops_list=ops)
 def test_batched_aggregates_equal_per_point_under_retention(ops_list):
-    # A re-sum after every eviction makes each state's sums a pure function
-    # of its window contents, so equal aggregates means bit-identical ones.
-    with resum_interval(1):
-        batched = MetricStore(retention=20.0)
-        reference = PerPoint(retention=20.0)
-        at = 0.0
-        for op in ops_list:
-            _step(batched, reference, op)
-            entries = [op[1]] if op[0] == "record" else op[1]
-            at = max([at] + [timestamp for _, _, timestamp, _ in entries])
-            assert _readings(batched, at) == _readings(reference, at)
-        assert _snapshot(batched) == _snapshot(reference)
+    batched = MetricStore(retention=20.0)
+    reference = PerPoint(retention=20.0)
+    at = 0.0
+    for op in ops_list:
+        _step(batched, reference, op)
+        entries = [op[1]] if op[0] == "record" else op[1]
+        at = max([at] + [timestamp for _, _, timestamp, _ in entries])
+        assert _readings(batched, at) == _readings(reference, at)
+    assert _snapshot(batched) == _snapshot(reference)
 
 
 def test_non_consecutive_repeats_land_in_order():

@@ -1,24 +1,22 @@
-"""Incremental window aggregates vs the rescanning reference.
+"""Range functions through the shared plan vs the rescanning reference.
 
-Random interleavings of appends, retention trims, and reads at assorted
-instants and windows are driven through :func:`aggregate.range_value` and
-cross-checked against :func:`aggregate.rescan_value` (the reference
-reduction over ``window_arrays``).  With ``resum_interval=1`` the
-incremental path must be *bitwise* equal — every eviction re-sums in the
-reference's left-to-right order — and in the default mode drift stays
-within float-noise tolerance while ``min``/``max``/``count`` remain exact
-in every mode.
+Checks ask their range queries through :func:`repro.metrics.planner_for`,
+whose per-node memo is stamped ``(at, store.generation)``.  Random
+interleavings of appends (through ``MetricStore.record``, so retention
+trims run as on ingest) and reads at assorted instants and windows are
+answered by the planner and must equal, bit for bit,
+:func:`aggregate.rescan_value` over the same series: a memoized answer is
+never served after a write, and sharing one node between several roots
+never changes what any of them sees.
 """
-
-import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics import SeriesKey, TimeSeries
+from repro.metrics import MetricStore, SeriesKey, planner_for
 from repro.metrics import aggregate
 
 FUNCTIONS = sorted(aggregate.RANGE_REFERENCE)
-EXACT_ALWAYS = {"min_over_time", "max_over_time", "count_over_time"}
+RETENTION = 20.0
 
 deltas = st.floats(min_value=0.0, max_value=7.0, allow_nan=False)
 values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -27,9 +25,8 @@ windows = st.sampled_from([3.0, 10.0, 25.0])
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("append"), deltas, values),
-        st.tuples(st.just("trim"), st.floats(min_value=0.0, max_value=40.0)),
         # Read offset relative to the current write head; negative offsets
-        # exercise the behind-the-newest-sample fallback path.
+        # read behind the newest sample.
         st.tuples(st.just("read"), st.floats(min_value=-10.0, max_value=10.0)),
     ),
     min_size=1,
@@ -37,54 +34,64 @@ ops = st.lists(
 )
 
 
-def _run(ops_list, window, check):
-    series = TimeSeries(SeriesKey.make("m"))
-    now = 0.0
-    for op in ops_list:
-        if op[0] == "append":
-            now += op[1]
-            series.append(now, op[2])
-        elif op[0] == "trim":
-            series.drop_before(now - op[1])
-        else:
-            at = now + op[1]
-            for function in FUNCTIONS:
-                expected = aggregate.rescan_value(series, function, window, at)
-                got = aggregate.range_value(series, function, window, at)
-                check(function, got, expected)
-    # Always finish with a read so every interleaving checks something.
+def _check_read(store, window, at):
+    planner = planner_for(store)
+    series = store.series(SeriesKey.make("m"))
     for function in FUNCTIONS:
-        expected = aggregate.rescan_value(series, function, window, now)
-        got = aggregate.range_value(series, function, window, now)
-        check(function, got, expected)
+        got = planner.evaluate_scalar(store, f"{function}(m[{window:g}s])", at)
+        expected = (
+            None
+            if series is None
+            else aggregate.rescan_value(series, function, window, at)
+        )
+        assert got == expected, (function, window, at, got, expected)
 
 
 @settings(max_examples=200, deadline=None)
 @given(ops_list=ops, window=windows)
 def test_incremental_is_bitwise_exact_with_resum_interval_one(ops_list, window):
-    def check(function, got, expected):
-        assert got == expected, (function, got, expected)
-
-    with aggregate.resum_interval(1):
-        _run(ops_list, window, check)
+    store = MetricStore(retention=RETENTION)
+    now = 0.0
+    for op in ops_list:
+        if op[0] == "append":
+            now += op[1]
+            store.record("m", op[2], now)
+        else:
+            _check_read(store, window, now + op[1])
+    # Always finish with a read so every interleaving checks something.
+    _check_read(store, window, now)
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops_list=ops, window=windows)
-def test_incremental_is_close_with_default_interval(ops_list, window):
-    def check(function, got, expected):
-        if got is None or expected is None:
-            assert got == expected, (function, got, expected)
-        elif function in EXACT_ALWAYS:
-            assert got == expected, (function, got, expected)
-        else:
-            assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-6), (
+@given(
+    values_list=st.lists(values, min_size=1, max_size=30),
+    window=windows,
+)
+def test_incremental_is_close_with_default_interval(values_list, window):
+    """Re-reading one instant after each write: the memo must not go stale.
+
+    The read instant stays fixed while samples land at or before it, so
+    only the store's generation tells the planner that its memoized answer
+    is out of date.  Both roots share the range node; each answer must be
+    exact, not merely close.
+    """
+    store = MetricStore(retention=RETENTION)
+    planner = planner_for(store)
+    at = float(len(values_list))
+    for index, value in enumerate(values_list):
+        store.record("m", value, float(index))
+        series = store.series(SeriesKey.make("m"))
+        for function in FUNCTIONS:
+            query = f"{function}(m[{window:g}s])"
+            expected = aggregate.rescan_value(series, function, window, at)
+            assert planner.evaluate_scalar(store, query, at) == expected
+            # A second root over the same node is answered from the memo.
+            doubled = planner.evaluate_scalar(store, f"{query} * 2", at)
+            assert doubled == (None if expected is None else expected * 2), (
                 function,
-                got,
+                doubled,
                 expected,
             )
-
-    _run(ops_list, window, check)
 
 
 @settings(max_examples=100, deadline=None)
@@ -94,11 +101,7 @@ def test_incremental_is_close_with_default_interval(ops_list, window):
 )
 def test_monotonic_reads_are_exact_even_without_forced_resums(values_list, window):
     """Time-ordered reads after every append: the scheduler's access pattern."""
-    series = TimeSeries(SeriesKey.make("m"))
+    store = MetricStore(retention=RETENTION)
     for index, value in enumerate(values_list):
-        at = float(index)
-        series.append(at, value)
-        for function in ("min_over_time", "max_over_time", "count_over_time"):
-            expected = aggregate.rescan_value(series, function, window, at)
-            got = aggregate.range_value(series, function, window, at)
-            assert got == expected, (function, got, expected)
+        store.record("m", value, float(index))
+        _check_read(store, window, float(index))

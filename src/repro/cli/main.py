@@ -19,9 +19,8 @@ Subcommands:
   in-process until the strategy finishes.
 * ``bifrost serve`` — start an engine with its HTTP API (and optional
   dashboard) for remote scheduling.
-* ``bifrost proxy`` — run a standalone proxy worker pool in front of a
-  service (``--workers N``; ``--reuseport`` uses one thread + event loop
-  per worker on a shared ``SO_REUSEPORT`` socket).
+* ``bifrost proxy`` — run one standalone proxy in front of a service
+  (one proxy per service, paper section 4.1).
 * ``bifrost status`` / ``bifrost events`` / ``bifrost cancel`` — talk to
   a remote engine API (``--engine host:port``), as release scripts do.
 * ``bifrost chaos run <file>`` — enact the document's ``chaos:``
@@ -150,24 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--prometheus", metavar="URL")
 
-    proxy = commands.add_parser(
-        "proxy", help="run a proxy worker pool for one service"
-    )
+    proxy = commands.add_parser("proxy", help="run the proxy for one service")
     proxy.add_argument("service", help="service name (used in proxy identity)")
     proxy.add_argument(
         "default_upstream", metavar="UPSTREAM", help="host:port passthrough target"
     )
     proxy.add_argument("--host", default="127.0.0.1")
     proxy.add_argument("--port", type=int, default=8080)
-    proxy.add_argument(
-        "--workers", type=int, default=4, help="worker count (default: 4)"
-    )
-    proxy.add_argument(
-        "--reuseport",
-        action="store_true",
-        help="one thread + event loop per worker on a shared SO_REUSEPORT "
-        "socket (needs OS support) instead of in-loop dispatch",
-    )
     proxy.add_argument("--seed", default="bifrost", help="traffic-split hash seed")
 
     chaos = commands.add_parser("chaos", help="chaos campaigns (game days)")
@@ -457,21 +445,21 @@ async def _serve(args) -> int:
     return 0
 
 
-async def _proxy_pool(args) -> int:
-    from ..proxy import ProxyWorkerPool
+async def _proxy(args) -> int:
+    from ..proxy import BifrostProxy
 
-    pool = ProxyWorkerPool(
+    proxy = BifrostProxy(
         args.service,
         args.default_upstream,
-        workers=args.workers,
         host=args.host,
         port=args.port,
         seed=args.seed,
     )
-    await pool.start()
+    await proxy.start()
     print(
-        f"bifrost proxy pool for {args.service!r} on http://{pool.address} "
-        f"({args.workers} workers, default upstream {args.default_upstream})"
+        f"bifrost proxy for {args.service!r} on http://{proxy.address} "
+        f"(default upstream {args.default_upstream})",
+        flush=True,
     )
     try:
         while True:
@@ -479,47 +467,8 @@ async def _proxy_pool(args) -> int:
     except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     finally:
-        await pool.stop()
+        await proxy.stop()
     return 0
-
-
-def _proxy_reuseport(args) -> int:
-    import socket
-    import time
-
-    from ..proxy import ReuseportProxyPool
-
-    if not hasattr(socket, "SO_REUSEPORT"):
-        print("error: this platform has no SO_REUSEPORT", file=sys.stderr)
-        return 1
-    pool = ReuseportProxyPool(
-        args.service,
-        args.default_upstream,
-        workers=args.workers,
-        host=args.host,
-        port=args.port,
-        seed=args.seed,
-    )
-    pool.start()
-    print(
-        f"bifrost proxy pool for {args.service!r} on http://{pool.address} "
-        f"({args.workers} reuseport workers, default upstream "
-        f"{args.default_upstream})"
-    )
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        pool.stop()
-    return 0
-
-
-def cmd_proxy(args) -> int:
-    if args.reuseport:
-        return _proxy_reuseport(args)
-    return asyncio.run(_proxy_pool(args))
 
 
 def _rehearsal_fixtures(compiled, overrides: dict[str, float]):
@@ -700,7 +649,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         return asyncio.run(_serve(args))
     if args.command == "proxy":
-        return cmd_proxy(args)
+        return asyncio.run(_proxy(args))
     if args.command == "chaos":
         if args.chaos_command == "run":
             return asyncio.run(_chaos_run(args))

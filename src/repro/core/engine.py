@@ -578,7 +578,7 @@ class Engine:
         a :class:`~repro.resilience.chaos.ChaosController` is attached
         before the execution starts: it wraps the engine's providers,
         controller, and (via *chaos_proxies*, service name → in-process
-        proxy or worker pool) upstream clients, arms the campaign's fault
+        proxy) upstream clients, arms the campaign's fault
         schedules on phase transitions, and aborts the enactment if a
         steady-state hypothesis is violated.
         """

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from urllib.parse import unquote
 
-from ..core.engine import Engine
+from ..core.engine import Engine, StrategyRejectedError
 from ..dsl import DslError, compile_document
 from ..dsl.yaml_lite import YamlError
 from ..httpcore import HttpServer, Request, Response
@@ -50,11 +50,16 @@ class EngineApiServer(HttpServer):
             compiled = compile_document(text)
         except (DslError, YamlError) as exc:
             return Response.from_json({"status": "error", "error": str(exc)}, 400)
+        try:
+            execution_id = self.engine.enact(compiled.strategy)
+        except StrategyRejectedError as exc:
+            return Response.from_json({"status": "error", "error": str(exc)}, 400)
+        # No await since enact: the proxies are registered before the
+        # execution's first step, and a rejected document registers none.
         controller = self.engine.controller
         if isinstance(controller, HttpProxyController):
             for service, proxy_address in compiled.deployment.proxies().items():
                 controller.register(service, proxy_address)
-        execution_id = self.engine.enact(compiled.strategy)
         return Response.from_json(
             {"status": "ok", "execution": execution_id, "strategy": compiled.name},
             status=201,
@@ -131,6 +136,8 @@ class EngineApiServer(HttpServer):
             since = int(request.query.get("since", "0"))
         except ValueError:
             return Response.from_json({"error": "since must be an integer"}, 400)
+        if since < 0:
+            return Response.from_json({"error": "since must not be negative"}, 400)
         history = self.engine.bus.history
         events = [
             {

@@ -44,17 +44,12 @@ class HttpServer:
         host: str = "127.0.0.1",
         port: int = 0,
         name: str = "http",
-        reuse_port: bool = False,
         stream_bodies: bool = False,
         max_body_bytes: int | None = MAX_BODY_BYTES,
     ):
         self.host = host
         self.port = port
         self.name = name
-        #: Bind with ``SO_REUSEPORT`` so several servers (in different
-        #: event loops or processes) can share one port, the kernel
-        #: balancing accepted connections between them.
-        self.reuse_port = reuse_port
         #: Dispatch on parsed head, body as a chunk stream (proxy mode).
         self.stream_bodies = stream_bodies
         #: Max buffered request body; oversized bodies are answered 413.
@@ -81,10 +76,7 @@ class HttpServer:
         if self._server is not None:
             raise RuntimeError(f"server {self.name!r} already started")
         self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            reuse_port=True if self.reuse_port else None,
+            self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         logger.debug("server %s listening on %s:%d", self.name, self.host, self.port)

@@ -8,7 +8,6 @@ duplication; and the engine-facing admin API.
 from .admin import HttpProxyController, LocalProxyController, ProxyUnreachable
 from .filters import CLIENT_COOKIE, FilterChain, RoutingDecision
 from .plan import EndpointRing, RoutingPlan, normalize_endpoints
-from .pool import ProxyWorkerPool, ReuseportProxyPool, worker_index
 from .server import BifrostProxy
 from .shadow import DROP_NEWEST, DROP_OLDEST, Shadower
 from .sticky import StickyStore
@@ -24,11 +23,8 @@ __all__ = [
     "LocalProxyController",
     "normalize_endpoints",
     "ProxyUnreachable",
-    "ProxyWorkerPool",
-    "ReuseportProxyPool",
     "RoutingDecision",
     "RoutingPlan",
     "Shadower",
     "StickyStore",
-    "worker_index",
 ]

@@ -16,11 +16,6 @@ Implements the proxy's two filter modes (paper section 4.2.2):
 
 Shadow (dark launch) decisions are sampled per request with an injectable
 RNG so tests stay deterministic.
-
-``decide()`` runs on the compiled :class:`~repro.proxy.plan.RoutingPlan`
-fast path; ``decide_interpreted()`` keeps the original per-request
-interpretation as the equivalence reference
-(``tests/property/test_plan_equivalence.py`` proves plan ≡ interpreter).
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ import uuid
 from dataclasses import dataclass
 
 from ..core.routing import FilterKind, RoutingConfig, ShadowRoute
-from ..core.selection import stable_fraction
 from ..httpcore import Request
 from .plan import RoutingPlan
 from .sticky import StickyStore
@@ -63,31 +57,7 @@ class FilterChain:
         self.config = config
         # "or" would discard an *empty* store (StickyStore is sized).
         self.sticky_store = sticky_store if sticky_store is not None else StickyStore()
-        self.seed = seed
         self.rng = rng or random.Random()
-
-    @classmethod
-    def from_plan(
-        cls,
-        plan: RoutingPlan,
-        sticky_store: StickyStore | None = None,
-        rng: random.Random | None = None,
-    ) -> "FilterChain":
-        """A chain wrapping an already-compiled (already-validated) *plan*.
-
-        The worker-pool fan-out path: the controller compiles one
-        :class:`~repro.proxy.plan.RoutingPlan` and every worker wraps it
-        with its own sticky store and RNG — no per-worker re-validation or
-        re-compilation, and the shared plan is immutable so replication is
-        a reference copy.
-        """
-        chain = cls.__new__(cls)
-        chain.plan = plan
-        chain.config = plan.config
-        chain.sticky_store = sticky_store if sticky_store is not None else StickyStore()
-        chain.seed = plan.seed
-        chain.rng = rng or random.Random()
-        return chain
 
     def decide(self, request: Request) -> RoutingDecision:
         plan = self.plan
@@ -119,65 +89,3 @@ class FilterChain:
         return RoutingDecision(
             version=version, client_id=client_id, set_cookie=issue_cookie
         )
-
-    # -- interpreted reference path ---------------------------------------
-    #
-    # The pre-plan implementation, kept verbatim as the executable spec the
-    # compiled plan is property-tested against.  Not used on the hot path.
-
-    def decide_interpreted(self, request: Request) -> RoutingDecision:
-        if self.config.filter_kind is FilterKind.HEADER:
-            decision = self._decide_by_header_interpreted(request)
-        else:
-            decision = self._decide_by_cookie_interpreted(request)
-        decision.shadows = self._select_shadows_interpreted(decision.version)
-        return decision
-
-    def _decide_by_header_interpreted(self, request: Request) -> RoutingDecision:
-        group = request.headers.get(self.config.header_name)
-        known = {split.version for split in self.config.splits}
-        if group in known:
-            return RoutingDecision(version=group)
-        return RoutingDecision(version=self.config.splits[0].version)
-
-    def _decide_by_cookie_interpreted(self, request: Request) -> RoutingDecision:
-        client_id = request.cookies.get(CLIENT_COOKIE)
-        issue_cookie = False
-        if not client_id:
-            client_id = str(uuid.uuid4())
-            issue_cookie = True
-        if self.config.sticky:
-            remembered = self.sticky_store.get(client_id)
-            if remembered is not None and any(
-                split.version == remembered for split in self.config.splits
-            ):
-                return RoutingDecision(
-                    version=remembered, client_id=client_id, set_cookie=issue_cookie
-                )
-        version = self._bucket_interpreted(client_id)
-        if self.config.sticky:
-            self.sticky_store.assign(client_id, version)
-        return RoutingDecision(
-            version=version, client_id=client_id, set_cookie=issue_cookie
-        )
-
-    def _bucket_interpreted(self, client_id: str) -> str:
-        point = stable_fraction(client_id, self.seed) * 100.0
-        cumulative = 0.0
-        for split in self.config.splits:
-            cumulative += split.percentage
-            if point < cumulative:
-                return split.version
-        return self.config.splits[-1].version
-
-    def _select_shadows_interpreted(self, chosen_version: str) -> list[ShadowRoute]:
-        """Shadow routes to fire for a request served by *chosen_version*."""
-        selected = []
-        for shadow in self.config.shadows:
-            if shadow.source_version != chosen_version:
-                continue
-            if shadow.percentage >= 100.0 or (
-                self.rng.random() * 100.0 < shadow.percentage
-            ):
-                selected.append(shadow)
-        return selected

@@ -1,10 +1,11 @@
 """Compiled routing plans: the proxy data-plane fast path.
 
-The interpreted filter chain re-derives config-shaped structures on every
-request: the known-version set is rebuilt per header decision, the
-cumulative split thresholds are re-summed per bucket lookup, and shadow
-rules are re-filtered per request.  At "millions of users" scale that is
-pure per-request garbage.
+Interpreting a routing configuration per request re-derives config-shaped
+structures on every request: the known-version set is rebuilt per header
+decision, the cumulative split thresholds are re-summed per bucket lookup,
+and shadow rules are re-filtered per request.  At "millions of users"
+scale that is pure per-request garbage.  The interpreted form survives
+only as the reference in ``tests/property/test_plan_equivalence.py``.
 
 A :class:`RoutingPlan` is compiled **once** when a configuration is
 applied (``apply_config`` / ``FilterChain.__init__``) and is immutable
@@ -14,8 +15,7 @@ afterwards:
   probe),
 * the traffic splits become cumulative thresholds consulted with
   :func:`bisect.bisect_right` (identical floats to the interpreted
-  running sum, so decisions are observationally equivalent — proven by
-  ``tests/property/test_plan_equivalence.py``),
+  running sum, so decisions are observationally equivalent),
 * shadow rules are pre-grouped by source version with their sampling
   thresholds pre-extracted, and versions with no shadows short-circuit to
   a shared empty list,
@@ -68,8 +68,7 @@ def normalize_endpoints(
     "a service acting behind a proxy may run in multiple instances and
     multiple versions at the same time" (paper section 4.1).  Every
     version the config references (splits and shadows) must have at
-    least one non-empty endpoint.  Part of plan compilation so a worker
-    pool validates once and replicates the result to every worker.
+    least one non-empty endpoint, and every endpoint must parse.
     """
     normalized: dict[str, list[str]] = {}
     for version, value in endpoints.items():
@@ -78,6 +77,11 @@ def normalize_endpoints(
             raise RoutingError(
                 f"version {version!r} needs at least one non-empty endpoint"
             )
+        for instance in instances:
+            try:
+                parse_endpoint(instance)
+            except ValueError as exc:
+                raise RoutingError(str(exc)) from None
         normalized[version] = instances
     referenced = {split.version for split in config.splits}
     for shadow in config.shadows:

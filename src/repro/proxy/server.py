@@ -38,7 +38,7 @@ from ..httpcore import (
 from ..metrics import Registry, render_exposition_lines
 from ..metrics.compile import cache_info as compiled_query_cache_info
 from .filters import CLIENT_COOKIE, FilterChain, RoutingDecision
-from .plan import EndpointRing, RoutingPlan, normalize_endpoints
+from .plan import EndpointRing, normalize_endpoints
 from .shadow import Shadower
 from .sticky import StickyStore
 
@@ -95,7 +95,6 @@ class BifrostProxy(HttpServer):
         shadow_max_pending: int = 1024,
         shadow_target_delay: float = 0.25,
         shadow_tee_capacity: int = 16,
-        reuse_port: bool = False,
         stream_bodies: bool = True,
         max_body_bytes: int | None = None,
     ):
@@ -103,7 +102,6 @@ class BifrostProxy(HttpServer):
             host=host,
             port=port,
             name=f"proxy-{service}",
-            reuse_port=reuse_port,
             stream_bodies=stream_bodies,
             max_body_bytes=max_body_bytes,
         )
@@ -118,10 +116,8 @@ class BifrostProxy(HttpServer):
         self._endpoints: dict[str, list[str]] = {}
         self._rings: dict[str, EndpointRing] = {}
         self._default_ring = EndpointRing([default_upstream])
-        #: Monotonic configuration version.  Every successful install (or
-        #: clear) advances it; :meth:`install_plan` rejects stale versions,
-        #: which is what makes worker-pool config fan-out idempotent and
-        #: safe to retry.
+        #: Monotonic configuration counter, reported by the admin API:
+        #: every successful apply or clear advances it by one.
         self.config_version = 0
         #: Forwarded requests per version name (plus "default").
         self.forwarded: dict[str, int] = {}
@@ -193,69 +189,35 @@ class BifrostProxy(HttpServer):
         multiple versions at the same time" (paper section 4.1) — lists
         are balanced round-robin per version.
 
-        This is the standalone-proxy entry point: it compiles the plan and
-        installs it at the next version.  A worker pool instead compiles
-        once and calls :meth:`install_plan` on every member.
+        Everything is validated and compiled before anything is swapped,
+        and the swap itself has no awaits: under asyncio's single thread
+        every in-flight request sees either the old state or the new,
+        never a mix.  Advances :attr:`config_version`.
         """
         normalized = normalize_endpoints(config, endpoints)
-        plan = RoutingPlan(config, seed=self.seed)  # validates the config
-        self.install_plan(plan, normalized, self.config_version + 1)
-
-    def install_plan(
-        self,
-        plan: RoutingPlan,
-        endpoints: dict[str, list[str]],
-        version: int,
-    ) -> bool:
-        """Install a pre-compiled *plan* at configuration *version*.
-
-        The versioned half of the plan-swap protocol: versions at or below
-        :attr:`config_version` are rejected (``False``), so concurrent or
-        replayed fan-outs can never roll a worker backwards.  The install
-        itself is a handful of attribute assignments with no awaits — under
-        asyncio's single thread every in-flight request sees either the old
-        state or the new, never a mix.
-
-        *endpoints* must already be normalized against ``plan.config``
-        (see :func:`~repro.proxy.plan.normalize_endpoints`); the shared
-        plan is immutable, while the endpoint rings (mutable round-robin
-        cursors) and the filter chain (worker-local sticky store and RNG)
-        are built fresh per install.
-        """
-        if version <= self.config_version:
-            return False
-        chain = FilterChain.from_plan(
-            plan, sticky_store=self.sticky_store, rng=self.rng
+        chain = FilterChain(
+            config, sticky_store=self.sticky_store, seed=self.seed, rng=self.rng
         )
         # Endpoint rings are part of the compiled plan: host:port parsed
         # once per configuration, not once per request.
         rings = {
-            version_name: EndpointRing(instances)
-            for version_name, instances in endpoints.items()
+            version: EndpointRing(instances)
+            for version, instances in normalized.items()
         }
         self._chain = chain
-        self._endpoints = endpoints
+        self._endpoints = normalized
         self._rings = rings
-        self.config_version = version
-        return True
+        self.config_version += 1
 
-    def clear_config(self, version: int | None = None) -> bool:
+    def clear_config(self) -> None:
         """Fall back to default-upstream passthrough (strategy finished).
 
-        Clears participate in the same version sequence as installs: a
-        stale clear (fanned out before a newer install landed) is rejected
-        rather than wiping fresher state.  Without an explicit *version*
-        the clear claims the next one.
+        Advances :attr:`config_version` like an apply does.
         """
-        if version is None:
-            version = self.config_version + 1
-        if version <= self.config_version:
-            return False
         self._chain = None
         self._endpoints = {}
         self._rings = {}
-        self.config_version = version
-        return True
+        self.config_version += 1
 
     @property
     def active_config(self) -> RoutingConfig | None:
@@ -428,11 +390,7 @@ class BifrostProxy(HttpServer):
         )
 
     def stats_snapshot(self) -> dict:
-        """The counters behind ``/bifrost/stats``, as plain data.
-
-        Factored out so a worker pool can merge snapshots from every
-        member into one view.
-        """
+        """The counters behind ``/bifrost/stats``, as plain data."""
         return {
             "service": self.service,
             "config_version": self.config_version,

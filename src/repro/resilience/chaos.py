@@ -287,7 +287,7 @@ class ChaosController:
        wrapped seam and cancel the watch tasks.
 
     Upstream/endpoint targets bind only when the engine was handed the
-    in-process proxy (or worker pool) objects via ``chaos_proxies``;
+    in-process :class:`~repro.proxy.BifrostProxy` objects via ``chaos_proxies``;
     unbound targets are tolerated and surfaced on the report, so a
     rehearsal without live proxies still runs the provider/controller/
     breaker parts of the campaign.
@@ -366,15 +366,13 @@ class ChaosController:
                 endpoints = frozenset(
                     {strategy.services[service].versions[version].endpoint}
                 )
-            members = getattr(proxy, "workers", None) or [proxy]
-            for member in members:
-                original = member._client
-                member._client = FaultyUpstream(
-                    original, gate, self.clock, endpoints=endpoints, on_inject=hook
-                )
-                self._restores.append(
-                    lambda m=member, o=original: setattr(m, "_client", o)
-                )
+            original = proxy._client
+            proxy._client = FaultyUpstream(
+                original, gate, self.clock, endpoints=endpoints, on_inject=hook
+            )
+            self._restores.append(
+                lambda p=proxy, o=original: setattr(p, "_client", o)
+            )
             return _Binding(spec, gate)
         # kind == "breaker"
         breakers = self._resolve_breakers(name)

@@ -333,3 +333,47 @@ def test_status_events_cancel_against_running_engine(tmp_path, capsys):
     finally:
         release.set()
         thread.join(5)
+
+
+async def test_proxy_command_serves_the_admin_api(capsys):
+    """`bifrost proxy` starts one proxy whose admin API round-trips."""
+    from repro.cli.main import _proxy
+    from repro.core import single_version
+    from repro.httpcore import HttpClient
+
+    args = build_parser().parse_args(["proxy", "svc", "127.0.0.1:1", "--port", "0"])
+    task = asyncio.create_task(_proxy(args))
+    out = ""
+    for _ in range(200):
+        out += capsys.readouterr().out
+        if "http://" in out:
+            break
+        await asyncio.sleep(0.01)
+    address = out.split("http://", 1)[1].split()[0]
+    url = f"http://{address}/bifrost/config"
+    try:
+        async with HttpClient() as client:
+            put = await client.put(
+                url,
+                json_body={
+                    "routing": single_version("v1").to_wire(),
+                    "endpoints": {"v1": "127.0.0.1:1"},
+                },
+            )
+            got = await client.get(url)
+    finally:
+        task.cancel()
+        assert await task == 0
+    assert put.status == 200
+    assert put.json()["config_version"] == 1
+    body = got.json()
+    assert body["active"] is True
+    assert body["config_version"] == 1
+    assert body["routing"] == single_version("v1").to_wire()
+
+
+def test_proxy_command_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["proxy", "svc", "127.0.0.1:1", "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err

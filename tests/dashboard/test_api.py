@@ -1,12 +1,18 @@
 """Tests for the engine HTTP API."""
 
 import asyncio
+from pathlib import Path
+
+import pytest
 
 from repro.clock import VirtualClock
 from repro.core import Engine, RecordingController, StrategyBuilder, single_version
+from repro.core.events import Event, EventKind
 from repro.dashboard import EngineApiServer
 from repro.httpcore import HttpClient
 from repro.proxy import BifrostProxy, HttpProxyController
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 DOC = """
 strategy:
@@ -189,3 +195,60 @@ async def test_health():
         assert response.json()["status"] == "up"
     finally:
         await api_teardown(proxy, engine, api, client)
+
+
+def _lint_rejected_document() -> bytes:
+    """An example that compiles but fails the lint gate with BF601."""
+    text = (EXAMPLES / "resilient_canary.yaml").read_text(encoding="utf-8")
+    rejected = text.replace(
+        'request_duration_p95{instance="search:80"}', "errors_ratio"
+    ).replace('validator: "<250"', 'validator: ">2"')
+    assert rejected != text
+    return rejected.encode()
+
+
+LINT_REJECTED = _lint_rejected_document()
+UNKNOWN = "/api/executions/nope%231"
+BAD_REQUESTS = [
+    ("lint-rejected", "POST", "/api/strategies", LINT_REJECTED, 400),
+    ("dsl-error", "POST", "/api/strategies", b"not: a strategy", 400),
+    ("empty-body", "POST", "/api/strategies", b"", 400),
+    ("yaml-list", "POST", "/api/strategies", b"- a\n- b\n", 400),
+    ("negative-since", "GET", "/api/events?since=-3", b"", 400),
+    ("non-integer-since", "GET", "/api/events?since=abc", b"", 400),
+    ("get-unknown", "GET", UNKNOWN, b"", 404),
+    ("delete-unknown", "DELETE", UNKNOWN, b"", 404),
+    ("pause-unknown", "POST", UNKNOWN + "/pause", b"", 404),
+    ("resume-unknown", "POST", UNKNOWN + "/resume", b"", 404),
+]
+
+
+@pytest.mark.parametrize(
+    "method,path,body,status",
+    [row[1:] for row in BAD_REQUESTS],
+    ids=[row[0] for row in BAD_REQUESTS],
+)
+async def test_bad_input_is_4xx_and_leaves_the_engine_untouched(
+    method, path, body, status
+):
+    engine = Engine(controller=RecordingController())
+    for _ in range(3):
+        await engine.bus.publish(Event(EventKind.CIRCUIT_OPENED, "provider:x", 0.0))
+    api = EngineApiServer(engine)
+    await api.start()
+    try:
+        async with HttpClient() as client:
+            response = await client.request(
+                method, f"http://{api.address}{path}", body=body
+            )
+    finally:
+        await api.stop()
+        await engine.shutdown()
+    assert response.status == status, response.body
+    assert len(engine.executions) == 0
+    assert len(engine.bus.history) == 3
+    if path == "/api/strategies":
+        payload = response.json()
+        assert payload["status"] == "error"
+        if body == LINT_REJECTED:
+            assert "BF601" in payload["error"]

@@ -1,22 +1,62 @@
-"""Property proof: the compiled RoutingPlan ≡ the interpreted filter chain.
+"""Property proof: the compiled RoutingPlan ≡ interpreting the config.
 
-``FilterChain.decide()`` runs on the plan compiled at config-apply time;
-``FilterChain.decide_interpreted()`` is the original per-request
-implementation kept as the executable spec.  Two chains over the same
-hypothesis-generated configuration — one per path, with independent sticky
-stores and identically-seeded RNGs — must make identical decisions for
-identical request streams, shadows included.
+``FilterChain.decide()`` runs on the plan compiled at config-apply time.
+``interpreted_decide`` below walks the configuration per request, the way
+the proxy did before plans existed, and is the executable spec.  The chain
+and the reference — with independent sticky stores and identically-seeded
+RNGs — must make identical decisions for identical request streams,
+shadows included.
 """
 
 import random
+import uuid
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FilterKind, RoutingConfig, ShadowRoute, TrafficSplit
+from repro.core.selection import stable_fraction
 from repro.httpcore import Headers, Request
-from repro.proxy import CLIENT_COOKIE, FilterChain, StickyStore
+from repro.proxy import CLIENT_COOKIE, FilterChain, RoutingDecision, StickyStore
 
 _CLIENT_POOL = [f"client-{i}" for i in range(6)]
+
+
+def interpreted_bucket(config, client_id, seed="bifrost"):
+    """The first split whose running share exceeds the client's point."""
+    point = stable_fraction(client_id, seed) * 100.0
+    cumulative = 0.0
+    for split in config.splits:
+        cumulative += split.percentage
+        if point < cumulative:
+            return split.version
+    return config.splits[-1].version
+
+
+def interpreted_decide(config, request, sticky_store, rng):
+    """Header or cookie dispatch, the sticky memo, then shadow sampling."""
+    known = [split.version for split in config.splits]
+    client_id, issue_cookie = None, False
+    if config.filter_kind is FilterKind.HEADER:
+        group = request.headers.get(config.header_name)
+        version = group if group in known else known[0]
+    else:
+        client_id = request.cookies.get(CLIENT_COOKIE)
+        if not client_id:
+            client_id, issue_cookie = str(uuid.uuid4()), True
+        remembered = sticky_store.get(client_id) if config.sticky else None
+        if remembered is not None and remembered in known:
+            version = remembered
+        else:
+            version = interpreted_bucket(config, client_id)
+            if config.sticky:
+                sticky_store.assign(client_id, version)
+    shadows = [
+        shadow
+        for shadow in config.shadows
+        if shadow.source_version == version
+        and (shadow.percentage >= 100.0 or rng.random() * 100.0 < shadow.percentage)
+    ]
+    return RoutingDecision(version, client_id, issue_cookie, shadows)
 
 
 @st.composite
@@ -87,14 +127,14 @@ def test_plan_decisions_match_interpreter(config, tokens, rng_seed):
     fast = FilterChain(
         config, sticky_store=StickyStore(), rng=random.Random(rng_seed)
     )
-    slow = FilterChain(
-        config, sticky_store=StickyStore(), rng=random.Random(rng_seed)
-    )
+    sticky_store, rng = StickyStore(), random.Random(rng_seed)
     for token in tokens:
         if config.filter_kind is not FilterKind.HEADER and token is None:
             token = "client-none"
         planned = fast.decide(_request_for(config, token))
-        interpreted = slow.decide_interpreted(_request_for(config, token))
+        interpreted = interpreted_decide(
+            config, _request_for(config, token), sticky_store, rng
+        )
         assert planned.version == interpreted.version
         assert planned.client_id == interpreted.client_id
         assert planned.set_cookie == interpreted.set_cookie
@@ -105,4 +145,4 @@ def test_plan_decisions_match_interpreter(config, tokens, rng_seed):
 @given(routing_configs(), st.sampled_from(_CLIENT_POOL))
 def test_plan_bucket_matches_interpreted_bucket(config, client_id):
     chain = FilterChain(config)
-    assert chain.plan.bucket(client_id) == chain._bucket_interpreted(client_id)
+    assert chain.plan.bucket(client_id) == interpreted_bucket(config, client_id)

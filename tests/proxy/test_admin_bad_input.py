@@ -1,18 +1,10 @@
-"""``PUT /bifrost/config`` answers malformed bodies with 400, state untouched.
-
-The table runs against every proxy kind that serves the admin API: a
-standalone :class:`BifrostProxy`, the dispatching worker pool, and a
-``SO_REUSEPORT`` pool whose members take admin calls themselves.
-"""
-
-import asyncio
-import socket
+"""``PUT /bifrost/config`` answers malformed bodies with 400, state untouched."""
 
 import pytest
 
 from repro.core import single_version
 from repro.httpcore import HttpClient
-from repro.proxy import BifrostProxy, ProxyWorkerPool, ReuseportProxyPool
+from repro.proxy import BifrostProxy
 
 UPSTREAM = "127.0.0.1:1"  # never contacted: only admin calls are made
 GOOD = {
@@ -30,40 +22,20 @@ BAD_BODIES = [
         b'{"routing": {"splits": [{"version": "stable", "percentage": 100}]},'
         b' "endpoints": ["127.0.0.1:1"]}',
     ),
-]
-
-KINDS = [
-    "proxy",
-    "worker-pool",
-    pytest.param(
-        "reuseport-pool",
-        marks=pytest.mark.skipif(
-            not hasattr(socket, "SO_REUSEPORT"), reason="platform lacks SO_REUSEPORT"
-        ),
+    (
+        "endpoint-bad-port",
+        b'{"routing": {"splits": [{"version": "stable", "percentage": 100}]},'
+        b' "endpoints": {"stable": "127.0.0.1:http"}}',
     ),
 ]
 
-
-async def _start(kind):
-    """The server under test and a coroutine function that stops it."""
-    if kind == "proxy":
-        proxy = BifrostProxy("product", default_upstream=UPSTREAM)
-        await proxy.start()
-        return proxy, proxy.stop
-    if kind == "worker-pool":
-        pool = ProxyWorkerPool("product", default_upstream=UPSTREAM, workers=2)
-        await pool.start()
-        return pool, pool.stop
-    pool = ReuseportProxyPool("product", default_upstream=UPSTREAM, workers=2)
-    await asyncio.to_thread(pool.start)
-    return pool, lambda: asyncio.to_thread(pool.stop)
+# One proxy per service: the only kind.  Kept as a parameter so the test
+# ids still name what served the admin API.
+KINDS = ["proxy"]
 
 
-def _installed(server):
-    members = getattr(server, "workers", [server])
-    return server.config_version, [
-        (member.config_version, member.active_config) for member in members
-    ]
+def _installed(proxy):
+    return proxy.config_version, proxy.active_config
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -71,16 +43,17 @@ def _installed(server):
     "body", [row[1] for row in BAD_BODIES], ids=[row[0] for row in BAD_BODIES]
 )
 async def test_bad_config_is_400_and_leaves_the_plan_untouched(kind, body):
-    server, stop = await _start(kind)
-    url = f"http://{server.address}/bifrost/config"
+    proxy = BifrostProxy("product", default_upstream=UPSTREAM)
+    await proxy.start()
+    url = f"http://{proxy.address}/bifrost/config"
     try:
         async with HttpClient() as client:
             assert (await client.put(url, json_body=GOOD)).status == 200
-            before = _installed(server)
+            before = _installed(proxy)
             response = await client.put(url, body=body)
-        after = _installed(server)
+        after = _installed(proxy)
     finally:
-        await stop()
+        await proxy.stop()
     assert response.status == 400, response.body
     assert response.json()["status"] == "error"
     assert after == before

@@ -1,9 +1,9 @@
-"""Circuit-breaker state surfaced on /healthz (proxy, pool, metrics)."""
+"""Circuit-breaker state surfaced on /healthz (proxy, metrics)."""
 
 from repro.clock import VirtualClock
 from repro.httpcore import HttpClient
 from repro.metrics import MetricsServer
-from repro.proxy import BifrostProxy, ProxyWorkerPool
+from repro.proxy import BifrostProxy
 from repro.resilience import BreakerState, CircuitBreaker
 
 
@@ -33,23 +33,6 @@ async def test_proxy_healthz_reports_breakers():
         assert snapshot["failure_fraction"] == 1.0
     finally:
         await proxy.stop()
-
-
-async def test_pool_healthz_reports_breakers():
-    clock = VirtualClock()
-    pool = ProxyWorkerPool("svc", "127.0.0.1:1", workers=2)
-    pool.register_breaker("upstream:svc", tripped_breaker(clock))
-    await pool.start()
-    try:
-        async with HttpClient() as client:
-            response = await client.get(
-                f"http://{pool.address}/bifrost/healthz"
-            )
-        body = response.json()
-        assert body["workers"] == 2
-        assert body["breakers"]["upstream:svc"]["state"] == "open"
-    finally:
-        await pool.stop()
 
 
 async def test_metrics_server_healthz_reports_breakers():

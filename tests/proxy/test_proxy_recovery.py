@@ -1,8 +1,8 @@
-"""Safe-routing recovery against a ProxyWorkerPool.
+"""Safe-routing recovery against one BifrostProxy.
 
-The recovery path is only safe if it is atomic at the data plane: after
-an abort or cancellation, *every* worker must hold the recovery config
-at the same version — no worker left serving the abandoned canary split.
+After an abort, a cancellation or a normal finish, the proxy must hold
+the expected config, and ``config_version`` must count every push the
+engine made — nothing left serving the abandoned canary split.
 """
 
 import asyncio
@@ -18,12 +18,12 @@ from repro.core import (
 from repro.core.engine import Engine
 from repro.metrics.provider import LocalPrometheusProvider
 from repro.metrics.store import MetricStore
-from repro.proxy import LocalProxyController, ProxyWorkerPool
+from repro.proxy import BifrostProxy, LocalProxyController
 from repro.resilience import ChaosCampaign, FaultSpec, run_game_day
 
 
-def pool_strategy():
-    builder = StrategyBuilder("pool-recovery")
+def canary_strategy():
+    builder = StrategyBuilder("proxy-recovery")
     builder.service("svc", {"v1": "127.0.0.1:8081", "v2": "127.0.0.1:8082"})
     builder.state("canary").route("svc", canary_split("v1", "v2", 25.0)).check(
         simple_basic_check(
@@ -37,49 +37,38 @@ def pool_strategy():
     return builder.build()
 
 
-def engine_with_pool(workers=4):
+def engine_with_proxy():
     clock = VirtualClock()
     store = MetricStore()
     for second in range(0, 600, 2):
         store.record("errors_total", 3.0, float(second))
-    pool = ProxyWorkerPool("svc", "127.0.0.1:1", workers=workers)
-    engine = Engine(controller=LocalProxyController({"svc": pool}), clock=clock)
+    proxy = BifrostProxy("svc", "127.0.0.1:1")
+    engine = Engine(controller=LocalProxyController({"svc": proxy}), clock=clock)
     engine.register_provider("prometheus", LocalPrometheusProvider(store, clock))
-    return engine, clock, pool
+    return engine, clock, proxy
 
 
-def assert_pool_converged(pool, expected_config):
-    versions = {member.config_version for member in pool.workers}
-    assert versions == {pool.config_version}, (
-        f"workers diverged: {[m.config_version for m in pool.workers]} "
-        f"vs pool {pool.config_version}"
-    )
-    for member in pool.workers:
-        assert member._chain is not None
-        assert member._chain.config == expected_config
-
-
-async def test_cancel_mid_phase_recovers_every_worker_atomically():
-    engine, clock, pool = engine_with_pool()
-    execution_id = engine.enact(pool_strategy())
+async def test_cancel_mid_phase_recovers_the_proxy():
+    engine, clock, proxy = engine_with_proxy()
+    execution_id = engine.enact(canary_strategy())
     await asyncio.sleep(0)
-    await clock.advance(2.0)  # mid-canary: workers hold the 25% split
-    assert pool.config_version == 1
+    await clock.advance(2.0)  # mid-canary: the proxy holds the 25% split
+    assert proxy.config_version == 1
+    assert proxy.active_config == canary_split("v1", "v2", 25.0)
     await engine.cancel(execution_id)
     report = await engine.wait_report(execution_id)
     assert report.status.value == "failed"
     applied = engine.bus.of_kind(EventKind.SAFE_ROUTING_APPLIED)
     assert [event.data["service"] for event in applied] == ["svc"]
-    # Recovery version-swapped atomically on every worker.
-    assert pool.config_version == 2
-    assert_pool_converged(pool, single_version("v1"))
+    assert proxy.config_version == 2
+    assert proxy.active_config == single_version("v1")
     await engine.shutdown()
 
 
-async def test_chaos_abort_lands_recovery_config_on_every_worker():
-    engine, clock, pool = engine_with_pool(workers=3)
+async def test_chaos_abort_lands_recovery_config_on_the_proxy():
+    engine, clock, proxy = engine_with_proxy()
     campaign = ChaosCampaign(
-        name="pool-chaos",
+        name="proxy-chaos",
         specs=[
             FaultSpec(
                 name="outage",
@@ -96,15 +85,17 @@ async def test_chaos_abort_lands_recovery_config_on_every_worker():
         ],
         seed=7,
     )
-    report = await run_game_day(pool_strategy(), campaign, engine)
+    report = await run_game_day(canary_strategy(), campaign, engine)
     assert report.aborted
-    assert_pool_converged(pool, single_version("v1"))
+    # The canary push, then the recovery push.
+    assert proxy.config_version == 2
+    assert proxy.active_config == single_version("v1")
     await engine.shutdown()
 
 
-async def test_completed_strategy_leaves_pool_on_final_routing():
-    engine, clock, pool = engine_with_pool(workers=2)
-    execution_id = engine.enact(pool_strategy())
+async def test_completed_strategy_leaves_the_proxy_on_final_routing():
+    engine, clock, proxy = engine_with_proxy()
+    execution_id = engine.enact(canary_strategy())
     await asyncio.sleep(0)
     task = engine._tasks[execution_id]
     for _ in range(1000):
@@ -113,5 +104,6 @@ async def test_completed_strategy_leaves_pool_on_final_routing():
         await clock.advance(0.5)
     report = await engine.wait_report(execution_id)
     assert report.status.value == "completed"
-    assert_pool_converged(pool, single_version("v2"))
+    assert proxy.config_version == 2
+    assert proxy.active_config == single_version("v2")
     await engine.shutdown()

@@ -214,14 +214,18 @@ async def test_admin_config_api_round_trip():
             f"http://{proxy.address}/bifrost/config", json_body=payload
         )
         assert response.status == 200
+        assert response.json()["config_version"] == 1
         response = await client.get(f"http://{proxy.address}/bifrost/config")
         body = response.json()
         assert body["active"]
+        assert body["config_version"] == 1
         assert body["routing"]["splits"][1]["percentage"] == 5.0
         response = await client.delete(f"http://{proxy.address}/bifrost/config")
         assert response.json()["active"] is False
+        assert response.json()["config_version"] == 2
         response = await client.get(f"http://{proxy.address}/bifrost/config")
         assert response.json()["active"] is False
+        assert response.json()["config_version"] == 2
     finally:
         await teardown(proxy, upstreams, client)
 
@@ -243,6 +247,8 @@ async def test_admin_rejects_invalid_config():
             },
         )
         assert response.status == 400
+        assert proxy.config_version == 0
+        assert proxy.active_config is None
     finally:
         await teardown(proxy, upstreams, client)
 

@@ -6,6 +6,7 @@ client, streaming body primitives, and cookie helpers.
 """
 
 from .client import HttpClient
+from .connection import HttpConnection
 from .cookies import SetCookie, format_cookie_header, parse_cookie_header
 from .errors import (
     BodyTooLarge,
@@ -28,7 +29,6 @@ from .stream import (
     BodyStream,
     StreamTee,
     encode_chunk,
-    iter_chunked,
     relay_body,
 )
 
@@ -45,10 +45,10 @@ __all__ = [
     "HeaderTooLarge",
     "Headers",
     "HttpClient",
+    "HttpConnection",
     "HttpError",
     "HttpServer",
     "IncompleteMessage",
-    "iter_chunked",
     "Middleware",
     "parse_cookie_header",
     "ProtocolError",

@@ -15,28 +15,11 @@ import json
 import time
 from typing import Any
 
-from .errors import ConnectionClosed, HttpError, RequestTimeout
+from .connection import HttpConnection
+from .errors import ConnectionClosed, HttpError, IncompleteMessage, RequestTimeout
 from .headers import Headers
 from .message import MAX_BODY_BYTES, Request, Response, read_response
 from .stream import relay_body
-
-
-class _Pool:
-    """Idle keep-alive connections for one ``host:port``.
-
-    Connections are stacked LIFO — the most recently used (and therefore
-    least likely to have been closed by the server's keep-alive timer) is
-    reused first — with the monotonic instant each one went idle, so both
-    ends of the list can be aged out cheaply: stale candidates pop off the
-    top on acquire, the oldest idlers fall off the bottom on release.
-    """
-
-    __slots__ = ("connections",)
-
-    def __init__(self) -> None:
-        self.connections: list[
-            tuple[asyncio.StreamReader, asyncio.StreamWriter, float]
-        ] = []
 
 
 class HttpClient:
@@ -72,7 +55,12 @@ class HttpClient:
         #: Streamed responses relay without a size bound — only
         #: materializing them (``aread()``) is capped.
         self.max_body_bytes = max_body_bytes
-        self._pools: dict[str, _Pool] = {}
+        #: ``host:port`` -> idle keep-alive connections with the monotonic
+        #: instant each went idle, stacked LIFO: the most recently used
+        #: (least likely closed by the server's keep-alive timer) is reused
+        #: first, stale candidates pop off the top on acquire and the oldest
+        #: idlers fall off the bottom on release.
+        self._pools: dict[str, list[tuple[HttpConnection, float]]] = {}
         self._closed = False
 
     async def request(
@@ -117,7 +105,8 @@ class HttpClient:
         cannot be replayed and fails outright.
 
         With ``stream=True`` the call returns as soon as the response
-        head is parsed; the body arrives through ``response.stream``.
+        head is parsed; the body arrives through ``response.stream``
+        unless it came whole with the head (then it is ``.body``).
         The connection goes back to the pool only once that stream is
         fully drained (the keep-alive drain rule) — an abandoned or
         broken stream closes the connection instead.
@@ -126,107 +115,84 @@ class HttpClient:
             raise ConnectionClosed("client is closed")
         deadline = self.timeout if timeout is None else timeout
         key = f"{host}:{port}"
-        reused, connection = await self._acquire(key, host, port)
+        connection = self._idle(key)
+        reused = connection is not None
+        if connection is None:
+            connection = await _open(host, port)
         try:
             return await self._round_trip(key, connection, request, deadline, stream)
         except (HttpError, ConnectionError, OSError) as exc:
-            _close_now(connection[1])
             replayable = request.stream is None or not request.stream.started
             if not reused or isinstance(exc, RequestTimeout) or not replayable:
                 raise
             # Stale pooled connection: retry once on a fresh one.
-            _, fresh = await self._acquire(key, host, port, force_new=True)
-            try:
-                return await self._round_trip(key, fresh, request, deadline, stream)
-            except (HttpError, ConnectionError, OSError):
-                _close_now(fresh[1])
-                raise
+            fresh = await _open(host, port)
+            return await self._round_trip(key, fresh, request, deadline, stream)
 
     async def _round_trip(
         self,
         key: str,
-        connection: tuple[asyncio.StreamReader, asyncio.StreamWriter],
+        connection: HttpConnection,
         request: Request,
         deadline: float,
         stream: bool = False,
     ) -> Response:
-        reader, writer = connection
+        loop = connection.loop
+        # One timer for the whole round trip, not a scope or ``wait_for``
+        # per await: it fails whatever wait is pending when it fires.
+        timer = loop.call_at(loop.time() + deadline, connection.expire, request)
         pump: asyncio.Task[None] | None = None
         response: Response | None = None
-        deferred = False
         try:
-            # One scope around the round trip, not a ``wait_for`` per await:
-            # those cost a Task each on 3.11 and each got the full deadline.
-            async with asyncio.timeout(deadline):
-                if request.stream is None:
-                    writer.write(request.serialize())
-                else:
-                    # Streamed request body: the pump task relays chunks
-                    # while we wait for the response head, so an upstream
-                    # that answers as it reads (a streaming echo, the proxy
-                    # relay) overlaps its first response bytes with our
-                    # last request bytes.
-                    writer.write(request.serialize_head())
-                    pump = asyncio.get_running_loop().create_task(
-                        relay_body(writer, request.stream)
-                    )
-                    pump.add_done_callback(_on_pump_done(writer))
-                await writer.drain()
-                response = await read_response(
-                    reader, stream=stream, max_body=self.max_body_bytes
-                )
-                # A streamed response defers the pool decision to stream
-                # exhaustion; otherwise the request body has to finish too.
-                deferred = stream and response.stream is not None
-                if pump is not None and not deferred:
-                    await _settle_pump(pump)
-        except TimeoutError as exc:
-            await _cancel_pump(pump)
+            if request.stream is None:
+                connection.write(request.serialize())
+            else:
+                # Streamed request body: the pump task relays chunks
+                # while we wait for the response head, so an upstream
+                # that answers as it reads (a streaming echo, the proxy
+                # relay) overlaps its first response bytes with our
+                # last request bytes.
+                connection.write(request.serialize_head())
+                pump = loop.create_task(relay_body(connection, request.stream))
+                pump.add_done_callback(connection.pump_done)
+            response = await connection.receive(stream, self.max_body_bytes)
             if response is None:
-                raise RequestTimeout(f"{request.method} {request.target}") from exc
+                raise IncompleteMessage("connection closed before response")
+            # A streamed response defers the pool decision to stream
+            # exhaustion; otherwise the request body has to finish too.
+            if pump is not None and response.stream is None:
+                await connection.settle(pump)
         except BaseException as exc:
-            await _cancel_pump(pump)
-            # A failed body pump closes the connection, which surfaces
-            # here as a read error; the pump's own exception (say, a
-            # tee abort) is the actual cause — raise that instead.
-            if (
-                pump is not None
-                and pump.done()
-                and not pump.cancelled()
-                and pump.exception() is not None
-                and isinstance(exc, (HttpError, ConnectionError, OSError))
-            ):
-                raise pump.exception() from exc
-            raise
-        if deferred:
-            # Release on a clean drain, close on abort/error/abandonment.
-            response.stream.set_on_complete(
-                self._stream_finalizer(key, connection, response, pump)
-            )
-        elif not _pump_clean(pump) or response.connection_close:
-            # A reply whose request body never finished is still valid;
-            # the connection is not.
-            _close_now(writer)
-        else:
-            self._release(key, connection)
-        return response
-
-    def _stream_finalizer(
-        self,
-        key: str,
-        connection: tuple[asyncio.StreamReader, asyncio.StreamWriter],
-        response: Response,
-        pump: asyncio.Task[None] | None,
-    ):
-        """The drain-rule hook for a streamed response body."""
+            # Whatever ends the round trip early — a cancelled caller too —
+            # leaves the connection mid-message: it is never reused.
+            connection.close()
+            if pump is not None and not pump.done():
+                pump.cancel()
+                await asyncio.gather(pump, return_exceptions=True)
+            # The reply is complete, the request body is not: return it.
+            if response is None or not isinstance(exc, RequestTimeout):
+                failure = _failure(pump)
+                # A failed body pump closes the connection, which surfaces
+                # here as a read error; the pump's own exception (say, a
+                # tee abort) is the actual cause — raise that instead.
+                if failure is not None and isinstance(exc, (HttpError, OSError)):
+                    raise failure from exc
+                raise
+        finally:
+            timer.cancel()
 
         def finish(clean: bool) -> None:
-            if clean and _pump_clean(pump) and not response.connection_close:
+            # The drain rule: release only once both bodies ended cleanly.
+            if clean and _finished(pump) and not response.connection_close:
                 self._release(key, connection)
             else:
-                _close_now(connection[1])
+                connection.close()
 
-        return finish
+        if response.stream is not None:
+            response.stream.set_on_complete(finish)
+        else:
+            finish(True)
+        return response
 
     async def get(self, url: str, **kwargs: Any) -> Response:
         return await self.request("GET", url, **kwargs)
@@ -240,62 +206,52 @@ class HttpClient:
     async def delete(self, url: str, **kwargs: Any) -> Response:
         return await self.request("DELETE", url, **kwargs)
 
-    async def _acquire(
-        self, key: str, host: str, port: int, force_new: bool = False
-    ) -> tuple[bool, tuple[asyncio.StreamReader, asyncio.StreamWriter]]:
-        """Return ``(reused, connection)``; *reused* drives retry policy."""
-        if not force_new:
-            pool = self._pools.get(key)
-            deadline = time.monotonic() - self.idle_timeout
-            while pool and pool.connections:
-                reader, writer, released_at = pool.connections.pop()
-                if released_at < deadline:
-                    # Idle past the keep-alive budget: everything below it
-                    # on the LIFO stack is older still, so drain the lot.
-                    _close_now(writer)
-                    for _, stale_writer, _ in pool.connections:
-                        _close_now(stale_writer)
-                    pool.connections.clear()
-                    break
-                if not writer.is_closing() and not reader.at_eof():
-                    return True, (reader, writer)
-                _close_now(writer)
-        reader, writer = await asyncio.open_connection(host, port)
-        return False, (reader, writer)
+    def _idle(self, key: str) -> HttpConnection | None:
+        """A live pooled connection to *key*, or ``None``."""
+        pool = self._pools.get(key)
+        deadline = time.monotonic() - self.idle_timeout
+        while pool:
+            connection, released_at = pool.pop()
+            if released_at < deadline:
+                # Idle past the keep-alive budget: everything below it
+                # on the LIFO stack is older still, so drain the lot.
+                for stale, _ in pool:
+                    stale.close()
+                pool.clear()
+                connection.close()
+                break
+            if not connection.eof and not connection.transport.is_closing():
+                return connection
+            connection.close()
+        return None
 
-    def _release(
-        self, key: str, connection: tuple[asyncio.StreamReader, asyncio.StreamWriter]
-    ) -> None:
-        if self._closed:
-            _close_now(connection[1])
+    def _release(self, key: str, connection: HttpConnection) -> None:
+        if self._closed or connection.expired is not None:
+            connection.close()
             return
-        pool = self._pools.setdefault(key, _Pool())
+        pool = self._pools.setdefault(key, [])
         now = time.monotonic()
         # Age out the oldest idlers so a burst followed by a quiet period
         # does not pin pool_size sockets open forever.
-        deadline = now - self.idle_timeout
-        connections = pool.connections
-        while connections and connections[0][2] < deadline:
-            _close_now(connections.pop(0)[1])
-        if len(connections) >= self.pool_size:
-            _close_now(connection[1])
+        while pool and pool[0][1] < now - self.idle_timeout:
+            pool.pop(0)[0].close()
+        if len(pool) >= self.pool_size:
+            connection.close()
         else:
-            connections.append((connection[0], connection[1], now))
+            pool.append((connection, now))
 
     def idle_connections(self, key: str | None = None) -> int:
         """How many keep-alive connections are parked (observability)."""
         if key is not None:
-            pool = self._pools.get(key)
-            return len(pool.connections) if pool else 0
-        return sum(len(pool.connections) for pool in self._pools.values())
+            return len(self._pools.get(key, ()))
+        return sum(map(len, self._pools.values()))
 
     async def close(self) -> None:
         """Close all idle pooled connections and reject further use."""
         self._closed = True
         for pool in self._pools.values():
-            for _, writer, _ in pool.connections:
-                _close_now(writer)
-            pool.connections.clear()
+            for connection, _ in pool:
+                connection.close()
         self._pools.clear()
 
     async def __aenter__(self) -> "HttpClient":
@@ -323,48 +279,24 @@ def _split_url(url: str) -> tuple[str, int, str]:
     return host, port, target
 
 
-def _close_now(writer: asyncio.StreamWriter) -> None:
-    try:
-        writer.close()
-    except (ConnectionError, OSError):
-        pass
-
-
-def _on_pump_done(writer: asyncio.StreamWriter):
-    """Close the connection as soon as a body pump fails.
-
-    A half-sent request body means the upstream will wait forever for the
-    rest; closing the writer turns that into a fast, visible read error
-    instead of a timeout.
-    """
-
-    def callback(task: "asyncio.Task[None]") -> None:
-        if not task.cancelled() and task.exception() is not None:
-            _close_now(writer)
-
-    return callback
-
-
-async def _cancel_pump(pump: "asyncio.Task[None] | None") -> None:
-    if pump is None or pump.done():
-        return
-    pump.cancel()
-    try:
-        await pump
-    except (asyncio.CancelledError, Exception):
-        pass
-
-
-async def _settle_pump(pump: "asyncio.Task[None]") -> None:
-    """Wait for the request-body pump to finish, however it ends."""
-    try:
-        await pump
-    except Exception:
-        pass
-
-
-def _pump_clean(pump: "asyncio.Task[None] | None") -> bool:
-    """No request-body pump, or one that ran to completion."""
-    return pump is None or (
-        pump.done() and not pump.cancelled() and pump.exception() is None
+async def _open(host: str, port: int) -> HttpConnection:
+    _, connection = await asyncio.get_running_loop().create_connection(
+        lambda: HttpConnection(_parse), host, port
     )
+    return connection
+
+
+def _parse(head: memoryview) -> Response:
+    # Resolved per call, so the module attribute can be wrapped at run time.
+    return read_response(head)
+
+
+def _failure(pump: "asyncio.Task[None] | None") -> BaseException | None:
+    if pump is None or not pump.done() or pump.cancelled():
+        return None
+    return pump.exception()
+
+
+def _finished(pump: "asyncio.Task[None] | None") -> bool:
+    """No request-body pump, or one that ran to completion."""
+    return pump is None or (pump.done() and not pump.cancelled() and not pump.exception())

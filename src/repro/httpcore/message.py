@@ -1,41 +1,37 @@
 """HTTP/1.1 request and response messages.
 
 This is the wire-level substrate under the Bifrost proxies and the case-study
-microservices.  It implements the subset of RFC 7230 that the paper's stack
-(Node.js ``http`` + node-http-proxy) exercises:
+microservices: the subset of RFC 7230 that the paper's stack (Node.js
+``http`` + node-http-proxy) exercises — start lines, case-insensitive
+repeatable headers (:mod:`repro.httpcore.headers`), ``Content-Length`` and
+``Transfer-Encoding: chunked`` framing, and JSON accessors, since every
+case-study service speaks JSON.
 
-* request line / status line parsing,
-* case-insensitive, repeatable headers (see :mod:`repro.httpcore.headers`),
-* ``Content-Length``-framed bodies,
-* ``Transfer-Encoding: chunked`` bodies (decoded via
-  :mod:`repro.httpcore.stream`; trailers read and ignored),
-* JSON convenience accessors, since every case-study service speaks JSON.
-
-Bodies have two representations.  The buffered one — ``.body`` as a whole
-``bytes`` — is what handlers and tests see by default and is unchanged.
-The streaming one attaches a :class:`~repro.httpcore.stream.BodyStream`
-to ``.stream`` instead of reading the body eagerly: ``read_request`` /
-``read_response`` called with ``stream=True`` return as soon as the head
-is parsed, and the body transits as bounded chunks.  ``await aread()``
-bridges the two (it buffers a streamed body into ``.body``), so code that
-wants the whole payload keeps working either way.
+A body is either buffered — ``.body`` as whole ``bytes``, what handlers and
+tests see by default — or streamed: a
+:class:`~repro.httpcore.stream.BodyStream` on ``.stream`` whose chunks
+transit bounded, and ``await aread()`` buffers it into ``.body``.
+:func:`read_request` and :func:`read_response` turn one head (start line
+through the blank line) into a message; framing the bytes off the wire is
+:class:`~repro.httpcore.connection.HttpConnection`'s job.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator
 from urllib.parse import parse_qsl, urlsplit
 
 from .cookies import parse_cookie_header
-from .errors import BodyTooLarge, HeaderTooLarge, IncompleteMessage, ProtocolError
+from .errors import ProtocolError
 from .headers import Headers
-from .stream import BodyStream, iter_chunked
+from .stream import BodyStream
 
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: ``framing`` of a message whose head declared ``Transfer-Encoding: chunked``.
+CHUNKED = -1
 
 #: Minimal status-code reason phrases; unknown codes render as "Unknown".
 REASON_PHRASES = {
@@ -62,8 +58,39 @@ REASON_PHRASES = {
 }
 
 
+class _Body:
+    """Body access shared by :class:`Request` and :class:`Response`."""
+
+    body: bytes
+    stream: BodyStream | None
+
+    def json(self) -> Any:
+        """Decode the body as JSON; raises :class:`ProtocolError` if invalid."""
+        try:
+            return json.loads(self.body.decode("utf-8") or "null")
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise ProtocolError(f"invalid JSON body: {exc}") from exc
+
+    async def aread(self) -> bytes:
+        """The whole body, buffering :attr:`stream` into :attr:`body` first.
+
+        The compatibility bridge for handlers that want the full payload
+        of a streamed message; a no-op on buffered messages.
+        """
+        if self.stream is not None:
+            self.body = self.body + await self.stream.read()
+            self.stream = None
+        return self.body
+
+    def iter_body(self) -> AsyncIterator[bytes]:
+        """The body as an async chunk iterator, whichever form it is in."""
+        if self.stream is not None:
+            return self.stream
+        return _buffered_chunks(self.body)
+
+
 @dataclass
-class Request:
+class Request(_Body):
     """An HTTP request as seen by servers and produced by clients."""
 
     method: str
@@ -79,6 +106,9 @@ class Request:
     #: The peer sent ``Connection: close`` (resolved while the head was
     #: parsed; the server's keep-alive decision reads this, not the headers).
     connection_close: bool = field(default=False, repr=False, compare=False)
+    #: The body framing the parsed head declared: a ``Content-Length``,
+    #: :data:`CHUNKED`, or ``None`` for no body.
+    framing: int | None = field(default=None, repr=False, compare=False)
     # Per-object parse caches, keyed on the raw input so header or target
     # mutation invalidates them.  The proxy reads ``cookies`` and ``path``
     # several times per request; each used to re-parse from scratch.
@@ -120,30 +150,6 @@ class Request:
             self._cookie_cache = cached
         return cached[1]
 
-    def json(self) -> Any:
-        """Decode the body as JSON; raises :class:`ProtocolError` if invalid."""
-        try:
-            return json.loads(self.body.decode("utf-8") or "null")
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"invalid JSON body: {exc}") from exc
-
-    async def aread(self) -> bytes:
-        """The whole body, buffering :attr:`stream` into :attr:`body` first.
-
-        The compatibility bridge for handlers that want the full payload
-        of a streamed message; a no-op on buffered messages.
-        """
-        return await _aread(self)
-
-    async def ajson(self) -> Any:
-        """:meth:`aread` then :meth:`json` — for streamed JSON bodies."""
-        await self.aread()
-        return self.json()
-
-    def iter_body(self) -> AsyncIterator[bytes]:
-        """The body as an async chunk iterator, whichever form it is in."""
-        return _iter_body(self)
-
     def copy(self) -> "Request":
         """Deep-enough copy for shadowing: headers list and body are copied.
 
@@ -183,7 +189,7 @@ class Request:
 
 
 @dataclass
-class Response:
+class Response(_Body):
     """An HTTP response as produced by servers and consumed by clients."""
 
     status: int = 200
@@ -194,6 +200,8 @@ class Response:
     stream: BodyStream | None = field(default=None, repr=False, compare=False)
     #: The peer sent ``Connection: close``: the client will not pool it.
     connection_close: bool = field(default=False, repr=False, compare=False)
+    #: See :attr:`Request.framing`.
+    framing: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def reason(self) -> str:
@@ -203,26 +211,6 @@ class Response:
     def ok(self) -> bool:
         """True for any 2xx status."""
         return 200 <= self.status < 300
-
-    def json(self) -> Any:
-        """Decode the body as JSON; raises :class:`ProtocolError` if invalid."""
-        try:
-            return json.loads(self.body.decode("utf-8") or "null")
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"invalid JSON body: {exc}") from exc
-
-    async def aread(self) -> bytes:
-        """The whole body, buffering :attr:`stream` first (see Request)."""
-        return await _aread(self)
-
-    async def ajson(self) -> Any:
-        """:meth:`aread` then :meth:`json` — for streamed JSON bodies."""
-        await self.aread()
-        return self.json()
-
-    def iter_body(self) -> AsyncIterator[bytes]:
-        """The body as an async chunk iterator, whichever form it is in."""
-        return _iter_body(self)
 
     @classmethod
     def streaming(
@@ -300,23 +288,9 @@ class Response:
         )
 
 
-async def _aread(message: "Request | Response") -> bytes:
-    stream = message.stream
-    if stream is not None:
-        message.body = message.body + await stream.read()
-        message.stream = None
-    return message.body
-
-
 async def _buffered_chunks(body: bytes) -> AsyncIterator[bytes]:
     if body:
         yield body
-
-
-def _iter_body(message: "Request | Response") -> AsyncIterator[bytes]:
-    if message.stream is not None:
-        return message.stream
-    return _buffered_chunks(message.body)
 
 
 def _stream_framing(stream: BodyStream | None) -> str:
@@ -327,24 +301,6 @@ def _stream_framing(stream: BodyStream | None) -> str:
     if stream.length is not None:
         return f"Content-Length: {stream.length}\r\n\r\n"
     return "Transfer-Encoding: chunked\r\n\r\n"
-
-
-async def _read_head(reader: asyncio.StreamReader) -> bytes | None:
-    """Read up to the blank line ending the header section.
-
-    Returns ``None`` on a clean EOF before any bytes (idle keep-alive close).
-    """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise IncompleteMessage("connection closed mid-header") from exc
-    except asyncio.LimitOverrunError as exc:
-        raise HeaderTooLarge("header section exceeds stream limit") from exc
-    if len(head) > MAX_HEADER_BYTES:
-        raise HeaderTooLarge(f"header section of {len(head)} bytes")
-    return head
 
 
 #: The fields the head parser resolves while it builds the header list.
@@ -404,69 +360,9 @@ def _parse_fields(lines: list[str]) -> tuple[Headers, int | None, bool, bool]:
     return headers, length, False, close
 
 
-async def _read_body(
-    reader: asyncio.StreamReader,
-    length: int | None,
-    chunked: bool,
-    max_body: int | None = MAX_BODY_BYTES,
-) -> bytes:
-    """Buffer one message body, whichever framing the head declared."""
-    if chunked:
-        parts: list[bytes] = []
-        total = 0
-        async for chunk in iter_chunked(reader):
-            total += len(chunk)
-            if max_body is not None and total > max_body:
-                raise BodyTooLarge(f"chunked body exceeds {max_body} bytes")
-            parts.append(chunk)
-        return b"".join(parts)
-    if not length:
-        return b""
-    if max_body is not None and length > max_body:
-        raise BodyTooLarge(f"declared body of {length} bytes")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise IncompleteMessage("connection closed mid-body") from exc
-
-
-def _body_stream(
-    reader: asyncio.StreamReader,
-    length: int | None,
-    chunked: bool,
-    max_body: int | None,
-) -> BodyStream | None:
-    """A framed :class:`BodyStream` over the body, or ``None`` if bodiless.
-
-    *max_body* becomes the stream's **max-buffered** bound: relaying the
-    stream chunk-by-chunk is unbounded in body size, but materializing it
-    (``aread()``) is capped.
-    """
-    if chunked:
-        return BodyStream.from_reader(reader, chunked=True, max_buffer=max_body)
-    if not length:
-        return None
-    return BodyStream.from_reader(
-        reader, content_length=length, max_buffer=max_body
-    )
-
-
-async def read_request(
-    reader: asyncio.StreamReader,
-    *,
-    stream: bool = False,
-    max_body: int | None = MAX_BODY_BYTES,
-) -> Request | None:
-    """Parse one request from *reader*; ``None`` on clean EOF between requests.
-
-    With ``stream=True`` the body is left on the wire: the returned
-    request carries a :class:`BodyStream` and the caller owns draining it
-    before the connection can carry another message.
-    """
-    head = await _read_head(reader)
-    if head is None:
-        return None
-    lines = head.decode("latin-1").split("\r\n")
+def read_request(head: bytes) -> Request:
+    """Parse one request head (start line through the blank line)."""
+    lines = str(head, "latin-1").split("\r\n")
     request_line = lines[0]
     parts = request_line.split(" ")
     if len(parts) != 3:
@@ -475,35 +371,19 @@ async def read_request(
     if not version.startswith("HTTP/"):
         raise ProtocolError(f"bad HTTP version: {version!r}")
     headers, length, chunked, close = _parse_fields(lines)
-    request = Request(
+    return Request(
         method=method.upper(),
         target=target,
         headers=headers,
         http_version=version,
         connection_close=close,
+        framing=CHUNKED if chunked else length,
     )
-    if stream:
-        request.stream = _body_stream(reader, length, chunked, max_body)
-    elif chunked or length:  # a bodiless message has nothing to await
-        request.body = await _read_body(reader, length, chunked, max_body)
-    return request
 
 
-async def read_response(
-    reader: asyncio.StreamReader,
-    *,
-    stream: bool = False,
-    max_body: int | None = MAX_BODY_BYTES,
-) -> Response:
-    """Parse one response from *reader*; raises on EOF (a reply was owed).
-
-    ``stream=True`` returns as soon as the head is parsed — the body
-    arrives through ``response.stream`` (see :func:`read_request`).
-    """
-    head = await _read_head(reader)
-    if head is None:
-        raise IncompleteMessage("connection closed before response")
-    lines = head.decode("latin-1").split("\r\n")
+def read_response(head: bytes) -> Response:
+    """Parse one response head (status line through the blank line)."""
+    lines = str(head, "latin-1").split("\r\n")
     status_line = lines[0]
     parts = status_line.split(" ", 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/"):
@@ -513,14 +393,10 @@ async def read_response(
     except ValueError as exc:
         raise ProtocolError(f"bad status code: {parts[1]!r}") from exc
     headers, length, chunked, close = _parse_fields(lines)
-    response = Response(
+    return Response(
         status=status,
         headers=headers,
         http_version=parts[0],
         connection_close=close,
+        framing=CHUNKED if chunked else length,
     )
-    if stream:
-        response.stream = _body_stream(reader, length, chunked, max_body)
-    elif chunked or length:
-        response.body = await _read_body(reader, length, chunked, max_body)
-    return response

@@ -4,7 +4,9 @@
 case-study microservices, the Bifrost proxies, the engine's API, and the
 dashboard all subclass or embed it.  It plays the role Node.js' ``http``
 module plays in the original prototype: an event-driven, single-threaded
-server handling concurrent connections cooperatively.
+server handling concurrent connections cooperatively.  Each accepted
+connection is one :class:`~repro.httpcore.connection.HttpConnection` and
+one Task that frames its requests, dispatches them and writes the answers.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import asyncio
 import logging
 from typing import Awaitable, Callable
 
+from .connection import HttpConnection
 from .errors import BodyTooLarge, HttpError, ProtocolError
 from .message import MAX_BODY_BYTES, Request, Response, read_request
 from .router import Handler, Router
@@ -60,7 +63,8 @@ class HttpServer:
         #: once (no closure per request), dropped when the chain changes.
         self._composed: dict[Handler, Handler] = {}
         self._server: asyncio.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        #: Open connection -> the Task serving it.
+        self._connections: dict[HttpConnection, asyncio.Task[None]] = {}
         #: Count of requests that reached a handler, for tests and metrics.
         self.requests_handled = 0
 
@@ -75,19 +79,26 @@ class HttpServer:
         """
         if self._server is not None:
             raise RuntimeError(f"server {self.name!r} already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: HttpConnection(_parse, self._open), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         logger.debug("server %s listening on %s:%d", self.name, self.host, self.port)
 
     async def stop(self) -> None:
-        """Stop accepting connections and close existing ones."""
+        """Stop accepting connections, close existing ones and wait for
+        their Tasks (an in-flight handler is cancelled)."""
         if self._server is None:
             return
         self._server.close()
-        for writer in list(self._connections):
-            writer.close()
+        current = asyncio.current_task()
+        tasks = [task for task in self._connections.values() if task is not current]
+        for connection in self._connections:
+            connection.close()
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._connections.clear()
         await self._server.wait_closed()
         self._server = None
 
@@ -115,79 +126,58 @@ class HttpServer:
         self._middleware.append(middleware)
         self._composed.clear()
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
+    def _open(self, connection: HttpConnection) -> None:
+        self._connections[connection] = connection.loop.create_task(self._serve(connection))
+
+    async def _serve(self, connection: HttpConnection) -> None:
         try:
             while True:
                 try:
-                    request = await read_request(
-                        reader,
-                        stream=self.stream_bodies,
-                        max_body=self.max_body_bytes,
-                    )
+                    request = await connection.receive(self.stream_bodies, self.max_body_bytes)
                 except BodyTooLarge as exc:
                     # The oversized body is still on the wire, so the
                     # connection cannot carry another request: 413, close.
                     response = Response.text(str(exc), status=413)
                     response.headers.set("Connection", "close")
-                    writer.write(response.serialize())
-                    await writer.drain()
+                    connection.write(response.serialize())
                     break
                 except ProtocolError as exc:
-                    writer.write(Response.text(str(exc), status=400).serialize())
-                    await writer.drain()
+                    connection.write(Response.text(str(exc), status=400).serialize())
                     break
                 if request is None:
                     break
                 response = await self._dispatch(request)
                 if request.connection_close:
                     response.headers.set("Connection", "close")
-                if not await self._write_response(writer, response):
-                    break
+                if response.stream is None:
+                    # One write; await only while the transport is paused.
+                    connection.write(response.serialize())
+                    if connection.write_paused:
+                        await connection.drain()
+                else:
+                    connection.write(response.serialize_head())
+                    try:
+                        await relay_body(connection, response.stream)
+                    except (HttpError, OSError) as exc:
+                        # The wire framing is unrecoverable: close.
+                        logger.warning("%s: response stream failed mid-relay: %s", self.name, exc)
+                        break
+                    finally:
+                        # Unless drained, the stream's source (a proxied
+                        # upstream connection, say) is dead: release it.
+                        response.stream.abort()
                 if response.headers.get("Connection", "").lower() == "close":
                     break  # asked for by the request (just set) or the handler
-                if not await self._drain_request(request):
+                if request.stream is not None and not await self._drain_request(request):
                     break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer went away; nothing to answer
-        except asyncio.CancelledError:
-            # Event-loop shutdown (or server stop) cancels connection
-            # tasks; close quietly instead of propagating, which would
-            # make asyncio log a spurious "exception in callback".
+        except (ConnectionError, asyncio.CancelledError):
+            # The peer went away, or server stop / loop shutdown cancelled
+            # us: close quietly instead of propagating, which would make
+            # asyncio log a spurious "exception in callback".
             pass
         finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _write_response(
-        self, writer: asyncio.StreamWriter, response: Response
-    ) -> bool:
-        """Send *response*; ``False`` if the connection must close.
-
-        Buffered responses go out exactly as before (one ``serialize()``
-        write).  Streamed responses send the head, then relay chunks with
-        ``drain()`` flow control; if the stream breaks mid-relay the
-        wire framing is unrecoverable, so the connection is closed.
-        """
-        if response.stream is None:
-            writer.write(response.serialize())
-            await writer.drain()
-            return True
-        writer.write(response.serialize_head())
-        try:
-            await relay_body(writer, response.stream)
-        except (HttpError, ConnectionError, OSError) as exc:
-            logger.warning(
-                "%s: response stream failed mid-relay: %s", self.name, exc
-            )
-            return False
-        return True
+            self._connections.pop(connection, None)
+            connection.close()
 
     async def _drain_request(self, request: Request) -> bool:
         """Enforce the keep-alive drain rule; ``False`` closes the connection.
@@ -197,7 +187,7 @@ class HttpServer:
         would otherwise be parsed as the next request's head.
         """
         stream = request.stream
-        if stream is None or stream.consumed:
+        if stream.consumed:
             return True
         limit = self.max_body_bytes
         try:
@@ -255,3 +245,8 @@ class HttpServer:
     async def handle_error(self, request: Request) -> Response:
         """Response for handler exceptions; override for custom behaviour."""
         return Response.from_json({"error": "internal server error"}, 500)
+
+
+def _parse(head: memoryview) -> Request:
+    # Resolved per call, so the module attribute can be wrapped at run time.
+    return read_request(head)

@@ -1,43 +1,29 @@
-"""Streaming message bodies: framed chunk iterators over a connection.
+"""Streaming message bodies: chunk iterators, the tee, and the relay.
 
-This is the substrate under the streaming data plane.  A
-:class:`BodyStream` is an async iterator of body chunks decoupled from
-how those chunks are framed on the wire:
-
-* ``Content-Length`` framing — fixed-size reads until the declared length
-  is exhausted,
-* ``Transfer-Encoding: chunked`` framing — RFC 7230 section 4.1 chunk
-  parsing (chunk extensions and trailer fields are read and ignored),
-* in-memory bytes or an application async iterable (handler-produced
-  streaming responses).
-
-Memory stays O(chunk_size) regardless of body size: nothing is
-accumulated unless a caller explicitly asks for the whole payload via
-:meth:`BodyStream.read`, which enforces a max-buffered bound.
+A :class:`BodyStream` is an async iterator of body chunks decoupled from
+how they are framed on the wire: a connection
+(:class:`~repro.httpcore.connection.HttpConnection`) frames
+``Content-Length`` and chunked bodies into one, and in-memory bytes or an
+application async iterable wrap into one too.  Memory stays O(chunk)
+whatever the body size unless a caller asks for the whole payload
+(:meth:`BodyStream.read`, which enforces a max-buffered bound).
 
 Ownership rules (the proxy relay relies on all three):
 
 * a stream has exactly one consumer — whoever iterates it owns it;
 * a kept-alive connection is reusable only once the stream framed off it
-  is fully drained (``consumed`` is True), because the next message
-  starts at the first byte after this body;
+  is fully drained (``consumed`` is True);
 * :class:`StreamTee` fans one stream out to a primary plus at most one
-  bounded branch: the primary's reads drive the tee, the branch never
-  blocks the primary, and a branch that falls more than ``capacity``
-  chunks behind is aborted with drop accounting rather than buffered.
+  bounded branch that never blocks the primary: one more than
+  ``capacity`` chunks behind, it is aborted with drop accounting.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import AsyncIterator, Awaitable, Callable, Iterable
+from typing import AsyncIterator, Callable, Iterable
 
-from .errors import (
-    BodyTooLarge,
-    IncompleteMessage,
-    ProtocolError,
-    StreamAborted,
-)
+from .errors import BodyTooLarge, IncompleteMessage, StreamAborted
 
 #: Default relay chunk size: large enough to amortize event-loop trips,
 #: small enough that a handful of in-flight chunks stay cache-friendly.
@@ -52,74 +38,9 @@ def encode_chunk(data: bytes) -> bytes:
     return b"%x\r\n" % len(data) + data + b"\r\n"
 
 
-async def iter_length_framed(
-    reader: asyncio.StreamReader,
-    length: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> AsyncIterator[bytes]:
-    """Yield a ``Content-Length`` body in at-most-*chunk_size* pieces."""
-    remaining = length
-    while remaining > 0:
-        piece = await reader.read(min(chunk_size, remaining))
-        if not piece:
-            raise IncompleteMessage("connection closed mid-body")
-        remaining -= len(piece)
-        yield piece
-
-
-async def iter_chunked(
-    reader: asyncio.StreamReader,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> AsyncIterator[bytes]:
-    """Yield a ``Transfer-Encoding: chunked`` body, decoded.
-
-    Chunk extensions are discarded; trailer fields after the last chunk
-    are read and ignored (we never emit them, and a proxy must not relay
-    what it did not validate).  Decoded pieces are re-split at
-    *chunk_size*, so a peer's giant chunk cannot force a giant buffer.
-    """
-    while True:
-        try:
-            size_line = await reader.readuntil(b"\r\n")
-        except asyncio.IncompleteReadError as exc:
-            raise IncompleteMessage("connection closed mid-chunk-size") from exc
-        except asyncio.LimitOverrunError as exc:
-            raise ProtocolError("chunk-size line too long") from exc
-        raw_size = size_line[:-2].split(b";", 1)[0].strip()
-        try:
-            size = int(raw_size, 16)
-        except ValueError as exc:
-            raise ProtocolError(f"bad chunk size: {raw_size!r}") from exc
-        if size < 0:
-            raise ProtocolError(f"negative chunk size: {size}")
-        if size == 0:
-            break
-        remaining = size
-        while remaining > 0:
-            piece = await reader.read(min(chunk_size, remaining))
-            if not piece:
-                raise IncompleteMessage("connection closed mid-chunk")
-            remaining -= len(piece)
-            yield piece
-        try:
-            trailer = await reader.readexactly(2)
-        except asyncio.IncompleteReadError as exc:
-            raise IncompleteMessage("connection closed after chunk") from exc
-        if trailer != b"\r\n":
-            raise ProtocolError(f"chunk data not CRLF-terminated: {trailer!r}")
-    # Trailer section: zero or more header lines, then a blank line.
-    while True:
-        try:
-            line = await reader.readuntil(b"\r\n")
-        except asyncio.IncompleteReadError as exc:
-            raise IncompleteMessage("connection closed mid-trailers") from exc
-        if line == b"\r\n":
-            return
-
-
-async def _iter_bytes(data: bytes, chunk_size: int) -> AsyncIterator[bytes]:
-    for start in range(0, len(data), chunk_size):
-        yield data[start : start + chunk_size]
+async def _iter_bytes(data: bytes) -> AsyncIterator[bytes]:
+    for start in range(0, len(data), DEFAULT_CHUNK_SIZE):
+        yield data[start : start + DEFAULT_CHUNK_SIZE]
 
 
 class BodyStream:
@@ -163,35 +84,9 @@ class BodyStream:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_reader(
-        cls,
-        reader: asyncio.StreamReader,
-        *,
-        content_length: int | None = None,
-        chunked: bool = False,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_buffer: int | None = None,
-        on_complete: Callable[[bool], None] | None = None,
-    ) -> "BodyStream":
-        """Frame a stream off a connection (exactly one framing mode)."""
-        if chunked:
-            source = iter_chunked(reader, chunk_size)
-            length = None
-        elif content_length is not None:
-            source = iter_length_framed(reader, content_length, chunk_size)
-            length = content_length
-        else:
-            raise ValueError("need content_length or chunked=True")
-        return cls(
-            source, length=length, max_buffer=max_buffer, on_complete=on_complete
-        )
-
-    @classmethod
-    def from_bytes(
-        cls, data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> "BodyStream":
-        """Wrap an in-memory body (length known, re-split at chunk_size)."""
-        return cls(_iter_bytes(data, chunk_size), length=len(data))
+    def from_bytes(cls, data: bytes) -> "BodyStream":
+        """Wrap an in-memory body (length known, split into default chunks)."""
+        return cls(_iter_bytes(data), length=len(data))
 
     @classmethod
     def from_iterable(
@@ -239,8 +134,7 @@ class BodyStream:
         """Install (or replace) the completion hook.
 
         The pooled client uses this to bind connection release to stream
-        exhaustion after :func:`~repro.httpcore.message.read_response`
-        has already built the stream.
+        exhaustion after the connection has already built the stream.
         """
         self._on_complete = callback
 
@@ -367,23 +261,14 @@ class StreamTee:
             yield item  # type: ignore[misc]
 
 
-async def relay_body(
-    writer: asyncio.StreamWriter,
-    stream: BodyStream,
-    drain: Callable[[], Awaitable[None]] | None = None,
-) -> None:
-    """Copy *stream* to *writer* using its wire framing, with flow control.
-
-    Known-length streams are relayed raw (``Content-Length`` framing was
-    already written with the head); unknown-length streams are chunk
-    encoded.  ``await writer.drain()`` after every chunk bounds the write
-    buffer — this is what makes relay memory O(chunk), not O(body).
-    A known-length stream that yields a different number of bytes than
-    declared raises :class:`IncompleteMessage` (the connection's framing
-    is broken and it must be closed).
+async def relay_body(writer, stream: BodyStream) -> None:
+    """Copy *stream* to *writer* (``write()`` plus ``await drain()``, as a
+    :class:`~repro.httpcore.connection.HttpConnection` has) in its wire
+    framing: raw when the length is known (the head declared it), chunk
+    encoded otherwise.  ``drain()`` after every chunk keeps relay memory
+    O(chunk).  A known-length stream that yields a different byte count
+    raises :class:`IncompleteMessage`: the framing is broken, close.
     """
-    if drain is None:
-        drain = writer.drain
     chunked = stream.length is None
     sent = 0
     async for chunk in stream:
@@ -391,11 +276,11 @@ async def relay_body(
             continue
         writer.write(encode_chunk(chunk) if chunked else chunk)
         sent += len(chunk)
-        await drain()
+        await writer.drain()
     if chunked:
         writer.write(CHUNKED_EOF)
     elif sent != stream.length:
         raise IncompleteMessage(
             f"stream produced {sent} bytes, Content-Length declared {stream.length}"
         )
-    await drain()
+    await writer.drain()

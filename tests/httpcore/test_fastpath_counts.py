@@ -63,6 +63,20 @@ async def test_streamed_request_send_creates_exactly_the_pump_task():
         assert counter.created == 5
 
 
+async def test_streamed_request_and_response_create_at_most_one_task_per_send():
+    async with make_server() as server, HttpClient() as client:
+        await client.send(request_to(server, body=b"warm"), server.host, server.port)
+        counter = TaskCounter()
+        for sends in range(1, 6):
+            stream = BodyStream.from_iterable([b"ab", b"cd"])
+            response = await client.send(
+                request_to(server, stream=stream), server.host, server.port, stream=True
+            )
+            assert await response.aread() == b"abcd"
+            assert counter.created <= sends
+        assert client.idle_connections() == 1
+
+
 async def test_each_field_name_is_lowered_once_per_hop():
     # Casings no lookup literal in the code uses, so only the stored field
     # names are counted, not the names callers ask for.

@@ -6,26 +6,28 @@ import pytest
 
 from repro.httpcore import (
     Headers,
+    HttpClient,
     IncompleteMessage,
     ProtocolError,
     Request,
     Response,
-    read_request,
-    read_response,
 )
-from repro.httpcore.errors import BodyTooLarge
+from repro.httpcore.connection import BULK_BUFFER_BYTES, BUFFER_BYTES
+from repro.httpcore.errors import BodyTooLarge, HeaderTooLarge
+from repro.httpcore.message import MAX_HEADER_BYTES
+from tests.httpcore.wire import feed
 
 
-def feed(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return reader
+async def read_request(data: bytes, tears=(), **kwargs):
+    return await feed(data, tears).receive(**kwargs)
+
+
+async def read_response(data: bytes, tears=(), **kwargs):
+    return await feed(data, tears, response=True).receive(**kwargs)
 
 
 async def test_read_request_basic():
-    reader = feed(b"GET /products?limit=2 HTTP/1.1\r\nHost: shop\r\n\r\n")
-    request = await read_request(reader)
+    request = await read_request(b"GET /products?limit=2 HTTP/1.1\r\nHost: shop\r\n\r\n")
     assert request is not None
     assert request.method == "GET"
     assert request.path == "/products"
@@ -37,56 +39,56 @@ async def test_read_request_basic():
 async def test_read_request_with_body():
     payload = b'{"name": "tv"}'
     raw = b"POST /buy HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(payload), payload)
-    request = await read_request(feed(raw))
+    request = await read_request(raw)
     assert request is not None
     assert request.body == payload
     assert request.json() == {"name": "tv"}
 
 
 async def test_read_request_clean_eof_returns_none():
-    assert await read_request(feed(b"")) is None
+    assert await read_request(b"") is None
 
 
 async def test_read_request_mid_header_eof_raises():
     with pytest.raises(IncompleteMessage):
-        await read_request(feed(b"GET / HTTP/1.1\r\nHost: x"))
+        await read_request(b"GET / HTTP/1.1\r\nHost: x")
 
 
 async def test_read_request_mid_body_eof_raises():
     raw = b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"
     with pytest.raises(IncompleteMessage):
-        await read_request(feed(raw))
+        await read_request(raw)
 
 
 async def test_read_request_malformed_request_line():
     with pytest.raises(ProtocolError):
-        await read_request(feed(b"GARBAGE\r\n\r\n"))
+        await read_request(b"GARBAGE\r\n\r\n")
 
 
 async def test_read_request_bad_version():
     with pytest.raises(ProtocolError):
-        await read_request(feed(b"GET / SPDY/99\r\n\r\n"))
+        await read_request(b"GET / SPDY/99\r\n\r\n")
 
 
 async def test_read_request_bad_content_length():
     with pytest.raises(ProtocolError):
-        await read_request(feed(b"GET / HTTP/1.1\r\nContent-Length: ten\r\n\r\n"))
+        await read_request(b"GET / HTTP/1.1\r\nContent-Length: ten\r\n\r\n")
 
 
 async def test_read_request_negative_content_length():
     with pytest.raises(ProtocolError):
-        await read_request(feed(b"GET / HTTP/1.1\r\nContent-Length: -5\r\n\r\n"))
+        await read_request(b"GET / HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
 
 
 async def test_read_request_huge_declared_body_rejected():
     raw = b"POST / HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n"
     with pytest.raises(BodyTooLarge):
-        await read_request(feed(raw))
+        await read_request(raw)
 
 
 async def test_read_request_rejects_space_before_colon():
     with pytest.raises(ProtocolError):
-        await read_request(feed(b"GET / HTTP/1.1\r\nHost : x\r\n\r\n"))
+        await read_request(b"GET / HTTP/1.1\r\nHost : x\r\n\r\n")
 
 
 async def test_request_serialize_parse_round_trip():
@@ -96,7 +98,7 @@ async def test_request_serialize_parse_round_trip():
         headers=Headers([("Host", "shop"), ("X-User", "u1")]),
         body=b"hello",
     )
-    parsed = await read_request(feed(request.serialize()))
+    parsed = await read_request(request.serialize())
     assert parsed is not None
     assert parsed.method == "POST"
     assert parsed.target == "/search?q=tv"
@@ -106,20 +108,35 @@ async def test_request_serialize_parse_round_trip():
 
 async def test_response_serialize_parse_round_trip():
     response = Response.from_json({"ok": True}, status=201)
-    parsed = await read_response(feed(response.serialize()))
+    parsed = await read_response(response.serialize())
     assert parsed.status == 201
     assert parsed.json() == {"ok": True}
     assert parsed.headers.get("content-type") == "application/json"
 
 
 async def test_read_response_eof_raises():
-    with pytest.raises(IncompleteMessage):
-        await read_response(feed(b""))
+    # A connection ends cleanly between messages (``receive()`` gives
+    # ``None``); the client that awaited a reply makes that an error.
+    assert await read_response(b"") is None
+
+    async def hang_up(reader, writer):
+        await reader.readuntil(b"\r\n\r\n")
+        writer.close()
+
+    server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    try:
+        async with HttpClient() as client:
+            with pytest.raises(IncompleteMessage):
+                await client.get(f"http://127.0.0.1:{port}/")
+    finally:
+        server.close()
+        await server.wait_closed()
 
 
 async def test_read_response_malformed_status_line():
     with pytest.raises(ProtocolError):
-        await read_response(feed(b"HTTP/1.1 abc OK\r\n\r\n"))
+        await read_response(b"HTTP/1.1 abc OK\r\n\r\n")
 
 
 def test_request_copy_is_deep_enough_for_shadowing():
@@ -155,10 +172,10 @@ async def test_pipelined_requests_parse_sequentially():
         b"GET /a HTTP/1.1\r\n\r\n"
         b"GET /b HTTP/1.1\r\n\r\n"
     )
-    reader = feed(raw)
-    first = await read_request(reader)
-    second = await read_request(reader)
-    third = await read_request(reader)
+    connection = feed(raw)
+    first = await connection.receive()
+    second = await connection.receive()
+    third = await connection.receive()
     assert first is not None and first.path == "/a"
     assert second is not None and second.path == "/b"
     assert third is None
@@ -238,6 +255,8 @@ def _reference_head(start_line, items, framing_line):
     "start_line, read",
     [("POST /x HTTP/1.1\r\n", read_request), ("HTTP/1.1 200 OK\r\n", read_response)],
 )
+# ``max_body=0`` keeps even a body that arrived whole with its head on
+# ``.stream``, so the framing the head declared stays observable there.
 async def test_single_pass_parser_matches_reference_on_hostile_heads(start_line, read):
     parsed = 0
     for lines in _hostile_corpus():
@@ -246,10 +265,10 @@ async def test_single_pass_parser_matches_reference_on_hostile_heads(start_line,
             expected = _reference_parse(lines)
         except ProtocolError:
             with pytest.raises(ProtocolError):
-                await read(feed(raw + b"x" * 16), stream=True)
+                await read(raw + b"x" * 16, stream=True, max_body=0)
             continue
         items, framing, close = expected
-        message = await read(feed(raw + b"x" * 16), stream=True)
+        message = await read(raw + b"x" * 16, stream=True, max_body=0)
         stream = message.stream
         assert message.headers.items() == items, lines
         assert (stream and stream.length, stream is not None and stream.length is None) == framing, lines
@@ -266,3 +285,89 @@ async def test_single_pass_parser_matches_reference_on_hostile_heads(start_line,
         assert message.serialize() == _reference_head(start_line, items, "Content-Length: 0\r\n")
         parsed += 1
     assert parsed > 300  # the corpus is not all errors
+
+
+# -- torn reads: the connection's buffer --------------------------------------
+
+PIPELINED = (
+    b"POST /first?x=1 HTTP/1.1\r\nHost: shop\r\nContent-Length: 5\r\n\r\nhello"
+    b"GET /second HTTP/1.1\r\nConnection: close\r\n\r\n"
+)
+
+
+async def _both(connection):
+    first = await connection.receive()
+    second = await connection.receive()
+    assert await connection.receive() is None
+    return first, second
+
+
+async def test_head_split_at_every_offset_frames_the_same():
+    expected = await _both(feed(PIPELINED))
+    assert expected[0].body == b"hello" and expected[1].connection_close
+    for offset in range(1, len(PIPELINED)):
+        torn = await _both(feed(PIPELINED, tears=(offset, len(PIPELINED))))
+        assert torn == expected, offset
+
+
+def _straddling() -> tuple[bytes, bytes]:
+    """A request ending just before the buffer's end, then a head across it."""
+    second = b"GET /next HTTP/1.1\r\nX-Pad: " + b"p" * 200 + b"\r\n\r\n"
+    head = b"POST /big HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+    length = BUFFER_BYTES - 50 - len(head % 0)
+    first = head % length + b"b" * length
+    assert len(first) < BUFFER_BYTES < len(first) + len(second)
+    return first, second
+
+
+async def test_head_straddling_the_buffer_end_is_compacted():
+    first, second = _straddling()
+    connection = feed(first + second)
+    assert (await connection.receive()).body == first.partition(b"\r\n\r\n")[2]
+    assert (await connection.receive()).headers.get("X-Pad") == "p" * 200
+    assert len(connection._buf) == BUFFER_BYTES  # moved to the front, not grown
+
+
+async def test_head_straddling_a_full_unread_buffer_grows_it():
+    first, second = _straddling()
+    connection = feed(b"")
+    wire = first + second
+    # Two reads land before the reader runs: the second finds the buffer
+    # full with nothing framed yet, so it has to grow.
+    for piece in (wire[:BUFFER_BYTES], wire[BUFFER_BYTES:]):
+        buffer = connection.get_buffer(-1)
+        buffer[: len(piece)] = piece
+        connection.buffer_updated(len(piece))
+    assert len(connection._buf) == 2 * BUFFER_BYTES
+    assert (await connection.receive()).path == "/big"
+    assert (await connection.receive()).path == "/next"
+    connection.get_buffer(-1)
+    assert len(connection._buf) == BULK_BUFFER_BYTES
+
+
+async def test_a_connection_that_fills_its_buffer_reads_bulk_from_then_on():
+    body = b"b" * (4 * BULK_BUFFER_BYTES)
+    head = b"POST /bulk HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+    connection = feed(head + body + b"GET /next HTTP/1.1\r\n\r\n")
+    request = await connection.receive(stream=True)
+    sizes = [len(chunk) async for chunk in request.stream]
+    assert sum(sizes) == len(body) and max(sizes) == BULK_BUFFER_BYTES
+    assert (await connection.receive()).path == "/next"
+    connection.get_buffer(-1)
+    assert len(connection._buf) == BULK_BUFFER_BYTES
+
+
+def _head_of(total: int) -> bytes:
+    base = b"GET /x HTTP/1.1\r\nX-Pad: \r\n\r\n"
+    return b"GET /x HTTP/1.1\r\nX-Pad: " + b"p" * (total - len(base)) + b"\r\n\r\n"
+
+
+@pytest.mark.parametrize("tears", [(), (1000,), (MAX_HEADER_BYTES - 2, 7)])
+async def test_header_size_limit_is_inclusive(tears):
+    # Bounded: a limit checked one byte late pauses a full buffer forever.
+    async with asyncio.timeout(10):
+        for delta in (-1, 0):
+            request = await read_request(_head_of(MAX_HEADER_BYTES + delta), tears)
+            assert request.path == "/x"
+        with pytest.raises(HeaderTooLarge):
+            await read_request(_head_of(MAX_HEADER_BYTES + 1), tears)

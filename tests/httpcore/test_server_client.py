@@ -2,6 +2,8 @@
 
 import asyncio
 import contextlib
+import gc
+import warnings
 
 import pytest
 
@@ -10,11 +12,13 @@ from repro.httpcore import (
     ConnectionClosed,
     Headers,
     HttpClient,
+    HttpError,
     HttpServer,
     Request,
     RequestTimeout,
     Response,
 )
+from repro.proxy import BifrostProxy
 
 
 def make_server() -> HttpServer:
@@ -348,14 +352,14 @@ async def test_stale_idle_connection_evicted_on_acquire():
     async with make_server() as server, HttpClient(idle_timeout=60.0) as client:
         await client.get(f"http://{server.address}/ping")
         pool = client._pools[server.address]
-        reader, old_writer, released_at = pool.connections[0]
+        old, released_at = pool[0]
         # Backdate the idle instant past the keep-alive budget.
-        pool.connections[0] = (reader, old_writer, released_at - 120.0)
+        pool[0] = (old, released_at - 120.0)
         response = await client.get(f"http://{server.address}/ping")
         assert response.status == 200
-        assert old_writer.is_closing()  # the stale socket was retired
+        assert old.transport.is_closing()  # the stale socket was retired
         assert client.idle_connections() == 1  # a fresh one was pooled
-        assert pool.connections[0][1] is not old_writer
+        assert pool[0][0] is not old
 
 
 async def test_stale_acquire_drains_older_stack_entries():
@@ -365,14 +369,14 @@ async def test_stale_acquire_drains_older_stack_entries():
             *[client.get(f"http://{server.address}/ping") for _ in range(3)]
         )
         pool = client._pools[server.address]
-        assert len(pool.connections) == 3
-        old_writers = [writer for _, writer, _ in pool.connections]
-        pool.connections[:] = [
-            (reader, writer, released_at - 120.0)
-            for reader, writer, released_at in pool.connections
+        assert len(pool) == 3
+        old = [connection for connection, _ in pool]
+        pool[:] = [
+            (connection, released_at - 120.0)
+            for connection, released_at in pool
         ]
         await client.get(f"http://{server.address}/ping")
-        assert all(writer.is_closing() for writer in old_writers)
+        assert all(connection.transport.is_closing() for connection in old)
         assert client.idle_connections() == 1
 
 
@@ -383,14 +387,14 @@ async def test_release_ages_out_oldest_idler():
             *[client.get(f"http://{server.address}/ping") for _ in range(3)]
         )
         pool = client._pools[server.address]
-        reader, oldest_writer, released_at = pool.connections[0]
-        pool.connections[0] = (reader, oldest_writer, released_at - 120.0)
+        oldest, released_at = pool[0]
+        pool[0] = (oldest, released_at - 120.0)
         # The next request reuses the fresh LIFO top; releasing it back
         # sweeps the expired connection off the bottom of the stack.
         await client.get(f"http://{server.address}/ping")
-        assert oldest_writer.is_closing()
+        assert oldest.transport.is_closing()
         assert client.idle_connections() == 2
-        assert all(not w.is_closing() for _, w, _ in pool.connections)
+        assert all(not c.transport.is_closing() for c, _ in pool)
 
 
 async def test_fresh_connections_survive_idle_sweeps():
@@ -400,3 +404,79 @@ async def test_fresh_connections_survive_idle_sweeps():
         # Sequential keep-alive traffic: one warm connection, never evicted.
         assert client.idle_connections() == 1
         assert server.requests_handled == 4
+
+
+def test_stop_and_close_leave_no_task_transport_or_warning():
+    async def drive():
+        server = make_server()
+        await server.start()
+        client = HttpClient()
+        url = f"http://{server.address}"
+        await asyncio.gather(*[client.get(f"{url}/ping") for _ in range(3)])
+        in_flight = asyncio.create_task(client.get(f"{url}/slow"))
+        await asyncio.sleep(0.05)
+        # A proxy stopped mid-forward closes its checked-out upstream
+        # connection: the server sees EOF on it.
+        proxy = BifrostProxy("svc", default_upstream=server.address)
+        await proxy.start()
+        served = set(server._connections)
+        proxied = asyncio.create_task(client.get(f"http://{proxy.address}/slow"))
+        await asyncio.sleep(0.05)
+        [upstream] = set(server._connections) - served
+        await proxy.stop()
+        with pytest.raises((HttpError, OSError)):
+            await proxied
+        for _ in range(3):
+            await asyncio.sleep(0)
+        assert upstream.eof
+        connections = [c for c, _ in client._pools[server.address]]
+        connections += list(server._connections)
+        await server.stop()
+        with pytest.raises((HttpError, OSError)):
+            await in_flight
+        await client.close()
+        for _ in range(3):
+            await asyncio.sleep(0)
+        assert not server._connections
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+        # 2 idle in the pool, 3 served (one in /slow), the proxy's upstream
+        assert len(connections) == 6
+        for connection in connections:
+            assert connection.transport.is_closing() and connection.eof
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        asyncio.run(drive())
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+async def test_proxy_stopped_mid_relay_closes_its_upstream():
+    # The downstream peer never reads, so the proxy's relay of the upstream
+    # response stalls in drain(); stopping the proxy must still close the
+    # upstream connection the response streams from.
+    server = HttpServer(name="big")
+
+    @server.router.get("/big")
+    async def big(request):
+        return Response(status=200, stream=BodyStream.from_bytes(b"x" * (8 << 20)))
+
+    await server.start()
+    proxy = BifrostProxy("svc", default_upstream=server.address)
+    await proxy.start()
+    reader, writer = await asyncio.open_connection(proxy.host, proxy.port)
+    try:
+        writer.write(b"GET /big HTTP/1.1\r\nHost: svc\r\n\r\n")
+        for _ in range(100):
+            await asyncio.sleep(0.01)
+            if server._connections and any(c.write_paused for c in proxy._connections):
+                break
+        assert any(c.write_paused for c in proxy._connections)
+        [upstream] = server._connections
+        await proxy.stop()
+        for _ in range(10):
+            await asyncio.sleep(0.01)
+        assert upstream.eof
+    finally:
+        writer.close()
+        await server.stop()

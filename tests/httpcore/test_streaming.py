@@ -7,6 +7,7 @@ import pytest
 from repro.httpcore import (
     BodyStream,
     HttpClient,
+    HttpConnection,
     HttpServer,
     ProtocolError,
     Request,
@@ -14,16 +15,12 @@ from repro.httpcore import (
     StreamAborted,
     StreamTee,
     encode_chunk,
+    read_response,
 )
+from repro.httpcore.connection import BULK_BUFFER_BYTES
 from repro.httpcore.errors import BodyTooLarge, IncompleteMessage
-from repro.httpcore.stream import CHUNKED_EOF, iter_chunked, relay_body
-
-
-def reader_for(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return reader
+from repro.httpcore.stream import CHUNKED_EOF, relay_body
+from tests.httpcore.wire import CHUNKED_HEAD, decode_chunked, feed
 
 
 async def collect(iterator) -> bytes:
@@ -35,7 +32,7 @@ async def collect(iterator) -> bytes:
 
 async def test_chunked_decode_basic():
     wire = encode_chunk(b"hello ") + encode_chunk(b"world") + CHUNKED_EOF
-    assert await collect(iter_chunked(reader_for(wire))) == b"hello world"
+    assert await decode_chunked(wire) == b"hello world"
 
 
 async def test_chunked_decode_ignores_extensions_and_trailers():
@@ -44,28 +41,41 @@ async def test_chunked_decode_ignores_extensions_and_trailers():
         b"5\r\nworld\r\n"
         b"0\r\nTrailer: ignored\r\nAnother: one\r\n\r\n"
     )
-    assert await collect(iter_chunked(reader_for(wire))) == b"hello world"
+    assert await decode_chunked(wire) == b"hello world"
 
 
 async def test_chunked_decode_rejects_bad_size():
     with pytest.raises(ProtocolError):
-        await collect(iter_chunked(reader_for(b"zz\r\n")))
+        await decode_chunked(b"zz\r\n")
 
 
 async def test_chunked_decode_rejects_missing_crlf():
     wire = b"5\r\nhelloXX" + CHUNKED_EOF
     with pytest.raises(ProtocolError):
-        await collect(iter_chunked(reader_for(wire)))
+        await decode_chunked(wire)
 
 
 async def test_chunked_decode_truncated_body():
     with pytest.raises(IncompleteMessage):
-        await collect(iter_chunked(reader_for(b"10\r\nonly-this")))
+        await decode_chunked(b"10\r\nonly-this")
 
 
 async def test_giant_chunk_is_resplit():
+    body = bytes(range(256)) * (3 * BULK_BUFFER_BYTES // 256)
+    # One chunk larger than any receive buffer, all sent at once: it leaves
+    # in buffer-sized pieces, never as one giant buffer.
+    wire = encode_chunk(body) + CHUNKED_EOF
+    request = await feed(CHUNKED_HEAD + wire).receive(stream=True)
+    pieces = [chunk async for chunk in request.stream]
+    assert b"".join(pieces) == body
+    assert len(pieces) > 1
+    assert max(map(len, pieces)) <= BULK_BUFFER_BYTES
+
+
+async def test_torn_chunk_leaves_as_it_arrives():
     wire = encode_chunk(b"x" * 100) + CHUNKED_EOF
-    pieces = [chunk async for chunk in iter_chunked(reader_for(wire), chunk_size=32)]
+    request = await feed(CHUNKED_HEAD + wire, tears=(32,)).receive(stream=True)
+    pieces = [chunk async for chunk in request.stream]
     assert b"".join(pieces) == b"x" * 100
     assert all(len(piece) <= 32 for piece in pieces)
 
@@ -162,7 +172,7 @@ async def test_relay_known_length_is_raw():
 async def test_relay_unknown_length_is_chunk_encoded():
     writer = _SinkWriter()
     await relay_body(writer, BodyStream.from_iterable([b"ab", b"cd"]))
-    assert await collect(iter_chunked(reader_for(bytes(writer.data)))) == b"abcd"
+    assert await decode_chunked(bytes(writer.data)) == b"abcd"
 
 
 async def test_relay_length_mismatch_raises():
@@ -218,12 +228,14 @@ async def test_streamed_response_end_to_end_keeps_connection():
         request = Request(
             method="POST",
             target="/relay",
-            stream=BodyStream.from_iterable([b"x" * 100] * 8),
+            # More than one receive buffer, so the reply cannot arrive whole
+            # with its head (a body that does is handed over as ``.body``).
+            stream=BodyStream.from_iterable([b"x" * 16384] * 8),
         )
         request.headers.set("Host", server.address)
         response = await client.send(request, server.host, server.port, stream=True)
         assert response.stream is not None
-        assert await response.aread() == b"x" * 800
+        assert await response.aread() == b"x" * 131072
         # Drain rule satisfied on both sides: the connection is pooled again.
         assert client.idle_connections(server.address) == 1
         again = await client.post(f"http://{server.address}/echo", body=b"ok")
@@ -374,3 +386,60 @@ async def test_client_streams_oversized_response_but_caps_aread():
             async for chunk in response.iter_body():
                 total += len(chunk)
             assert total == 1000
+
+
+# -- pipelined requests behind a streamed body --------------------------------
+
+
+def _chunked(route: bytes, wire: bytes) -> bytes:
+    return route + b" HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n" + wire
+
+
+def _sized(route: bytes, body: bytes) -> bytes:
+    return route + b" HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+
+NEXT = b"POST /echo HTTP/1.1\r\nContent-Length: 4\r\nConnection: close\r\n\r\nnext"
+BIG = b"b" * (3 * 64 * 1024)
+
+#: (wire sent in one write, server max_body_bytes, expected replies); after
+#: the last reply the server must close the connection cleanly.
+PIPELINED_ROWS = {
+    "unread-length-body": (_sized(b"GET /ignore-body", b"leftover") + NEXT, None, [
+        (200, b"ignored"), (200, b"next")]),
+    "unread-chunked-body": (
+        _chunked(b"GET /ignore-body", encode_chunk(b"left") + encode_chunk(b"over") + CHUNKED_EOF)
+        + NEXT, None, [(200, b"ignored"), (200, b"next")]),
+    "unread-body-past-one-buffer": (_sized(b"GET /ignore-body", BIG) + NEXT, None, [
+        (200, b"ignored"), (200, b"next")]),
+    "echoed-body-past-one-buffer": (_sized(b"POST /echo", BIG) + NEXT, None, [
+        (200, BIG), (200, b"next")]),
+    "unread-body-over-max": (_sized(b"GET /ignore-body", b"o" * 4096) + NEXT, 1024, [
+        (200, b"ignored")]),
+    "bad-chunk-size-mid-body": (
+        _chunked(b"POST /echo", encode_chunk(b"hello") + b"zz\r\nhello\r\n" + CHUNKED_EOF)
+        + NEXT, None, [(400, None)]),
+}
+
+
+@pytest.mark.parametrize("row", PIPELINED_ROWS)
+async def test_pipelined_request_behind_streamed_body(row):
+    wire, limit, expected = PIPELINED_ROWS[row]
+    kwargs = {} if limit is None else {"max_body_bytes": limit}
+    async with make_streaming_server(**kwargs) as server:
+        _, connection = await asyncio.get_running_loop().create_connection(
+            lambda: HttpConnection(read_response), server.host, server.port
+        )
+        try:
+            connection.write(wire)
+            async with asyncio.timeout(10):
+                replies = []
+                while (response := await connection.receive(max_body=None)) is not None:
+                    assert response.status < 500, row
+                    replies.append(response)
+        finally:
+            connection.close()
+    assert [r.status for r in replies] == [status for status, _ in expected]
+    for response, (_, body) in zip(replies, expected):
+        if body is not None:
+            assert response.body == body, row

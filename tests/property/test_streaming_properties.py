@@ -15,8 +15,9 @@ import asyncio
 from hypothesis import given, settings, strategies as st
 
 from repro.httpcore import BodyStream, HttpClient, HttpServer, Request, Response
-from repro.httpcore.stream import CHUNKED_EOF, encode_chunk, iter_chunked, relay_body
+from repro.httpcore.stream import CHUNKED_EOF, encode_chunk, relay_body
 from repro.proxy import BifrostProxy
+from tests.httpcore.wire import decode_chunked
 
 chunk_lists = st.lists(
     st.binary(min_size=1, max_size=200), min_size=0, max_size=12
@@ -44,21 +45,6 @@ def encode_wire(chunks, extensions, trailers) -> bytes:
     return bytes(wire)
 
 
-def feed_torn(data: bytes, tears: list[int]) -> asyncio.StreamReader:
-    """A reader whose buffer was fed in adversarially torn pieces."""
-    reader = asyncio.StreamReader()
-    position = 0
-    index = 0
-    while position < len(data):
-        size = tears[index % len(tears)] if tears else len(data)
-        index += 1
-        piece = data[position : position + max(1, size)]
-        reader.feed_data(piece)
-        position += len(piece)
-    reader.feed_eof()
-    return reader
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     chunk_lists,
@@ -69,17 +55,14 @@ def feed_torn(data: bytes, tears: list[int]) -> asyncio.StreamReader:
 def test_chunked_decoder_inverts_any_encoding(chunks, extensions, trailers, tears):
     wire = encode_wire(chunks, extensions, trailers)
 
-    async def drive():
-        reader = feed_torn(wire, tears)
-        return b"".join([piece async for piece in iter_chunked(reader)])
-
-    assert asyncio.run(drive()) == b"".join(chunks)
+    # The wire arrives in adversarially torn pieces, one per loop turn.
+    assert asyncio.run(decode_chunked(wire, tears)) == b"".join(chunks)
 
 
 @settings(max_examples=100, deadline=None)
 @given(chunk_lists, st.integers(min_value=1, max_value=64))
 def test_relay_encoding_round_trips(chunks, chunk_size):
-    """relay_body's chunked emission is exactly what iter_chunked expects."""
+    """relay_body's chunked emission is exactly what the connection decodes."""
 
     class Sink:
         def __init__(self):
@@ -95,12 +78,7 @@ def test_relay_encoding_round_trips(chunks, chunk_size):
         sink = Sink()
         await relay_body(sink, BodyStream.from_iterable(list(chunks)))
         assert bytes(sink.data).endswith(CHUNKED_EOF)
-        reader = asyncio.StreamReader()
-        reader.feed_data(bytes(sink.data))
-        reader.feed_eof()
-        return b"".join(
-            [piece async for piece in iter_chunked(reader, chunk_size=chunk_size)]
-        )
+        return await decode_chunked(bytes(sink.data), (chunk_size,))
 
     assert asyncio.run(drive()) == b"".join(chunks)
 
@@ -110,15 +88,7 @@ def test_relay_encoding_round_trips(chunks, chunk_size):
 def test_encode_chunk_round_trips_single_payload(payload, chunk_size):
     wire = (encode_chunk(payload) if payload else b"") + CHUNKED_EOF
 
-    async def drive():
-        reader = asyncio.StreamReader()
-        reader.feed_data(wire)
-        reader.feed_eof()
-        return b"".join(
-            [piece async for piece in iter_chunked(reader, chunk_size=chunk_size)]
-        )
-
-    assert asyncio.run(drive()) == payload
+    assert asyncio.run(decode_chunked(wire, (chunk_size,))) == payload
 
 
 @settings(max_examples=10, deadline=None)

@@ -155,8 +155,19 @@ async def test_second_streamed_shadow_is_dropped_with_accounting():
         },
     )
     client = HttpClient()
+
+    async def held_tail():
+        # The rest of the body leaves only once the proxy dispatched the
+        # head, so the body is still streaming (a whole body that arrives
+        # with its head is buffered, and buffered bodies fan out to all).
+        yield b"data"
+        while not proxy.requests_handled:
+            await asyncio.sleep(0.001)
+        for _ in range(3):
+            yield b"data"
+
     try:
-        request = chunked_request("/x", [b"data"] * 4, proxy.address)
+        request = chunked_request("/x", held_tail(), proxy.address)
         response = await client.send(request, proxy.host, proxy.port)
         assert response.status == 200
         await proxy.shadower.drain()

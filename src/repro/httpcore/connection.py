@@ -30,14 +30,18 @@ from .stream import BodyStream
 
 #: The receive buffer of a connection until one read fills it.  That means
 #: bulk data (large bodies), so from the next empty buffer on the
-#: connection reads into :data:`BULK_BUFFER_BYTES`, the largest body chunk.
+#: connection reads into :data:`BULK_BUFFER_BYTES`, the size asyncio's
+#: socket transport reads per ``recv`` for its ``data_received`` protocols.
 #: A head that outgrows either doubles it until the buffer empties.
 BUFFER_BYTES = 16 * 1024
-BULK_BUFFER_BYTES = 64 * 1024
+BULK_BUFFER_BYTES = 256 * 1024
 
 # Where the body framer is: in data, at the CRLF after a chunk's data, at a
 # chunk-size line, in the trailer section, or past the end of the body.
 _DATA, _CRLF, _SIZE, _TRAILER, _DONE = range(5)
+#: RFC 7230 HEXDIG, all a chunk size may hold (``int`` also takes a sign,
+#: ``0x``, ``_`` and whitespace).
+_HEXDIG = b"0123456789abcdefABCDEF"
 
 
 class HttpConnection(asyncio.BufferedProtocol):
@@ -203,15 +207,12 @@ class HttpConnection(asyncio.BufferedProtocol):
             raise BodyTooLarge(f"declared body of {framing} bytes")
         self._chunked = framing == CHUNKED
         self._state, self._remaining = (_SIZE, 0) if self._chunked else (_DATA, framing)
-        pieces = self._frame_body()
-        if self._state == _DONE:
-            body = pieces[0] if len(pieces) == 1 else b"".join(pieces)
-            if max_body is None or len(body) <= max_body:
-                message.body = body
-                return message
-            pieces = [body]
+        piece = self._frame_body()
+        if self._state == _DONE and (max_body is None or len(piece) <= max_body):
+            message.body = piece
+            return message
         body_stream = BodyStream(
-            self._body_source(pieces),
+            self._body_source(piece),
             length=None if self._chunked else framing,
             max_buffer=max_body,
         )
@@ -221,10 +222,11 @@ class HttpConnection(asyncio.BufferedProtocol):
             message.body = await body_stream.read()
         return message
 
-    def _frame_body(self) -> list[bytes]:
-        """Decode what the buffer holds of the current body (RFC 7230 §4.1
-        for chunked: extensions discarded, trailers read and ignored)."""
-        pieces: list[bytes] = []
+    def _frame_body(self) -> bytes:
+        """Decode what the buffer holds of the current body into one piece
+        (RFC 7230 §4.1 for chunked: extensions discarded, trailers read and
+        ignored): the data of every chunk in it, copied out in one join."""
+        views: list[memoryview] = []
         buf, start, end, state = self._buf, self._start, self._end, self._state
         try:
             while state != _DONE:
@@ -232,7 +234,7 @@ class HttpConnection(asyncio.BufferedProtocol):
                     take = min(self._remaining, end - start)
                     if not take:
                         break
-                    pieces.append(bytes(self._view[start : start + take]))
+                    views.append(self._view[start : start + take])
                     start += take
                     self._remaining -= take
                     if self._remaining:
@@ -256,30 +258,27 @@ class HttpConnection(asyncio.BufferedProtocol):
                         if not line:
                             state = _DONE
                         continue
-                    raw_size = bytes(line.split(b";", 1)[0].strip())
-                    try:
-                        size = int(raw_size, 16)
-                    except ValueError as exc:
-                        raise ProtocolError(f"bad chunk size: {raw_size!r}") from exc
-                    if size < 0:
-                        raise ProtocolError(f"negative chunk size: {size}")
+                    raw_size = bytes(line.split(b";", 1)[0])
+                    if not raw_size or raw_size.translate(None, _HEXDIG):
+                        raise ProtocolError(f"bad chunk size: {raw_size!r}")
+                    size = int(raw_size, 16)
                     state, self._remaining = (_DATA, size) if size else (_TRAILER, 0)
         finally:
             self._start, self._state = start, state
-        return pieces
+        return b"".join(views)
 
-    async def _body_source(self, pieces: list[bytes]):
+    async def _body_source(self, piece: bytes):
         while True:
-            for piece in pieces:
+            if piece:
                 yield piece
             if self._state == _DONE:
                 return
-            pieces = self._frame_body()
-            while not pieces and self._state != _DONE:
+            piece = self._frame_body()
+            while not piece and self._state != _DONE:
                 if self.eof:
                     raise IncompleteMessage("connection closed mid-body")
                 await self._wait()
-                pieces = self._frame_body()
+                piece = self._frame_body()
 
     async def settle(self, task: asyncio.Task) -> None:
         """Wait, under the deadline, for a :meth:`pump_done` task to end."""

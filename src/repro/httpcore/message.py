@@ -316,7 +316,8 @@ def _parse_fields(lines: list[str]) -> tuple[Headers, int | None, bool, bool]:
     values are picked up on the way, so framing and persistence need no
     second scan.  ``Transfer-Encoding`` wins over ``Content-Length`` (RFC
     7230 §3.3.3), the only transfer coding we speak is ``chunked``, and
-    ``(None, False)`` means "no body".
+    ``(None, False)`` means "no body".  Otherwise a ``Content-Length`` is
+    ``1*DIGIT`` and every repeat of it must carry the same value.
     """
     fields: list[tuple[str, str, str]] = []
     found: dict[str, str] = {}
@@ -333,7 +334,11 @@ def _parse_fields(lines: list[str]) -> tuple[Headers, int | None, bool, bool]:
         value = value.strip()
         fields.append((key, name, value))
         if key in _RESOLVED_IN_PARSE:
-            found.setdefault(key, value)
+            first = found.setdefault(key, value)
+            if first != value and key == "content-length":
+                # Kept as the one comma-joined value they are equivalent to
+                # (§3.2.2), which the digits rule below rejects (§3.3.3).
+                found[key] = f"{first}, {value}"
     headers = Headers._adopt(fields)
     if not found:
         return headers, None, False, False
@@ -351,13 +356,9 @@ def _parse_fields(lines: list[str]) -> tuple[Headers, int | None, bool, bool]:
     raw_length = found.get("content-length")
     if raw_length is None:
         return headers, None, False, close
-    try:
-        length = int(raw_length)
-    except ValueError as exc:
-        raise ProtocolError(f"bad Content-Length: {raw_length!r}") from exc
-    if length < 0:
-        raise ProtocolError(f"negative Content-Length: {length}")
-    return headers, length, False, close
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise ProtocolError(f"bad Content-Length: {raw_length!r}")
+    return headers, int(raw_length), False, close
 
 
 def read_request(head: bytes) -> Request:

@@ -1,6 +1,7 @@
 """Unit tests for HTTP message parsing and serialization."""
 
 import asyncio
+import re
 
 import pytest
 
@@ -185,14 +186,15 @@ async def test_pipelined_requests_parse_sequentially():
 #
 # ``_reference_parse`` is the parser as it was before the head was resolved
 # in one pass: build the field list, then scan it once per question.  It
-# stays here as the oracle.
+# stays here as the oracle, holding RFC 7230's framing rules: a
+# Content-Length is 1*DIGIT, and repeats of it must agree (§3.3.2, §3.3.3).
 
 HOSTILE_LINES = [
     "Host: a", "hOsT:b", "X-Colon: a:b:c", "X-Empty:", "X-Empty:   ",
     "Set-Cookie: a=1", "set-cookie: b=2",
     "Content-Length: 5", "content-length: 7", "CONTENT-LENGTH: -1",
     "Content-Length: abc", "Content-Length:   5 ", "Content-Length: +5",
-    "Content-Length:", "Content-Length: 0",
+    "Content-Length: 5_0", "Content-Length:", "Content-Length: 0",
     "Transfer-Encoding: chunked", "transfer-encoding: Chunked",
     "Transfer-Encoding: gzip, chunked", "Transfer-Encoding:",
     "Connection: close", "Connection: close, x-foo", "connection: CLOSE",
@@ -232,13 +234,13 @@ def _reference_parse(lines):
         if [t.strip().lower() for t in encoding.split(",") if t.strip()] != ["chunked"]:
             raise ProtocolError(encoding)
         return items, (None, True), close
+    lengths = {v for n, v in items if n.lower() == "content-length"}
+    if len(lengths) > 1:
+        raise ProtocolError(lengths)
     raw_length = first("content-length")
-    try:
-        length = None if raw_length is None else int(raw_length)
-    except ValueError:
+    if raw_length is not None and not re.fullmatch("[0-9]+", raw_length):
         raise ProtocolError(raw_length)
-    if length is not None and length < 0:
-        raise ProtocolError(raw_length)
+    length = None if raw_length is None else int(raw_length)
     return items, (length or None, False), close
 
 

@@ -45,8 +45,13 @@ async def test_chunked_decode_ignores_extensions_and_trailers():
 
 
 async def test_chunked_decode_rejects_bad_size():
-    with pytest.raises(ProtocolError):
-        await decode_chunked(b"zz\r\n")
+    # RFC 7230 §4.1: a chunk size is 1*HEXDIG.  ``int(size, 16)`` reads every
+    # row but the first as the size beside it; the data is sized to match,
+    # so only the size line can be what fails.
+    for size, lenient in [(b"zz", 0), (b"5_0", 0x50), (b"0x5", 5), (b"+5", 5), (b" 5", 5)]:
+        wire = size + b"\r\n" + b"x" * lenient + b"\r\n" + CHUNKED_EOF
+        with pytest.raises(ProtocolError, match="bad chunk size"):
+            await decode_chunked(wire)
 
 
 async def test_chunked_decode_rejects_missing_crlf():
@@ -78,6 +83,52 @@ async def test_torn_chunk_leaves_as_it_arrives():
     pieces = [chunk async for chunk in request.stream]
     assert b"".join(pieces) == b"x" * 100
     assert all(len(piece) <= 32 for piece in pieces)
+
+
+async def test_one_read_of_many_chunks_leaves_as_one_piece():
+    chunks = [bytes([65 + i]) * 1024 for i in range(5)]
+    frames = [encode_chunk(chunk) for chunk in chunks]
+    wire = CHUNKED_HEAD + b"".join(frames) + CHUNKED_EOF
+    # Read 1: the head, four whole frames and half of the fifth's data.
+    first_read = len(CHUNKED_HEAD) + sum(map(len, frames[:4])) + len(b"400\r\n") + 512
+    request = await feed(wire, tears=(first_read, len(wire))).receive(stream=True)
+    pieces = [piece async for piece in request.stream]
+    assert b"".join(pieces) == b"".join(chunks)
+    assert [len(piece) for piece in pieces] == [4 * 1024 + 512, 512]
+
+
+async def test_a_reader_that_stops_holds_one_bulk_buffer():
+    body = b"b" * (4 * BULK_BUFFER_BYTES)
+    connection = feed(_sized(b"POST /bulk", body))
+    request = await connection.receive(stream=True)
+    first = await request.stream.__anext__()
+    for _ in range(10):  # the peer keeps sending until reading pauses
+        await asyncio.sleep(0)
+    assert connection.transport.paused and connection.transport.pieces
+    assert len(connection._buf) == BULK_BUFFER_BYTES
+    assert connection._end - connection._start <= BULK_BUFFER_BYTES
+    # Reading resumes once the reader waits again: the rest arrives.
+    assert first + await request.stream.read() == body
+
+
+async def test_a_tee_branch_nobody_reads_holds_at_most_capacity_buffers():
+    capacity = 2
+    body = bytes(range(256)) * (6 * BULK_BUFFER_BYTES // 256)
+    request = await feed(_sized(b"POST /bulk", body)).receive(stream=True)
+    seen: list[bytes] = []
+    dropped_after: list[int] = []
+    queued: list[int] = []
+    tee = StreamTee(
+        request.stream, capacity=capacity, on_drop=lambda: dropped_after.append(len(seen))
+    )
+    async for piece in tee.primary:
+        seen.append(piece)
+        queued.append(sum(len(item) for item in tee._queue._queue if isinstance(item, bytes)))
+    assert b"".join(seen) == body
+    assert dropped_after == [capacity]
+    assert max(queued) <= capacity * BULK_BUFFER_BYTES
+    with pytest.raises(StreamAborted):
+        await collect(tee.branch)
 
 
 # -- BodyStream -------------------------------------------------------------
@@ -400,7 +451,7 @@ def _sized(route: bytes, body: bytes) -> bytes:
 
 
 NEXT = b"POST /echo HTTP/1.1\r\nContent-Length: 4\r\nConnection: close\r\n\r\nnext"
-BIG = b"b" * (3 * 64 * 1024)
+BIG = b"b" * (3 * BULK_BUFFER_BYTES)
 
 #: (wire sent in one write, server max_body_bytes, expected replies); after
 #: the last reply the server must close the connection cleanly.
@@ -418,6 +469,9 @@ PIPELINED_ROWS = {
         (200, b"ignored")]),
     "bad-chunk-size-mid-body": (
         _chunked(b"POST /echo", encode_chunk(b"hello") + b"zz\r\nhello\r\n" + CHUNKED_EOF)
+        + NEXT, None, [(400, None)]),
+    "differing-content-lengths": (
+        b"POST /echo HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 6\r\n\r\nabcdef"
         + NEXT, None, [(400, None)]),
 }
 

@@ -37,7 +37,8 @@ class HttpClient:
     reading the response and, for a streamed request body, finishing the
     body — not of each step.  A request that runs out of it raises
     ``RequestTimeout``, is never retried, and its connection is closed
-    rather than pooled.
+    rather than pooled.  One timer per client, at the earliest deadline in
+    progress, enforces every budget.
     """
 
     def __init__(
@@ -62,6 +63,10 @@ class HttpClient:
         #: idlers fall off the bottom on release.
         self._pools: dict[str, list[tuple[HttpConnection, float]]] = {}
         self._closed = False
+        #: The round trips in progress: connection -> (deadline, request).
+        self._deadlines: dict[HttpConnection, tuple[float, Request]] = {}
+        self._timer: asyncio.TimerHandle | None = None
+        self._timer_loop: asyncio.AbstractEventLoop | None = None
 
     async def request(
         self,
@@ -138,9 +143,13 @@ class HttpClient:
         stream: bool = False,
     ) -> Response:
         loop = connection.loop
-        # One timer for the whole round trip, not a scope or ``wait_for``
-        # per await: it fails whatever wait is pending when it fires.
-        timer = loop.call_at(loop.time() + deadline, connection.expire, request)
+        # One deadline for the whole round trip, not a scope or ``wait_for``
+        # per await: the client's timer fails whatever wait is pending.
+        expires = loop.time() + deadline
+        self._deadlines[connection] = (expires, request)
+        timer = self._timer
+        if timer is None or expires < timer.when() or loop is not self._timer_loop:
+            self._arm(loop, expires)
         pump: asyncio.Task[None] | None = None
         response: Response | None = None
         try:
@@ -179,7 +188,7 @@ class HttpClient:
                     raise failure from exc
                 raise
         finally:
-            timer.cancel()
+            self._deadlines.pop(connection, None)
 
         def finish(clean: bool) -> None:
             # The drain rule: release only once both bodies ended cleanly.
@@ -193,6 +202,25 @@ class HttpClient:
         else:
             finish(True)
         return response
+
+    def _arm(self, loop: asyncio.AbstractEventLoop, when: float) -> None:
+        """Move the deadline timer to *when* on *loop*."""
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer, self._timer_loop = loop.call_at(when, self._expire), loop
+
+    def _expire(self) -> None:
+        """Fail the round trips that are due; re-arm at the next deadline."""
+        loop = self._timer_loop
+        now = max(loop.time(), self._timer.when())  # asyncio may fire a tick early
+        self._timer = None
+        deadlines = self._deadlines
+        for connection, (expires, request) in list(deadlines.items()):
+            if expires <= now:
+                del deadlines[connection]
+                connection.expire(request)
+        if deadlines:
+            self._arm(loop, min(expires for expires, _ in deadlines.values()))
 
     async def get(self, url: str, **kwargs: Any) -> Response:
         return await self.request("GET", url, **kwargs)
@@ -253,6 +281,8 @@ class HttpClient:
             for connection, _ in pool:
                 connection.close()
         self._pools.clear()
+        if self._timer is not None and not self._deadlines:
+            self._timer.cancel()  # a round trip in progress keeps its deadline
 
     async def __aenter__(self) -> "HttpClient":
         return self

@@ -20,7 +20,7 @@ import asyncio
 from urllib.parse import quote
 
 from ..clock import Clock, RealClock
-from ..httpcore import HttpClient
+from ..httpcore import HttpClient, ProtocolError
 from . import plan
 from .compile import compile_query
 from .query import QueryError
@@ -143,10 +143,17 @@ class HttpPrometheusProvider(MetricsProvider):
             raise ProviderError(
                 f"metrics server returned {response.status}: {response.body[:200]!r}"
             )
-        payload = response.json()
-        if payload.get("status") != "success":
-            raise ProviderError(f"query failed: {payload.get('error')}")
-        return payload["data"]["value"]
+        try:
+            payload = response.json()
+            if payload["status"] != "success":
+                raise ProviderError(f"query failed: {payload.get('error')}")
+            value = payload["data"]["value"]
+        except (ProtocolError, TypeError, KeyError):
+            raise ProviderError(f"not a query answer: {response.body[:200]!r}") from None
+        # Only a number or null is an answer; a bool is not a number here.
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ProviderError(f"data.value is not a number: {value!r:.200}")
+        return value
 
     async def close(self) -> None:
         if self._owns_client:

@@ -6,11 +6,11 @@ shadower fires a copy of the request at the shadow version and discards
 the response — the user only ever sees the primary reply.  Duplication is
 fire-and-forget: shadow failures are counted, never surfaced.
 
-Dispatch goes through a **bounded queue** drained by a fixed pool of
-worker tasks.  The bound is no longer a static ``max_pending``: it
-adapts to what the shadow upstream can actually absorb.
+A duplicate takes one of ``concurrency`` **send slots** (its own Task) or
+waits for one in a bounded FIFO.  The bound is no longer a static
+``max_pending``: it adapts to what the shadow upstream can actually absorb.
 
-* An EWMA of observed shadow-upstream send latency sizes the queue so
+* An EWMA of observed shadow-upstream send latency sizes the wait so
   that the *expected queue delay* stays near ``target_delay``: with
   ``concurrency`` sends in flight, admitting more than
   ``concurrency * target_delay / latency`` duplicates would leave the
@@ -21,14 +21,15 @@ adapts to what the shadow upstream can actually absorb.
 * ``max_pending`` remains the hard ceiling (memory bound); the
   **effective** bound at any instant is the minimum of the three.
 
-When the queue is at the effective bound, the backpressure policy
+When the wait is at the effective bound, the backpressure policy
 decides: ``drop-newest`` (default — the incoming duplicate is discarded)
-or ``drop-oldest`` (the stalest queued duplicate is displaced, keeping
+or ``drop-oldest`` (the stalest waiting duplicate is displaced, keeping
 traffic fresh).  Every discarded duplicate increments the visible
 ``dropped`` counter — overload is observable, never silent — and is
 exported as ``bifrost_shadow_dropped_total`` alongside the
 ``bifrost_shadow_queue_delay_seconds`` histogram, so a strategy check
-can gate on the proxy's own shadow capacity.
+can gate on the proxy's own shadow capacity.  Shutdown does not wait
+for a hung shadow upstream: :meth:`Shadower.close` drops what is left.
 
 **Streamed duplicates** never double-buffer: the primary path owns the
 request stream, and a :class:`~repro.httpcore.stream.StreamTee` fans its
@@ -45,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
+from collections import deque
 
 from ..httpcore import HttpClient, Request, StreamAborted
 from ..httpcore.stream import BodyStream, StreamTee
@@ -65,7 +67,7 @@ QUEUE_DELAY_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 
 
 
 class Shadower:
-    """Sends shadow requests through an adaptively bounded queue."""
+    """Sends shadow requests through send slots and an adaptively bounded wait."""
 
     def __init__(
         self,
@@ -95,10 +97,11 @@ class Shadower:
         self.target_delay = target_delay
         self.min_pending = min_pending
         self.tee_capacity = tee_capacity
-        self._queue: asyncio.Queue[
-            tuple[Request, str, str, int, float]
-        ] = asyncio.Queue()
-        self._workers: list[asyncio.Task[None]] = []
+        #: Duplicates waiting for a slot, oldest first, and when each came.
+        self._waiting: deque[tuple[Request, str, str, int, float]] = deque()
+        #: The send Task of each duplicate holding a slot.
+        self._sending: dict[asyncio.Task[None], Request] = {}
+        self._closed = False
         #: Counters for observability and tests.
         self.sent = 0
         self.failed = 0
@@ -106,7 +109,7 @@ class Shadower:
         #: EWMA of shadow-upstream send latency (seconds); None until the
         #: first completed send.
         self.latency_ewma: float | None = None
-        #: EWMA of time duplicates spend queued (seconds).
+        #: EWMA of time duplicates spend waiting for a slot (seconds).
         self.queue_delay_ewma: float | None = None
         self._aimd = max_pending
         # Exported metrics, when a registry is wired in (the proxy passes
@@ -181,7 +184,7 @@ class Shadower:
         host: str | None = None,
         port: int | None = None,
     ) -> bool:
-        """Enqueue *request* for ``endpoint``; ``False`` if it was dropped.
+        """Start or queue *request* for ``endpoint``; ``False`` if dropped.
 
         Never blocks and never raises on overload — the proxy's primary
         path must not stall because a shadow target is slow.  Callers that
@@ -189,26 +192,24 @@ class Shadower:
         rings) pass them along; otherwise *endpoint* is split here by the
         same parser the rings use.
         """
-        queue = self._queue
-        if queue.qsize() >= self.effective_pending:
-            if self.policy == DROP_NEWEST:
-                self.note_drop()
+        waiting = self._waiting
+        if self._closed or (waiting and len(waiting) >= self.effective_pending):
+            self.note_drop()
+            if self._closed or self.policy == DROP_NEWEST:
                 self._discard(request)
                 return False
-            # drop-oldest: displace the stalest queued duplicate.
-            stale = queue.get_nowait()
-            queue.task_done()
-            self.note_drop()
-            self._discard(stale[0])
+            # drop-oldest: displace the stalest waiting duplicate.
+            self._discard(waiting.popleft()[0])
         if host is None or port is None:
             host, port = parse_endpoint(endpoint)
         if request.headers.get("Host") != endpoint:
             request.headers.set("Host", endpoint)
         if request.headers.get("X-Bifrost-Shadow") is None:
             request.headers.set("X-Bifrost-Shadow", "true")
-        queue.put_nowait((request, endpoint, host, port, time.monotonic()))
-        if len(self._workers) < self.concurrency:
-            self._spawn_worker()
+        if len(self._sending) < self.concurrency:
+            self._start(request, endpoint, host, port, time.monotonic())
+        else:
+            waiting.append((request, endpoint, host, port, time.monotonic()))
         return True
 
     @staticmethod
@@ -217,29 +218,24 @@ class Shadower:
         if request.stream is not None:
             request.stream.abort()
 
-    def _spawn_worker(self) -> None:
-        task = asyncio.get_running_loop().create_task(self._work())
-        self._workers.append(task)
-        task.add_done_callback(self._workers.remove)
+    def _start(
+        self, request: Request, endpoint: str, host: str, port: int, accepted: float
+    ) -> None:
+        """Give *request* a send slot: its own send Task."""
+        delay = time.monotonic() - accepted
+        ewma = self.queue_delay_ewma
+        self.queue_delay_ewma = delay if ewma is None else ewma + EWMA_ALPHA * (delay - ewma)
+        if self._m_queue_delay is not None:
+            self._m_queue_delay.observe(delay)
+        task = asyncio.get_running_loop().create_task(self._send(request, endpoint, host, port))
+        self._sending[task] = request
+        task.add_done_callback(self._finished)
 
-    async def _work(self) -> None:
-        queue = self._queue
-        while True:
-            try:
-                request, endpoint, host, port, enqueued = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return  # workers are ephemeral: die when the queue drains
-            delay = time.monotonic() - enqueued
-            ewma = self.queue_delay_ewma
-            self.queue_delay_ewma = (
-                delay if ewma is None else ewma + EWMA_ALPHA * (delay - ewma)
-            )
-            if self._m_queue_delay is not None:
-                self._m_queue_delay.observe(delay)
-            try:
-                await self._send(request, endpoint, host, port)
-            finally:
-                queue.task_done()
+    def _finished(self, task: asyncio.Task[None]) -> None:
+        """A send ended: its slot goes to the oldest waiting duplicate."""
+        del self._sending[task]
+        if self._waiting:
+            self._start(*self._waiting.popleft())
 
     async def _send(
         self, request: Request, endpoint: str, host: str, port: int
@@ -250,8 +246,6 @@ class Shadower:
             # duplicate go to the wire without another copy.
             await self._client.send(request, host, port)
             self._note_sent(time.monotonic() - started)
-        except asyncio.CancelledError:
-            raise
         except StreamAborted:
             # Tee overflow mid-send: already accounted as a drop by the
             # tee's on_drop hook; not an upstream failure.
@@ -262,17 +256,24 @@ class Shadower:
 
     @property
     def in_flight(self) -> int:
-        """Queued plus actively-sending shadow requests."""
-        return self._queue._unfinished_tasks  # noqa: SLF001 — stdlib counter
+        """Waiting plus actively-sending shadow requests."""
+        return len(self._sending) + len(self._waiting)
 
     async def drain(self) -> None:
-        """Wait until every accepted shadow completed (tests and shutdown)."""
-        await self._queue.join()
+        """Wait until every accepted shadow completed (close() does not)."""
+        while self._sending:
+            await asyncio.wait(list(self._sending))
 
     async def close(self) -> None:
-        """Drain, then stop the worker pool."""
-        await self.drain()
-        for worker in list(self._workers):
-            worker.cancel()
-        if self._workers:
-            await asyncio.gather(*list(self._workers), return_exceptions=True)
+        """Stop without waiting: cancel the sends in flight and discard the
+        waiting duplicates (aborting their tee branches), each counted once
+        as a drop, as is every duplicate offered afterwards."""
+        self._closed = True
+        abandoned = [item[0] for item in self._waiting]
+        self._waiting.clear()
+        tasks = list(self._sending)
+        abandoned += [self._sending[task] for task in tasks if task.cancel()]
+        for request in abandoned:
+            self.note_drop()
+            self._discard(request)
+        await asyncio.gather(*tasks, return_exceptions=True)

@@ -31,6 +31,27 @@ class TaskCounter:
         return asyncio.Task(coro, loop=loop, **kwargs)
 
 
+class TimerCounter:
+    """Records the timers armed on the running loop while it is armed
+    (``call_later`` arms through ``call_at`` too)."""
+
+    def __init__(self) -> None:
+        self.handles: list[asyncio.TimerHandle] = []
+        loop = asyncio.get_running_loop()
+        call_at = loop.call_at
+
+        def counting_call_at(when, callback, *args, **kwargs):
+            handle = call_at(when, callback, *args, **kwargs)
+            self.handles.append(handle)
+            return handle
+
+        loop.call_at = counting_call_at
+
+    @property
+    def armed(self) -> int:
+        return len(self.handles)
+
+
 def request_to(server: HttpServer, **kwargs) -> Request:
     return Request("POST", "/echo", Headers({"Host": server.address}), **kwargs)
 
@@ -48,6 +69,30 @@ async def test_warm_buffered_round_trips_create_no_tasks():
         # Client and server share this loop: neither side made a Task.
         assert counter.created == 0
         assert client.idle_connections() == 1
+
+
+async def test_warm_buffered_round_trips_arm_at_most_one_timer():
+    async with make_server() as server, HttpClient() as client:
+        await client.send(request_to(server, body=b"warm"), server.host, server.port)
+        timers = TimerCounter()
+        for index in range(25):
+            body = b"payload-%d" % index
+            response = await client.send(
+                request_to(server, body=body), server.host, server.port
+            )
+            assert response.body == body
+        # One deadline timer per client, not one per round trip.
+        assert timers.armed <= 1
+
+
+async def test_close_leaves_no_timer_armed():
+    async with make_server() as server:
+        client = HttpClient()
+        timers = TimerCounter()
+        await client.send(request_to(server, body=b"one"), server.host, server.port)
+        assert timers.armed == 1
+        await client.close()
+        assert all(handle.cancelled() for handle in timers.handles)
 
 
 async def test_streamed_request_send_creates_exactly_the_pump_task():

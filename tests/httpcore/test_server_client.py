@@ -217,6 +217,68 @@ async def test_timeout_budget_includes_the_request_body_pump():
         assert client.idle_connections() == 0
 
 
+# -- the client's one deadline timer ------------------------------------------
+
+
+async def test_a_shorter_deadline_fires_under_a_longer_one():
+    loop = asyncio.get_running_loop()
+    async with make_server() as server, HttpClient(timeout=30.0) as client:
+        url = f"http://{server.address}/slow"
+        long = asyncio.ensure_future(client.get(url))
+        await asyncio.sleep(0.05)  # the 30 s round trip armed the timer
+        started = loop.time()
+        with pytest.raises(RequestTimeout):
+            await client.get(url, timeout=0.2)
+        assert loop.time() - started < 1.2 * 0.2
+        assert (await long).body == b"late"
+
+
+async def test_the_timer_rearms_after_a_timeout():
+    timeout = 0.3
+    loop = asyncio.get_running_loop()
+    async with make_server() as server, HttpClient(timeout=timeout) as client:
+        url = f"http://{server.address}/slow"
+        started = loop.time()
+        longer = asyncio.ensure_future(client.get(url))
+        with pytest.raises(RequestTimeout):
+            await client.get(url, timeout=0.1)
+        # Fired for the shorter deadline, the timer re-armed for this one ...
+        with pytest.raises(RequestTimeout):
+            await longer
+        assert loop.time() - started < 1.2 * timeout
+        # ... and after both, a new stalled round trip arms it again.
+        started = loop.time()
+        with pytest.raises(RequestTimeout):
+            await client.get(url)
+        assert loop.time() - started < 1.2 * timeout
+
+
+def test_a_client_still_times_out_under_a_second_event_loop():
+    # The first loop closes with the client's timer armed on it; the
+    # second loop's round trip must arm its own, though its deadline is
+    # later than the dead timer's.
+    timeout = 0.3
+    client = HttpClient(timeout=timeout)
+
+    async def get(path: str):
+        async with make_server() as server:
+            # Not pooled: a connection must not outlive its loop.
+            return await client.get(
+                f"http://{server.address}{path}", headers={"Connection": "close"}
+            )
+
+    assert asyncio.run(get("/ping")).body == b"pong"
+
+    async def stalled():
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        with pytest.raises(RequestTimeout):
+            await get("/slow")
+        assert loop.time() - started < 1.2 * timeout
+
+    asyncio.run(stalled())
+
+
 async def test_client_close_rejects_further_use():
     async with make_server() as server:
         client = HttpClient()

@@ -78,6 +78,29 @@ async def test_unreachable_metrics_provider_causes_rollback_not_crash():
     await engine.shutdown()
 
 
+async def test_a_metrics_answer_that_is_not_a_number_rolls_back_not_fails():
+    """A 200 carrying ``"value": "abc"`` is no data, like an unreachable
+    Prometheus: the check fails and the strategy takes its transition."""
+    metrics = HttpServer(name="metrics")
+
+    async def not_a_number(request):
+        return Response.from_json({"status": "success", "data": {"value": "abc"}})
+
+    metrics.router.set_fallback(not_a_number)
+    await metrics.start()
+    proxy = BifrostProxy("svc", default_upstream="127.0.0.1:1")
+    engine = Engine(controller=LocalProxyController({"svc": proxy}))
+    engine.register_provider(
+        "prometheus", HttpPrometheusProvider(f"http://{metrics.address}")
+    )
+    execution_id = engine.enact(canary_strategy({"stable": "h:1", "canary": "h:2"}))
+    report = await engine.wait(execution_id)
+    assert report.status is ExecutionStatus.ROLLED_BACK
+    assert report.path == ["canary", "rollback"]
+    await engine.shutdown()
+    await metrics.stop()
+
+
 async def test_metrics_server_dying_mid_strategy_rolls_back():
     metrics = MetricsServer()
     await metrics.start(scrape=False)

@@ -5,7 +5,8 @@ from urllib.parse import quote
 import pytest
 
 from repro.clock import VirtualClock
-from repro.httpcore import HttpClient
+from repro.core.checks import fetch_answer
+from repro.httpcore import HttpClient, HttpServer, Response
 from repro.metrics import (
     HttpPrometheusProvider,
     LocalPrometheusProvider,
@@ -191,6 +192,60 @@ async def test_http_provider_end_to_end():
     finally:
         await provider.close()
         await server.stop()
+
+
+#: (case, 200 body) — none is an answer, so ``fetch_answer`` must give
+#: no data with the reason and log no traceback.
+NOT_AN_ANSWER = [
+    ("string-value", b'{"status": "success", "data": {"value": "abc"}}'),
+    ("numeric-string-value", b'{"status": "success", "data": {"value": "1e3"}}'),
+    ("bool-value", b'{"status": "success", "data": {"value": true}}'),
+    ("list-value", b'{"status": "success", "data": {"value": [1]}}'),
+    ("object-value", b'{"status": "success", "data": {"value": {}}}'),
+    ("no-value", b'{"status": "success", "data": {}}'),
+    ("missing-data", b'{"status": "success"}'),
+    ("list-body", b'[{"status": "success", "data": {"value": 1}}]'),
+    ("not-json", b"<html>ok</html>"),
+]
+
+
+def canned_metrics_server(body: bytes) -> HttpServer:
+    server = HttpServer(name="canned-metrics")
+
+    async def answer(request):
+        return Response(body=body)
+
+    server.router.set_fallback(answer)
+    return server
+
+
+@pytest.mark.parametrize(
+    "body", [row[1] for row in NOT_AN_ANSWER], ids=[row[0] for row in NOT_AN_ANSWER]
+)
+async def test_a_body_that_is_not_an_answer_is_no_data(body, caplog):
+    async with canned_metrics_server(body) as server:
+        provider = HttpPrometheusProvider(f"http://{server.address}")
+        try:
+            value, error = await fetch_answer(provider, "up")
+        finally:
+            await provider.close()
+    assert value is None
+    assert error
+    assert not [record for record in caplog.records if record.exc_info]
+
+
+@pytest.mark.parametrize(
+    "body, value",
+    [(b"null", None), (b"3", 3), (b"2.5", 2.5), (b"-0.0", 0.0)],
+)
+async def test_a_number_or_null_is_the_answer(body, value):
+    payload = b'{"status": "success", "data": {"value": %s}}' % body
+    async with canned_metrics_server(payload) as server:
+        provider = HttpPrometheusProvider(f"http://{server.address}")
+        try:
+            assert await fetch_answer(provider, "up") == (value, None)
+        finally:
+            await provider.close()
 
 
 async def test_http_provider_unreachable_raises():

@@ -1,23 +1,33 @@
-"""Tests for the bounded shadow dispatch queue."""
+"""Tests for shadow dispatch: send slots and the bounded wait."""
 
 import asyncio
 
 import pytest
 
-from repro.httpcore import Request, Response
-from repro.proxy import DROP_NEWEST, DROP_OLDEST, Shadower
+from repro.core import RoutingConfig, ShadowRoute, TrafficSplit
+from repro.httpcore import HttpClient, HttpServer, Request, Response
+from repro.proxy import DROP_NEWEST, DROP_OLDEST, BifrostProxy, Shadower
+from tests.httpcore.test_fastpath_counts import TaskCounter, TimerCounter
 
 
 class GatedClient:
-    """Stub upstream client whose sends block until released."""
+    """Stub upstream client whose sends block until released; it records
+    the most sends it ever held at once."""
 
     def __init__(self):
         self.gate = asyncio.Event()
         self.sent = []
         self.fail = False
+        self.sending = 0
+        self.peak = 0
 
     async def send(self, request, host, port, timeout=None):
-        await self.gate.wait()
+        self.sending += 1
+        self.peak = max(self.peak, self.sending)
+        try:
+            await self.gate.wait()
+        finally:
+            self.sending -= 1
         if self.fail:
             raise ConnectionError("shadow target down")
         self.sent.append((request, host, port))
@@ -58,9 +68,9 @@ async def test_drop_newest_when_queue_full():
     client = GatedClient()  # gate closed: nothing completes
     shadower = Shadower(client, max_pending=2, concurrency=1)
     accepted = [shadower.shadow(_request(i), "t:80") for i in range(5)]
-    # One request is pulled into the (blocked) worker; the queue then
-    # holds max_pending and everything beyond that is dropped.
-    assert accepted.count(True) >= 2
+    # The first takes the one send slot; two wait (max_pending), and the
+    # first drop halves the bound, so everything beyond that is dropped.
+    assert accepted == [True, True, True, False, False]
     assert shadower.dropped == accepted.count(False) > 0
     client.gate.set()
     await shadower.drain()
@@ -78,10 +88,11 @@ async def test_drop_oldest_displaces_stale_duplicates():
     assert shadower.dropped > 0
     client.gate.set()
     await shadower.drain()
-    # The newest duplicates survived; total accepted = sent + displaced.
+    # The first held the send slot; of the waiting ones the newest
+    # survived, in order; total accepted = sent + displaced.
     assert shadower.sent + shadower.dropped == 5
     targets = [request.target for request, _, _ in client.sent]
-    assert "/shadow/4" in targets
+    assert targets == ["/shadow/0", "/shadow/3", "/shadow/4"]
     await shadower.close()
 
 
@@ -102,10 +113,98 @@ async def test_concurrency_bounds_worker_pool():
     shadower = Shadower(client, max_pending=100, concurrency=2)
     for i in range(10):
         shadower.shadow(_request(i), "t:80")
-    assert len(shadower._workers) <= 2
+    for _ in range(3):
+        await asyncio.sleep(0)
+    assert client.sending == 2
     client.gate.set()
+    await shadower.drain()
     await shadower.close()
     assert shadower.sent == 10
+    assert client.peak == 2
+
+
+async def test_close_cancels_sends_and_discards_waiting_duplicates():
+    client = GatedClient()  # gate closed: nothing completes
+    shadower = Shadower(client, max_pending=10, concurrency=2)
+    for i in range(5):
+        assert shadower.shadow(_request(i), "t:80")
+    await asyncio.sleep(0)
+    await shadower.close()
+    # Two sends cancelled, three waiting discarded: each one drop.
+    assert (shadower.sent, shadower.failed, shadower.dropped) == (0, 0, 5)
+    assert shadower.in_flight == 0
+    assert client.sending == 0
+    assert not shadower.shadow(_request(5), "t:80")  # closed: dropped
+    assert shadower.dropped == 6
+
+
+async def _answer(request) -> Response:
+    return Response.text("ok")
+
+
+async def dark_launch(dark_handler):
+    """A started proxy forwarding everything to an answering primary and
+    duplicating every request to a dark version served by *dark_handler*."""
+    primary, dark = HttpServer(name="primary"), HttpServer(name="dark")
+    primary.router.set_fallback(_answer)
+    dark.router.set_fallback(dark_handler)
+    await primary.start()
+    await dark.start()
+    proxy = BifrostProxy("svc", default_upstream=primary.address)
+    await proxy.start()
+    proxy.apply_config(
+        RoutingConfig(
+            splits=[TrafficSplit("stable", 100.0)],
+            shadows=[ShadowRoute("stable", "dark", 100.0)],
+        ),
+        {"stable": primary.address, "dark": dark.address},
+    )
+    return proxy, primary, dark
+
+
+async def test_stop_does_not_wait_for_a_hung_dark_version():
+    """A dark version that never answers held ``proxy.stop()`` for the
+    whole upstream timeout (30 s) while close() drained first."""
+
+    async def never(request):
+        await asyncio.Event().wait()
+
+    proxy, primary, hung = await dark_launch(never)
+    loop = asyncio.get_running_loop()
+    async with HttpClient() as client:
+        assert (await client.get(f"http://{proxy.address}/x")).status == 200
+    while not hung.requests_handled:
+        await asyncio.sleep(0.01)
+    started = loop.time()
+    await proxy.stop()
+    assert loop.time() - started < 1.0
+    shadower = proxy.shadower
+    assert shadower.sent + shadower.failed + shadower.dropped == 1
+    assert shadower.dropped == 1
+    await hung.stop()
+    await primary.stop()
+    assert asyncio.all_tasks() == {asyncio.current_task()}
+
+
+async def test_a_shadowed_request_creates_one_task_and_no_timer():
+    proxy, primary, dark = await dark_launch(_answer)
+    url = f"http://{proxy.address}/x"
+    try:
+        async with HttpClient() as client:
+            # Warm: every connection is open and each client's timer armed.
+            assert (await client.get(url)).status == 200
+            await proxy.shadower.drain()
+            tasks, timers = TaskCounter(), TimerCounter()
+            for sends in range(1, 6):
+                assert (await client.get(url)).status == 200
+                await proxy.shadower.drain()
+                assert tasks.created == sends  # the duplicate's send, only
+            assert timers.armed == 0
+            assert proxy.shadower.sent == 6
+    finally:
+        await proxy.stop()
+        await dark.stop()
+        await primary.stop()
 
 
 def test_constructor_validation():

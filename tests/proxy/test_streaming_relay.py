@@ -299,7 +299,10 @@ async def test_admission_uses_adaptive_bound():
         1 if shadower.shadow(Request("GET", f"/{i}"), "t:80") else 0
         for i in range(100)
     )
-    assert accepted == 25
+    # The first `concurrency` take a send slot at once; the bound counts
+    # only the duplicates waiting for one.
+    assert accepted == 25 + shadower.concurrency
+    await shadower.close()
 
 
 # -- metrics exposition -----------------------------------------------------

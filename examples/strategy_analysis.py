@@ -4,8 +4,8 @@ The paper argues that formalizing release strategies enables reasoning
 and verification tools (sections 1 and 7).  This example runs both layers
 on the running example's strategy *without deploying anything*:
 
-* static verification — is a rollback reachable from every risky state?
-  any live-lock cycles? unmonitored exposure?
+* static verification (``repro.lint``) — is a rollback reachable from
+  every risky state? any live-lock cycles? unmonitored exposure?
 * probabilistic forecasting — expected rollout time and rollback
   probability under different per-phase success assumptions, computed by
   solving the automaton as an absorbing Markov chain.
@@ -23,9 +23,9 @@ from repro.core import (
     optimistic_probabilities,
     simple_basic_check,
     single_version,
-    verify_strategy,
 )
 from repro.dashboard import render_mermaid
+from repro.lint import lint_strategy
 
 DAY = 86400.0
 
@@ -81,11 +81,11 @@ def main() -> None:
     print(render_mermaid(strategy.automaton))
 
     print("\n=== static verification ===")
-    findings = verify_strategy(strategy)
-    if not findings:
+    diagnostics = lint_strategy(strategy).diagnostics
+    if not diagnostics:
         print("no findings — every risky state can reach the rollback state")
-    for finding in findings:
-        print(f"  {finding}")
+    for diagnostic in diagnostics:
+        print(f"  {diagnostic}")
 
     print("\n=== probabilistic forecast ===")
     for success in (0.99, 0.95, 0.80):

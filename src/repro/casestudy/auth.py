@@ -18,7 +18,7 @@ from __future__ import annotations
 import uuid
 
 from ..core.selection import VersionAssigner
-from ..httpcore import Request, Response
+from ..httpcore import ProtocolError, Request, Response
 from .base import InstrumentedService
 from .documents import MongoClient
 
@@ -48,7 +48,10 @@ class AuthService(InstrumentedService):
         return MongoClient(self._mongo_address, self.http)
 
     async def _handle_login(self, request: Request) -> Response:
-        credentials = request.json()
+        try:
+            credentials = request.json()
+        except ProtocolError as exc:
+            return Response.from_json({"error": str(exc)}, 400)
         if not isinstance(credentials, dict):
             return Response.from_json({"error": "expected credentials object"}, 400)
         email = credentials.get("email")

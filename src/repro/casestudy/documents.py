@@ -16,7 +16,7 @@ import asyncio
 import itertools
 from typing import Any
 
-from ..httpcore import HttpServer, Request, Response
+from ..httpcore import HttpServer, ProtocolError, Request, Response
 
 
 class QueryError(Exception):
@@ -158,7 +158,10 @@ class MongoServer(HttpServer):
             await asyncio.sleep(self.op_delay)
         collection = self.store.collection(request.path_params["collection"])
         op = request.path_params["op"]
-        body = request.json() if request.body else {}
+        try:
+            body = request.json() if request.body else {}
+        except ProtocolError as exc:
+            return Response.from_json({"error": str(exc)}, 400)
         if not isinstance(body, dict):
             return Response.from_json({"error": "body must be an object"}, 400)
         try:

@@ -18,7 +18,6 @@ from .checks import (
     Comparison,
     CheckProgress,
     CheckResult,
-    CheckRunner,
     ConditionEvaluation,
     ExceptionCheck,
     ExceptionTriggered,
@@ -67,7 +66,6 @@ from .routing import (
     canary_split,
     single_version,
 )
-from .verify import Finding, Severity, strategy_graph, verify_strategy
 from .selection import (
     AndSelector,
     AttributeSelector,
@@ -91,7 +89,6 @@ __all__ = [
     "CheckError",
     "CheckProgress",
     "CheckResult",
-    "CheckRunner",
     "CheckScheduler",
     "Comparison",
     "ConditionEvaluation",
@@ -99,7 +96,6 @@ __all__ = [
     "distribution",
     "Engine",
     "Event",
-    "Finding",
     "forecast_rollout",
     "EventBus",
     "EventKind",
@@ -123,8 +119,6 @@ __all__ = [
     "RoutingConfig",
     "RoutingError",
     "SelectionError",
-    "Severity",
-    "strategy_graph",
     "Selector",
     "Service",
     "ServiceClaimedError",
@@ -147,7 +141,6 @@ __all__ = [
     "uniform_probabilities",
     "optimistic_probabilities",
     "UserMapping",
-    "verify_strategy",
     "Validator",
     "VersionAssigner",
     "weighted_outcome",

@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Sequence
 
-from ..clock import Clock
 from ..metrics.provider import MetricsProvider, ProviderError
 from .outcome import OutcomeError, OutputMapping, Validator
 
@@ -415,8 +414,7 @@ class TickOutcome:
 
     ``execution`` is ``None`` for held ticks (``onProviderError: hold``);
     ``triggered`` means the tick trips the exception-check fallback (after
-    the observer has seen the recorded execution, matching the historical
-    per-task runner ordering).
+    the observer has seen the recorded execution).
     """
 
     execution: Execution | None
@@ -428,9 +426,7 @@ class CheckProgress:
 
     The single source of truth for tick semantics — execution recording,
     0/1 aggregation, and the :class:`ProviderErrorPolicy` bookkeeping —
-    shared by the sequential per-task runner and the shared
-    :class:`~repro.core.scheduler.CheckScheduler` so both enactment paths
-    are observationally identical by construction.
+    folded by :class:`~repro.core.scheduler.CheckScheduler` once per tick.
     """
 
     def __init__(self, check: Check):
@@ -487,66 +483,6 @@ class CheckProgress:
             mapped=mapped,
             executions=self.executions,
         )
-
-
-class CheckRunner:
-    """Executes one check's timed loop.
-
-    For a basic check, runs f_ci *repetitions* times spaced by *interval*,
-    sums the 0/1 results, and maps them through Out_ci.  For an exception
-    check, the first failing execution raises :class:`ExceptionTriggered`,
-    which the state executor turns into an immediate fallback transition.
-
-    :meth:`run` dispatches through a :class:`CheckScheduler` (one timer
-    heap, no task per check); :meth:`run_sequential` is the historical
-    one-loop-per-check implementation, kept as the behavioral reference
-    the scheduler is tested against.
-    """
-
-    def __init__(
-        self,
-        check: Check,
-        providers: dict[str, MetricsProvider],
-        clock: Clock,
-        observer: ExecutionObserver | None = None,
-    ):
-        self.check = check
-        self.providers = providers
-        self.clock = clock
-        self.observer = observer
-
-    async def run(self) -> CheckResult:
-        from .scheduler import CheckScheduler
-
-        scheduler = CheckScheduler(self.clock)
-        try:
-            return await scheduler.schedule(
-                self.check, self.providers, observer=self.observer
-            )
-        finally:
-            await scheduler.close()
-
-    async def run_sequential(self) -> CheckResult:
-        """Reference implementation: one dedicated timer loop per check."""
-        progress = CheckProgress(self.check)
-        timer = self.check.timer
-        for _ in range(timer.repetitions):
-            await self.clock.sleep(timer.interval)
-            evaluation = await self.check.condition.evaluate_detailed(self.providers)
-            at = self.clock.now()
-            outcome = progress.apply(evaluation, at)
-            if outcome.execution is not None:
-                await self._notify(outcome.execution)
-            if outcome.triggered:
-                raise ExceptionTriggered(self.check, at)
-        return progress.result()
-
-    async def _notify(self, execution: Execution) -> None:
-        if self.observer is None:
-            return
-        outcome = self.observer(self.check, execution)
-        if asyncio.iscoroutine(outcome):
-            await outcome
 
 
 def simple_basic_check(

@@ -10,11 +10,11 @@ checks due together are evaluated as one *wave*: each distinct
 ``(provider, query)`` the wave asks is fetched once, by one short-lived
 task, and its answer is handed to every check that asked.
 
-Semantics are inherited from :class:`~repro.core.checks.CheckProgress`
-(the same object the per-task reference runner folds ticks through), so
-exception-check preemption, ``onProviderError`` hold/tolerate handling,
-and observer callbacks behave identically — property tests assert
-observational equivalence under a :class:`~repro.clock.VirtualClock`.
+Tick semantics — exception-check preemption, ``onProviderError``
+hold/tolerate handling, observer callbacks — live in
+:class:`~repro.core.checks.CheckProgress`.  A property test holds the
+scheduler to a one-loop-per-check oracle folding ticks through the same
+object, under a :class:`~repro.clock.VirtualClock`.
 
 Cost model: N checks waiting for their next tick cost one parked timer
 (the driver's sleep) and zero dedicated tasks; a wave costs one task per
@@ -134,11 +134,11 @@ class CheckScheduler:
     ) -> "asyncio.Future[CheckResult]":
         """Arm *check*'s timer loop; returns a future for its final result.
 
-        *observer* is invoked after every recorded execution, exactly as
-        the per-task runner did.  *on_complete*, when given, is awaited
-        with the final :class:`CheckResult` right before the future
-        resolves successfully (the engine publishes CHECK_COMPLETED there
-        without needing a dedicated awaiting task per check).
+        *observer* is invoked after every recorded execution.
+        *on_complete*, when given, is awaited with the final
+        :class:`CheckResult` right before the future resolves successfully
+        (the engine publishes CHECK_COMPLETED there without needing a
+        dedicated awaiting task per check).
         """
         future: asyncio.Future[CheckResult] = (
             asyncio.get_running_loop().create_future()

@@ -1,9 +1,9 @@
 """Strategy static analysis (``bifrost lint``).
 
-Supersedes the ad-hoc ``repro.core.verify`` checks with a rule-based
-engine: stable ``BFxxx`` codes, severities, per-rule enable/disable and
-severity overrides (document ``lint:`` section or CLI flags), source-line
-spans resolved from the YAML parser, and text / JSON / SARIF renderers.
+A rule-based engine over strategy documents: stable ``BFxxx`` codes,
+severities, per-rule enable/disable and severity overrides (document
+``lint:`` section or CLI flags), source-line spans resolved from the YAML
+parser, and text / JSON / SARIF renderers.
 
 Typical use::
 
@@ -14,9 +14,8 @@ Typical use::
         print(diagnostic)
     raise SystemExit(result.exit_code(strict=True))
 
-``repro.core.verify.verify_strategy`` remains as a thin compatibility
-shim over :func:`lint_strategy`, reporting only the rules the old
-verifier had, under their legacy names.
+:func:`lint_strategy` runs the same rules over an already built
+:class:`~repro.core.model.Strategy`.
 """
 
 from .diagnostics import (
@@ -43,7 +42,7 @@ from .engine import (
 )
 from .fixes import FixEdit, FixResult, fix_path, fix_text
 from .model import LintModel
-from .registry import LEGACY_RULES, RULES, Rule
+from .registry import RULES, Rule
 from .render import render_github, render_json, render_sarif, render_text
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "Diagnostic",
     "FixEdit",
     "FixResult",
-    "LEGACY_RULES",
     "LintConfig",
     "LintConfigError",
     "LintModel",

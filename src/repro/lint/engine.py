@@ -10,8 +10,8 @@ Four entry points, layered so each delegates to the next:
   compile — a failure becomes BF002 *unless* a more specific rule already
   reported an error, so a document that lints clean is guaranteed to
   compile;
-* :func:`lint_strategy` — lint an in-memory strategy (used by the legacy
-  ``verify_strategy`` shim and the enactment gate).
+* :func:`lint_strategy` — lint an in-memory strategy (used by the
+  enactment gate).
 
 The engine never raises on strategy content: parser, compiler, and rule
 crashes all degrade into diagnostics.

@@ -8,8 +8,8 @@ that can be built from either source:
   and keeps going past almost any malformation, so structural rules still
   run on documents the compiler rejects (the whole point of a linter);
 * :meth:`LintModel.from_strategy` projects an in-memory
-  :class:`~repro.core.model.Strategy`, so the legacy ``verify_strategy``
-  API and the engine's enactment gate share the same rules.
+  :class:`~repro.core.model.Strategy`, so the engine's enactment gate
+  and ``bifrost lint`` share the same rules.
 
 Document-built models carry :class:`~repro.lint.diagnostics.SourceSpan`
 anchors resolved from the parser's located nodes; strategy-built models

@@ -60,17 +60,6 @@ RuleCheck = Callable[..., Iterator[Diagnostic]]
 RULES: dict[str, Rule] = {}
 CHECKS: list[tuple[Rule, RuleCheck]] = []
 
-#: Rule codes carried over from ``repro.core.verify`` and the legacy rule
-#: names the old API exposed; :func:`repro.core.verify.verify_strategy`
-#: reports exactly these, under these names, for backward compatibility.
-LEGACY_RULES: dict[str, str] = {
-    "BF103": "possible-live-lock",
-    "BF104": "no-rollback",
-    "BF203": "unroutable-version",
-    "BF204": "sticky-discontinuity",
-    "BF305": "unmonitored-exposure",
-}
-
 
 def rule(
     code: str,
@@ -106,4 +95,4 @@ def declare(code: str, name: str, severity: Severity, summary: str, blocking: bo
     return entry
 
 
-__all__ = ["CHECKS", "LEGACY_RULES", "RULES", "Rule", "declare", "rule"]
+__all__ = ["CHECKS", "RULES", "Rule", "declare", "rule"]

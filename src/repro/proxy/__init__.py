@@ -9,14 +9,12 @@ from .admin import HttpProxyController, LocalProxyController, ProxyUnreachable
 from .filters import CLIENT_COOKIE, FilterChain, RoutingDecision
 from .plan import EndpointRing, RoutingPlan, normalize_endpoints
 from .server import BifrostProxy
-from .shadow import DROP_NEWEST, DROP_OLDEST, Shadower
+from .shadow import Shadower
 from .sticky import StickyStore
 
 __all__ = [
     "BifrostProxy",
     "CLIENT_COOKIE",
-    "DROP_NEWEST",
-    "DROP_OLDEST",
     "EndpointRing",
     "FilterChain",
     "HttpProxyController",

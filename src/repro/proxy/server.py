@@ -36,7 +36,6 @@ from ..httpcore import (
     SetCookie,
 )
 from ..metrics import Registry, render_exposition_lines
-from ..metrics.compile import cache_info as compiled_query_cache_info
 from .filters import CLIENT_COOKIE, FilterChain, RoutingDecision
 from .plan import EndpointRing, normalize_endpoints
 from .shadow import Shadower
@@ -87,31 +86,19 @@ class BifrostProxy(HttpServer):
         default_upstream: str,
         host: str = "127.0.0.1",
         port: int = 0,
-        client: HttpClient | None = None,
         seed: str = "bifrost",
         rng: random.Random | None = None,
         sticky_capacity: int = 100_000,
-        sticky_ttl: float | None = None,
-        shadow_max_pending: int = 1024,
-        shadow_target_delay: float = 0.25,
-        shadow_tee_capacity: int = 16,
-        stream_bodies: bool = True,
-        max_body_bytes: int | None = None,
     ):
-        super().__init__(
-            host=host,
-            port=port,
-            name=f"proxy-{service}",
-            stream_bodies=stream_bodies,
-            max_body_bytes=max_body_bytes,
-        )
+        # Always streaming: a handler sees the request at head time, its
+        # body still on the wire, and no buffered-body cap applies.
+        super().__init__(host, port, f"proxy-{service}", True, None)
         self.service = service
         self.default_upstream = default_upstream
         self.seed = seed
         self.rng = rng or random.Random()
-        self._client = client or HttpClient(pool_size=64)
-        self._owns_client = client is None
-        self.sticky_store = StickyStore(capacity=sticky_capacity, ttl=sticky_ttl)
+        self._client = HttpClient(pool_size=64)
+        self.sticky_store = StickyStore(capacity=sticky_capacity)
         self._chain: FilterChain | None = None
         self._endpoints: dict[str, list[str]] = {}
         self._rings: dict[str, EndpointRing] = {}
@@ -132,13 +119,7 @@ class BifrostProxy(HttpServer):
         self.registry = Registry()
         # Built after the registry so the shadower's adaptive-backpressure
         # metrics ride the same /metrics exposition.
-        self.shadower = Shadower(
-            self._client,
-            max_pending=shadow_max_pending,
-            target_delay=shadow_target_delay,
-            tee_capacity=shadow_tee_capacity,
-            registry=self.registry,
-        )
+        self.shadower = Shadower(self._client, registry=self.registry)
         self._m_forwarded = self.registry.counter(
             "proxy_requests_total",
             "Requests forwarded, by version served",
@@ -162,7 +143,7 @@ class BifrostProxy(HttpServer):
         )
         self._m_sticky_evicted = self.registry.gauge(
             "proxy_sticky_evictions_total",
-            "Sticky assignments evicted (capacity) or expired (TTL)",
+            "Sticky assignments evicted to stay within capacity",
         )
 
         #: Circuit breakers surfaced on ``/bifrost/healthz`` — anything
@@ -320,13 +301,13 @@ class BifrostProxy(HttpServer):
         )
         started = time.monotonic()
         try:
-            # With stream_bodies this is an end-to-end relay: the request
-            # body streams up as it arrives and the response returns at
-            # head-parse time, its body flowing back through
-            # ``response.stream`` — first upstream bytes can reach the
-            # client before the last client bytes arrive.
+            # An end-to-end relay: the request body streams up as it
+            # arrives and the response returns at head-parse time, its body
+            # flowing back through ``response.stream`` — first upstream
+            # bytes can reach the client before the last client bytes
+            # arrive.
             response = await self._client.send(
-                upstream_request, host, port, stream=self.stream_bodies
+                upstream_request, host, port, stream=True
             )
         except (HttpError, ConnectionError, OSError) as exc:
             self.upstream_errors += 1
@@ -403,7 +384,6 @@ class BifrostProxy(HttpServer):
             "upstream_errors": self.upstream_errors,
             "sticky_sessions": len(self.sticky_store),
             "sticky_evictions": self.sticky_store.evictions,
-            "sticky_expirations": self.sticky_store.expirations,
         }
 
     async def _handle_stats(self, request: Request) -> Response:
@@ -414,7 +394,6 @@ class BifrostProxy(HttpServer):
         self.breakers[name] = breaker
 
     async def _handle_health(self, request: Request) -> Response:
-        compiled = compiled_query_cache_info()
         return Response.from_json(
             {
                 "status": "up",
@@ -424,16 +403,10 @@ class BifrostProxy(HttpServer):
                     for name, breaker in self.breakers.items()
                 },
                 "caches": {
-                    "compiled_query": {
-                        "hits": compiled.hits,
-                        "misses": compiled.misses,
-                        "size": compiled.currsize,
-                    },
                     "sticky": {
                         "size": len(self.sticky_store),
                         "capacity": self.sticky_store.capacity,
                         "evictions": self.sticky_store.evictions,
-                        "expirations": self.sticky_store.expirations,
                     },
                     "shadow": {
                         "max_pending": self.shadower.max_pending,
@@ -452,9 +425,7 @@ class BifrostProxy(HttpServer):
         """Refresh the point-in-time gauges before a registry collection."""
         self._m_sticky.set(float(len(self.sticky_store)))
         self._m_shadow_dropped.set(float(self.shadower.dropped))
-        self._m_sticky_evicted.set(
-            float(self.sticky_store.evictions + self.sticky_store.expirations)
-        )
+        self._m_sticky_evicted.set(float(self.sticky_store.evictions))
 
     async def _handle_metrics(self, request: Request) -> Response:
         self._refresh_gauges()
@@ -468,6 +439,5 @@ class BifrostProxy(HttpServer):
 
     async def stop(self) -> None:
         await self.shadower.close()
-        if self._owns_client:
-            await self._client.close()
+        await self._client.close()
         await super().stop()

@@ -17,14 +17,12 @@ waits for one in a bounded FIFO.  The bound is no longer a static
   excess waiting longer than the target.
 * An AIMD bound backs that up where latency lags reality: every drop
   halves it (multiplicative decrease), every clean send adds one back
-  (additive increase), both clamped to ``[min_pending, max_pending]``.
+  (additive increase), both clamped to ``[1, max_pending]``.
 * ``max_pending`` remains the hard ceiling (memory bound); the
   **effective** bound at any instant is the minimum of the three.
 
-When the wait is at the effective bound, the backpressure policy
-decides: ``drop-newest`` (default — the incoming duplicate is discarded)
-or ``drop-oldest`` (the stalest waiting duplicate is displaced, keeping
-traffic fresh).  Every discarded duplicate increments the visible
+When the wait is at the effective bound, the incoming duplicate is
+discarded (drop-newest).  Every discarded duplicate increments the visible
 ``dropped`` counter — overload is observable, never silent — and is
 exported as ``bifrost_shadow_dropped_total`` alongside the
 ``bifrost_shadow_queue_delay_seconds`` histogram, so a strategy check
@@ -54,10 +52,6 @@ from .plan import parse_endpoint
 
 logger = logging.getLogger(__name__)
 
-#: Backpressure policies for a full queue.
-DROP_NEWEST = "drop-newest"
-DROP_OLDEST = "drop-oldest"
-
 #: Smoothing factor for the shadow-upstream latency EWMA.
 EWMA_ALPHA = 0.2
 
@@ -74,9 +68,7 @@ class Shadower:
         client: HttpClient,
         max_pending: int = 1024,
         concurrency: int = 8,
-        policy: str = DROP_NEWEST,
         target_delay: float = 0.25,
-        min_pending: int = 1,
         tee_capacity: int = 16,
         registry=None,
     ):
@@ -84,18 +76,12 @@ class Shadower:
             raise ValueError("max_pending must be at least 1")
         if concurrency < 1:
             raise ValueError("concurrency must be at least 1")
-        if policy not in (DROP_NEWEST, DROP_OLDEST):
-            raise ValueError(f"unknown backpressure policy {policy!r}")
-        if not 1 <= min_pending <= max_pending:
-            raise ValueError("need 1 <= min_pending <= max_pending")
         if target_delay <= 0:
             raise ValueError("target_delay must be positive")
         self._client = client
         self.max_pending = max_pending
         self.concurrency = concurrency
-        self.policy = policy
         self.target_delay = target_delay
-        self.min_pending = min_pending
         self.tee_capacity = tee_capacity
         #: Duplicates waiting for a slot, oldest first, and when each came.
         self._waiting: deque[tuple[Request, str, str, int, float]] = deque()
@@ -142,12 +128,12 @@ class Shadower:
         if ewma is not None and ewma > 0:
             latency_bound = int(self.concurrency * self.target_delay / ewma)
             bound = min(bound, latency_bound)
-        return max(self.min_pending, min(self.max_pending, bound))
+        return max(1, min(self.max_pending, bound))
 
     def note_drop(self) -> None:
         """Account one discarded duplicate and shrink the AIMD bound."""
         self.dropped += 1
-        self._aimd = max(self.min_pending, self.effective_pending // 2)
+        self._aimd = max(1, self.effective_pending // 2)
         if self._m_dropped is not None:
             self._m_dropped.inc()
         if self._m_bound is not None:
@@ -195,11 +181,8 @@ class Shadower:
         waiting = self._waiting
         if self._closed or (waiting and len(waiting) >= self.effective_pending):
             self.note_drop()
-            if self._closed or self.policy == DROP_NEWEST:
-                self._discard(request)
-                return False
-            # drop-oldest: displace the stalest waiting duplicate.
-            self._discard(waiting.popleft()[0])
+            self._discard(request)
+            return False
         if host is None or port is None:
             host, port = parse_endpoint(endpoint)
         if request.headers.get("Host") != endpoint:

@@ -6,93 +6,41 @@ again running through the proxy's decision process" (section 4.2.2).
 
 The store maps the proxy-issued client UUID to the version it was first
 assigned.  A proxy fronting millions of clients must not let this map grow
-without bound, so it is doubly bounded:
-
-* **capacity** — beyond *capacity* entries the least recently used one is
-  evicted;
-* **ttl** — entries idle longer than *ttl* seconds expire (checked lazily
-  on access and swept from the LRU end on writes, so expiry is O(expired),
-  not O(store)).
-
-An evicted or expired returning client is simply re-bucketed, which the
+without bound: beyond *capacity* entries the least recently used one is
+evicted.  An evicted returning client is simply re-bucketed, which the
 hash-based assignment keeps consistent while the config is unchanged.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from typing import Callable
 
 
 class StickyStore:
-    """Bounded LRU of client-id → version assignments with optional TTL."""
+    """Bounded LRU of client-id → version assignments."""
 
-    def __init__(
-        self,
-        capacity: int = 100_000,
-        ttl: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, capacity: int = 100_000):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive (or None to disable)")
         self.capacity = capacity
-        self.ttl = ttl
-        self._clock = clock
-        self._assignments: OrderedDict[str, tuple[str, float]] = OrderedDict()
+        self._assignments: OrderedDict[str, str] = OrderedDict()
         #: Entries dropped to stay under *capacity* (observability).
         self.evictions = 0
-        #: Entries dropped because they idled past *ttl*.
-        self.expirations = 0
 
     def get(self, client_id: str) -> str | None:
-        entry = self._assignments.get(client_id)
-        if entry is None:
-            return None
-        version, touched = entry
-        if self.ttl is not None:
-            now = self._clock()
-            if now - touched > self.ttl:
-                del self._assignments[client_id]
-                self.expirations += 1
-                return None
-            self._assignments[client_id] = (version, now)
-        self._assignments.move_to_end(client_id)
+        version = self._assignments.get(client_id)
+        if version is not None:
+            self._assignments.move_to_end(client_id)
         return version
 
     def assign(self, client_id: str, version: str) -> None:
         assignments = self._assignments
         if client_id in assignments:
             assignments.move_to_end(client_id)
-        assignments[client_id] = (version, self._clock())
-        self._sweep_expired()
+        assignments[client_id] = version
         while len(assignments) > self.capacity:
             assignments.popitem(last=False)
             self.evictions += 1
-
-    def _sweep_expired(self) -> None:
-        """Drop idle-expired entries from the LRU end (oldest first)."""
-        if self.ttl is None or not self._assignments:
-            return
-        deadline = self._clock() - self.ttl
-        assignments = self._assignments
-        while assignments:
-            client_id = next(iter(assignments))
-            if assignments[client_id][1] >= deadline:
-                break
-            del assignments[client_id]
-            self.expirations += 1
-
-    def forget_version(self, version: str) -> int:
-        """Drop every assignment to *version* (it was torn down)."""
-        stale = [
-            cid for cid, (v, _) in self._assignments.items() if v == version
-        ]
-        for client_id in stale:
-            del self._assignments[client_id]
-        return len(stale)
 
     def clear(self) -> None:
         self._assignments.clear()

@@ -69,6 +69,22 @@ async def test_login_rejects_bad_credentials():
         await close_stack(mongo, auth, client)
 
 
+@pytest.mark.parametrize(
+    "body", [b"{not json", b"\xff\xfe", b"[1, 2]"],
+    ids=["not-json", "not-utf8", "json-list"],
+)
+@pytest.mark.parametrize("path", ["/auth/login", "/db/users/find"])
+async def test_bad_json_body_is_a_400_with_an_error(path, body):
+    mongo, auth, client = await make_stack()
+    server = auth if path.startswith("/auth") else mongo
+    try:
+        response = await client.post(f"http://{server.address}{path}", body=body)
+        assert response.status == 400
+        assert response.json()["error"]
+    finally:
+        await close_stack(mongo, auth, client)
+
+
 async def test_validate_token_lifecycle():
     mongo, auth, client = await make_stack()
     try:

@@ -1,4 +1,6 @@
-"""Tests for timed checks: timers, conditions, runners, exception checks."""
+"""Tests for timed checks: timers, conditions, scheduling, exception checks."""
+
+import asyncio
 
 import pytest
 
@@ -6,7 +8,7 @@ from repro.clock import VirtualClock
 from repro.core import (
     BasicCheck,
     CheckError,
-    CheckRunner,
+    CheckScheduler,
     ExceptionCheck,
     ExceptionTriggered,
     MetricCondition,
@@ -213,16 +215,18 @@ def test_simple_basic_check_threshold_bounds():
         simple_basic_check("c", "q", "<5", 1, 10, threshold=0)
 
 
-# -- CheckRunner ------------------------------------------------------------------
+# -- one check on a CheckScheduler -------------------------------------------------
 
 
-async def run_with_clock(runner, clock, total_time):
-    import asyncio
-
-    task = asyncio.ensure_future(runner.run())
-    await asyncio.sleep(0)
-    await clock.advance(total_time)
-    return await task
+async def run_with_clock(check, providers, clock, total_time, observer=None):
+    scheduler = CheckScheduler(clock)
+    try:
+        future = scheduler.schedule(check, providers, observer=observer)
+        await asyncio.sleep(0)
+        await clock.advance(total_time)
+        return await future
+    finally:
+        await scheduler.close()
 
 
 async def test_basic_check_runs_n_times_and_aggregates():
@@ -230,8 +234,7 @@ async def test_basic_check_runs_n_times_and_aggregates():
     provider = StaticProvider({"q": [1.0, 10.0, 1.0, 1.0]})  # second fails "<5"
     check = simple_basic_check("c", "q", "<5", interval=5, repetitions=4, threshold=3,
                                provider="static")
-    runner = CheckRunner(check, {"static": provider}, clock)
-    result = await run_with_clock(runner, clock, 20)
+    result = await run_with_clock(check, {"static": provider}, clock, 20)
     assert result.aggregated == 3
     assert result.mapped == 1
     assert [e.at for e in result.executions] == [5.0, 10.0, 15.0, 20.0]
@@ -243,8 +246,7 @@ async def test_basic_check_failure_mapping():
     provider = StaticProvider({"q": 100.0})
     check = simple_basic_check("c", "q", "<5", interval=1, repetitions=3,
                                provider="static")
-    runner = CheckRunner(check, {"static": provider}, clock)
-    result = await run_with_clock(runner, clock, 3)
+    result = await run_with_clock(check, {"static": provider}, clock, 3)
     assert result.aggregated == 0
     assert result.mapped == 0
 
@@ -258,8 +260,7 @@ async def test_basic_check_with_custom_output_mapping():
         timer=Timer(1, 100),
         output=OutputMapping.from_pairs([75, 95], [-5, 4, 5]),
     )
-    runner = CheckRunner(check, {"static": provider}, clock)
-    result = await run_with_clock(runner, clock, 100)
+    result = await run_with_clock(check, {"static": provider}, clock, 100)
     assert result.aggregated == 100
     assert result.mapped == 5  # >95 passes -> top range
 
@@ -273,14 +274,8 @@ async def test_exception_check_triggers_on_first_failure():
         timer=Timer(2, 10),
         fallback_state="rollback",
     )
-    runner = CheckRunner(check, {"static": provider}, clock)
-    import asyncio
-
-    task = asyncio.ensure_future(runner.run())
-    await asyncio.sleep(0)
-    await clock.advance(20)
     with pytest.raises(ExceptionTriggered) as exc_info:
-        await task
+        await run_with_clock(check, {"static": provider}, clock, 20)
     assert exc_info.value.check.fallback_state == "rollback"
     assert exc_info.value.at == 6.0  # third execution at t=6
 
@@ -294,8 +289,7 @@ async def test_exception_check_all_pass_returns_repetitions():
         timer=Timer(1, 5),
         fallback_state="rollback",
     )
-    runner = CheckRunner(check, {"static": provider}, clock)
-    result = await run_with_clock(runner, clock, 5)
+    result = await run_with_clock(check, {"static": provider}, clock, 5)
     assert result.aggregated == 5
     assert result.mapped == 5
 
@@ -310,8 +304,7 @@ async def test_runner_notifies_observer_per_execution():
     def observer(observed_check, execution):
         seen.append((observed_check.name, execution.at, execution.result))
 
-    runner = CheckRunner(check, {"static": provider}, clock, observer)
-    await run_with_clock(runner, clock, 3)
+    await run_with_clock(check, {"static": provider}, clock, 3, observer)
     assert seen == [("c", 1.0, 1), ("c", 2.0, 1), ("c", 3.0, 1)]
 
 
@@ -325,6 +318,5 @@ async def test_runner_supports_async_observer():
     async def observer(observed_check, execution):
         seen.append(execution.result)
 
-    runner = CheckRunner(check, {"static": provider}, clock, observer)
-    await run_with_clock(runner, clock, 2)
+    await run_with_clock(check, {"static": provider}, clock, 2, observer)
     assert seen == [1, 1]

@@ -1,9 +1,8 @@
-"""The engine, the proxy and the CLI import without numpy and networkx.
+"""The engine, the proxy and the CLI import without numpy.
 
-Both are ``dev`` extras (pyproject.toml declares no runtime dependency):
-only :func:`strategy_graph` and :func:`forecast_rollout` need them, and
-they import them when called.  A fresh interpreter is the only place
-``sys.modules`` can show that.
+numpy is a ``dev`` extra (pyproject.toml declares no runtime dependency):
+only :func:`forecast_rollout` needs it, and it imports numpy when called.
+A fresh interpreter is the only place ``sys.modules`` can show that.
 """
 
 import subprocess
@@ -20,19 +19,19 @@ def run_fresh(script: str) -> str:
     return result.stdout.strip()
 
 
-def test_importing_the_engine_loads_neither_numpy_nor_networkx():
+def test_importing_the_engine_does_not_load_numpy():
     loaded = run_fresh("""
         import sys
         import repro.core, repro.proxy, repro.metrics, repro.cli.main
-        print([name for name in ("numpy", "networkx") if name in sys.modules])
+        print("numpy" in sys.modules)
     """)
-    assert loaded == "[]"
+    assert loaded == "False"
 
 
-def test_the_two_analysis_helpers_import_what_they_need_when_called():
+def test_forecast_rollout_imports_numpy_when_called():
     loaded = run_fresh("""
         import sys
-        from repro.core import StrategyBuilder, forecast_rollout, strategy_graph
+        from repro.core import StrategyBuilder, forecast_rollout
         from repro.core.routing import single_version
 
         builder = StrategyBuilder("rollout")
@@ -40,10 +39,7 @@ def test_the_two_analysis_helpers_import_what_they_need_when_called():
         builder.state("canary").route("shop", single_version("stable")).dwell(
             60.0).transitions([], ["done"])
         builder.state("done").route("shop", single_version("stable")).final()
-        strategy = builder.build()
-        graph = strategy_graph(strategy.automaton)
-        forecast = forecast_rollout(strategy)
-        print(sorted(graph.nodes), forecast.expected_duration,
-              "numpy" in sys.modules, "networkx" in sys.modules)
+        forecast = forecast_rollout(builder.build())
+        print(forecast.expected_duration, "numpy" in sys.modules)
     """)
-    assert loaded == "['canary', 'done'] 60.0 True True"
+    assert loaded == "60.0 True"

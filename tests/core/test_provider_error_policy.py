@@ -7,7 +7,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.core import (
     CheckError,
-    CheckRunner,
+    CheckScheduler,
     ExceptionCheck,
     ExceptionTriggered,
     MetricCondition,
@@ -51,14 +51,17 @@ def exception_check(policy, repetitions=5):
 
 async def run_check(check, provider):
     clock = VirtualClock()
-    runner = CheckRunner(check, {"static": provider}, clock)
-    task = asyncio.ensure_future(runner.run())
-    for _ in range(100):
-        if task.done():
-            break
-        await clock.advance(1.0)
-    assert task.done()
-    return task.result()
+    scheduler = CheckScheduler(clock)
+    try:
+        future = scheduler.schedule(check, {"static": provider})
+        for _ in range(100):
+            if future.done():
+                break
+            await clock.advance(1.0)
+        assert future.done()
+        return future.result()
+    finally:
+        await scheduler.close()
 
 
 # -- evaluate_detailed ----------------------------------------------------
@@ -129,7 +132,7 @@ def test_policy_validation():
         ProviderErrorPolicy(mode="tolerate", tolerance=0)
 
 
-# -- CheckRunner under each policy ----------------------------------------
+# -- a scheduled check under each policy ---------------------------------
 
 
 async def test_trigger_policy_is_the_default_and_fires_immediately():

@@ -1,19 +1,25 @@
-"""Tests for static strategy verification."""
+"""Static verification of built strategies: ``lint_strategy`` and its BF codes.
+
+BF103 possible live-lock, BF104 no rollback, BF203 unroutable version,
+BF204 sticky discontinuity, BF305 unmonitored exposure.
+"""
 
 from repro.core import (
-    Severity,
     StrategyBuilder,
     ab_split,
     canary_split,
     simple_basic_check,
     single_version,
-    strategy_graph,
-    verify_strategy,
 )
+from repro.lint import Severity, lint_strategy
 
 
-def rule_names(findings):
-    return {finding.rule for finding in findings}
+def diagnostics(strategy):
+    return lint_strategy(strategy).diagnostics
+
+
+def codes(found):
+    return {diagnostic.code for diagnostic in found}
 
 
 def make_clean_strategy():
@@ -30,16 +36,8 @@ def make_clean_strategy():
 
 
 def test_clean_strategy_has_no_errors_or_warnings():
-    findings = verify_strategy(make_clean_strategy())
-    assert all(f.severity is Severity.INFO for f in findings), findings
-
-
-def test_strategy_graph_structure():
-    graph = strategy_graph(make_clean_strategy().automaton)
-    assert set(graph.nodes) == {"canary", "done", "rollback"}
-    assert graph.has_edge("canary", "done")
-    assert graph.has_edge("canary", "rollback")
-    assert graph.nodes["rollback"]["rollback"]
+    found = diagnostics(make_clean_strategy())
+    assert all(d.severity is Severity.INFO for d in found), found
 
 
 def test_missing_rollback_state_is_an_error():
@@ -49,11 +47,9 @@ def test_missing_rollback_state_is_an_error():
         simple_basic_check("c", "q", "<5", 1, 3)
     ).transitions([0.5], ["done", "done"])
     builder.state("done").route("svc", single_version("canary")).final()
-    strategy = builder.build()
-    findings = verify_strategy(strategy)
-    errors = [f for f in findings if f.severity is Severity.ERROR]
-    assert len(errors) == 1
-    assert errors[0].rule == "no-rollback"
+    found = diagnostics(builder.build())
+    errors = [d for d in found if d.severity is Severity.ERROR]
+    assert [d.code for d in errors] == ["BF104"]
 
 
 def test_checked_state_that_cannot_reach_rollback_is_an_error():
@@ -70,10 +66,8 @@ def test_checked_state_that_cannot_reach_rollback_is_an_error():
     builder.state("rollback").route("svc", single_version("stable")).final(
         rollback=True
     )
-    strategy = builder.build()
-    findings = verify_strategy(strategy)
-    errors = [f for f in findings if f.rule == "no-rollback"]
-    assert [f.state for f in errors] == ["late"]
+    found = diagnostics(builder.build())
+    assert [d.state for d in found if d.code == "BF104"] == ["late"]
 
 
 def test_live_lock_cycle_detected():
@@ -85,9 +79,7 @@ def test_live_lock_cycle_detected():
     builder.state("ping").dwell(1).goto("pong")
     builder.state("pong").dwell(1).goto("ping")
     builder.state("done").final()
-    strategy = builder.build()
-    findings = verify_strategy(strategy)
-    assert "possible-live-lock" in rule_names(findings)
+    assert "BF103" in codes(diagnostics(builder.build()))
 
 
 def test_self_loop_with_exit_is_not_a_live_lock():
@@ -95,9 +87,7 @@ def test_self_loop_with_exit_is_not_a_live_lock():
     builder.service("svc", {"v": "h:1"})
     builder.state("test").dwell(1).transitions([0], ["test", "done"])
     builder.state("done").final()
-    strategy = builder.build()
-    findings = verify_strategy(strategy)
-    assert "possible-live-lock" not in rule_names(findings)
+    assert "BF103" not in codes(diagnostics(builder.build()))
 
 
 def test_unroutable_version_warning():
@@ -105,10 +95,10 @@ def test_unroutable_version_warning():
     builder.service("svc", {"stable": "h:1", "ghost": "h:2"})
     builder.state("s").route("svc", single_version("stable")).dwell(1).goto("done")
     builder.state("done").final()
-    strategy = builder.build()
-    findings = verify_strategy(strategy)
-    warnings = [f for f in findings if f.rule == "unroutable-version"]
+    found = diagnostics(builder.build())
+    warnings = [d for d in found if d.code == "BF203"]
     assert len(warnings) == 1
+    assert warnings[0].severity is Severity.WARNING
     assert "ghost" in warnings[0].message
 
 
@@ -119,9 +109,7 @@ def test_unmonitored_exposure_warning():
         "svc", canary_split("stable", "canary", 25.0)
     ).dwell(5).goto("done")
     builder.state("done").route("svc", single_version("stable")).final()
-    strategy = builder.build()
-    findings = verify_strategy(strategy)
-    assert "unmonitored-exposure" in rule_names(findings)
+    assert "BF305" in codes(diagnostics(builder.build()))
 
 
 def test_sticky_discontinuity_info():
@@ -132,21 +120,15 @@ def test_sticky_discontinuity_info():
         "done"
     )
     builder.state("done").route("svc", single_version("a")).final()
-    strategy = builder.build()
-    findings = verify_strategy(strategy)
-    infos = [f for f in findings if f.rule == "sticky-discontinuity"]
+    found = diagnostics(builder.build())
+    infos = [d for d in found if d.code == "BF204"]
     assert len(infos) == 1
+    assert infos[0].severity is Severity.INFO
     assert infos[0].state == "ab"
 
 
-def test_finding_str_rendering():
-    findings = verify_strategy(make_clean_strategy())
-    for finding in findings:
-        assert finding.rule in str(finding)
-
-
 def test_paper_release_strategy_known_findings():
-    """The verifier surfaces a real property of the paper's experiment
+    """Verification surfaces a real property of the paper's experiment
     strategy (section 5.1.2): once the A/B test starts, a rollback is no
     longer reachable — the winner is always rolled out.  The gradual
     rollout steps also run without checks (as in the experiment)."""
@@ -155,8 +137,7 @@ def test_paper_release_strategy_known_findings():
     strategy = release_strategy(
         {"product": "h:1", "product_a": "h:2", "product_b": "h:3"}
     )
-    findings = verify_strategy(strategy)
-    errors = [f for f in findings if f.severity is Severity.ERROR]
-    assert [f.state for f in errors] == ["ab-test"]
-    assert errors[0].rule == "no-rollback"
-    assert "unmonitored-exposure" in rule_names(findings)
+    found = diagnostics(strategy)
+    errors = [d for d in found if d.severity is Severity.ERROR]
+    assert [(d.code, d.state) for d in errors] == [("BF104", "ab-test")]
+    assert "BF305" in codes(found)

@@ -1,12 +1,14 @@
 """Shared scheduler vs per-task runner: observational equivalence.
 
-The engine now runs every check through one :class:`CheckScheduler` heap
-instead of one asyncio task per check.  These properties generate random
-check populations — mixed basic/exception checks, random intervals and
+The engine runs every check through one :class:`CheckScheduler` heap.
+The oracle here is the simplest enactment there is: one asyncio task per
+check, sleeping its interval and folding each evaluation through
+:class:`CheckProgress`.  These properties generate random check
+populations — mixed basic/exception checks, random intervals and
 repetition counts, random pass/fail/no-data value sequences, and random
 ``onProviderError`` policies — and run the same population through both
-enactment paths under a :class:`VirtualClock`.  Execution timestamps,
-observer streams, aggregation, and trigger instants must be identical.
+under a :class:`VirtualClock`.  Execution timestamps, observer streams,
+aggregation, and trigger instants must be identical.
 """
 
 import asyncio
@@ -16,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.clock import VirtualClock
 from repro.core import (
+    CheckProgress,
     CheckResult,
-    CheckRunner,
     CheckScheduler,
     Comparison,
     ExceptionCheck,
@@ -56,6 +58,23 @@ check_specs = st.lists(
     min_size=1,
     max_size=5,
 )
+
+
+async def run_per_task(check, providers, clock, observer):
+    """The oracle: one dedicated timer loop for *check*."""
+    progress = CheckProgress(check)
+    for _ in range(check.timer.repetitions):
+        await clock.sleep(check.timer.interval)
+        evaluation = await check.condition.evaluate_detailed(providers)
+        at = clock.now()
+        outcome = progress.apply(evaluation, at)
+        if outcome.execution is not None:
+            observed = observer(check, outcome.execution)
+            if asyncio.iscoroutine(observed):
+                await observed
+        if outcome.triggered:
+            raise ExceptionTriggered(check, at)
+    return progress.result()
 
 
 def build_checks(specs):
@@ -103,13 +122,13 @@ def observer_into(stream):
     return observer
 
 
-async def run_sequential_population(checks, data, horizon):
+async def run_per_task_population(checks, data, horizon):
     clock = VirtualClock()
     providers = {"static": StaticProvider(dict(data))}
     observed: dict[str, list] = {}
     tasks = [
         asyncio.ensure_future(
-            CheckRunner(check, providers, clock, observer_into(observed)).run_sequential()
+            run_per_task(check, providers, clock, observer_into(observed))
         )
         for check in checks
     ]
@@ -144,9 +163,9 @@ def test_scheduler_equivalent_to_per_task_runner(specs):
     horizon = max(check.timer.duration for check in checks) + 1.0
 
     async def scenario():
-        sequential = await run_sequential_population(checks, data, horizon)
+        per_task = await run_per_task_population(checks, data, horizon)
         scheduled = await run_scheduled_population(checks, data, horizon)
-        assert scheduled == sequential
+        assert scheduled == per_task
 
     asyncio.run(scenario())
 
@@ -154,24 +173,13 @@ def test_scheduler_equivalent_to_per_task_runner(specs):
 @settings(max_examples=30, deadline=None)
 @given(check_specs)
 def test_scheduler_single_check_matches_runner_run(specs):
-    """CheckRunner.run (scheduler path) ≡ run_sequential, check by check."""
+    """A scheduler holding one check ≡ the oracle running that check."""
     checks, data = build_checks(specs[:1])
-    check = checks[0]
-    horizon = check.timer.duration + 1.0
-
-    async def one(method_name):
-        clock = VirtualClock()
-        providers = {"static": StaticProvider(dict(data))}
-        observed: dict[str, list] = {}
-        runner = CheckRunner(check, providers, clock, observer_into(observed))
-        task = asyncio.ensure_future(getattr(runner, method_name)())
-        await asyncio.sleep(0)
-        await clock.advance(horizon)
-        outcomes = await asyncio.gather(task, return_exceptions=True)
-        return normalize(outcomes[0]), observed
+    horizon = checks[0].timer.duration + 1.0
 
     async def scenario():
-        assert await one("run") == await one("run_sequential")
+        per_task = await run_per_task_population(checks, data, horizon)
+        assert await run_scheduled_population(checks, data, horizon) == per_task
 
     asyncio.run(scenario())
 
@@ -280,9 +288,7 @@ def test_wave_equivalent_to_per_task_runner_when_checks_share_queries(specs, see
 
     def per_task(scheduler, providers, clock, observer):
         return [
-            asyncio.ensure_future(
-                CheckRunner(check, providers, clock, observer).run_sequential()
-            )
+            asyncio.ensure_future(run_per_task(check, providers, clock, observer))
             for check in checks
         ]
 
@@ -292,9 +298,9 @@ def test_wave_equivalent_to_per_task_runner_when_checks_share_queries(specs, see
         ]
 
     async def scenario():
-        *sequential, asked_each = await population(per_task)
+        *reference, asked_each = await population(per_task)
         *scheduled, asked_once = await population(wave)
-        assert scheduled == sequential
+        assert scheduled == reference
         # Never more provider calls than the reference, and the same questions.
         assert len(asked_once.query_log) <= len(asked_each.query_log)
         assert set(asked_once.query_log) == set(asked_each.query_log)

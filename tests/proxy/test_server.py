@@ -275,8 +275,11 @@ async def test_health_endpoint():
         assert payload["status"] == "up"
         assert payload["service"] == "product"
         caches = payload["caches"]
-        assert set(caches) == {"compiled_query", "sticky", "shadow"}
-        assert caches["sticky"]["capacity"] == proxy.sticky_store.capacity
+        # The proxy compiles no query: the metrics server reports that cache.
+        assert set(caches) == {"sticky", "shadow"}
+        assert caches["sticky"] == {
+            "size": 0, "capacity": proxy.sticky_store.capacity, "evictions": 0
+        }
         assert caches["shadow"]["max_pending"] == proxy.shadower.max_pending
     finally:
         await teardown(proxy, upstreams, client)

@@ -42,16 +42,6 @@ def test_get_refreshes_recency():
     assert store.get("c2") is None
 
 
-def test_forget_version():
-    store = StickyStore()
-    store.assign("c1", "a")
-    store.assign("c2", "b")
-    store.assign("c3", "a")
-    assert store.forget_version("a") == 2
-    assert store.get("c1") is None
-    assert store.get("c2") == "b"
-
-
 def test_clear():
     store = StickyStore()
     store.assign("c", "a")
@@ -70,44 +60,3 @@ def test_capacity_eviction_is_counted():
         store.assign(f"c{i}", "a")
     assert len(store) == 2
     assert store.evictions == 3
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-def test_ttl_expires_idle_entries_on_get():
-    clock = FakeClock()
-    store = StickyStore(ttl=10.0, clock=clock)
-    store.assign("c1", "a")
-    clock.now = 5.0
-    assert store.get("c1") == "a"  # refreshed at t=5
-    clock.now = 14.0
-    assert store.get("c1") == "a"  # idle 9s < ttl
-    clock.now = 30.0
-    assert store.get("c1") is None  # idle 16s > ttl
-    assert store.expirations == 1
-    assert len(store) == 0
-
-
-def test_ttl_sweeps_from_lru_end_on_assign():
-    clock = FakeClock()
-    store = StickyStore(ttl=10.0, clock=clock)
-    store.assign("old-1", "a")
-    store.assign("old-2", "a")
-    clock.now = 20.0
-    store.assign("fresh", "b")
-    assert store.expirations == 2
-    assert len(store) == 1
-    assert store.get("fresh") == "b"
-
-
-def test_ttl_validation():
-    with pytest.raises(ValueError):
-        StickyStore(ttl=0.0)
-    with pytest.raises(ValueError):
-        StickyStore(ttl=-1.0)

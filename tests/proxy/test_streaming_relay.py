@@ -94,11 +94,10 @@ async def shadow_setup(tee_capacity: int = 64):
     shadow = RecordingUpstream("shadow")
     await primary.start()
     await shadow.start()
+    proxy = BifrostProxy("svc", default_upstream=primary.address)
     # A fast primary can outrun the shadow's connection setup; give the
     # tee enough slack to hold the whole (small) test body.
-    proxy = BifrostProxy(
-        "svc", default_upstream=primary.address, shadow_tee_capacity=tee_capacity
-    )
+    proxy.shadower.tee_capacity = tee_capacity
     await proxy.start()
     config = RoutingConfig(
         splits=[TrafficSplit("stable", 100.0)],
@@ -135,9 +134,8 @@ async def test_second_streamed_shadow_is_dropped_with_accounting():
     shadow = RecordingUpstream("shadow")
     await primary.start()
     await shadow.start()
-    proxy = BifrostProxy(
-        "svc", default_upstream=primary.address, shadow_tee_capacity=64
-    )
+    proxy = BifrostProxy("svc", default_upstream=primary.address)
+    proxy.shadower.tee_capacity = 64
     await proxy.start()
     config = RoutingConfig(
         splits=[TrafficSplit("stable", 100.0)],
@@ -184,14 +182,13 @@ async def test_second_streamed_shadow_is_dropped_with_accounting():
 
 
 async def test_buffered_shadows_still_fan_out_to_all_targets():
-    """Buffered requests (no stream) keep the historical N-way fan-out."""
+    """A body that arrives with its head is buffered, not streamed, and
+    keeps the N-way fan-out."""
     primary = RecordingUpstream("stable")
     shadow = RecordingUpstream("shadow")
     await primary.start()
     await shadow.start()
-    proxy = BifrostProxy(
-        "svc", default_upstream=primary.address, stream_bodies=False
-    )
+    proxy = BifrostProxy("svc", default_upstream=primary.address)
     await proxy.start()
     config = RoutingConfig(
         splits=[TrafficSplit("stable", 100.0)],
@@ -273,12 +270,12 @@ async def test_latency_ewma_bounds_queue_to_target_delay():
 
 
 async def test_bound_never_leaves_configured_range():
-    shadower = make_shadower(max_pending=8, min_pending=2)
+    shadower = make_shadower(max_pending=8)
     for _ in range(10):
         shadower.note_drop()
-    assert shadower.effective_pending == 2
+    assert shadower.effective_pending == 1
     shadower.latency_ewma = 1000.0  # absurdly slow upstream
-    assert shadower.effective_pending == 2
+    assert shadower.effective_pending == 1
     shadower.latency_ewma = None
     for _ in range(100):
         shadower._note_sent(0.0001)
@@ -290,7 +287,7 @@ async def test_admission_uses_adaptive_bound():
         async def send(self, request, host, port, timeout=None, stream=False):
             await asyncio.sleep(3600)
 
-    shadower = Shadower(StuckClient(), max_pending=100, min_pending=1)
+    shadower = Shadower(StuckClient(), max_pending=100)
     # Simulate a measured-slow upstream: bound collapses well below the
     # static ceiling, so admission stops far earlier than max_pending.
     shadower.note_drop()  # 50

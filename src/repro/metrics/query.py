@@ -136,6 +136,17 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 _DURATION_SECONDS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 
+#: The deepest tree a query may build, one level per parenthesis, function
+#: call, aggregation and binary operator: a deeper one would exhaust the
+#: interpreter's recursion limit while it is parsed or evaluated.
+MAX_QUERY_DEPTH = 100
+
+
+def _deeper(depth: int) -> int:
+    if depth >= MAX_QUERY_DEPTH:
+        raise QueryError(f"query nests deeper than {MAX_QUERY_DEPTH} levels")
+    return depth + 1
+
 
 class _Parser:
     """Recursive-descent parser for the grammar above."""
@@ -143,9 +154,10 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str]]):
         self._tokens = tokens
         self._index = 0
+        self._open = 0  # enclosing parentheses and aggregations
 
     def parse(self) -> Expression:
-        expression = self._expression()
+        expression, _ = self._expression()
         if self._index != len(self._tokens):
             kind, value = self._tokens[self._index]
             raise QueryError(f"trailing input at token {value!r}")
@@ -153,30 +165,41 @@ class _Parser:
 
     # expression := term (("+"|"-") term)*
     # term       := factor (("*"|"/") factor)*
-    def _expression(self) -> Expression:
-        left = self._term()
+    # Each returns its tree with the tree's depth, see MAX_QUERY_DEPTH.
+    def _expression(self) -> tuple[Expression, int]:
+        left, depth = self._term()
         while self._peek_op() in ("+", "-"):
             op = self._next()[1]
-            left = BinaryOp(op, left, self._term())
-        return left
+            right, right_depth = self._term()
+            left, depth = BinaryOp(op, left, right), _deeper(max(depth, right_depth))
+        return left, depth
 
-    def _term(self) -> Expression:
-        left = self._factor()
+    def _term(self) -> tuple[Expression, int]:
+        left, depth = self._factor()
         while self._peek_op() in ("*", "/"):
             op = self._next()[1]
-            left = BinaryOp(op, left, self._factor())
-        return left
+            right, right_depth = self._factor()
+            left, depth = BinaryOp(op, left, right), _deeper(max(depth, right_depth))
+        return left, depth
 
-    def _factor(self) -> Expression:
+    def _nested(self) -> tuple[Expression, int]:
+        """The expression inside a parenthesis or an aggregation, and ``)``."""
+        # Checked on the way down too: 3,000 "(" would overflow the
+        # parser's own recursion before any depth came back up.
+        self._open = _deeper(self._open)
+        inner, depth = self._expression()
+        self._expect_op(")")
+        self._open -= 1
+        return inner, _deeper(depth)
+
+    def _factor(self) -> tuple[Expression, int]:
         kind, value = self._peek()
         if kind == "number":
             self._next()
-            return Scalar(float(value))
+            return Scalar(float(value)), 1
         if kind == "op" and value == "(":
             self._next()
-            inner = self._expression()
-            self._expect_op(")")
-            return inner
+            return self._nested()
         if kind == "ident":
             if value == "histogram_quantile" and self._peek_op(offset=1) == "(":
                 self._next()
@@ -196,13 +219,12 @@ class _Parser:
                         "histogram_quantile takes an instant bucket selector"
                     )
                 self._expect_op(")")
-                return HistogramQuantile(quantile, selector)
+                return HistogramQuantile(quantile, selector), 2
             if value in AGGREGATIONS and self._peek_op(offset=1) == "(":
                 self._next()
                 self._expect_op("(")
-                inner = self._expression()
-                self._expect_op(")")
-                return Aggregation(value, inner)
+                inner, depth = self._nested()
+                return Aggregation(value, inner), depth
             if value in RANGE_FUNCTIONS:
                 self._next()
                 self._expect_op("(")
@@ -212,8 +234,8 @@ class _Parser:
                         f"{value}() requires a range selector like name[30s]"
                     )
                 self._expect_op(")")
-                return FunctionCall(value, selector)
-            return self._selector()
+                return FunctionCall(value, selector), 2
+            return self._selector(), 1
         raise QueryError(f"unexpected token {value!r}")
 
     def _selector(self) -> Selector:

@@ -67,7 +67,7 @@ _EMPTY = array("d")
 class TimeSeries:
     """An append-only, time-ordered series of samples on ring buffers."""
 
-    __slots__ = ("key", "_ts", "_vs", "_start", "_size")
+    __slots__ = ("key", "_ts", "_vs", "_start", "_size", "newest_timestamp")
 
     def __init__(self, key: SeriesKey):
         self.key = key
@@ -75,6 +75,9 @@ class TimeSeries:
         self._vs = array("d")  # values, parallel to _ts
         self._start = 0  # physical index of the logical first sample
         self._size = 0  # live samples (<= capacity == len(_ts))
+        #: Timestamp of the latest sample, or ``None`` when empty: stored
+        #: by the appends, so ingest's order check reads one slot.
+        self.newest_timestamp: float | None = None
 
     def __repr__(self) -> str:
         return f"TimeSeries({self.key}, samples={self._size})"
@@ -157,6 +160,7 @@ class TimeSeries:
         self._ts[position] = timestamp
         self._vs[position] = value
         self._size = size + 1
+        self.newest_timestamp = self._ts[position]  # a float, as stored
 
     def __len__(self) -> int:
         return self._size
@@ -199,14 +203,6 @@ class TimeSeries:
         """Timestamp of the first retained sample, or ``None`` when empty."""
         return self._ts[self._start] if self._size else None
 
-    @property
-    def newest_timestamp(self) -> float | None:
-        """Timestamp of the latest sample, or ``None`` when empty."""
-        size = self._size
-        if not size:
-            return None
-        return self._ts[(self._start + size - 1) % len(self._ts)]
-
     def window_bounds(self, start: float, end: float) -> tuple[int, int]:
         """Logical index bounds ``(lo, hi)`` of samples with ``start < t <= end``.
 
@@ -247,6 +243,7 @@ class TimeSeries:
         self._size -= index
         if self._size == 0:
             self._start = 0
+            self.newest_timestamp = None
         if capacity > 4 * _MIN_CAPACITY and self._size * 4 <= capacity:
             self._resize(max(_MIN_CAPACITY, self._size * 2))
         return index

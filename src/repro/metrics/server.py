@@ -159,7 +159,7 @@ class MetricsServer(HttpServer):
                     raise TypeError(f"labels must be an object, got {labels!r}")
                 value = float(sample["value"])
                 timestamp = float(sample.get("timestamp", now))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 return Response.from_json(
                     {"status": "error", "error": f"bad sample {sample!r}: {exc}"}, 400
                 )

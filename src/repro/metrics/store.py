@@ -46,12 +46,6 @@ def _check_identity(name, labels) -> None:
             )
 
 
-def _out_of_order(key: tuple, timestamp: float, floor: float) -> ValueError:
-    return ValueError(
-        f"out-of-order sample for {SeriesKey(*key)}: {timestamp} < {floor}"
-    )
-
-
 @dataclass(frozen=True)
 class LabelMatcher:
     """One label matcher: ``name op value`` with op in ``= != =~ !~``.
@@ -95,6 +89,10 @@ class MetricStore:
         #: Samples older than ``now - retention`` are dropped on ingest.
         self.retention = retention
         self._series: dict[SeriesKey, TimeSeries] = {}
+        #: Ingest's first probe: ``(name, *labels, *labels.values())``, the
+        #: labels in the order they were sent, to the series they resolve
+        #: to.  Flat, so an entry holds no per-label pair tuples.
+        self._by_sent: dict[tuple, TimeSeries] = {}
         #: Name index: every series bucketed by metric name.
         self._by_name: dict[str, list[TimeSeries]] = {}
         #: Resolved selector cache, invalidated per name on series creation.
@@ -138,90 +136,83 @@ class MetricStore:
         sample that would create a series with a bad name or labels,
         mid-list raises :class:`ValueError` and leaves the store untouched.
 
-        The win over per-point :meth:`record` is amortization: each
-        distinct series is resolved once, selector-cache invalidation
-        happens once per created series, the retention guard runs once per
+        The win over per-point :meth:`record` is amortization: a sample
+        whose labels arrive in an order seen before resolves its series
+        with one probe of the as-sent index, selector-cache invalidation
+        happens once per created series, the retention trim runs once per
         touched series, and :attr:`generation` bumps once for the whole
         batch — a scrape of M points costs one cache invalidation wave
         instead of M.
         """
-        plan = self._plan_batch(samples)
-        if not plan:
+        if not samples:
             return 0
-        self._apply_batch(plan)
+        self._apply_batch(self._plan_batch(samples))
         return len(samples)
 
     def _plan_batch(
         self,
         samples: Sequence[tuple[str, float, float, dict[str, str] | None]],
-    ) -> dict[tuple, list]:
-        """Validate *samples* and group them by series; mutates nothing.
+    ) -> tuple[list, dict, dict, dict]:
+        """Validate *samples* and resolve their series; mutates nothing.
 
-        Entries are keyed by the plain ``(name, sorted_label_pairs)``
-        tuple, so every probe hashes and compares in C, and each one is
-        ``[series, key, newest, timestamp, value, more]``: the resolved
-        series (``None`` if the batch creates it), the newest timestamp
-        the entry has accepted, the first sample as scalars, and a list of
-        further ``(timestamp, value)`` pairs only when the series repeats.
-        A run of samples with the same name and the same label dict
-        *object* skips even the key build; every other repeat, including
-        an equal but distinct dict, is found by the keyed lookup.
+        Returns ``(points, newest, created, sent)``: every sample as
+        ``(series, timestamp, value)``; each touched series' newest
+        accepted timestamp, keyed by the series object; the series the
+        batch creates, keyed by their sorted ``(name, label_pairs)`` key so
+        two label orders of one new series meet; and the as-sent index
+        entries the batch adds.  A sample is resolved by its as-sent key
+        in :attr:`_by_sent`; only a miss sorts its labels and probes the
+        series dict.
         """
-        plan: dict[tuple, list] = {}
-        series_by_key = self._series
-        last_name = None
-        last_labels = None
-        entry = None
+        points: list[tuple[TimeSeries, float, float]] = []
+        newest: dict[TimeSeries, float] = {}
+        created: dict[tuple, TimeSeries] = {}
+        sent: dict[tuple, TimeSeries] = {}
+        by_sent = self._by_sent
         for name, value, timestamp, labels in samples:
             if not isfinite(timestamp):
                 raise ValueError(f"non-finite timestamp for {name}: {timestamp}")
-            if labels is not last_labels or name != last_name or entry is None:
-                last_name = name
-                last_labels = labels
-                try:
+            try:
+                sent_key = (name, *labels, *labels.values()) if labels else (name,)
+                series = by_sent.get(sent_key)
+                if series is None:
+                    series = sent.get(sent_key)
+                if series is None:
                     key = (name, tuple(sorted(labels.items())) if labels else ())
-                    entry = plan.get(key)
-                except TypeError:  # an unhashable or unorderable label
-                    _check_identity(name, labels)
-                    raise
-                if entry is None:
-                    series = series_by_key.get(key)
+                    series = self._series.get(key, created.get(key))
                     if series is None:
                         _check_identity(name, labels)
-                    else:
-                        floor = series.newest_timestamp
-                        if floor is not None and timestamp < floor:
-                            raise _out_of_order(key, timestamp, floor)
-                    plan[key] = entry = [series, key, timestamp, timestamp, value, None]
-                    continue
-            floor = entry[2]
-            if timestamp < floor:
-                raise _out_of_order(entry[1], timestamp, floor)
-            entry[2] = timestamp
-            if entry[5] is None:
-                entry[5] = [(timestamp, value)]
-            else:
-                entry[5].append((timestamp, value))
-        return plan
+                        series = created[key] = TimeSeries(SeriesKey(*key))
+                    sent[sent_key] = series
+            except TypeError:  # an unhashable or unorderable label
+                _check_identity(name, labels)
+                raise
+            floor = newest.get(series, series.newest_timestamp)
+            if floor is not None and timestamp < floor:
+                raise ValueError(
+                    f"out-of-order sample for {series.key}: {timestamp} < {floor}"
+                )
+            newest[series] = timestamp
+            points.append((series, timestamp, value))
+        return points, newest, created, sent
 
-    def _apply_batch(self, plan: dict[tuple, list]) -> None:
+    def _apply_batch(self, plan: tuple[list, dict, dict, dict]) -> None:
         """Apply a validated :meth:`_plan_batch` result; cannot fail."""
-        retention = self.retention
-        for series, key, newest, timestamp, value, more in plan.values():
-            if series is None:
-                series = TimeSeries(SeriesKey(*key))
-                self._series[series.key] = series
-                self._by_name.setdefault(key[0], []).append(series)
-                # A new series can change what any cached selector for
-                # this name matches, so resolved selectors start over.
-                self._selector_cache.pop(key[0], None)
-                self.series_generation += 1
+        points, newest, created, sent = plan
+        for series in created.values():
+            name = series.key.name
+            self._series[series.key] = series
+            self._by_name.setdefault(name, []).append(series)
+            # A new series can change what any cached selector for
+            # this name matches, so resolved selectors start over.
+            self._selector_cache.pop(name, None)
+            self.series_generation += 1
+        self._by_sent.update(sent)
+        for series, timestamp, value in points:
             series.append_ordered(timestamp, value)
-            if more is not None:
-                for timestamp, value in more:
-                    series.append_ordered(timestamp, value)
-            if retention is not None and series.oldest_timestamp < newest - retention:
-                series.drop_before(newest - retention)
+        if self.retention is not None:
+            for series, timestamp in newest.items():
+                series.drop_before(timestamp - self.retention)
         self.generation += 1
 
     def series(self, key: SeriesKey) -> TimeSeries | None:
@@ -258,6 +249,7 @@ class MetricStore:
 
     def clear(self) -> None:
         self._series.clear()
+        self._by_sent.clear()
         self._by_name.clear()
         self._selector_cache.clear()
         self.generation += 1

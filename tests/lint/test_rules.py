@@ -545,6 +545,40 @@ strategy:
     assert "BF301" not in codes(lint(document))
 
 
+@pytest.mark.parametrize(
+    "query", ["sum(" * 400 + "m" + ")" * 400, " + ".join(["m"] * 1000)], ids=["nested", "chain"]
+)
+def test_bf301_query_too_deep_is_reported_not_a_crash(query):
+    document = (
+        """\
+strategy:
+  name: t
+  phases:
+    - phase:
+        name: a
+        checks:
+          - metric:
+              name: m
+              query: "QUERY"
+              validator: "<5"
+              intervalTime: 1
+              intervalLimit: 2
+        next: done
+        onFailure: rollback
+    - final:
+        name: done
+    - final:
+        name: rollback
+        rollback: true
+""".replace("QUERY", query)
+        + DEPLOYMENT
+    )
+    result = lint(document)
+    [diagnostic] = by_code(result, "BF301")
+    assert "deeper than" in diagnostic.message
+    assert not [d for d in result.diagnostics if "internal error" in d.message]
+
+
 def test_bf302_zero_weight_check():
     document = (
         """\

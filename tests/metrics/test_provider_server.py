@@ -96,6 +96,10 @@ BAD_REQUESTS = [
     ("query-bare-range-selector", "GET", "/api/v1/query?query=" + quote("m[30s]"), b""),
     ("query-invalid-regex", "GET", "/api/v1/query?query=" + quote('m{a=~"("}'), b""),
     ("query-invalid-negated-regex", "GET", "/api/v1/query?query=" + quote('sum(m{a!~"[z"})'), b""),
+    # Nested past MAX_QUERY_DEPTH: a QueryError, not a RecursionError.
+    ("query-deep-parentheses", "GET", "/api/v1/query?query=" + quote("(" * 3000 + "m" + ")" * 3000), b""),
+    ("query-deep-aggregations", "GET", "/api/v1/query?query=" + quote("sum(" * 400 + "m" + ")" * 400), b""),
+    ("query-long-binary-chain", "GET", "/api/v1/query?query=" + quote(" + ".join(["m"] * 1000)), b""),
     ("ingest-not-json", "POST", INGEST, b"{not json"),
     ("ingest-not-utf8", "POST", INGEST, b"\xff\xfe"),
     ("ingest-not-a-list", "POST", INGEST, b'{"not": "a list"}'),
@@ -108,6 +112,12 @@ BAD_REQUESTS = [
     (
         "ingest-bad-value-mid-batch", "POST", INGEST,
         b'[{"name": "m", "value": 2}, {"name": "m", "value": "x"}, {"name": "m", "value": 3}]',
+    ),
+    # A JSON integer no float can hold.
+    ("ingest-value-overflows", "POST", INGEST, b'[{"name": "m", "value": 1' + b"0" * 400 + b"}]"),
+    (
+        "ingest-timestamp-overflows", "POST", INGEST,
+        b'[{"name": "m", "value": 2, "timestamp": 1' + b"0" * 400 + b"}]",
     ),
     ("ingest-timestamp-nan", "POST", INGEST, b'[{"name": "m", "value": 2, "timestamp": "nan"}]'),
     ("ingest-timestamp-inf", "POST", INGEST, b'[{"name": "m", "value": 2, "timestamp": "inf"}]'),
@@ -123,6 +133,11 @@ BAD_REQUESTS = [
         "ingest-out-of-order-in-batch", "POST", INGEST,
         b'[{"name": "fresh", "value": 1, "timestamp": 9.0},'
         b' {"name": "fresh", "value": 2, "timestamp": 8.0}]',
+    ),
+    (
+        "ingest-out-of-order-across-label-orders", "POST", INGEST,
+        b'[{"name": "fresh", "value": 1, "labels": {"a": "1", "b": "2"}, "timestamp": 9.0},'
+        b' {"name": "fresh", "value": 2, "labels": {"b": "2", "a": "1"}, "timestamp": 8.0}]',
     ),
     # A series no string matcher could select is refused when it would be
     # created: an empty name, a non-string label value, an empty label name.

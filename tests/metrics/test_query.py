@@ -4,6 +4,7 @@ import pytest
 
 from repro.metrics import MetricStore, QueryError, evaluate, evaluate_scalar
 from repro.metrics.query import (
+    MAX_QUERY_DEPTH,
     Aggregation,
     BinaryOp,
     FunctionCall,
@@ -98,6 +99,30 @@ def test_parse_errors():
             node = parse(bad)
             # bare range selectors only fail at evaluation
             evaluate(MetricStore(), node, at=0)
+
+
+def test_parse_bounds_tree_depth():
+    """Parentheses, aggregations and binary operators each count a level."""
+    store = MetricStore()
+    store.record("m", 1.0, 1.0)
+    deepest = MAX_QUERY_DEPTH - 1  # nestings around a leaf of depth 1
+    for query, value in [
+        ("(" * deepest + "m" + ")" * deepest, 1.0),
+        ("sum(" * deepest + "m" + ")" * deepest, 1.0),
+        (" + ".join(["m"] * MAX_QUERY_DEPTH), float(MAX_QUERY_DEPTH)),
+        ("sum(" * (deepest - 1) + "m * 2" + ")" * (deepest - 1), 2.0),
+    ]:
+        assert evaluate_scalar(store, query, at=1.0) == value
+    for query in [
+        "(" * 3000 + "m" + ")" * 3000,
+        "sum(" * 400 + "m" + ")" * 400,
+        " + ".join(["m"] * 1000),
+        "(" * MAX_QUERY_DEPTH + "m" + ")" * MAX_QUERY_DEPTH,
+        "sum(" * deepest + "m * 2" + ")" * deepest,
+        "(" * 60 + " + ".join(["m"] * 60) + ")" * 60,
+    ]:
+        with pytest.raises(QueryError, match="deeper than"):
+            parse(query)
 
 
 # -- Evaluation ----------------------------------------------------------------

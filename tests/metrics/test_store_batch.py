@@ -87,3 +87,49 @@ def test_batch_applies_retention():
     )
     series = store.select("m")[0]
     assert series.oldest_timestamp >= 25.0
+
+
+def test_label_orders_of_one_new_series_meet_in_a_batch():
+    store = MetricStore()
+    with pytest.raises(ValueError, match="out-of-order"):
+        store.record_batch(
+            [("m", 1.0, 9.0, {"a": "1", "b": "2"}), ("m", 2.0, 8.0, {"b": "2", "a": "1"})]
+        )
+    assert len(store) == 0
+    store.record_batch(
+        [("m", 1.0, 8.0, {"a": "1", "b": "2"}), ("m", 2.0, 9.0, {"b": "2", "a": "1"})]
+    )
+    [series] = store.select("m")
+    assert [s.value for s in series.window(0.0, 10.0)] == [1.0, 2.0]
+
+
+def test_rejected_batch_leaves_no_index_entry():
+    store = MetricStore()
+    store.record("m", 1.0, 5.0)
+    index = dict(store._by_sent)
+    fresh = ("fresh", 1.0, 1.0, {"b": "2", "a": "1"})
+    with pytest.raises(ValueError, match="out-of-order"):
+        store.record_batch([fresh, ("m", 2.0, 4.0, None)])
+    # The as-sent index gained nothing, so no entry names the series the
+    # refused batch would have created.
+    assert store._by_sent == index
+    assert store.names() == {"m"}
+    generation = store.series_generation
+    store.record_batch([fresh, ("fresh", 2.0, 2.0, {"a": "1", "b": "2"})])
+    assert store.series_generation == generation + 1
+    [series] = store.select("fresh")
+    assert [s.value for s in series.window(0.0, 9.0)] == [1.0, 2.0]
+    # One index entry per label order, both naming the one series.
+    assert [found for key, found in store._by_sent.items() if key[0] == "fresh"] == [
+        series,
+        series,
+    ]
+
+
+def test_clear_empties_the_index():
+    store = MetricStore()
+    store.record("m", 1.0, 5.0, {"a": "1"})
+    store.clear()
+    assert store._by_sent == {}
+    store.record("m", 2.0, 1.0, {"a": "1"})  # a new series: no floor left
+    assert [s.value for s in store.select("m")[0].window(0.0, 9.0)] == [2.0]

@@ -12,9 +12,12 @@ query must answer the same on both after every op.
 
 The label strategy covers the shapes the batch plan distinguishes: one
 dict object shared across names (the scraper's memoized
-``{"instance": ...}``), equal dicts that are not the same object, and
-label values that could never be selected (the batch is refused, even
-when it would also have created a good series).
+``{"instance": ...}``), equal dicts that are not the same object, equal
+dicts whose labels were inserted in another order (the store's as-sent
+index keys on that order, so each order must still reach the one series
+of the label set, within a batch and across batches), and label values
+that could never be selected (the batch is refused, even when it would
+also have created a good series).
 """
 
 from math import isfinite
@@ -26,20 +29,28 @@ from repro.metrics import MetricStore, SeriesKey, TimeSeries, evaluate
 from repro.metrics.query import RANGE_FUNCTIONS
 
 NAMES = ["alpha_total", "beta_total", "gamma_seconds", "delta_bytes"]
-LABELS = [None, {"instance": "a"}, {"instance": "b", "zone": "z1"}]
+LABELS = [
+    None,
+    {"instance": "a"},
+    {"instance": "b", "zone": "z1"},
+    {"instance": "c", "zone": "z2", "rack": "r1"},
+]
 #: Label maps no string matcher selects: a sample carrying one is refused.
 BAD_LABELS = [{"instance": 7}, {"instance": ["a"]}, {"": "a"}]
 #: How a sample's label map is drawn: mostly the shared objects themselves,
-#: often an equal copy, rarely a bad map.
-KINDS = ["shared"] * 6 + ["copy"] * 3 + ["bad"]
+#: often an equal copy or one in another insertion order, rarely a bad map.
+KINDS = ["shared"] * 6 + ["copy"] * 3 + ["reordered"] * 3 + ["bad"]
 
 
-def _labels(kind, shared, bad):
+def _labels(kind, shared, bad, order):
     if kind == "bad":
         return bad
-    if kind == "copy" and shared is not None:
-        return dict(shared)
-    return shared
+    if shared is None or kind == "shared":
+        return shared
+    items = list(shared.items())
+    if kind == "reordered":
+        return dict(items[index] for index in order if index < len(items))
+    return dict(items)
 
 
 samples = st.tuples(
@@ -47,7 +58,11 @@ samples = st.tuples(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
     st.builds(
-        _labels, st.sampled_from(KINDS), st.sampled_from(LABELS), st.sampled_from(BAD_LABELS)
+        _labels,
+        st.sampled_from(KINDS),
+        st.sampled_from(LABELS),
+        st.sampled_from(BAD_LABELS),
+        st.permutations(range(3)),
     ),
 )
 
@@ -156,6 +171,8 @@ def _step(store, reference, op):
         # Atomic: nothing landed, no series was created, no stamp moved.
         assert _snapshot(store) == before
         assert (_shape(store), store.generation) == (shape, generation)
+    # One series per label set, whatever order its labels arrived in.
+    assert _shape(store) == _shape(reference)
 
 
 @settings(max_examples=150, deadline=None)

@@ -36,6 +36,10 @@ class ListSeries:
     def oldest_timestamp(self):
         return self.samples[0][0] if self.samples else None
 
+    @property
+    def newest_timestamp(self):
+        return self.samples[-1][0] if self.samples else None
+
     def at(self, timestamp, staleness=float("inf")):
         index = bisect.bisect_right([s[0] for s in self.samples], timestamp) - 1
         if index < 0:
@@ -109,6 +113,7 @@ def test_ring_series_matches_list_model(ops):
         # Invariants checked after every single operation.
         assert len(ring) == len(model)
         assert ring.oldest_timestamp == model.oldest_timestamp
+        assert ring.newest_timestamp == model.newest_timestamp
         latest = ring.latest()
         assert (latest and (latest.timestamp, latest.value)) == (model.latest() or None)
 
@@ -130,7 +135,29 @@ def test_drop_then_refill_keeps_order_checks(deltas, drop_at_step):
         if step == drop_at_step:
             cutoff = now / 2.0
             assert ring.drop_before(cutoff) == model.drop_before(cutoff)
+        assert ring.newest_timestamp == model.newest_timestamp
     assert [(s.timestamp, s.value) for s in ring.window(-1.0, now + 1.0)] == model.samples
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=40),
+    st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False), max_size=40),
+)
+def test_emptying_drop_then_refill_tracks_newest(first, refill):
+    """A trim that empties the ring forgets the newest timestamp: a refill
+    may start below it, and is order-checked against itself from there."""
+    ring = TimeSeries(SeriesKey.make("m"))
+    model = ListSeries()
+    for timestamps in (sorted(first), sorted(refill)):
+        for value, timestamp in enumerate(timestamps):
+            ring.append(timestamp, float(value))
+            model.append(timestamp, float(value))
+            assert ring.newest_timestamp == model.newest_timestamp == timestamp
+        cutoff = max(timestamps, default=0.0) + 1.0
+        assert ring.drop_before(cutoff) == model.drop_before(cutoff) == len(timestamps)
+        assert ring.newest_timestamp is None and ring.oldest_timestamp is None
+        assert len(ring) == 0
 
 
 def test_trim_shrinks_capacity_back_down():

@@ -19,10 +19,10 @@ import asyncio
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Sequence
+from typing import Awaitable, Callable, NamedTuple, Sequence
 
 from ..metrics.provider import MetricsProvider, ProviderError
-from .outcome import OutcomeError, OutputMapping, Validator
+from .outcome import COMPARISONS, OutcomeError, OutputMapping, Validator
 
 logger = logging.getLogger(__name__)
 
@@ -64,16 +64,6 @@ class MetricQuery:
 #: A custom predicate over the fetched values; None values mean "no data".
 Predicate = Callable[[dict[str, float | None]], bool]
 
-_COMPARISON_OPS: dict[str, Callable[[float, float], bool]] = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
-
 @dataclass(frozen=True)
 class Comparison:
     """Cross-metric rule: compare two named metrics of the condition.
@@ -88,16 +78,16 @@ class Comparison:
     right: str
 
     def __post_init__(self) -> None:
-        if self.op not in _COMPARISON_OPS:
+        if self.op not in COMPARISONS:
             raise CheckError(
                 f"unknown comparison operator {self.op!r}; "
-                f"expected one of {sorted(_COMPARISON_OPS)}"
+                f"expected one of {sorted(COMPARISONS)}"
             )
 
     def check(self, left: float | None, right: float | None) -> int:
         if left is None or right is None:
             return 0  # no data on either side: the comparison cannot pass
-        return 1 if _COMPARISON_OPS[self.op](left, right) else 0
+        return 1 if COMPARISONS[self.op](left, right) else 0
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
@@ -182,8 +172,7 @@ async def fetch_answer(provider: MetricsProvider, query: str) -> Answer:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-@dataclass(frozen=True)
-class ConditionEvaluation:
+class ConditionEvaluation(NamedTuple):
     """One execution of f_ci, with provenance.
 
     ``result`` is the 0/1 decision exactly as :meth:`MetricCondition.evaluate`
@@ -313,6 +302,14 @@ class MetricCondition:
                 answers = await asyncio.gather(
                     *(fetch_answer(provider, query) for provider, query in asked)
                 )
+        if self.validator is not None and len(answers) == 1:
+            # One query, so it is the subject: decide with no lookups.
+            value, error = answers[0]
+            return ConditionEvaluation(
+                self.validator.check(value),
+                value is not None,
+                () if error is None else (f"{self.queries[0].name}: {error}",),
+            )
         values: dict[str, float | None] = {}
         errors: list[str] = []
         for query, (value, error) in zip(self.queries, answers):
@@ -346,8 +343,7 @@ class MetricCondition:
         )
 
 
-@dataclass(frozen=True)
-class Execution:
+class Execution(NamedTuple):
     """One recorded execution of a check's function, for observability."""
 
     at: float
@@ -408,8 +404,7 @@ class CheckResult:
 ExecutionObserver = Callable[[Check, Execution], Awaitable[None] | None]
 
 
-@dataclass(frozen=True)
-class TickOutcome:
+class TickOutcome(NamedTuple):
     """What one timer tick did to a check's run.
 
     ``execution`` is ``None`` for held ticks (``onProviderError: hold``);
@@ -438,7 +433,7 @@ class CheckProgress:
     def apply(self, evaluation: ConditionEvaluation, at: float) -> TickOutcome:
         """Fold one condition evaluation into the run; returns the tick's fate."""
         check = self.check
-        if isinstance(check, ExceptionCheck) and not evaluation.data_available:
+        if not evaluation.data_available and isinstance(check, ExceptionCheck):
             policy = check.on_provider_error
             if policy.mode == "hold":
                 # The tick is not counted: no execution recorded, no
@@ -461,13 +456,10 @@ class CheckProgress:
         else:
             self.consecutive_no_data = 0
         result = evaluation.result
-        execution = Execution(at=at, result=result)
+        execution = Execution(at, result)
         self.executions.append(execution)
         self.total += result
-        return TickOutcome(
-            execution=execution,
-            triggered=isinstance(check, ExceptionCheck) and result == 0,
-        )
+        return TickOutcome(execution, result == 0 and isinstance(check, ExceptionCheck))
 
     def result(self) -> CheckResult:
         """The final :class:`CheckResult` once every repetition ran."""

@@ -25,6 +25,7 @@ import enum
 import itertools
 import logging
 from dataclasses import dataclass, field
+from typing import Awaitable
 
 from ..clock import Clock, RealClock
 from ..metrics.provider import MetricsProvider
@@ -471,8 +472,11 @@ class StrategyExecution:
             raise
         return list(results[: len(futures)])
 
-    async def _check_observer(self, check, execution) -> None:
-        await self._publish(
+    # Plain methods returning the bus's awaitable: the scheduler awaits it
+    # only when it is a coroutine, so a tick with sync subscribers has none.
+
+    def _check_observer(self, check, execution) -> Awaitable[None]:
+        return self._publish(
             EventKind.CHECK_EXECUTED,
             {
                 "state": self.current_state,
@@ -481,8 +485,8 @@ class StrategyExecution:
             },
         )
 
-    async def _check_completed(self, result: CheckResult) -> None:
-        await self._publish(
+    def _check_completed(self, result: CheckResult) -> Awaitable[None]:
+        return self._publish(
             EventKind.CHECK_COMPLETED,
             {
                 "state": self.current_state,
@@ -492,10 +496,8 @@ class StrategyExecution:
             },
         )
 
-    async def _publish(self, kind: EventKind, data: dict) -> None:
-        await self.bus.publish(
-            Event(kind=kind, strategy=self.strategy.name, at=self.clock.now(), data=data)
-        )
+    def _publish(self, kind: EventKind, data: dict) -> Awaitable[None]:
+        return self.bus.publish(Event(kind, self.strategy.name, self.clock.now(), data))
 
     def _report(self, error: str | None = None) -> ExecutionReport:
         return ExecutionReport(
@@ -602,9 +604,6 @@ class Engine:
                     f"execution {holder!r}"
                 )
         execution_id = f"{strategy.name}#{next(self._counter)}"
-        if exclusive:
-            for service in routed_services:
-                self._claims[service] = execution_id
         chaos_controller = None
         if chaos is not None:
             from ..resilience.chaos import ChaosController
@@ -637,6 +636,10 @@ class Engine:
             run_after_delay() if delay > 0 else execution.run()
         )
         if exclusive:
+            # Claimed only now that nothing above can raise: a chaos attach
+            # that fails must not leave claims no task will ever release.
+            for service in routed_services:
+                self._claims[service] = execution_id
             task.add_done_callback(
                 lambda _task, eid=execution_id: self._release_claims(eid)
             )

@@ -5,6 +5,12 @@ dashboard over Socket.IO.  Here, an :class:`EventBus` carries typed
 :class:`Event` records to any number of subscribers: in-process callbacks
 (tests, the dashboard's feed) and bounded queues (long-polling HTTP
 clients).
+
+Delivery is sync-first: :meth:`EventBus.publish` calls the subscribers in
+order before it returns, and while none returns a coroutine it feeds the
+queues and returns the already-done :data:`DELIVERED`.  The first
+coroutine hands the rest of delivery, in the same order, to the coroutine
+``publish`` returns, so ``await bus.publish(event)`` is always correct.
 """
 
 from __future__ import annotations
@@ -12,8 +18,11 @@ from __future__ import annotations
 import asyncio
 import enum
 import json
+import logging
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
+
+logger = logging.getLogger(__name__)
 
 
 class EventKind(enum.Enum):
@@ -52,9 +61,14 @@ class EventKind(enum.Enum):
     CHAOS_CAMPAIGN_FINISHED = "chaos_campaign_finished"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
-    """One engine occurrence, timestamped with the engine's clock."""
+    """One engine occurrence, timestamped with the engine's clock.
+
+    Subscribers share one instance and must treat it as read-only.  It is
+    not frozen: ``data`` is a dict, so freezing never made an event
+    immutable, and a frozen ``__init__`` is the dearer one per check tick.
+    """
 
     kind: EventKind
     strategy: str
@@ -85,12 +99,23 @@ class Event:
 Subscriber = Callable[[Event], Awaitable[None] | None]
 
 
+class _Delivered:
+    """An already-done awaitable: awaiting it never suspends."""
+
+    def __await__(self):
+        return iter(())
+
+
+#: What :meth:`EventBus.publish` returns once every subscriber has run.
+DELIVERED = _Delivered()
+
+
 class EventBus:
     """Fan-out of engine events to callbacks and queues.
 
-    Subscriber exceptions are swallowed (a broken dashboard must never
-    stall a rollout); queues are bounded and drop the oldest event when
-    full, favoring liveness over completeness for UI consumers.
+    Subscriber exceptions are logged and skipped (a broken dashboard must
+    never stall a rollout); queues are bounded and drop the oldest event
+    when full, favoring liveness over completeness for UI consumers.
     """
 
     def __init__(self, queue_size: int = 1000):
@@ -117,18 +142,40 @@ class EventBus:
         if queue in self._queues:
             self._queues.remove(queue)
 
-    async def publish(self, event: Event) -> None:
+    def publish(self, event: Event) -> Awaitable[None]:
+        """Record and deliver *event*; await the result to finish delivery."""
         self.history.append(event)
-        for callback in list(self._subscribers):
+        subscribers = list(self._subscribers)
+        for index, callback in enumerate(subscribers):
+            try:
+                outcome = callback(event)
+            except Exception:
+                # Observability must not break enactment.
+                logger.exception("event subscriber failed")
+                continue
+            if outcome is not None and asyncio.iscoroutine(outcome):
+                return self._deliver_rest(event, outcome, subscribers, index + 1)
+        self._feed_queues(event)
+        return DELIVERED
+
+    async def _deliver_rest(
+        self, event: Event, pending, subscribers: list[Subscriber], start: int
+    ) -> None:
+        """The coroutine path: finish *pending*, then the subscribers after it."""
+        try:
+            await pending
+        except Exception:
+            logger.exception("event subscriber failed")
+        for callback in subscribers[start:]:
             try:
                 outcome = callback(event)
                 if asyncio.iscoroutine(outcome):
                     await outcome
             except Exception:
-                # Observability must not break enactment.
-                import logging
+                logger.exception("event subscriber failed")
+        self._feed_queues(event)
 
-                logging.getLogger(__name__).exception("event subscriber failed")
+    def _feed_queues(self, event: Event) -> None:
         for queue in self._queues:
             if queue.full():
                 try:

@@ -14,9 +14,10 @@ Implements the numeric plumbing of the model (section 3.2):
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 class OutcomeError(Exception):
@@ -116,6 +117,16 @@ class OutputMapping:
         return self.results[self.ranges.index_of(outcome)]
 
 
+#: The comparison operators validators and cross-metric comparisons use.
+COMPARISONS: dict[str, Callable[[float, float], bool]] = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
 #: Validator expressions: an operator and a number, e.g. "<5", ">= 0.99".
 #: Scientific notation is accepted so serialized bounds round-trip.
 _VALIDATOR = re.compile(
@@ -146,15 +157,7 @@ class Validator:
         """Evaluate to 1 (pass) or 0 (fail)."""
         if value is None or math.isnan(value):
             return 0
-        passed = {
-            "<": value < self.bound,
-            "<=": value <= self.bound,
-            ">": value > self.bound,
-            ">=": value >= self.bound,
-            "==": value == self.bound,
-            "!=": value != self.bound,
-        }[self.op]
-        return 1 if passed else 0
+        return 1 if COMPARISONS[self.op](value, self.bound) else 0
 
     def __str__(self) -> str:
         # repr keeps full precision, so parse(str(v)) is the identity.

@@ -280,7 +280,7 @@ class CheckScheduler:
             outcome = entry.progress.apply(evaluation, at)
             if outcome.execution is not None and entry.observer is not None:
                 seen = entry.observer(entry.check, outcome.execution)
-                if asyncio.iscoroutine(seen):
+                if seen is not None and asyncio.iscoroutine(seen):
                     await seen
             if outcome.triggered:
                 self._finish(entry, error=ExceptionTriggered(entry.check, at))
@@ -299,7 +299,7 @@ class CheckScheduler:
         if on_complete is not None and not entry.future.done():
             try:
                 outcome = on_complete(result)
-                if asyncio.iscoroutine(outcome):
+                if outcome is not None and asyncio.iscoroutine(outcome):
                     await outcome
             except asyncio.CancelledError:
                 raise

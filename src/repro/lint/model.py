@@ -19,8 +19,10 @@ have no spans and diagnostics fall back to state names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
+from ..core.checks import BasicCheck, ExceptionCheck
 from ..core.model import Strategy
 from ..core.routing import RoutingConfig
 from ..dsl.yaml_lite import item_line, key_column, key_line, node_column, node_line
@@ -205,6 +207,18 @@ class LintModel:
             worst = max(worst, exposed)
         return worst
 
+    @cached_property
+    def condition_analyses(self) -> list[tuple]:
+        """Every provable check condition, analysed once per model.
+
+        ``(state, noun, check, validator, query, interval)`` rows from
+        :func:`repro.lint.semantic.analyze_conditions`; BF601 and BF602
+        both read them.
+        """
+        from .semantic import analyze_conditions
+
+        return analyze_conditions(self)
+
     # -- construction ------------------------------------------------------
 
     @classmethod
@@ -316,8 +330,6 @@ class LintModel:
 
 
 def _check_from_model(check: Any, weights: list[float], index: int) -> CheckInfo:
-    from ..core.checks import BasicCheck, ExceptionCheck
-
     info = CheckInfo(name=str(getattr(check, "name", f"check[{index}]")), kind="unknown")
     if isinstance(check, BasicCheck):
         info.kind = "basic"

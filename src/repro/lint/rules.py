@@ -584,6 +584,15 @@ def zero_weight_check(model: LintModel, config: LintConfig) -> Iterator[Diagnost
                 )
 
 
+def _finite_increasing(thresholds: tuple[float, ...]) -> bool:
+    previous = -math.inf
+    for threshold in thresholds:
+        if not math.isfinite(threshold) or threshold <= previous:
+            return False
+        previous = threshold
+    return True
+
+
 def _describe_range(thresholds: tuple[float, ...], index: int) -> str:
     if index == 0:
         return f"(-inf, {thresholds[0]:g}]"
@@ -608,9 +617,7 @@ def dead_outcome(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
             ):
                 continue
             thresholds = check.output_thresholds
-            if any(not math.isfinite(t) for t in thresholds) or any(
-                left >= right for left, right in zip(thresholds, thresholds[1:])
-            ):
+            if not _finite_increasing(thresholds):
                 continue  # BF105 reports malformed threshold lists
             if len(check.output_results) != len(thresholds) + 1:
                 continue
@@ -756,6 +763,8 @@ def shared_proxy(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     blocking=True,
 )
 def unknown_fault_target(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
+    if not model.chaos_faults:
+        return
     from ..resilience.chaos import ChaosError, parse_target
 
     referenced_providers = {

@@ -116,17 +116,24 @@ def _conditions(model: LintModel):
         yield None, "steady-state hypothesis", check
 
 
+def analyze_conditions(model: LintModel) -> list[tuple]:
+    """``(state, noun, check, validator, query, interval)`` for every
+    analyzable condition, in :func:`_conditions` order."""
+    analyses = []
+    for state, noun, check in _conditions(model):
+        analyzed = _analyzable(check)
+        if analyzed is not None:
+            analyses.append((state, noun, check, *analyzed))
+    return analyses
+
+
 @rule(
     "BF601", "unsatisfiable-check", Severity.ERROR,
     "a check's validator can never hold for any value its query can produce",
     blocking=True,
 )
 def unsatisfiable_check(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    for state, noun, check in _conditions(model):
-        analyzed = _analyzable(check)
-        if analyzed is None:
-            continue
-        validator, query, interval = analyzed
+    for state, noun, check, validator, query, interval in model.condition_analyses:
         if not never_holds(interval, validator.op, validator.bound):
             continue
         if noun == "steady-state hypothesis":
@@ -151,11 +158,7 @@ def unsatisfiable_check(model: LintModel, config: LintConfig) -> Iterator[Diagno
     "a check's validator holds for every value its query can produce",
 )
 def tautological_check(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    for state, noun, check in _conditions(model):
-        analyzed = _analyzable(check)
-        if analyzed is None:
-            continue
-        validator, query, interval = analyzed
+    for state, noun, check, validator, query, interval in model.condition_analyses:
         if not always_holds(interval, validator.op, validator.bound):
             continue
         if noun == "steady-state hypothesis":

@@ -261,6 +261,27 @@ async def test_cancelled_exclusive_execution_releases_claims():
     engine.enact(linear_strategy("after-cancel"))  # must not raise
 
 
+async def test_a_chaos_campaign_that_fails_to_attach_claims_nothing():
+    from repro.resilience.chaos import ChaosCampaign, ChaosError, FaultSpec
+
+    engine = Engine(clock=VirtualClock())
+    subscribers = list(engine.bus._subscribers)
+    campaign = ChaosCampaign(
+        "c", specs=[FaultSpec(name="f", target="controller", phases=("nowhere",))]
+    )
+    with pytest.raises(ChaosError):
+        engine.enact(
+            linear_strategy("shop"), exclusive=True, allow_findings=True, chaos=campaign
+        )
+    assert engine._claims == {}
+    assert engine.bus._subscribers == subscribers
+    execution_id = engine.enact(linear_strategy("shop"), exclusive=True)
+    await asyncio.sleep(0)
+    await engine.clock.advance(5)
+    report = await engine.wait(execution_id)
+    assert report.status is ExecutionStatus.COMPLETED
+
+
 async def test_non_exclusive_strategies_still_share_services():
     engine = Engine(clock=VirtualClock())
     clock = engine.clock

@@ -356,3 +356,36 @@ def test_semantic_rules_selectable_as_group():
     doc = document(validator='"< 0"')
     result = lint_text(doc, config=LintConfig.from_flags(select=["BF6"]))
     assert {d.code for d in result.diagnostics} == {"BF601"}
+
+
+def test_each_check_is_analysed_once_per_lint_run(monkeypatch):
+    import repro.lint.semantic as semantic
+    from repro.core import StrategyBuilder, canary_split, simple_basic_check, single_version
+    from repro.lint import lint_strategy
+
+    bounded = []
+    interval_of = semantic.interval_of
+
+    def counting_interval_of(expression):
+        bounded.append(expression)
+        return interval_of(expression)
+
+    monkeypatch.setattr(semantic, "interval_of", counting_interval_of)
+    builder = StrategyBuilder("analysed")
+    builder.service("search", {"v1": "h:1", "v2": "h:2"})
+    canary = builder.state("canary").route("search", canary_split("v1", "v2", 10.0))
+    for name, query, validator, provider in [
+        ("errors", "errors_total", "<50", "prometheus"),
+        ("never", "errors_total", "<0", "prometheus"),  # BF601
+        ("rate", "rate(requests_total[30s])", ">1", "prometheus"),
+        ("foreign", "errors_total", "<50", "health"),  # not analyzable
+        ("broken", "rate((((", "<50", "prometheus"),  # not analyzable
+    ]:
+        canary.check(simple_basic_check(name, query, validator, 1, 2, provider=provider))
+    canary.transitions([4.5], ["rollback", "done"])
+    builder.state("done").route("search", single_version("v2")).final()
+    builder.state("rollback").route("search", single_version("v1")).final(rollback=True)
+
+    result = lint_strategy(builder.build())
+    assert len(bounded) == 3
+    assert [d.state for d in by_code(result, "BF601")] == ["canary"]

@@ -245,6 +245,8 @@ def cmd_validate(args) -> int:
         compiled = compile_document(document)
     except (DslError, YamlError) as exc:
         print(f"INVALID: {exc}")
+        for error in getattr(exc, "errors", [exc])[1:]:
+            print(f"  line {error.line}: {error.code} {error.path}: {error.message}")
         return 1
     automaton = compiled.strategy.automaton
     states = len(automaton.states)

@@ -6,12 +6,6 @@ of the paper's scalability experiments.
 """
 
 from .balancer import LoadBalancer
-from .provisioner import (
-    InProcessProvisioner,
-    Provisioner,
-    ProvisioningError,
-    provision_strategy_versions,
-)
 from .gateway import Gateway
 from .topology import Cluster, ClusterError
 
@@ -19,9 +13,5 @@ __all__ = [
     "Cluster",
     "ClusterError",
     "Gateway",
-    "InProcessProvisioner",
     "LoadBalancer",
-    "Provisioner",
-    "ProvisioningError",
-    "provision_strategy_versions",
 ]

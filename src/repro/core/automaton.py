@@ -34,8 +34,9 @@ class Transitions:
     def __post_init__(self) -> None:
         if len(self.targets) != self.ranges.range_count:
             raise ModelError(
-                f"{self.ranges.range_count} outcome ranges need that many "
-                f"targets, got {len(self.targets)}"
+                f"{len(self.ranges.thresholds)} thresholds form "
+                f"{self.ranges.range_count} outcome ranges but "
+                f"{len(self.targets)} targets are given"
             )
 
     @classmethod

@@ -52,7 +52,8 @@ class ThresholdRanges:
                 )
             if left > right:
                 raise OutcomeError(
-                    f"thresholds must be strictly increasing: {self.thresholds}"
+                    f"thresholds are not sorted ({left:g} before {right:g}); "
+                    f"they must be strictly increasing: {self.thresholds}"
                 )
 
     @property

@@ -14,6 +14,7 @@ from typing import Any
 
 from .errors import DslError
 from .schema import expect_map, expect_str, reject_unknown_keys, str_field
+from .yaml_lite import key_line, node_line
 
 
 @dataclass
@@ -57,38 +58,47 @@ class Deployment:
 
 def parse_deployment(raw: Any, path: str = "deployment") -> Deployment:
     """Parse the document's ``deployment`` mapping."""
+    deployment = Deployment()
+    for name, body in services_section(raw, path).items():
+        deployment.services[name] = parse_service(name, body, f"{path}.services.{name}")
+    return deployment
+
+
+def services_section(raw: Any, path: str = "deployment") -> dict[str, Any]:
+    """The ``services`` mapping of a ``deployment`` part, still unparsed."""
     mapping = expect_map(raw, path)
     reject_unknown_keys(mapping, {"services"}, path)
-    services_raw = expect_map(mapping.get("services", {}), f"{path}.services")
-    if not services_raw:
-        raise DslError("needs at least one service", f"{path}.services")
-    deployment = Deployment()
-    for name, service_raw in services_raw.items():
-        service_path = f"{path}.services.{name}"
-        service_map = expect_map(service_raw, service_path)
-        reject_unknown_keys(service_map, {"proxy", "stable", "versions"}, service_path)
-        versions_raw = expect_map(
-            service_map.get("versions", {}), f"{service_path}.versions"
+    services = expect_map(mapping.get("services", {}), f"{path}.services")
+    if not services:
+        raise DslError(
+            "needs at least one service", f"{path}.services", node_line(mapping)
         )
-        if not versions_raw:
-            raise DslError("needs at least one version", f"{service_path}.versions")
-        versions = {
-            version: expect_str(endpoint, f"{service_path}.versions.{version}")
-            for version, endpoint in versions_raw.items()
-        }
-        stable = str_field(
-            service_map, "stable", service_path, default=next(iter(versions))
+    return services
+
+
+def parse_service(name: str, raw: Any, path: str) -> DeployedService:
+    """Parse one service of the deployment part."""
+    service_map = expect_map(raw, path)
+    reject_unknown_keys(service_map, {"proxy", "stable", "versions"}, path)
+    versions_raw = expect_map(service_map.get("versions", {}), f"{path}.versions")
+    if not versions_raw:
+        raise DslError(
+            "needs at least one version", f"{path}.versions", node_line(service_map)
         )
-        if stable not in versions:
-            raise DslError(
-                f"stable version {stable!r} is not among versions "
-                f"{sorted(versions)}",
-                service_path,
-            )
-        deployment.services[name] = DeployedService(
-            name=name,
-            proxy=str_field(service_map, "proxy", service_path),
-            stable=stable,
-            versions=versions,
+    versions = {
+        version: expect_str(endpoint, f"{path}.versions.{version}")
+        for version, endpoint in versions_raw.items()
+    }
+    stable = str_field(service_map, "stable", path, default=next(iter(versions)))
+    if stable not in versions:
+        raise DslError(
+            f"stable version {stable!r} is not among versions {sorted(versions)}",
+            path,
+            key_line(service_map, "stable"),
         )
-    return deployment
+    return DeployedService(
+        name=name,
+        proxy=str_field(service_map, "proxy", path),
+        stable=stable,
+        versions=versions,
+    )

@@ -54,12 +54,6 @@ def expect_int(value: Any, path: str) -> int:
     return value
 
 
-def expect_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise DslError(f"expected true/false, got {value!r}", path, node_line(value))
-    return value
-
-
 def get_required(mapping: dict[str, Any], key: str, path: str) -> Any:
     if key not in mapping:
         raise DslError(f"missing required key {key!r}", path, node_line(mapping))

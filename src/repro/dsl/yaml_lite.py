@@ -55,16 +55,14 @@ class LocatedMap(dict):
 
 
 class LocatedList(list):
-    """A parsed block sequence carrying source line/column per item."""
+    """A parsed block sequence carrying its source line and column."""
 
-    __slots__ = ("line", "column", "item_lines", "item_columns")
+    __slots__ = ("line", "column")
 
     def __init__(self, line: int | None = None, column: int | None = None):
         super().__init__()
         self.line = line
         self.column = column
-        self.item_lines: list[int] = []
-        self.item_columns: list[int] = []
 
 
 def node_line(value: Any) -> int | None:
@@ -98,22 +96,6 @@ def key_column(mapping: Any, key: str) -> int | None:
     columns = getattr(mapping, "key_columns", None)
     if columns is not None and key in columns:
         return columns[key]
-    return None
-
-
-def item_line(sequence: Any, index: int) -> int | None:
-    """The source line of ``sequence[index]``, if it is known."""
-    lines = getattr(sequence, "item_lines", None)
-    if lines is not None and 0 <= index < len(lines):
-        return lines[index]
-    return node_line(sequence)
-
-
-def item_column(sequence: Any, index: int) -> int | None:
-    """The 1-based column of ``sequence[index]``'s ``-`` marker, if known."""
-    columns = getattr(sequence, "item_columns", None)
-    if columns is not None and 0 <= index < len(columns):
-        return columns[index]
     return None
 
 
@@ -368,8 +350,6 @@ class _Parser:
                 return items
             if line.content == "-":
                 self._index += 1
-                items.item_lines.append(line.number)
-                items.item_columns.append(line.indent + 1)
                 nested = self._peek()
                 if nested is None or nested.indent <= indent:
                     items.append(None)
@@ -380,8 +360,6 @@ class _Parser:
                 return items
             remainder = line.content[2:].strip()
             item_indent = indent + 2
-            items.item_lines.append(line.number)
-            items.item_columns.append(line.indent + 1)
             if _split_key(remainder):
                 # "- key: value": the item is a mapping whose first entry is
                 # inline; rewrite the line and parse a mapping at item depth.

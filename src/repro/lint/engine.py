@@ -4,14 +4,14 @@ Four entry points, layered so each delegates to the next:
 
 * :func:`lint_path` — read a file and lint its text;
 * :func:`lint_text` — parse DSL text (a parse failure becomes BF001);
-* :func:`lint_document` — lint a parsed document: merge the document's
-  ``lint:`` section with the caller's config, run every rule over the
-  tolerant :class:`~repro.lint.model.LintModel`, then attempt a full
-  compile — a failure becomes BF002 *unless* a more specific rule already
-  reported an error, so a document that lints clean is guaranteed to
-  compile;
-* :func:`lint_strategy` — lint an in-memory strategy (used by the
-  enactment gate).
+* :func:`lint_document` — lint a parsed document: merge its ``lint:``
+  section with the caller's config, compile it once, report each element
+  the compiler rejected under its code, and run the rules over the model
+  it built (the partial one when the document does not compile);
+* :func:`lint_strategy` — lint an in-memory strategy (the enactment gate).
+
+A document that lints clean compiles: a compile failure left without any
+error beside it (the whole-model check, a suppressed error) is BF002.
 
 The engine never raises on strategy content: parser, compiler, and rule
 crashes all degrade into diagnostics.
@@ -25,8 +25,9 @@ from typing import Any, Mapping
 
 from ..core.model import Strategy
 from ..core.routing import RoutingConfig
+from ..dsl.compiler import compile_document
 from ..dsl.errors import DslError
-from ..dsl.yaml_lite import YamlError, key_line, loads
+from ..dsl.yaml_lite import YamlError, dumps, key_line, loads
 from .diagnostics import (
     Diagnostic,
     LintConfig,
@@ -149,8 +150,43 @@ def lint_document(
     if config is not None:
         effective = effective.merged(config)
 
-    model = LintModel.from_document(document, file=file)
-    diagnostics.extend(_run_rules(model, effective))
+    if isinstance(document, str):
+        # compile_document reads a string as DSL text; this one is parsed
+        # already, a scalar, so it goes back as the text that parses to it.
+        document = dumps(document)
+    try:
+        compiled, errors = compile_document(document), []
+    except DslError as exc:
+        compiled, errors = exc.partial, exc.errors
+    model = LintModel.from_strategy(
+        compiled.strategy,
+        campaign=compiled.chaos,
+        deployment=compiled.deployment,
+        spans=compiled.spans,
+        file=file,
+    )
+    # Each element the compiler rejected is one finding under its own code,
+    # and the rules say nothing more at its line.  The whole-model check (no
+    # document path) runs only after a clean walk, and the BF1xx/BF5xx rules
+    # report what it rejects with better anchors.
+    walked = [error for error in errors if error.path]
+    rejected = {error.line for error in walked} - {None}
+    skip = _ABSENCE_RULES if walked else ()
+    diagnostics.extend(
+        diagnostic
+        for diagnostic in _run_rules(model, effective, skip=skip)
+        if diagnostic.span is None or diagnostic.span.line not in rejected
+    )
+    for error in walked:
+        if effective.enabled(error.code):
+            diagnostics.append(
+                _configured(
+                    RULES[error.code].diagnostic(
+                        str(error), span=SourceSpan(line=error.line, file=file)
+                    ),
+                    effective,
+                )
+            )
 
     # Inline suppressions apply before the compile decision below: when
     # every error is deliberately silenced, the document still has to
@@ -159,30 +195,17 @@ def lint_document(
         diagnostics, dropped = _apply_suppressions(diagnostics, suppressions)
         suppressed += dropped
 
-    # A clean lint must imply a compilable document: when the compiler
-    # rejects it and no rule produced an error, surface the compiler's own
-    # message as BF002 rather than letting the document pass silently.
-    if not any(d.severity is Severity.ERROR for d in diagnostics):
-        try:
-            from ..dsl.compiler import compile_document
-
-            compile_document(document)
-        except DslError as exc:
-            if effective.enabled(COMPILE_ERROR.code):
-                span = SourceSpan(line=getattr(exc, "line", None), file=file)
-                diagnostics.append(
-                    COMPILE_ERROR.diagnostic(
-                        f"document does not compile: {exc}", span=span
-                    )
-                )
-        except Exception as exc:  # defensive: lint must not crash
-            if effective.enabled(COMPILE_ERROR.code):
-                diagnostics.append(
-                    COMPILE_ERROR.diagnostic(
-                        f"document does not compile: {exc}",
-                        span=SourceSpan(file=file),
-                    )
-                )
+    if (
+        errors
+        and effective.enabled(COMPILE_ERROR.code)
+        and not any(d.severity is Severity.ERROR for d in diagnostics)
+    ):
+        diagnostics.append(
+            COMPILE_ERROR.diagnostic(
+                f"document does not compile: {errors[0]}",
+                span=SourceSpan(line=errors[0].line, file=file),
+            )
+        )
 
     return _finish(diagnostics, file, suppressed=suppressed)
 
@@ -263,12 +286,20 @@ def _apply_suppressions(
 # -- internals --------------------------------------------------------------
 
 
-def _run_rules(model: LintModel, config: LintConfig) -> list[Diagnostic]:
+#: Rules that conclude from an absence: no checks, never routed, no
+#: steady-state hypothesis, no rollback in reach, an exposure jump out of
+#: an unchecked phase.  On a model the compiler left elements out of they
+#: stay silent — the left-out element may be exactly what they miss.
+_ABSENCE_RULES = frozenset({"BF104", "BF203", "BF305", "BF503", "BF603"})
+
+
+def _run_rules(
+    model: LintModel, config: LintConfig, skip: frozenset[str] | tuple = ()
+) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     for entry, check in sorted(CHECKS, key=lambda pair: pair[0].code):
-        if not config.enabled(entry.code):
+        if entry.code in skip or not config.enabled(entry.code):
             continue
-        override = config.severities.get(entry.code)
         try:
             found = list(check(model, config))
         except Exception as exc:  # a rule bug must not take down the run
@@ -279,11 +310,16 @@ def _run_rules(model: LintModel, config: LintConfig) -> list[Diagnostic]:
                 )
             )
             continue
-        for diagnostic in found:
-            if override is not None and diagnostic.severity is not override:
-                diagnostic = replace(diagnostic, severity=override)
-            diagnostics.append(diagnostic)
+        diagnostics.extend(_configured(diagnostic, config) for diagnostic in found)
     return diagnostics
+
+
+def _configured(diagnostic: Diagnostic, config: LintConfig) -> Diagnostic:
+    """*diagnostic* with the configured severity override of its code."""
+    override = config.severities.get(diagnostic.code)
+    if override is not None and diagnostic.severity is not override:
+        return replace(diagnostic, severity=override)
+    return diagnostic
 
 
 def _finish(
@@ -291,12 +327,11 @@ def _finish(
 ) -> LintResult:
     unique: dict[tuple, Diagnostic] = {}
     for diagnostic in diagnostics:
-        key = (
-            diagnostic.code,
-            diagnostic.state,
-            diagnostic.message,
-            diagnostic.span.line if diagnostic.span else None,
-        )
+        line = diagnostic.span.line if diagnostic.span else None
+        # The states a rollout expands into share its line: one finding
+        # about the phase is reported once, not once per step.
+        state = diagnostic.state if line is None else None
+        key = (diagnostic.code, state, diagnostic.message, line)
         unique.setdefault(key, diagnostic)
     ordered = sorted(
         unique.values(),

@@ -2,43 +2,15 @@
 
 Each rule is a generator over a :class:`~repro.lint.model.LintModel`
 registered with :func:`~repro.lint.registry.rule`.  Rules never raise on
-malformed input — anything they cannot interpret they skip; reporting the
-malformation is the job of a more specific rule (or of BF002, the
-compile-failure diagnostic).
+malformed input — anything they cannot interpret they skip.  What the DSL
+compiler rejects (BF002, BF105, BF201, BF202, malformed BF501 targets) it
+reports itself; those codes are declared here so configuration,
+suppressions and baselines key on them.
 
-The catalogue (see ``docs/lint.md`` for the full reference):
-
-=====  ======================  ========  =========================================
-code   name                    severity  finding
-=====  ======================  ========  =========================================
-BF101  unreachable-state       error     state can never be entered
-BF102  no-path-to-final        error     state cannot reach any final state
-BF103  possible-live-lock      warning   cycle with no escape toward a final state
-BF104  no-rollback             error     checks run but no rollback is reachable
-BF105  bad-thresholds          error     threshold list has gaps/overlaps/NaN
-BF106  ineffective-duration    warning   duration shorter than one check interval
-BF107  unknown-state           error     transition targets an undeclared state
-BF201  split-overflow          error     live splits exceed 100% of traffic
-BF202  unknown-version         error     routed version missing from deployment
-BF203  unroutable-version      warning   deployed version never routed or shadowed
-BF204  sticky-discontinuity    info      sticky state followed by non-sticky one
-BF205  shadow-live-target      warning   shadow duplicates onto a live version
-BF301  bad-metric-query        error     metric query does not compile
-BF302  zero-weight-check       warning   basic check with weight 0
-BF303  dead-outcome            warning   output mapping range that can never fire
-BF304  unguarded-exposure      warning   trigger-on-error check at high exposure
-BF305  unmonitored-exposure    warning   live exposure without any checks
-BF401  bad-safe-routing        error     safe_routing names unknown service/version
-BF402  final-with-checks       warning   final state declares checks
-BF403  shared-proxy            warning   two services behind one proxy endpoint
-BF501  unknown-fault-target    error     chaos fault targets nothing that exists
-BF502  fault-outside-phase     error     fault schedule not scoped to a known phase
-BF503  missing-steady-state    error     faults declared without any hypothesis
-=====  ======================  ========  =========================================
-
-The BF6xx semantic rules (abstract interpretation of check conditions,
-symbolic exposure exploration, chaos × steady-state contradictions) live
-in :mod:`repro.lint.semantic`.
+``docs/lint.md`` is the catalogue of every code (``bifrost explain``
+reads it back).  The BF6xx semantic rules (abstract interpretation of
+check conditions, symbolic exposure exploration, chaos × steady-state
+contradictions) live in :mod:`repro.lint.semantic`.
 """
 
 from __future__ import annotations
@@ -46,9 +18,8 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from ..metrics.query import QueryError
 from .diagnostics import Diagnostic, LintConfig, Severity
-from .model import LintModel, StateInfo
+from .model import LintModel
 from .registry import declare, rule
 
 # BF0xx rules are raised by the engine itself, not by a model pass.
@@ -63,6 +34,22 @@ COMPILE_ERROR = declare(
 BAD_LINT_CONFIG = declare(
     "BF003", "bad-lint-config", Severity.WARNING,
     "the document's lint: section is malformed",
+)
+# The compiler reports these itself (DslError.code).
+declare(
+    "BF105", "bad-thresholds", Severity.ERROR,
+    "a threshold list has gaps, overlaps, duplicates, or non-finite values",
+    blocking=True,
+)
+declare(
+    "BF201", "split-overflow", Severity.ERROR,
+    "a state's live traffic splits exceed 100% or are otherwise invalid",
+    blocking=True,
+)
+declare(
+    "BF202", "unknown-version", Severity.ERROR,
+    "a routed version (or service) is absent from the deployment part",
+    blocking=True,
 )
 
 
@@ -257,70 +244,6 @@ def no_rollback(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
             )
 
 
-def _threshold_problems(values: list) -> Iterator[str]:
-    numbers = []
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            yield f"threshold {value!r} is not a number"
-            return
-        numbers.append(float(value))
-    for value in numbers:
-        if not math.isfinite(value):
-            yield f"threshold {value!r} is not finite; range membership is undefined"
-            return
-    for left, right in zip(numbers, numbers[1:]):
-        if left == right:
-            yield (
-                f"duplicate threshold {left:g} makes adjacent ranges overlap; "
-                "the transition taken is ambiguous"
-            )
-            return
-        if left > right:
-            yield (
-                f"thresholds are not sorted ({left:g} before {right:g}); "
-                "the ranges gap and overlap instead of partitioning outcomes"
-            )
-            return
-
-
-@rule(
-    "BF105", "bad-thresholds", Severity.ERROR,
-    "a threshold list has gaps, overlaps, duplicates, or non-finite values",
-    blocking=True,
-)
-def bad_thresholds(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    for name, state in model.states.items():
-        if state.raw_thresholds is not None:
-            for problem in _threshold_problems(state.raw_thresholds):
-                yield bad_thresholds.rule.diagnostic(
-                    f"transitions of state {name!r}: {problem}",
-                    span=state.thresholds_span or state.span,
-                    state=name,
-                )
-            if (
-                state.raw_target_count is not None
-                and not any(_threshold_problems(state.raw_thresholds))
-                and state.raw_target_count != len(state.raw_thresholds) + 1
-            ):
-                yield bad_thresholds.rule.diagnostic(
-                    f"transitions of state {name!r}: {len(state.raw_thresholds)} "
-                    f"thresholds form {len(state.raw_thresholds) + 1} outcome "
-                    f"ranges but {state.raw_target_count} targets are given; "
-                    "the automaton would be stuck or ambiguous",
-                    span=state.thresholds_span or state.span,
-                    state=name,
-                )
-        for check in state.checks:
-            if check.raw_output_thresholds is None:
-                continue
-            for problem in _threshold_problems(check.raw_output_thresholds):
-                yield bad_thresholds.rule.diagnostic(
-                    f"output mapping of check {check.name!r}: {problem}",
-                    span=check.span or state.span,
-                    state=name,
-                )
-
-
 @rule(
     "BF106", "ineffective-duration", Severity.WARNING,
     "a state's declared duration is shorter than one check interval",
@@ -368,76 +291,6 @@ def unknown_state(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
 
 
 @rule(
-    "BF201", "split-overflow", Severity.ERROR,
-    "a state's live traffic splits exceed 100% or are otherwise invalid",
-    blocking=True,
-)
-def split_overflow(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    for name, state in model.states.items():
-        for service, route in state.routes.items():
-            if route.config is not None:
-                try:
-                    route.config.validate()
-                except Exception as exc:
-                    yield split_overflow.rule.diagnostic(
-                        f"routing of service {service!r}: {exc}",
-                        span=route.span or state.span,
-                        state=name,
-                    )
-                continue
-            if any(percent < 0 for _, percent in route.splits):
-                yield split_overflow.rule.diagnostic(
-                    f"service {service!r} has a negative traffic percentage",
-                    span=route.span or state.span,
-                    state=name,
-                )
-            elif route.explicit_total > 100.0 + 1e-9:
-                yield split_overflow.rule.diagnostic(
-                    f"service {service!r} routes {route.explicit_total:g}% of "
-                    "live traffic (more than 100%)",
-                    span=route.span or state.span,
-                    state=name,
-                )
-
-
-@rule(
-    "BF202", "unknown-version", Severity.ERROR,
-    "a routed version (or service) is absent from the deployment part",
-    blocking=True,
-)
-def unknown_version(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    if not model.services:
-        return  # nothing to check against
-    for name, state in model.states.items():
-        for service, route in state.routes.items():
-            declared = model.services.get(service)
-            if declared is None:
-                yield unknown_version.rule.diagnostic(
-                    f"service {service!r} is routed but not declared in the "
-                    "deployment part",
-                    span=route.span or state.span,
-                    state=name,
-                )
-                continue
-            referenced = [version for version, _ in route.splits]
-            referenced.extend(target for _, target, _ in route.shadows)
-            referenced.extend(
-                source for source, _, _ in route.shadows if source is not None
-            )
-            seen: set[str] = set()
-            for version in referenced:
-                if version in declared or version in seen:
-                    continue
-                seen.add(version)
-                yield unknown_version.rule.diagnostic(
-                    f"service {service!r} has no version {version!r} in the "
-                    f"deployment part (known: {sorted(declared)})",
-                    span=route.span or state.span,
-                    state=name,
-                )
-
-
-@rule(
     "BF203", "unroutable-version", Severity.WARNING,
     "a deployed version is never routed or shadowed by any state",
 )
@@ -447,14 +300,8 @@ def unroutable_version(model: LintModel, config: LintConfig) -> Iterator[Diagnos
         for service, route in state.routes.items():
             bucket = routed.setdefault(service, set())
             bucket.update(version for version, _ in route.splits)
-            bucket.update(target for _, target, _ in route.shadows)
-            bucket.update(
-                source for source, _, _ in route.shadows if source is not None
-            )
-            if model.has_source and service in model.stable:
-                # The stable version absorbs the unrouted remainder of every
-                # explicit split, so routing a service at all routes stable.
-                bucket.add(model.stable[service])
+            for source, target, _ in route.shadows:
+                bucket.update((source, target))
     for service, declared in model.services.items():
         for version in sorted(set(declared) - routed.get(service, set())):
             yield unroutable_version.rule.diagnostic(
@@ -494,24 +341,16 @@ def sticky_discontinuity(model: LintModel, config: LintConfig) -> Iterator[Diagn
 def shadow_live_target(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     for name, state in model.states.items():
         for service, route in state.routes.items():
-            live = {
-                version: percent
-                for version, percent in route.splits
-                if percent > 0
-            }
-            stable = model.stable_version(route)
+            live = {version for version, percent in route.splits if percent > 0}
             for source, target, _ in route.shadows:
-                resolved_source = source if source is not None else stable
-                if resolved_source is not None and target == resolved_source:
+                if target == source:
                     yield shadow_live_target.rule.diagnostic(
                         f"shadow route of service {service!r} duplicates "
-                        f"{resolved_source!r} onto itself",
+                        f"{source!r} onto itself",
                         span=route.span or state.span,
                         state=name,
                     )
-                elif target in live or (
-                    target == stable and model.has_source
-                ):
+                elif target in live:
                     yield shadow_live_target.rule.diagnostic(
                         f"shadow route of service {service!r} targets "
                         f"{target!r}, which already serves live traffic in "
@@ -551,14 +390,7 @@ def bad_metric_query(model: LintModel, config: LintConfig) -> Iterator[Diagnosti
                 seen.add(query.query)
                 try:
                     compile_query(query.query)
-                except QueryError as exc:
-                    yield bad_metric_query.rule.diagnostic(
-                        f"metric query {query.query!r} of check "
-                        f"{check.name!r} does not compile: {exc}",
-                        span=query.span or check.span or state_span,
-                        state=name,
-                    )
-                except Exception as exc:  # defensive: lint must not crash
+                except Exception as exc:  # a QueryError, or any crash of it
                     yield bad_metric_query.rule.diagnostic(
                         f"metric query {query.query!r} of check "
                         f"{check.name!r} does not compile: {exc}",
@@ -584,15 +416,6 @@ def zero_weight_check(model: LintModel, config: LintConfig) -> Iterator[Diagnost
                 )
 
 
-def _finite_increasing(thresholds: tuple[float, ...]) -> bool:
-    previous = -math.inf
-    for threshold in thresholds:
-        if not math.isfinite(threshold) or threshold <= previous:
-            return False
-        previous = threshold
-    return True
-
-
 def _describe_range(thresholds: tuple[float, ...], index: int) -> str:
     if index == 0:
         return f"(-inf, {thresholds[0]:g}]"
@@ -616,11 +439,9 @@ def dead_outcome(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
                 or check.repetitions < 1
             ):
                 continue
+            # OutputMapping guarantees sorted, finite thresholds and one
+            # result per range.
             thresholds = check.output_thresholds
-            if not _finite_increasing(thresholds):
-                continue  # BF105 reports malformed threshold lists
-            if len(check.output_results) != len(thresholds) + 1:
-                continue
             for index, result in enumerate(check.output_results):
                 low = -math.inf if index == 0 else thresholds[index - 1]
                 high = math.inf if index == len(thresholds) else thresholds[index]
@@ -674,10 +495,9 @@ def unmonitored_exposure(model: LintModel, config: LintConfig) -> Iterator[Diagn
             continue
         for service, route in state.routes.items():
             stable = model.stable_version(route)
-            start = 0 if model.has_source else 1  # legacy first-split convention
             exposed = [
                 version
-                for version, percent in route.splits[start:]
+                for version, percent in route.splits
                 if percent > 0 and version != stable
             ]
             if exposed:
@@ -765,7 +585,7 @@ def shared_proxy(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
 def unknown_fault_target(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     if not model.chaos_faults:
         return
-    from ..resilience.chaos import ChaosError, parse_target
+    from ..resilience.chaos import parse_target
 
     referenced_providers = {
         query.provider
@@ -774,14 +594,7 @@ def unknown_fault_target(model: LintModel, config: LintConfig) -> Iterator[Diagn
         for query in check.queries
     } | {query.provider for check in model.chaos_steady for query in check.queries}
     for fault in model.chaos_faults:
-        try:
-            kind, target_name = parse_target(fault.target)
-        except ChaosError as exc:
-            yield unknown_fault_target.rule.diagnostic(
-                f"fault {fault.name!r}: {exc}",
-                span=fault.span,
-            )
-            continue
+        kind, target_name = parse_target(fault.target)
         if kind in ("upstream", "endpoint") and model.services:
             service = target_name.split("/", 1)[0]
             if service not in model.services:
@@ -842,7 +655,7 @@ def fault_outside_phase(model: LintModel, config: LintConfig) -> Iterator[Diagno
     blocking=True,
 )
 def missing_steady_state(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    if model.has_chaos and model.chaos_faults and not model.chaos_steady:
+    if model.chaos_faults and not model.chaos_steady:
         yield missing_steady_state.rule.diagnostic(
             "the campaign declares faults but no steadyState checks; a game "
             "day without a hypothesis is just an outage",

@@ -1,19 +1,8 @@
 """Semantic strategy analysis: the BF6xx rules.
 
 Where BF1xx–BF5xx validate each field in isolation, these rules ask
-whether a strategy can actually *do* what it declares:
-
-=====  ==============================  ========  ============================
-BF601  unsatisfiable-check             error ⛔  a validator can never hold
-BF602  tautological-check              warning   a validator always holds
-BF603  unchecked-blast-radius-jump     warning   exposure leaps past an
-                                                 unchecked phase
-BF604  shadow-amplification            warning   shadow fan-out beyond the
-                                                 declared bound
-BF605  chaos-hypothesis-contradiction  error ⛔  a rate-1.0 fault on the
-                                                 provider the steady-state
-                                                 hypothesis reads through
-=====  ==============================  ========  ============================
+whether a strategy can actually *do* what it declares (``docs/lint.md``
+has the catalogue rows of BF601–BF605).
 
 BF601/BF602 run the interval abstract domain (:mod:`repro.lint.domains`)
 over each check's compiled query and compare the resulting bounds
@@ -27,10 +16,9 @@ phase is flagged.  BF605 encodes Basiri et al.'s falsifiability
 requirement for game days: a hypothesis read through a provider that a
 fault fails 100 % of the time is decided by the fault, not the system.
 
-All five rules run on both model front ends — documents get
-line-accurate spans, in-memory strategies gate ``Engine.enact`` — and
-like every rule they are total: malformed inputs are skipped, never
-raised on.
+All five rules run on every lint model — documents get line-accurate
+spans, in-memory strategies gate ``Engine.enact`` — and like every rule
+they are total: malformed inputs are skipped, never raised on.
 """
 
 from __future__ import annotations

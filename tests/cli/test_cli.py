@@ -70,6 +70,29 @@ def test_validate_invalid(invalid_file, capsys):
     assert streams.err == ""
 
 
+def test_validate_prints_every_compile_error_with_line_and_code(tmp_path, capsys):
+    document = VALID_DOC.format(proxy="127.0.0.1:7001")
+    document = document.replace("to: v2", "to: v9").replace(
+        "duration: 0.02", "duration: soon"
+    )
+    path = tmp_path / "two-errors.yaml"
+    path.write_text(document)
+    assert main(["validate", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    duration_line = next(
+        number
+        for number, text in enumerate(document.splitlines(), start=1)
+        if "duration: soon" in text
+    )
+    # The first error is unchanged; each further one names its line and code.
+    assert lines[0].startswith("INVALID: strategy.phases[0].phase.routes[0]")
+    assert "no version 'v9'" in lines[0]
+    assert lines[1:] == [
+        f"  line {duration_line}: BF002 "
+        "strategy.phases[0].phase.duration: expected a number, got 'soon'"
+    ]
+
+
 def test_validate_missing_file(tmp_path):
     with pytest.raises(SystemExit):
         main(["validate", str(tmp_path / "ghost.yaml")])

@@ -207,10 +207,40 @@ def _lint_rejected_document() -> bytes:
     return rejected.encode()
 
 
+def _edited_example(name: str, old: str, new: str) -> bytes:
+    """An example with one value changed so that it no longer compiles."""
+    text = (EXAMPLES / name).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    return text.replace(old, new).encode()
+
+
 LINT_REJECTED = _lint_rejected_document()
 UNKNOWN = "/api/executions/nope%231"
 BAD_REQUESTS = [
     ("lint-rejected", "POST", "/api/strategies", LINT_REJECTED, 400),
+    (
+        "negative-live-percentage",
+        "POST",
+        "/api/strategies",
+        _edited_example(
+            "resilient_canary.yaml", "percentage: 10\n", "percentage: -10\n"
+        ),
+        400,
+    ),
+    (
+        "shadow-percentage-over-100",
+        "POST",
+        "/api/strategies",
+        _edited_example("shadow_backpressure.yaml", "percentage: 50", "percentage: 150"),
+        400,
+    ),
+    (
+        "duplicate-phase-name",
+        "POST",
+        "/api/strategies",
+        _edited_example("chaos_canary.yaml", "name: done", "name: canary"),
+        400,
+    ),
     ("dsl-error", "POST", "/api/strategies", b"not: a strategy", 400),
     ("empty-body", "POST", "/api/strategies", b"", 400),
     ("yaml-list", "POST", "/api/strategies", b"- a\n- b\n", 400),

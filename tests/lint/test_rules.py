@@ -767,11 +767,19 @@ strategy:
         + DEPLOYMENT
     )
     result = lint(document)
-    [diagnostic] = by_code(result, "BF402")
+    # The DSL has no checks on final phases: the compiler reports the
+    # unknown key, and the final state itself stays in the model.
+    [diagnostic] = by_code(result, "BF002")
+    assert "unknown keys ['checks']" in diagnostic.message
+    assert diagnostic.span.line == line_of(document, "checks:")
+    assert "BF107" not in codes(result) and "BF102" not in codes(result)
+    # A strategy built in code can still carry them.
+    builder = StrategyBuilder("t")
+    builder.service("svc", {"v1": "h:1"})
+    builder.state("a").dwell(1).goto("done")
+    builder.state("done").check(simple_basic_check("dead", "up", "<5", 1, 2)).final()
+    [diagnostic] = by_code(lint_strategy(builder.build()), "BF402")
     assert diagnostic.state == "done"
-    # The compiler rejects checks on final phases, so BF002 fires too —
-    # the document is both smelly and uncompilable.
-    assert "BF002" in codes(result)
 
 
 def test_bf403_shared_proxy_endpoint():

@@ -134,6 +134,7 @@ def test_bf601_skips_foreign_providers_and_bad_queries():
 
 def test_bf601_respects_explicit_subject():
     doc = document().replace(
+        "              provider: prometheus\n"
         "              query: errors_total\n"
         "              validator: \"< 50\"\n",
         "              validator: \"< 0\"\n"
@@ -282,7 +283,13 @@ def test_bf604_quiet_at_or_under_bound():
 
 def chaos_section(rate="1.0", mode=None, policy=None):
     mode_line = f"        mode: {mode}\n" if mode else ""
-    policy_line = f"        onProviderError: {policy}\n" if policy else ""
+    # onProviderError belongs to exception checks only.
+    policy_line = (
+        f"        type: exception\n        fallback: rollback\n"
+        f"        onProviderError: {policy}\n"
+        if policy
+        else ""
+    )
     return f"""\
 chaos:
   faults:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .checks import Check
+from .checks import Check, ExceptionCheck
 from .model import ModelError
 from .outcome import ThresholdRanges
 from .routing import RoutingConfig
@@ -104,6 +104,18 @@ class State:
                 ) from exc
 
     @property
+    def successors(self) -> list[str]:
+        """The state's edges: transition targets, then exception-check
+        fallbacks, in order and without repeats."""
+        targets = list(self.transitions.targets) if self.transitions else []
+        targets += [
+            check.fallback_state
+            for check in self.checks
+            if isinstance(check, ExceptionCheck)
+        ]
+        return list(dict.fromkeys(targets))
+
+    @property
     def nominal_duration(self) -> float:
         """The specified execution time of this state in seconds."""
         spans = [check.timer.duration for check in self.checks]
@@ -151,14 +163,7 @@ class Automaton:
 
         for state in self.states.values():
             state.validate()
-            targets: list[str] = []
-            if state.transitions is not None:
-                targets.extend(state.transitions.targets)
-            for check in state.checks:
-                fallback = getattr(check, "fallback_state", None)
-                if fallback is not None:
-                    targets.append(fallback)
-            for target in targets:
+            for target in state.successors:
                 if target not in self.states:
                     raise ModelError(
                         f"state {state.name!r} references unknown state {target!r}"
@@ -172,15 +177,7 @@ class Automaton:
         seen = {self.start}
         queue = deque([self.start])
         while queue:
-            state = self.states[queue.popleft()]
-            successors: list[str] = []
-            if state.transitions is not None:
-                successors.extend(state.transitions.targets)
-            for check in state.checks:
-                fallback = getattr(check, "fallback_state", None)
-                if fallback is not None:
-                    successors.append(fallback)
-            for name in successors:
+            for name in self.states[queue.popleft()].successors:
                 if name in self.states and name not in seen:
                     seen.add(name)
                     queue.append(name)

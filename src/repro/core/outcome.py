@@ -147,6 +147,12 @@ class Validator:
     op: str
     bound: float
 
+    def __post_init__(self) -> None:
+        # "<1e309" parses to an infinite bound: the check would be
+        # constant, and str() could not print it back for parse().
+        if not math.isfinite(self.bound):
+            raise OutcomeError(f"validator bound must be finite, got {self.bound}")
+
     @classmethod
     def parse(cls, expression: str) -> "Validator":
         match = _VALIDATOR.match(expression)

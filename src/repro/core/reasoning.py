@@ -140,12 +140,7 @@ def forecast_rollout(
             raise ModelError(
                 f"probabilities out of state {name!r} sum to {total}, not 1"
             )
-        state = automaton.states[name]
-        allowed = set(state.transitions.targets) if state.transitions else set()
-        for check in state.checks:
-            fallback = getattr(check, "fallback_state", None)
-            if fallback is not None:
-                allowed.add(fallback)
+        allowed = automaton.states[name].successors
         for target, probability in edges.items():
             if probability < 0:
                 raise ModelError(f"negative probability on {name!r} -> {target!r}")

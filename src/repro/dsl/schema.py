@@ -42,12 +42,6 @@ def expect_str(value: Any, path: str) -> str:
     return value
 
 
-def expect_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DslError(f"expected a number, got {value!r}", path, node_line(value))
-    return float(value)
-
-
 def expect_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DslError(f"expected an integer, got {value!r}", path, node_line(value))

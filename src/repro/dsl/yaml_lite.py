@@ -433,8 +433,9 @@ def _dump_scalar(value: Any) -> str:
         or ": " in text
         or text.endswith(":")
         # Quote characters and hashes anywhere would confuse the
-        # comment/quote scanner on reload; play safe and quote.
-        or any(c in text for c in "'\"#")
+        # comment/quote scanner on reload, and a line break would end
+        # the scalar; play safe and quote (both escape below).
+        or any(c in text for c in "'\"#\n\t")
         or text.lower() in ("null", "~", "true", "false")
         # Must match everything parse_scalar would read back as a number.
         or re.fullmatch(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?", text) is not None

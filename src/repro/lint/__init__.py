@@ -14,8 +14,9 @@ Typical use::
         print(diagnostic)
     raise SystemExit(result.exit_code(strict=True))
 
-:func:`lint_strategy` runs the same rules over an already built
-:class:`~repro.core.model.Strategy`.
+The rules judge the :class:`~repro.core.model.Strategy` the DSL compiler
+builds from the document (the partial one when it does not compile);
+:func:`lint_strategy` runs them over an already built strategy.
 """
 
 from .diagnostics import (

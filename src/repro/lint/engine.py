@@ -158,7 +158,7 @@ def lint_document(
         compiled, errors = compile_document(document), []
     except DslError as exc:
         compiled, errors = exc.partial, exc.errors
-    model = LintModel.from_strategy(
+    model = LintModel(
         compiled.strategy,
         campaign=compiled.chaos,
         deployment=compiled.deployment,
@@ -216,9 +216,7 @@ def lint_strategy(
     config: LintConfig | None = None,
     campaign=None,
 ) -> LintResult:
-    model = LintModel.from_strategy(
-        strategy, safe_routing=safe_routing, campaign=campaign
-    )
+    model = LintModel(strategy, campaign=campaign, safe_routing=safe_routing)
     diagnostics = _run_rules(model, config or LintConfig())
     return _finish(diagnostics, None)
 

@@ -375,8 +375,8 @@ def _fix_split_overflow(text: str) -> tuple[str, list[FixEdit]]:
     edits: list[FixEdit] = []
     for _, name, body in _state_bodies(document):
         for service, entries in _live_traffic_entries(body).items():
-            if any(percent < 0 for _, percent in entries):
-                continue  # negative splits need a human, not a rescale
+            if any(percent < 0 or not math.isfinite(percent) for _, percent in entries):
+                continue  # negative or infinite splits need a human, not a rescale
             total = sum(percent for _, percent in entries)
             if total <= 100.0 + 1e-9:
                 continue
@@ -462,10 +462,8 @@ def _template_check(document: Any, avoid: set[str]) -> dict[str, str]:
                 "query": query,
                 "validator": validator,
             }
-    if fallback["provider"] in avoid:
-        # Every known provider is contradicted; the stub still goes in so
-        # BF503 is satisfied — BF605 will point at the real conflict.
-        pass
+    # Every known provider may be contradicted; the stub still goes in so
+    # BF503 is satisfied — BF605 will point at the real conflict.
     return fallback
 
 

@@ -1,7 +1,8 @@
 """The lint rule registry.
 
 Every rule is a function over the :class:`~repro.lint.model.LintModel`
-registered under a stable code.  Codes are grouped by layer:
+(the compiled strategy and its context) registered under a stable code.
+Codes are grouped by layer:
 
 * ``BF0xx`` — the document itself (parse / compile failures),
 * ``BF1xx`` — automaton structure,

@@ -1,11 +1,13 @@
 """The rule catalogue.
 
-Each rule is a generator over a :class:`~repro.lint.model.LintModel`
-registered with :func:`~repro.lint.registry.rule`.  Rules never raise on
-malformed input — anything they cannot interpret they skip.  What the DSL
-compiler rejects (BF002, BF105, BF201, BF202, malformed BF501 targets) it
-reports itself; those codes are declared here so configuration,
-suppressions and baselines key on them.
+Each rule is a generator over a :class:`~repro.lint.model.LintModel` —
+the compiled :class:`~repro.core.model.Strategy` with its context —
+registered with :func:`~repro.lint.registry.rule`.  Rules read the core
+model's own types (states, checks, routing configurations, fault specs);
+a rule that crashes anyway becomes an "internal error" warning, never an
+exception.  What the DSL compiler rejects (BF002, BF105, BF201, BF202,
+malformed BF501 targets) it reports itself; those codes are declared here
+so configuration, suppressions and baselines key on them.
 
 ``docs/lint.md`` is the catalogue of every code (``bifrost explain``
 reads it back).  The BF6xx semantic rules (abstract interpretation of
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
+from ..core.checks import BasicCheck, Check, ExceptionCheck
 from .diagnostics import Diagnostic, LintConfig, Severity
 from .model import LintModel
 from .registry import declare, rule
@@ -159,7 +162,7 @@ def unreachable_state(model: LintModel, config: LintConfig) -> Iterator[Diagnost
             yield unreachable_state.rule.diagnostic(
                 f"state {name!r} is unreachable from the start state"
                 + (f" {model.start!r}" if entry is not None else ""),
-                span=state.span,
+                span=model.span("state", name),
                 state=name,
                 fix="add a transition leading to it, or remove the state",
             )
@@ -176,7 +179,7 @@ def no_path_to_final(model: LintModel, config: LintConfig) -> Iterator[Diagnosti
     if not model.final_states():
         yield no_path_to_final.rule.diagnostic(
             "the strategy declares no final state; enactment cannot terminate",
-            span=model.states[next(iter(model.states))].span,
+            span=model.span("state", next(iter(model.states))),
         )
         return
     can_finish = _can_reach_final(model)
@@ -186,13 +189,13 @@ def no_path_to_final(model: LintModel, config: LintConfig) -> Iterator[Diagnosti
         for component in _doomed_components(model, can_finish)
         for member in component
     }
-    for name, state in model.states.items():
+    for name in model.states:
         if name in can_finish or name not in reached or name in in_doomed_cycle:
             continue
         yield no_path_to_final.rule.diagnostic(
             f"no final state is reachable from {name!r}; every path from "
             "here dead-ends or loops forever",
-            span=state.span,
+            span=model.span("state", name),
             state=name,
         )
 
@@ -209,7 +212,7 @@ def possible_live_lock(model: LintModel, config: LintConfig) -> Iterator[Diagnos
         anchor = component[0]
         yield possible_live_lock.rule.diagnostic(
             f"cycle {component} has no exit toward a final state",
-            span=model.states[anchor].span,
+            span=model.span("state", anchor),
             state=anchor,
         )
 
@@ -221,7 +224,7 @@ def possible_live_lock(model: LintModel, config: LintConfig) -> Iterator[Diagnos
 def no_rollback(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     rollback_states = model.rollback_states()
     checked = [
-        (name, state)
+        name
         for name, state in model.states.items()
         if not state.final and state.checks
     ]
@@ -230,16 +233,16 @@ def no_rollback(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
             yield no_rollback.rule.diagnostic(
                 "the strategy runs checks but declares no rollback state; "
                 "a failing release has no safe exit",
-                span=checked[0][1].span,
+                span=model.span("state", checked[0]),
                 fix="mark a final state with rollback: true",
             )
         return
-    for name, state in checked:
+    for name in checked:
         if not (model.reachable_from(name) & rollback_states):
             yield no_rollback.rule.diagnostic(
                 "checks run here but no rollback state is reachable; "
                 "a bad outcome cannot be reverted",
-                span=state.span,
+                span=model.span("state", name),
                 state=name,
             )
 
@@ -252,18 +255,17 @@ def ineffective_duration(model: LintModel, config: LintConfig) -> Iterator[Diagn
     for name, state in model.states.items():
         if state.final or state.duration is None or not state.checks:
             continue
-        slowest = None
+        slowest = state.checks[0]
         for check in state.checks:
-            if check.interval is None:
-                continue
-            if slowest is None or check.interval > slowest.interval:
+            if check.timer.interval > slowest.timer.interval:
                 slowest = check
-        if slowest is not None and state.duration < slowest.interval:
+        interval = slowest.timer.interval
+        if state.duration < interval:
             yield ineffective_duration.rule.diagnostic(
                 f"declared duration {state.duration:g}s is shorter than one "
-                f"interval of check {slowest.name!r} ({slowest.interval:g}s); "
+                f"interval of check {slowest.name!r} ({interval:g}s); "
                 "check timers dominate and the duration never takes effect",
-                span=state.span,
+                span=model.span("state", name),
                 state=name,
             )
 
@@ -275,14 +277,12 @@ def ineffective_duration(model: LintModel, config: LintConfig) -> Iterator[Diagn
 )
 def unknown_state(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     for name, state in model.states.items():
-        seen: set[str] = set()
-        for target in [*state.targets, *state.fallbacks]:
-            if target in model.states or target in seen:
+        for target in state.successors:
+            if target in model.states:
                 continue
-            seen.add(target)
             yield unknown_state.rule.diagnostic(
                 f"state {name!r} references unknown state {target!r}",
-                span=state.span,
+                span=model.span("state", name),
                 state=name,
             )
 
@@ -295,15 +295,16 @@ def unknown_state(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     "a deployed version is never routed or shadowed by any state",
 )
 def unroutable_version(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    routed: dict[str, set[str]] = {service: set() for service in model.services}
+    services = model.strategy.services
+    routed: dict[str, set[str]] = {service: set() for service in services}
     for state in model.states.values():
-        for service, route in state.routes.items():
+        for service, routing in state.routing.items():
             bucket = routed.setdefault(service, set())
-            bucket.update(version for version, _ in route.splits)
-            for source, target, _ in route.shadows:
-                bucket.update((source, target))
-    for service, declared in model.services.items():
-        for version in sorted(set(declared) - routed.get(service, set())):
+            bucket.update(split.version for split in routing.splits)
+            for shadow in routing.shadows:
+                bucket.update((shadow.source_version, shadow.target_version))
+    for service, declared in services.items():
+        for version in sorted(set(declared.versions) - routed.get(service, set())):
             yield unroutable_version.rule.diagnostic(
                 f"version {version!r} of service {service!r} is declared "
                 "but never routed or shadowed",
@@ -317,19 +318,20 @@ def unroutable_version(model: LintModel, config: LintConfig) -> Iterator[Diagnos
 )
 def sticky_discontinuity(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     for name, state in model.states.items():
-        for service, route in state.routes.items():
-            if not route.sticky:
+        targets = state.transitions.targets if state.transitions else ()
+        for service, routing in state.routing.items():
+            if not routing.sticky:
                 continue
-            for target in dict.fromkeys(state.targets):
+            for target in dict.fromkeys(targets):
                 successor = model.states.get(target)
                 if successor is None or target == name or successor.final:
                     continue
-                follow = successor.routes.get(service)
+                follow = successor.routing.get(service)
                 if follow is not None and not follow.sticky:
                     yield sticky_discontinuity.rule.diagnostic(
                         f"sticky routing of {service!r} is followed by "
                         f"non-sticky state {target!r}; assignments may churn",
-                        span=route.span or state.span,
+                        span=model.element_span("route", name, service),
                         state=name,
                     )
 
@@ -340,14 +342,15 @@ def sticky_discontinuity(model: LintModel, config: LintConfig) -> Iterator[Diagn
 )
 def shadow_live_target(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     for name, state in model.states.items():
-        for service, route in state.routes.items():
-            live = {version for version, percent in route.splits if percent > 0}
-            for source, target, _ in route.shadows:
+        for service, routing in state.routing.items():
+            live = {split.version for split in routing.splits if split.percentage > 0}
+            for shadow in routing.shadows:
+                source, target = shadow.source_version, shadow.target_version
                 if target == source:
                     yield shadow_live_target.rule.diagnostic(
                         f"shadow route of service {service!r} duplicates "
                         f"{source!r} onto itself",
-                        span=route.span or state.span,
+                        span=model.element_span("route", name, service),
                         state=name,
                     )
                 elif target in live:
@@ -355,7 +358,7 @@ def shadow_live_target(model: LintModel, config: LintConfig) -> Iterator[Diagnos
                         f"shadow route of service {service!r} targets "
                         f"{target!r}, which already serves live traffic in "
                         "this state; it would process duplicated load",
-                        span=route.span or state.span,
+                        span=model.element_span("route", name, service),
                         state=name,
                     )
 
@@ -373,15 +376,15 @@ def bad_metric_query(model: LintModel, config: LintConfig) -> Iterator[Diagnosti
 
     # chaos steady-state hypotheses are ordinary checks; their queries
     # must compile just like phase checks' queries do.
-    groups = [
-        (name, state.span, state.checks) for name, state in model.states.items()
+    groups: list[tuple[str | None, str, list[Check]]] = [
+        (name, name, state.checks) for name, state in model.states.items()
     ]
-    if model.chaos_steady:
-        groups.append(("<chaos.steadyState>", None, model.chaos_steady))
-    for name, state_span, checks in groups:
+    if model.steady:
+        groups.append((None, "<chaos.steadyState>", model.steady))
+    for owner, name, checks in groups:
         seen: set[str] = set()
-        for check in checks:
-            for query in check.queries:
+        for index, check in enumerate(checks):
+            for position, query in enumerate(check.condition.queries):
                 # metrics/compile.py speaks the PromQL subset; queries
                 # bound to other providers use whatever syntax that
                 # provider accepts and cannot be checked statically.
@@ -394,7 +397,8 @@ def bad_metric_query(model: LintModel, config: LintConfig) -> Iterator[Diagnosti
                     yield bad_metric_query.rule.diagnostic(
                         f"metric query {query.query!r} of check "
                         f"{check.name!r} does not compile: {exc}",
-                        span=query.span or check.span or state_span,
+                        span=model.span("query", owner, index, position)
+                        or model.element_span("check", owner, index),
                         state=name,
                     )
 
@@ -405,12 +409,12 @@ def bad_metric_query(model: LintModel, config: LintConfig) -> Iterator[Diagnosti
 )
 def zero_weight_check(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     for name, state in model.states.items():
-        for check in state.checks:
-            if check.kind == "basic" and check.weight == 0:
+        for index, (check, weight) in enumerate(zip(state.checks, state.weights)):
+            if isinstance(check, BasicCheck) and weight == 0:
                 yield zero_weight_check.rule.diagnostic(
                     f"basic check {check.name!r} has weight 0; its result "
                     "never influences the state outcome",
-                    span=check.span or state.span,
+                    span=model.element_span("check", name, index),
                     state=name,
                     fix="give it a positive weight, or remove the check",
                 )
@@ -430,32 +434,25 @@ def _describe_range(thresholds: tuple[float, ...], index: int) -> str:
 )
 def dead_outcome(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     for name, state in model.states.items():
-        for check in state.checks:
-            if (
-                check.kind != "basic"
-                or check.output_thresholds is None
-                or check.output_results is None
-                or check.repetitions is None
-                or check.repetitions < 1
-            ):
+        for position, check in enumerate(state.checks):
+            if not isinstance(check, BasicCheck):
                 continue
-            # OutputMapping guarantees sorted, finite thresholds and one
-            # result per range.
-            thresholds = check.output_thresholds
-            for index, result in enumerate(check.output_results):
+            # Timer guarantees repetitions >= 1, OutputMapping sorted,
+            # finite thresholds and one result per range.
+            repetitions = check.timer.repetitions
+            thresholds = check.output.ranges.thresholds
+            for index, result in enumerate(check.output.results):
                 low = -math.inf if index == 0 else thresholds[index - 1]
                 high = math.inf if index == len(thresholds) else thresholds[index]
                 smallest = 0 if low == -math.inf else math.floor(low) + 1
-                largest = (
-                    check.repetitions if high == math.inf else math.floor(high)
-                )
-                if max(smallest, 0) > min(largest, check.repetitions):
+                largest = repetitions if high == math.inf else math.floor(high)
+                if max(smallest, 0) > min(largest, repetitions):
                     yield dead_outcome.rule.diagnostic(
                         f"check {check.name!r}: outcome {result} for range "
                         f"{_describe_range(thresholds, index)} can never fire "
                         f"— the aggregated result is always within "
-                        f"[0, {check.repetitions}]",
-                        span=check.span or state.span,
+                        f"[0, {repetitions}]",
+                        span=model.element_span("check", name, position),
                         state=name,
                     )
 
@@ -472,14 +469,17 @@ def unguarded_exposure(model: LintModel, config: LintConfig) -> Iterator[Diagnos
         exposed = model.exposure(state)
         if exposed <= config.max_unguarded_exposure:
             continue
-        for check in state.checks:
-            if check.kind == "exception" and check.provider_error_policy is None:
+        for index, check in enumerate(state.checks):
+            if (
+                isinstance(check, ExceptionCheck)
+                and check.on_provider_error.mode == "trigger"
+            ):
                 yield unguarded_exposure.rule.diagnostic(
                     f"exception check {check.name!r} treats provider errors "
                     f"as failures (default onProviderError: trigger) while "
                     f"{exposed:g}% of traffic is exposed; a monitoring blip "
                     "would abort a mostly-promoted release",
-                    span=check.span or state.span,
+                    span=model.element_span("check", name, index),
                     state=name,
                     fix="set onProviderError: tolerate(n) or hold",
                 )
@@ -493,18 +493,18 @@ def unmonitored_exposure(model: LintModel, config: LintConfig) -> Iterator[Diagn
     for name, state in model.states.items():
         if state.final or state.checks:
             continue
-        for service, route in state.routes.items():
-            stable = model.stable_version(route)
+        for service, routing in state.routing.items():
+            stable = model.stable_version(service, routing)
             exposed = [
-                version
-                for version, percent in route.splits
-                if percent > 0 and version != stable
+                split.version
+                for split in routing.splits
+                if split.percentage > 0 and split.version != stable
             ]
             if exposed:
                 yield unmonitored_exposure.rule.diagnostic(
                     f"routes {exposed} of service {service!r} to live "
                     "traffic without any checks",
-                    span=route.span or state.span,
+                    span=model.element_span("route", name, service),
                     state=name,
                 )
 
@@ -518,20 +518,19 @@ def unmonitored_exposure(model: LintModel, config: LintConfig) -> Iterator[Diagn
     blocking=True,
 )
 def bad_safe_routing(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    if not model.safe_routing or not model.services:
+    services = model.strategy.services
+    if not model.safe_routing or not services:
         return
     for service, routing in model.safe_routing.items():
-        declared = model.services.get(service)
-        if declared is None:
+        if service not in services:
             yield bad_safe_routing.rule.diagnostic(
                 f"safe_routing names service {service!r}, which the strategy "
                 "does not declare",
             )
             continue
-        versions = [split.version for split in getattr(routing, "splits", ())]
-        versions.extend(
-            shadow.target_version for shadow in getattr(routing, "shadows", ())
-        )
+        declared = services[service].versions
+        versions = [split.version for split in routing.splits]
+        versions.extend(shadow.target_version for shadow in routing.shadows)
         for version in dict.fromkeys(versions):
             if version not in declared:
                 yield bad_safe_routing.rule.diagnostic(
@@ -550,7 +549,7 @@ def final_with_checks(model: LintModel, config: LintConfig) -> Iterator[Diagnost
             yield final_with_checks.rule.diagnostic(
                 f"final state {name!r} declares {len(state.checks)} check(s); "
                 "final states end enactment and never run checks",
-                span=state.span,
+                span=model.span("state", name),
                 state=name,
                 fix="move the checks into the preceding phase",
             )
@@ -561,16 +560,18 @@ def final_with_checks(model: LintModel, config: LintConfig) -> Iterator[Diagnost
     "two services are deployed behind the same proxy endpoint",
 )
 def shared_proxy(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
+    if model.deployment is None:
+        return
     by_address: dict[str, list[str]] = {}
-    for service, address in model.proxies.items():
-        by_address.setdefault(address, []).append(service)
+    for service, deployed in model.deployment.services.items():
+        by_address.setdefault(deployed.proxy, []).append(service)
     for address in sorted(by_address):
         services = by_address[address]
         if len(services) > 1:
             yield shared_proxy.rule.diagnostic(
                 f"services {sorted(services)} share proxy endpoint "
                 f"{address!r}; reconfiguring one clobbers the other",
-                span=model.proxy_spans.get(services[0]),
+                span=model.span("proxy", services[0]),
             )
 
 
@@ -583,34 +584,35 @@ def shared_proxy(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     blocking=True,
 )
 def unknown_fault_target(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    if not model.chaos_faults:
+    if not model.faults:
         return
-    from ..resilience.chaos import parse_target
-
+    checks = [
+        *(check for state in model.states.values() for check in state.checks),
+        *model.steady,
+    ]
     referenced_providers = {
-        query.provider
-        for state in model.states.values()
-        for check in state.checks
-        for query in check.queries
-    } | {query.provider for check in model.chaos_steady for query in check.queries}
-    for fault in model.chaos_faults:
-        kind, target_name = parse_target(fault.target)
-        if kind in ("upstream", "endpoint") and model.services:
+        query.provider for check in checks for query in check.condition.queries
+    }
+    services = model.strategy.services
+    for index, fault in enumerate(model.faults):
+        kind, target_name = fault.target_kind, fault.target_name
+        if kind in ("upstream", "endpoint") and services:
             service = target_name.split("/", 1)[0]
-            if service not in model.services:
+            if service not in services:
                 yield unknown_fault_target.rule.diagnostic(
                     f"fault {fault.name!r} targets unknown service "
-                    f"{service!r}; declared: {sorted(model.services)}",
-                    span=fault.span,
+                    f"{service!r}; declared: {sorted(services)}",
+                    span=model.span("fault", index),
                 )
             elif kind == "endpoint":
                 version = target_name.split("/", 1)[1]
-                if version not in model.services[service]:
+                declared = services[service].versions
+                if version not in declared:
                     yield unknown_fault_target.rule.diagnostic(
                         f"fault {fault.name!r} targets unknown version "
                         f"{version!r} of service {service!r}; declared: "
-                        f"{sorted(model.services[service])}",
-                        span=fault.span,
+                        f"{sorted(declared)}",
+                        span=model.span("fault", index),
                     )
         elif kind == "provider" and referenced_providers:
             if target_name not in referenced_providers:
@@ -618,7 +620,7 @@ def unknown_fault_target(model: LintModel, config: LintConfig) -> Iterator[Diagn
                     f"fault {fault.name!r} targets provider {target_name!r}, "
                     "which no check in the document queries; the fault would "
                     "never be observed",
-                    span=fault.span,
+                    span=model.span("fault", index),
                     fix="target a provider a check uses, or drop the fault",
                 )
 
@@ -629,12 +631,12 @@ def unknown_fault_target(model: LintModel, config: LintConfig) -> Iterator[Diagn
     blocking=True,
 )
 def fault_outside_phase(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    for fault in model.chaos_faults:
+    for index, fault in enumerate(model.faults):
         if not fault.phases:
             yield fault_outside_phase.rule.diagnostic(
                 f"fault {fault.name!r} has no 'during' phases; it would "
                 "never arm",
-                span=fault.span,
+                span=model.span("fault", index),
                 fix="add during: [<phase>, ...] naming automaton phases",
             )
             continue
@@ -645,7 +647,7 @@ def fault_outside_phase(model: LintModel, config: LintConfig) -> Iterator[Diagno
                 yield fault_outside_phase.rule.diagnostic(
                     f"fault {fault.name!r} is scheduled during unknown "
                     f"phase {phase!r}",
-                    span=fault.span,
+                    span=model.span("fault", index),
                 )
 
 
@@ -655,7 +657,7 @@ def fault_outside_phase(model: LintModel, config: LintConfig) -> Iterator[Diagno
     blocking=True,
 )
 def missing_steady_state(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    if model.chaos_faults and not model.chaos_steady:
+    if model.faults and not model.steady:
         yield missing_steady_state.rule.diagnostic(
             "the campaign declares faults but no steadyState checks; a game "
             "day without a hypothesis is just an outage",

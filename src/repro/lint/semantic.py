@@ -17,8 +17,7 @@ requirement for game days: a hypothesis read through a provider that a
 fault fails 100 % of the time is decided by the fault, not the system.
 
 All five rules run on every lint model — documents get line-accurate
-spans, in-memory strategies gate ``Engine.enact`` — and like every rule
-they are total: malformed inputs are skipped, never raised on.
+spans, in-memory strategies gate ``Engine.enact``.
 """
 
 from __future__ import annotations
@@ -26,11 +25,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator
 
-from ..core.outcome import OutcomeError, Validator
+from ..core.automaton import State
+from ..core.checks import Check, ExceptionCheck, MetricQuery
 from ..metrics.query import QueryError, compile_query
 from .diagnostics import Diagnostic, LintConfig, Severity, SourceSpan
-from .domains import always_holds, interval_of, never_holds
-from .model import CheckInfo, LintModel, QueryInfo, RouteInfo, StateInfo
+from .domains import Interval, always_holds, interval_of, never_holds
+from .model import LintModel
 from .registry import rule
 
 #: Bounded exploration: at most this many (state, exposure-vector) visits.
@@ -43,75 +43,66 @@ MAX_EXPLORATION_STEPS = 4096
 # -- BF601 / BF602: abstract interpretation of check conditions -------------
 
 
-def _subject_query(check: CheckInfo) -> QueryInfo | None:
-    """The query the check's validator applies to (the "subject").
-
-    Mirrors :class:`~repro.core.checks.MetricCondition`: an explicit
-    ``subject:`` names one of the queries; otherwise the first query is
-    the subject.
-    """
-    if not check.queries:
-        return None
-    if check.subject is not None:
-        for query in check.queries:
-            if query.name == check.subject:
-                return query
-        return None  # dangling subject: the compiler rejects it
-    return check.queries[0]
+def _subject_position(check: Check) -> int:
+    """Which query the check's validator applies to (the "subject"), as
+    :class:`~repro.core.checks.MetricCondition` picks it: the one an
+    explicit ``subject:`` names, else the first."""
+    condition = check.condition
+    if condition.subject is None:
+        return 0
+    names = [query.name for query in condition.queries]
+    return names.index(condition.subject)
 
 
-def _analyzable(check: CheckInfo):
-    """``(validator, query, interval)`` when the condition is provable.
+def _analyzable(check: Check) -> tuple[MetricQuery, Interval] | None:
+    """``(query, interval)`` when the condition is provable.
 
     Only validator conditions over a compiling ``prometheus`` query are
     analyzable; compare/predicate conditions and foreign providers are
     skipped (their value ranges are unknown to the domain).
     """
-    if check.validator is None:
+    if check.condition.validator is None:
         return None
-    try:
-        validator = Validator.parse(check.validator)
-    except OutcomeError:
-        return None  # malformed validator: the compiler reports it
-    query = _subject_query(check)
-    if query is None or query.provider != "prometheus":
+    query = check.condition.queries[_subject_position(check)]
+    if query.provider != "prometheus":
         return None
     try:
         expression = compile_query(query.query)
     except QueryError:
         return None  # BF301 owns non-compiling queries
-    return validator, query, interval_of(expression)
+    return query, interval_of(expression)
 
 
-def _check_span(check: CheckInfo) -> SourceSpan | None:
-    if check.validator_span is not None:
-        return check.validator_span
-    subject = _subject_query(check)
-    if subject is not None and subject.span is not None:
-        return subject.span
-    return check.span
+def _check_span(
+    model: LintModel, owner: str | None, index: int, check: Check
+) -> SourceSpan | None:
+    return (
+        model.span("validator", owner, index)
+        or model.span("query", owner, index, _subject_position(check))
+        or model.span("check", owner, index)
+    )
 
 
 def _conditions(model: LintModel):
-    """Every analyzable condition with its context: phase checks first,
-    then chaos steady-state hypotheses."""
+    """Every check with its context: phase checks first, then chaos
+    steady-state hypotheses."""
     for name, state in model.states.items():
         if state.final:
             continue  # final-state checks never run; BF402 owns them
-        for check in state.checks:
-            yield name, "check", check
-    for check in model.chaos_steady:
-        yield None, "steady-state hypothesis", check
+        for index, check in enumerate(state.checks):
+            yield name, index, "check", check
+    for index, check in enumerate(model.steady):
+        yield None, index, "steady-state hypothesis", check
 
 
 def analyze_conditions(model: LintModel) -> list[tuple]:
-    """``(state, noun, check, validator, query, interval)`` for every
+    """``(state, index, noun, check, query, interval)`` for every
     analyzable condition, in :func:`_conditions` order."""
     analyses = []
-    for state, noun, check in _conditions(model):
+    for state, index, noun, check in _conditions(model):
         analyzed = _analyzable(check)
         if analyzed is not None:
-            analyses.append((state, noun, check, *analyzed))
+            analyses.append((state, index, noun, check, *analyzed))
     return analyses
 
 
@@ -121,20 +112,21 @@ def analyze_conditions(model: LintModel) -> list[tuple]:
     blocking=True,
 )
 def unsatisfiable_check(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    for state, noun, check, validator, query, interval in model.condition_analyses:
+    for state, index, noun, check, query, interval in model.condition_analyses:
+        validator = check.condition.validator
         if not never_holds(interval, validator.op, validator.bound):
             continue
         if noun == "steady-state hypothesis":
             consequence = "the hypothesis is violated unconditionally"
-        elif check.kind == "exception":
+        elif isinstance(check, ExceptionCheck):
             consequence = "the guard trips on its first evaluation"
         else:
             consequence = "the check can never pass"
         yield unsatisfiable_check.rule.diagnostic(
             f"{noun} {check.name!r} is unsatisfiable: {query.query!r} is "
             f"provably within {interval}, so validator "
-            f"'{check.validator}' can never hold — {consequence}",
-            span=_check_span(check),
+            f"'{validator}' can never hold — {consequence}",
+            span=_check_span(model, state, index, check),
             state=state,
             fix="adjust the validator bound (or fix the query) so the "
             "condition is satisfiable",
@@ -146,7 +138,8 @@ def unsatisfiable_check(model: LintModel, config: LintConfig) -> Iterator[Diagno
     "a check's validator holds for every value its query can produce",
 )
 def tautological_check(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    for state, noun, check, validator, query, interval in model.condition_analyses:
+    for state, index, noun, check, query, interval in model.condition_analyses:
+        validator = check.condition.validator
         if not always_holds(interval, validator.op, validator.bound):
             continue
         if noun == "steady-state hypothesis":
@@ -154,16 +147,16 @@ def tautological_check(model: LintModel, config: LintConfig) -> Iterator[Diagnos
                 "the hypothesis is not falsifiable — it holds under any "
                 "fault, so the game day tests nothing"
             )
-        elif check.kind == "exception":
+        elif isinstance(check, ExceptionCheck):
             consequence = "the guard can never trigger and is dead weight"
         else:
             consequence = "the check can never fail and carries no signal"
         yield tautological_check.rule.diagnostic(
             f"{noun} {check.name!r} is tautological: {query.query!r} is "
             f"provably within {interval}, so validator "
-            f"'{check.validator}' always holds (absent data still fails) "
+            f"'{validator}' always holds (absent data still fails) "
             f"— {consequence}",
-            span=_check_span(check),
+            span=_check_span(model, state, index, check),
             state=state,
             fix="tighten the validator bound so the condition can "
             "distinguish healthy from unhealthy",
@@ -173,23 +166,14 @@ def tautological_check(model: LintModel, config: LintConfig) -> Iterator[Diagnos
 # -- BF603: bounded symbolic exploration of exposure -------------------------
 
 
-def _exposed(model: LintModel, route: RouteInfo) -> float:
-    stable = model.stable_version(route)
-    return sum(
-        percent
-        for version, percent in route.splits
-        if version != stable and percent > 0
-    )
-
-
 def _apply_routes(
-    model: LintModel, vector: dict[str, float], state: StateInfo
+    model: LintModel, vector: dict[str, float], state: State
 ) -> dict[str, float]:
     """Entering *state* updates exposure only for services it routes;
     everything else keeps its previous routing, like the engine does."""
     updated = dict(vector)
-    for service, route in state.routes.items():
-        updated[service] = _exposed(model, route)
+    for service, routing in state.routing.items():
+        updated[service] = model.exposed(service, routing)
     return updated
 
 
@@ -214,7 +198,7 @@ def blast_radius_jump(model: LintModel, config: LintConfig) -> Iterator[Diagnost
                 f"{initial[service]:g}% non-stable exposure — no earlier "
                 f"checked phase can catch a bad version (threshold "
                 f"{threshold:g} points, lint.options.maxExposureJump)",
-                span=start_state.span,
+                span=model.span("state", start),
                 state=start,
                 fix="start with a smaller canary slice, or add a checked "
                 "phase before the jump",
@@ -245,7 +229,7 @@ def blast_radius_jump(model: LintModel, config: LintConfig) -> Iterator[Diagnost
                             f"could have vetoed the jump (threshold "
                             f"{threshold:g} points, "
                             f"lint.options.maxExposureJump)",
-                            span=successor.span,
+                            span=model.span("state", successor_name),
                             state=successor_name,
                             fix=f"add checks to {name!r} or insert an "
                             "intermediate checked phase",
@@ -268,9 +252,11 @@ def blast_radius_jump(model: LintModel, config: LintConfig) -> Iterator[Diagnost
 def shadow_amplification(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
     bound = config.max_shadow_fanout
     for name, state in model.states.items():
-        for service, route in state.routes.items():
+        for service, routing in state.routing.items():
             total = sum(
-                percent for _, _, percent in route.shadows if percent > 0
+                shadow.percentage
+                for shadow in routing.shadows
+                if shadow.percentage > 0
             )
             if total <= bound:
                 continue
@@ -280,7 +266,7 @@ def shadow_amplification(model: LintModel, config: LintConfig) -> Iterator[Diagn
                 f"declared bound of {bound:g}% "
                 f"(lint.options.maxShadowFanout); the fan-out multiplies "
                 f"upstream load and shadow-queue pressure",
-                span=route.span or state.span,
+                span=model.element_span("route", name, service),
                 state=name,
                 fix="lower the shadow percentages or raise "
                 "lint.options.maxShadowFanout explicitly",
@@ -299,20 +285,23 @@ def shadow_amplification(model: LintModel, config: LintConfig) -> Iterator[Diagn
 def chaos_hypothesis_contradiction(
     model: LintModel, config: LintConfig
 ) -> Iterator[Diagnostic]:
-    for fault in model.chaos_faults:
+    for position, fault in enumerate(model.faults):
         kind, _, provider = fault.target.partition(":")
         if kind != "provider" or not provider:
             continue
-        mode = fault.mode or "error"
+        mode = fault.mode
         if mode not in ("error", "hang"):
             continue  # latency/open leave reads answering eventually
-        if fault.rate is None or fault.rate < 1.0:
+        if fault.rate < 1.0:
             continue
-        for check in model.chaos_steady:
-            if all(query.provider != provider for query in check.queries):
+        for index, check in enumerate(model.steady):
+            queries = check.condition.queries
+            if all(query.provider != provider for query in queries):
                 continue
-            policy = check.provider_error_policy or ""
-            if "hold" in policy:
+            if (
+                isinstance(check, ExceptionCheck)
+                and check.on_provider_error.mode == "hold"
+            ):
                 consequence = (
                     "with onProviderError: hold the hypothesis is blinded "
                     "for the whole fault window — it can never be "
@@ -325,7 +314,7 @@ def chaos_hypothesis_contradiction(
                     "the system under test"
                 )
             related = []
-            span = _check_span(check)
+            span = _check_span(model, None, index, check)
             if span is not None:
                 related.append(
                     ("the hypothesis reads through this provider", span)
@@ -335,7 +324,7 @@ def chaos_hypothesis_contradiction(
                 f"rate 1.0 (mode {mode!r}), and steady-state hypothesis "
                 f"{check.name!r} reads through that same provider — "
                 f"{consequence}",
-                span=fault.span,
+                span=model.span("fault", position),
                 related=related,
                 fix="lower the fault rate below 1.0, target a different "
                 "provider, or read the hypothesis through an unfaulted "

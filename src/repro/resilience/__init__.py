@@ -31,7 +31,6 @@ from .faults import (
     LatencyFault,
 )
 from .policy import (
-    BreakerOpenError,
     BreakerState,
     CircuitBreaker,
     ResilienceError,
@@ -42,7 +41,6 @@ from .policy import (
 from .wrappers import ResilientController, ResilientProvider
 
 __all__ = [
-    "BreakerOpenError",
     "BreakerState",
     "ChaosCampaign",
     "ChaosController",

@@ -42,10 +42,6 @@ class TimeoutExceeded(ResilienceError):
     """A guarded call did not finish within its budget."""
 
 
-class BreakerOpenError(ResilienceError):
-    """The circuit is open; the call was not attempted."""
-
-
 def _jitter_fraction(seed: int, key: str, attempt: int) -> float:
     """A deterministic pseudo-random fraction in [0, 1).
 

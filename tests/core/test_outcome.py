@@ -130,7 +130,7 @@ def test_validator_nan_always_fails():
 
 
 def test_validator_rejects_garbage():
-    for bad in ["", "5", "<<5", "< five", "=5", "<5 extra"]:
+    for bad in ["", "5", "<<5", "< five", "=5", "<5 extra", "<1e309", ">=-1e309"]:
         with pytest.raises(OutcomeError):
             Validator.parse(bad)
 

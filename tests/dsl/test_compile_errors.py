@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.dsl import CompiledStrategy, DslError, YamlError, compile_document
-from repro.lint import lint_text
+from repro.lint import fix_text, lint_text
 from repro.lint.registry import RULES
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -171,7 +171,7 @@ def test_every_code_the_compiler_reports_is_a_declared_rule():
 
 _VALUE = re.compile(r"^(\s*(?:- )?[A-Za-z_][\w.-]*:[ ]+)(\S.*?)(\s+#.*)?$")
 _TOKENS = ["-5", "150", "0", "0.5", "abc", "true", "null", "[5, 3]", "[]", '"<5"']
-_TOKENS += ["ghost", "done", "1e9", "-0.1"]
+_TOKENS += ["ghost", "done", "1e9", "-0.1", "1e309"]
 
 
 def mutants(count, seed=31):
@@ -201,3 +201,12 @@ def test_single_value_mutations_only_ever_raise_dsl_or_yaml_errors():
                 # Only the whole-model check has no element, so no line.
                 assert error.line is not None or not error.path, error
     assert rejected > 300
+
+
+def test_lint_and_fix_stay_total_on_mutated_documents():
+    for text in mutants(1200):
+        fixed = fix_text(text)
+        if fixed.edits:
+            assert fix_text(fixed.text).edits == [], text
+        for diagnostic in lint_text(text).diagnostics:
+            assert not diagnostic.message.startswith("internal error"), diagnostic

@@ -231,6 +231,9 @@ def test_error_carries_line_number():
         {"a: ": 1},
         ["x: y", {'"k: v"': ": "}],
         {"a:b": "c:d", "http://h:80": 1},
+        # Control characters only survive as escapes of a quoted scalar.
+        "line\nbreak",
+        {"tab": "a\tb"},
     ],
 )
 def test_dumps_loads_round_trip(value):

@@ -183,6 +183,13 @@ def test_fix_leaves_negative_splits_to_humans():
     assert "percentage: -10" in result.text
 
 
+def test_fix_leaves_infinite_splits_to_humans():
+    doc = BASE.replace("percentage: 10", "percentage: 1e309", 1)
+    result = fix_text(doc)
+    assert "percentage: 1e309" in result.text
+    assert "BF201" in codes(result.text)
+
+
 # -- BF503: steadyState stub -------------------------------------------------
 
 

@@ -13,7 +13,8 @@ of YAML, which this module implements without external dependencies:
 
 Unsupported YAML (anchors, aliases, multi-document streams, flow mappings,
 block scalars, tabs for indentation) raises :class:`YamlError` with a line
-number rather than silently misparsing.
+number rather than silently misparsing, as does a document nested deeper
+than :data:`MAX_DEPTH` levels.
 """
 
 from __future__ import annotations
@@ -251,6 +252,20 @@ def _parse_flow_sequence(token: str, line_number: int | None) -> list[Any]:
     return [parse_scalar(part.strip(), line_number) for part in inner.split(",")]
 
 
+#: Deepest nesting of block mappings and sequences a document may have.
+#: The parser recurses once per level, so a deeper document would exhaust
+#: Python's stack; strategy documents nest fewer than a dozen levels.
+MAX_DEPTH = 100
+
+
+def _check_depth(depth: int, line: _Line | None) -> None:
+    if depth > MAX_DEPTH:
+        raise YamlError(
+            f"document nests deeper than {MAX_DEPTH} levels",
+            line.number if line is not None else None,
+        )
+
+
 class _Parser:
     def __init__(self, lines: list[_Line]):
         self._lines = lines
@@ -259,7 +274,7 @@ class _Parser:
     def parse_document(self) -> Any:
         if not self._lines:
             return None
-        value = self._parse_block(self._lines[0].indent)
+        value = self._parse_block(self._lines[0].indent, 1)
         if self._index < len(self._lines):
             line = self._lines[self._index]
             raise YamlError(
@@ -273,19 +288,23 @@ class _Parser:
             return self._lines[self._index]
         return None
 
-    def _parse_block(self, indent: int) -> Any:
+    # The block parsers recurse once per nesting level; *depth* is the
+    # level of the mapping or sequence being parsed, 1 at the top, see
+    # MAX_DEPTH.
+    def _parse_block(self, indent: int, depth: int) -> Any:
         line = self._peek()
         assert line is not None
         if line.content.startswith("- ") or line.content == "-":
-            return self._parse_sequence(indent)
+            return self._parse_sequence(indent, depth)
         if _split_key(line.content):
-            return self._parse_mapping(indent)
+            return self._parse_mapping(indent, depth)
         # A lone scalar document / value.
         self._index += 1
         return parse_scalar(line.content, line.number)
 
-    def _parse_mapping(self, indent: int) -> dict[str, Any]:
+    def _parse_mapping(self, indent: int, depth: int) -> dict[str, Any]:
         first = self._peek()
+        _check_depth(depth, first)
         mapping = LocatedMap(
             first.number if first is not None else None,
             first.indent + 1 if first is not None else None,
@@ -316,9 +335,9 @@ class _Parser:
             if remainder:
                 mapping[key] = parse_scalar(remainder, line.number)
             else:
-                mapping[key] = self._parse_nested(indent, line.number)
+                mapping[key] = self._parse_nested(indent, depth + 1)
 
-    def _parse_nested(self, parent_indent: int, line_number: int) -> Any:
+    def _parse_nested(self, parent_indent: int, depth: int) -> Any:
         """Value of a ``key:`` with nothing inline: a nested block or null."""
         line = self._peek()
         if line is None or line.indent <= parent_indent:
@@ -329,12 +348,13 @@ class _Parser:
                 and (line.content.startswith("- ") or line.content == "-")
             ):
                 # ...except sequences, which YAML allows at the same indent.
-                return self._parse_sequence(parent_indent)
+                return self._parse_sequence(parent_indent, depth)
             return None
-        return self._parse_block(line.indent)
+        return self._parse_block(line.indent, depth)
 
-    def _parse_sequence(self, indent: int) -> list[Any]:
+    def _parse_sequence(self, indent: int, depth: int) -> list[Any]:
         first = self._peek()
+        _check_depth(depth, first)
         items = LocatedList(
             first.number if first is not None else None,
             first.indent + 1 if first is not None else None,
@@ -354,7 +374,7 @@ class _Parser:
                 if nested is None or nested.indent <= indent:
                     items.append(None)
                 else:
-                    items.append(self._parse_block(nested.indent))
+                    items.append(self._parse_block(nested.indent, depth + 1))
                 continue
             if not line.content.startswith("- "):
                 return items
@@ -364,7 +384,7 @@ class _Parser:
                 # "- key: value": the item is a mapping whose first entry is
                 # inline; rewrite the line and parse a mapping at item depth.
                 self._lines[self._index] = _Line(line.number, item_indent, remainder)
-                items.append(self._parse_mapping(item_indent))
+                items.append(self._parse_mapping(item_indent, depth + 1))
             else:
                 self._index += 1
                 items.append(parse_scalar(remainder, line.number))

@@ -65,10 +65,13 @@ class _Body:
     stream: BodyStream | None
 
     def json(self) -> Any:
-        """Decode the body as JSON; raises :class:`ProtocolError` if invalid."""
+        """Decode the body as JSON; raises :class:`ProtocolError` if invalid.
+
+        A body nested too deep for the decoder's recursion is invalid too.
+        """
         try:
             return json.loads(self.body.decode("utf-8") or "null")
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             raise ProtocolError(f"invalid JSON body: {exc}") from exc
 
     async def aread(self) -> bytes:

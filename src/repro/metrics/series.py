@@ -21,6 +21,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import inf
 from typing import NamedTuple, Sequence
 
 
@@ -146,21 +147,39 @@ class TimeSeries:
             )
         self.append_ordered(timestamp, value)
 
-    def append_ordered(self, timestamp: float, value: float) -> None:
+    def append_ordered(
+        self, timestamp: float, value: float, retention: float = inf
+    ) -> None:
         """:meth:`append` for a sample already checked against
-        :attr:`newest_timestamp` — the apply phase of
+        :attr:`newest_timestamp`, then ``drop_before(timestamp -
+        retention)`` folded in — the apply pass of
         ``MetricStore.record_batch``.
+
+        The fold pays one comparison when nothing leaves and no search
+        when only the oldest sample does (a series at retention-full
+        steady state); a larger cut takes :meth:`drop_before`.
         """
-        size = self._size
-        capacity = len(self._ts)
+        ts = self._ts
+        start, size = self._start, self._size
+        capacity = len(ts)
         if size == capacity:
             self._resize(max(_MIN_CAPACITY, capacity * 2))
-            capacity = len(self._ts)
-        position = (self._start + size) % capacity
-        self._ts[position] = timestamp
+            ts = self._ts
+            start, capacity = 0, len(ts)
+        position = (start + size) % capacity
+        ts[position] = timestamp
         self._vs[position] = value
         self._size = size + 1
-        self.newest_timestamp = self._ts[position]  # a float, as stored
+        self.newest_timestamp = ts[position]  # a float, as stored
+        floor = timestamp - retention
+        if ts[start] < floor:
+            following = start + 1 if start + 1 < capacity else 0
+            if size and ts[following] >= floor:
+                # Only the oldest leaves.  Occupancy is back where it was
+                # before the append, so no compaction can be due.
+                self._start, self._size = following, size
+            else:
+                self.drop_before(floor)
 
     def __len__(self) -> int:
         return self._size

@@ -151,19 +151,19 @@ class MetricsServer(HttpServer):
             )
         now = self.clock.now()
         batch: list[tuple[str, float, float, dict]] = []
-        for sample in samples:
-            try:
+        add = batch.append
+        try:
+            for sample in samples:
+                # Indexing the name first rejects a sample that is no object.
                 name = sample["name"]
                 labels = sample.get("labels") or {}
                 if not isinstance(labels, dict):
                     raise TypeError(f"labels must be an object, got {labels!r}")
-                value = float(sample["value"])
-                timestamp = float(sample.get("timestamp", now))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                return Response.from_json(
-                    {"status": "error", "error": f"bad sample {sample!r}: {exc}"}, 400
-                )
-            batch.append((name, value, timestamp, labels))
+                add((name, float(sample["value"]), float(sample.get("timestamp", now)), labels))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return Response.from_json(
+                {"status": "error", "error": f"bad sample {sample!r}: {exc}"}, 400
+            )
         try:
             # record_batch plans (validating each timestamp, their ordering
             # against both store floors and earlier samples in this batch,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from math import inf, isfinite, isnan
 from typing import Sequence
 
 from .series import SeriesKey, TimeSeries
@@ -86,7 +86,10 @@ class MetricStore:
     """All series known to one metrics provider instance."""
 
     def __init__(self, retention: float | None = None):
-        #: Samples older than ``now - retention`` are dropped on ingest.
+        if retention is not None and (isnan(retention) or retention < 0):
+            raise ValueError(f"retention must be a non-negative number, got {retention}")
+        #: Samples older than ``newest - retention`` are dropped on ingest,
+        #: per series.
         self.retention = retention
         self._series: dict[SeriesKey, TimeSeries] = {}
         #: Ingest's first probe: ``(name, *labels, *labels.values())``, the
@@ -139,8 +142,8 @@ class MetricStore:
         The win over per-point :meth:`record` is amortization: a sample
         whose labels arrive in an order seen before resolves its series
         with one probe of the as-sent index, selector-cache invalidation
-        happens once per created series, the retention trim runs once per
-        touched series, and :attr:`generation` bumps once for the whole
+        happens once per created series, the retention trim is folded into
+        each append, and :attr:`generation` bumps once for the whole
         batch — a scrape of M points costs one cache invalidation wave
         instead of M.
         """
@@ -152,34 +155,34 @@ class MetricStore:
     def _plan_batch(
         self,
         samples: Sequence[tuple[str, float, float, dict[str, str] | None]],
-    ) -> tuple[list, dict, dict, dict]:
+    ) -> tuple[list, dict, dict]:
         """Validate *samples* and resolve their series; mutates nothing.
 
-        Returns ``(points, newest, created, sent)``: every sample as
-        ``(series, timestamp, value)``; each touched series' newest
-        accepted timestamp, keyed by the series object; the series the
-        batch creates, keyed by their sorted ``(name, label_pairs)`` key so
-        two label orders of one new series meet; and the as-sent index
-        entries the batch adds.  A sample is resolved by its as-sent key
-        in :attr:`_by_sent`; only a miss sorts its labels and probes the
-        series dict.
+        Returns ``(points, created, sent)``: every sample as ``(series,
+        timestamp, value)``; the series the batch creates, keyed by their
+        sorted ``(name, label_pairs)`` key so two label orders of one new
+        series meet; and the as-sent index entries the batch adds.  A
+        sample is resolved by its as-sent key in :attr:`_by_sent`; only a
+        miss sorts its labels and probes the series dict.
         """
         points: list[tuple[TimeSeries, float, float]] = []
+        # Each touched series' newest timestamp so far in this batch: the
+        # floor a later sample of that series must not fall behind.
         newest: dict[TimeSeries, float] = {}
         created: dict[tuple, TimeSeries] = {}
         sent: dict[tuple, TimeSeries] = {}
-        by_sent = self._by_sent
+        known, by_sent, add = self._series.get, self._by_sent.get, points.append
         for name, value, timestamp, labels in samples:
             if not isfinite(timestamp):
                 raise ValueError(f"non-finite timestamp for {name}: {timestamp}")
             try:
                 sent_key = (name, *labels, *labels.values()) if labels else (name,)
-                series = by_sent.get(sent_key)
+                series = by_sent(sent_key)
                 if series is None:
                     series = sent.get(sent_key)
                 if series is None:
                     key = (name, tuple(sorted(labels.items())) if labels else ())
-                    series = self._series.get(key, created.get(key))
+                    series = known(key, created.get(key))
                     if series is None:
                         _check_identity(name, labels)
                         series = created[key] = TimeSeries(SeriesKey(*key))
@@ -193,12 +196,18 @@ class MetricStore:
                     f"out-of-order sample for {series.key}: {timestamp} < {floor}"
                 )
             newest[series] = timestamp
-            points.append((series, timestamp, value))
-        return points, newest, created, sent
+            add((series, timestamp, value))
+        return points, created, sent
 
-    def _apply_batch(self, plan: tuple[list, dict, dict, dict]) -> None:
-        """Apply a validated :meth:`_plan_batch` result; cannot fail."""
-        points, newest, created, sent = plan
+    def _apply_batch(self, plan: tuple[list, dict, dict]) -> None:
+        """Apply a validated :meth:`_plan_batch` result; cannot fail.
+
+        One pass lands the points: each append trims its series to the
+        retention window ending at that sample.  A series' timestamps never
+        decrease, so this keeps exactly what one trim at its newest sample
+        would.
+        """
+        points, created, sent = plan
         for series in created.values():
             name = series.key.name
             self._series[series.key] = series
@@ -208,11 +217,9 @@ class MetricStore:
             self._selector_cache.pop(name, None)
             self.series_generation += 1
         self._by_sent.update(sent)
+        retention = inf if self.retention is None else self.retention
         for series, timestamp, value in points:
-            series.append_ordered(timestamp, value)
-        if self.retention is not None:
-            for series, timestamp in newest.items():
-                series.drop_before(timestamp - self.retention)
+            series.append_ordered(timestamp, value, retention)
         self.generation += 1
 
     def series(self, key: SeriesKey) -> TimeSeries | None:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.dsl import CompiledStrategy, DslError, YamlError, compile_document
+from repro.dsl.yaml_lite import MAX_DEPTH
 from repro.lint import fix_text, lint_text
 from repro.lint.registry import RULES
 
@@ -152,6 +153,20 @@ def test_duplicate_phase_name_is_an_error_at_the_phase():
     [duplicate] = [e for e in excinfo.value.errors if "duplicate" in e.message]
     assert duplicate.code == "BF002"
     assert duplicate.line == line_of(text, "name: canary", occurrence=2)
+
+
+def test_a_document_nested_past_the_parser_limit_is_a_yaml_error_at_its_line():
+    # 400 nested block keys: deeper than the parser's stack would take.
+    text = "\n".join(" " * i + "a:" for i in range(400))
+    with pytest.raises(YamlError) as excinfo:
+        compile_document(text)
+    assert excinfo.value.line == MAX_DEPTH + 1
+    [diagnostic] = lint_text(text).diagnostics
+    assert (diagnostic.code, diagnostic.span.line) == ("BF001", MAX_DEPTH + 1)
+    assert fix_text(text).edits == []
+    # At the limit the document parses, and the compiler rejects it as usual.
+    with pytest.raises(DslError):
+        compile_document("\n".join(" " * i + "a:" for i in range(MAX_DEPTH)))
 
 
 def test_every_code_the_compiler_reports_is_a_declared_rule():

@@ -104,6 +104,8 @@ BAD_REQUESTS = [
     ("ingest-not-utf8", "POST", INGEST, b"\xff\xfe"),
     ("ingest-not-a-list", "POST", INGEST, b'{"not": "a list"}'),
     ("ingest-empty-body", "POST", INGEST, b""),
+    # Deeper than the JSON decoder can recurse: a RecursionError, not JSON.
+    ("ingest-nested-past-the-decoder", "POST", INGEST, b"[" * 100_000 + b"]" * 100_000),
     ("ingest-sample-not-an-object", "POST", INGEST, b"[1]"),
     ("ingest-missing-name", "POST", INGEST, b'[{"value": 1}]'),
     ("ingest-missing-value", "POST", INGEST, b'[{"name": "m"}]'),
@@ -221,6 +223,7 @@ NOT_AN_ANSWER = [
     ("missing-data", b'{"status": "success"}'),
     ("list-body", b'[{"status": "success", "data": {"value": 1}}]'),
     ("not-json", b"<html>ok</html>"),
+    ("nested-past-the-decoder", b"[" * 100_000 + b"]" * 100_000),
 ]
 
 

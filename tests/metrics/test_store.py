@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import LabelMatcher, MetricStore, SeriesKey
+from repro.metrics import LabelMatcher, MetricsServer, MetricStore, SeriesKey
 
 
 def test_record_creates_series_on_first_sight():
@@ -132,6 +132,25 @@ def test_retention_drops_old_samples():
     series = store.series(SeriesKey.make("m"))
     assert len(series) == 1
     assert series.latest().timestamp == 20.0
+
+
+@pytest.mark.parametrize("bad", [-5.0, -1e-9, float("nan"), float("-inf")])
+def test_negative_or_nan_retention_rejected(bad):
+    # A negative one would trim every sample as it lands, turning the
+    # out-of-order guard off; a NaN one would never trim.
+    with pytest.raises(ValueError, match="retention"):
+        MetricStore(retention=bad)
+    with pytest.raises(ValueError, match="retention"):
+        MetricsServer(retention=bad)
+
+
+@pytest.mark.parametrize("retention", [None, 0.0, 10.0, float("inf")])
+def test_retention_zero_or_more_is_accepted(retention):
+    store = MetricStore(retention=retention)
+    store.record("m", 1.0, 1.0)
+    store.record("m", 2.0, 2.0)
+    kept = [s.timestamp for s in store.select("m")[0].window(-1.0, 9.0)]
+    assert kept == ([2.0] if retention == 0.0 else [1.0, 2.0])
 
 
 def test_names_and_clear():

@@ -205,15 +205,17 @@ def _readings(store, at):
 @settings(max_examples=100, deadline=None)
 @given(ops_list=ops)
 def test_batched_aggregates_equal_per_point_under_retention(ops_list):
-    batched = MetricStore(retention=20.0)
-    reference = PerPoint(retention=20.0)
-    at = 0.0
-    for op in ops_list:
-        _step(batched, reference, op)
-        entries = [op[1]] if op[0] == "record" else op[1]
-        at = max([at] + [timestamp for _, _, timestamp, _ in entries])
-        assert _readings(batched, at) == _readings(reference, at)
-    assert _snapshot(batched) == _snapshot(reference)
+    # At 0.0 each series keeps only the samples at its newest timestamp.
+    for retention in (20.0, 0.0):
+        batched = MetricStore(retention=retention)
+        reference = PerPoint(retention=retention)
+        at = 0.0
+        for op in ops_list:
+            _step(batched, reference, op)
+            entries = [op[1]] if op[0] == "record" else op[1]
+            at = max([at] + [timestamp for _, _, timestamp, _ in entries])
+            assert _readings(batched, at) == _readings(reference, at)
+        assert _snapshot(batched) == _snapshot(reference)
 
 
 def test_non_consecutive_repeats_land_in_order():

@@ -62,10 +62,23 @@ class ListSeries:
 timestamps = st.floats(min_value=-5.0, max_value=120.0, allow_nan=False)
 values = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 staleness = st.one_of(st.just(float("inf")), st.floats(min_value=0.0, max_value=30.0))
+#: Retention of the folded append+trim: none, the newest timestamp only,
+#: about one append step (one sample leaves), a few (several leave) and a
+#: long window (nothing leaves, so the ring fills, grows and wraps).
+retentions = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=3.0, max_value=12.0),
+    st.floats(min_value=12.0, max_value=400.0),
+    st.just(float("inf")),
+)
 
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("append"), st.floats(min_value=0.0, max_value=3.0), values),
+        st.tuples(
+            st.just("append_retained"), st.floats(min_value=0.0, max_value=3.0), values, retentions
+        ),
         st.tuples(st.just("drop_before"), timestamps),
         st.tuples(st.just("at"), timestamps, staleness),
         st.tuples(st.just("value_at"), timestamps, staleness),
@@ -89,6 +102,14 @@ def test_ring_series_matches_list_model(ops):
             now += delta
             ring.append(now, value)
             model.append(now, value)
+        elif op[0] == "append_retained":
+            # MetricStore's apply pass: append, trimming to the retention
+            # window ending at the new sample.
+            _, delta, value, retention = op
+            now += delta
+            ring.append_ordered(now, value, retention)
+            model.append(now, value)
+            model.drop_before(now - retention)
         elif op[0] == "drop_before":
             assert ring.drop_before(op[1]) == model.drop_before(op[1])
         elif op[0] == "at":
@@ -201,3 +222,42 @@ def test_wrapped_ring_window_returns_samples():
     assert [s.value for s in window] == [float(t * 10) for t in range(10, 21)]
     assert ring.at(13.5) == Sample(13.0, 130.0)
     assert ring.value_at(8.0) == 80.0
+
+
+def test_folded_trim_drops_none_one_or_many_as_drop_before_does():
+    """``append_ordered`` with a retention, against append + drop_before,
+    through each way the fold can go: nothing leaves while the ring grows,
+    exactly one leaves per append while it wraps, and a larger cut that
+    compacts the buffers."""
+    ring = TimeSeries(SeriesKey.make("m"))
+    model = ListSeries()
+    seen = set()
+
+    def step(t, retention):
+        capacity = len(ring._ts)
+        size = len(ring)
+        ring.append_ordered(t, -t, retention)
+        model.append(t, -t)
+        model.drop_before(t - retention)
+        assert [(s.timestamp, s.value) for s in ring.window(-1.0, t)] == model.samples
+        assert (ring.oldest_timestamp, ring.newest_timestamp) == (
+            model.oldest_timestamp,
+            model.newest_timestamp,
+        )
+        left = size + 1 - len(ring)
+        seen.add(("left", min(left, 2)))
+        if ring._start + len(ring) > len(ring._ts):
+            seen.add("wrapped")
+        if len(ring._ts) < capacity:
+            seen.add("compacted")
+
+    for t in range(200):  # nothing leaves; the ring grows to 256
+        step(float(t), 1e9)
+    for t in range(200, 500):  # one leaves per append; the ring wraps
+        step(float(t), 199.5)
+    step(500.0, 10.0)  # all but eleven leave; the ring compacts
+    for t in range(501, 520):
+        step(float(t), 10.0)
+    step(520.0, 0.0)  # only the newest timestamp stays
+    assert seen == {("left", 0), ("left", 1), ("left", 2), "wrapped", "compacted"}
+    assert len(ring) == 1

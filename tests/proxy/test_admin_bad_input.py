@@ -27,6 +27,8 @@ BAD_BODIES = [
         b'{"routing": {"splits": [{"version": "stable", "percentage": 100}]},'
         b' "endpoints": {"stable": "127.0.0.1:http"}}',
     ),
+    # Deeper than the JSON decoder can recurse: a RecursionError, not JSON.
+    ("nested-past-the-decoder", b"[" * 100_000 + b"]" * 100_000),
 ]
 
 # One proxy per service: the only kind.  Kept as a parameter so the test

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import unquote, unquote_to_bytes, urlsplit
 
 from .cookies import parse_cookie_header
 from .errors import ProtocolError
@@ -115,29 +115,52 @@ class Request(_Body):
     # Per-object parse caches, keyed on the raw input so header or target
     # mutation invalidates them.  The proxy reads ``cookies`` and ``path``
     # several times per request; each used to re-parse from scratch.
-    _url_cache: tuple[str, object] | None = field(
+    _url_cache: tuple[str, str, str] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _cookie_cache: tuple[str | None, dict[str, str]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def _split_target(self):
+    def _split_target(self) -> tuple[str, str, str]:
+        """``(target, path, query)``, split once per distinct target."""
         cached = self._url_cache
-        if cached is None or cached[0] != self.target:
-            cached = (self.target, urlsplit(self.target))
-            self._url_cache = cached
-        return cached[1]
+        target = self.target
+        if cached is None or cached[0] != target:
+            if target.startswith("/"):
+                # Origin form (RFC 7230 §5.3.1): everything up to the first
+                # "?" is the path, even when it starts with "//" — urlsplit
+                # would read "//host/..." as an authority.
+                path, _, query = target.partition("#")[0].partition("?")
+            else:
+                parts = urlsplit(target)
+                path, query = parts.path, parts.query
+            cached = self._url_cache = (target, path, query)
+        return cached
 
     @property
     def path(self) -> str:
         """The path component of the request target (no query string)."""
-        return self._split_target().path or "/"
+        return self._split_target()[1] or "/"
 
     @property
     def query(self) -> dict[str, str]:
-        """Query-string parameters; later duplicates win."""
-        return dict(parse_qsl(self._split_target().query))
+        """Query-string parameters; later duplicates win.
+
+        Exactly ``dict(urllib.parse.parse_qsl(query))``: pairs split on
+        ``&``, a pair without ``=`` or with an empty value is dropped,
+        ``+`` is a space and percent-escapes decode as UTF-8 with
+        replacement.  ``tests/property/test_query_decoding.py`` holds it
+        to that oracle.
+        """
+        params: dict[str, str] = {}
+        query = self._split_target()[2]
+        if query:
+            for pair in query.split("&"):
+                name, _, value = pair.partition("=")
+                if value:
+                    params[_unquote_plus(name)] = _unquote_plus(value)
+        return params
 
     @property
     def cookies(self) -> dict[str, str]:
@@ -291,6 +314,19 @@ class Response(_Body):
         )
 
 
+def _unquote_plus(part: str) -> str:
+    """``parse_qsl``'s decoding of one name or value, minus its generality:
+    only a part with an escape is unquoted, and an ASCII one (every
+    well-formed target) skips ``unquote``'s split into ASCII runs."""
+    if "+" in part:
+        part = part.replace("+", " ")
+    if "%" not in part:
+        return part
+    if part.isascii():
+        return unquote_to_bytes(part).decode("utf-8", "replace")
+    return unquote(part)
+
+
 async def _buffered_chunks(body: bytes) -> AsyncIterator[bytes]:
     if body:
         yield body
@@ -374,6 +410,13 @@ def read_request(head: bytes) -> Request:
     method, target, version = parts
     if not version.startswith("HTTP/"):
         raise ProtocolError(f"bad HTTP version: {version!r}")
+    if not target.startswith("/"):
+        # An authority urlsplit cannot read ("http://[x/") is a 400 here,
+        # not a ValueError out of the first ``.path``.
+        try:
+            urlsplit(target)
+        except ValueError as exc:
+            raise ProtocolError(f"bad request target: {target!r}") from exc
     headers, length, chunked, close = _parse_fields(lines)
     return Request(
         method=method.upper(),

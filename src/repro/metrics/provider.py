@@ -17,6 +17,7 @@ seam:
 from __future__ import annotations
 
 import asyncio
+from functools import lru_cache
 from urllib.parse import quote
 
 from ..clock import Clock, RealClock
@@ -83,6 +84,14 @@ class LocalPrometheusProvider(MetricsProvider):
         )
 
 
+@lru_cache(maxsize=4096)
+def _query_target(query: str) -> str:
+    """The ``/api/v1/query`` request target for *query*, percent-encoded
+    once per distinct query string (the same bound as ``compile_query``):
+    a check asks the same text on every tick."""
+    return "/api/v1/query?query=" + quote(query)
+
+
 class HttpPrometheusProvider(MetricsProvider):
     """Queries a metrics server's ``/api/v1/query`` endpoint.
 
@@ -134,7 +143,7 @@ class HttpPrometheusProvider(MetricsProvider):
             self._inflight.pop(query, None)
 
     async def _fetch(self, query: str) -> float | None:
-        url = f"{self.base_url}/api/v1/query?query={quote(query)}"
+        url = self.base_url + _query_target(query)
         try:
             response = await self._client.get(url)
         except Exception as exc:

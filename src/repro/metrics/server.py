@@ -59,10 +59,11 @@ class MetricsServer(HttpServer):
             "Query-path cache hits and misses",
             label_names=("cache", "event"),
         )
-        #: Per-(tick, generation) memo of rendered query responses.  The
-        #: plan nodes below it share the same stamp and already evaluate
-        #: once; what this layer saves is rendering the JSON body again
-        #: when N parallel strategies ask the same query in one tick.
+        #: Per-(tick, generation) memo of rendered query responses, keyed
+        #: on the raw request target.  The plan nodes below it share the
+        #: same stamp and already evaluate once; what this layer saves is
+        #: decoding the target and rendering the JSON body again when N
+        #: parallel strategies ask the same query in one tick.
         self._query_cache: dict[str, bytes] = {}
         self._query_cache_key: tuple[float, int] | None = None
         #: Memo hit/miss tallies, exposed on ``/healthz`` for operators.
@@ -86,46 +87,47 @@ class MetricsServer(HttpServer):
         await super().stop()
 
     async def _handle_query(self, request: Request) -> Response:
-        query = request.query.get("query")
-        if not query:
-            return Response.from_json(
-                {"status": "error", "error": "missing query parameter"}, 400
-            )
         now = self.clock.now()
         cache_key = (now, self.store.generation)
         if cache_key != self._query_cache_key:
             self._query_cache_key = cache_key
             self._query_cache.clear()
-        body = self._query_cache.get(query)
-        if body is None:
-            self.query_cache_misses += 1
-            try:
-                # Shared-plan evaluation: distinct subexpressions across
-                # every query hitting this server (and any local provider
-                # on the same store) evaluate once per tick.
-                vector = planner_for(self.store).evaluate(self.store, query, now)
-            except QueryError as exc:
-                return Response.from_json(
-                    {"status": "error", "error": str(exc)}, 400
-                )
-            scalar = sum(sample.value for sample in vector) if vector else None
-            response = Response.from_json(
-                {
-                    "status": "success",
-                    "data": {
-                        "value": scalar,
-                        "vector": [
-                            {"labels": sample.labels, "value": sample.value}
-                            for sample in vector
-                        ],
-                    },
-                }
-            )
-            self._query_cache[query] = response.body
+        # Keyed on the raw target: a hit decodes nothing.  Two encodings of
+        # one query are two entries, each evaluated once by the plan memo.
+        target = request.target
+        body = self._query_cache.get(target)
+        if body is not None:
+            self.query_cache_hits += 1
+            response = Response(status=200, body=body)
+            response.headers.setdefault("Content-Type", "application/json")
             return response
-        self.query_cache_hits += 1
-        response = Response(status=200, body=body)
-        response.headers.setdefault("Content-Type", "application/json")
+        query = request.query.get("query")
+        if not query:
+            return Response.from_json(
+                {"status": "error", "error": "missing query parameter"}, 400
+            )
+        self.query_cache_misses += 1
+        try:
+            # Shared-plan evaluation: distinct subexpressions across every
+            # query hitting this server (and any local provider on the same
+            # store) evaluate once per tick.
+            vector = planner_for(self.store).evaluate(self.store, query, now)
+        except QueryError as exc:
+            return Response.from_json({"status": "error", "error": str(exc)}, 400)
+        scalar = sum(sample.value for sample in vector) if vector else None
+        response = Response.from_json(
+            {
+                "status": "success",
+                "data": {
+                    "value": scalar,
+                    "vector": [
+                        {"labels": sample.labels, "value": sample.value}
+                        for sample in vector
+                    ],
+                },
+            }
+        )
+        self._query_cache[target] = response.body
         return response
 
     async def _handle_ingest(self, request: Request) -> Response:
@@ -159,7 +161,13 @@ class MetricsServer(HttpServer):
                 labels = sample.get("labels") or {}
                 if not isinstance(labels, dict):
                     raise TypeError(f"labels must be an object, got {labels!r}")
-                add((name, float(sample["value"]), float(sample.get("timestamp", now)), labels))
+                value = sample["value"]
+                timestamp = sample.get("timestamp", now)
+                # float() takes a JSON true or false as 1.0 or 0.0; neither
+                # is a number here (nor to HttpPrometheusProvider).
+                if value is True or value is False or timestamp is True or timestamp is False:
+                    raise TypeError("a boolean is not a number")
+                add((name, float(value), float(timestamp), labels))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             return Response.from_json(
                 {"status": "error", "error": f"bad sample {sample!r}: {exc}"}, 400

@@ -71,6 +71,13 @@ async def test_read_request_bad_version():
         await read_request(b"GET / SPDY/99\r\n\r\n")
 
 
+async def test_read_request_unreadable_absolute_target():
+    with pytest.raises(ProtocolError):
+        await read_request(b"GET http://[x/a HTTP/1.1\r\n\r\n")
+    # Origin form never reads an authority, so the same bytes are a path.
+    assert (await read_request(b"GET //[x/a HTTP/1.1\r\n\r\n")).path == "//[x/a"
+
+
 async def test_read_request_bad_content_length():
     with pytest.raises(ProtocolError):
         await read_request(b"GET / HTTP/1.1\r\nContent-Length: ten\r\n\r\n")
@@ -166,6 +173,15 @@ def test_response_json_invalid_body_raises():
 
 def test_request_path_defaults_to_root():
     assert Request("GET", "").path == "/"
+
+
+def test_an_origin_form_path_may_start_with_two_slashes():
+    # RFC 7230 §5.3.1: "//x/a" is the path, not an authority "x" and "/a".
+    request = Request("GET", "//x/a?b=1#frag")
+    assert request.path == "//x/a"
+    assert request.query == {"b": "1"}
+    absolute = Request("GET", "http://x/a?b=1")
+    assert (absolute.path, absolute.query) == ("/a", {"b": "1"})
 
 
 async def test_pipelined_requests_parse_sequentially():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.core.checks import fetch_answer
-from repro.httpcore import HttpClient, HttpServer, Response
+from repro.httpcore import HttpClient, HttpServer, Request, Response
 from repro.metrics import (
     HttpPrometheusProvider,
     LocalPrometheusProvider,
@@ -109,6 +109,9 @@ BAD_REQUESTS = [
     ("ingest-sample-not-an-object", "POST", INGEST, b"[1]"),
     ("ingest-missing-name", "POST", INGEST, b'[{"value": 1}]'),
     ("ingest-missing-value", "POST", INGEST, b'[{"name": "m"}]'),
+    # float() would take JSON true as 1.0; a bool is no sample number.
+    ("ingest-value-bool", "POST", INGEST, b'[{"name": "m", "value": true}]'),
+    ("ingest-timestamp-bool", "POST", INGEST, b'[{"name": "fresh", "value": 1, "timestamp": true}]'),
     ("ingest-name-not-a-string", "POST", INGEST, b'[{"name": 5, "value": 1}]'),
     ("ingest-labels-not-an-object", "POST", INGEST, b'[{"name": "m", "value": 1, "labels": [1]}]'),
     (
@@ -415,6 +418,85 @@ async def test_server_query_cache_invalidated_by_mutation_and_tick():
             assert (await client.get(url)).json()["data"]["value"] is None
     finally:
         await server.stop()
+
+
+async def test_server_query_cache_hit_decodes_nothing(monkeypatch):
+    clock = VirtualClock(start=10.0)
+    server = MetricsServer(clock=clock)
+    server.store = _CountingStore()
+    server.store.record("hits", 7.0, 9.0, {"instance": "a"})
+    await server.start(scrape=False)
+    try:
+        async with HttpClient() as client:
+            url = f"http://{server.address}/api/v1/query?query=" + quote("sum(hits)")
+            first = await client.get(url)
+            calls_after_first = server.store.select_calls
+
+            def refuse(request):
+                raise AssertionError("a memo hit decoded the query string")
+
+            monkeypatch.setattr(Request, "query", property(refuse))
+            second = await client.get(url)
+    finally:
+        await server.stop()
+    # The memo is keyed on the raw target: a hit neither decodes it nor
+    # reaches the store.
+    assert first.status == second.status == 200
+    assert second.body == first.body
+    assert server.store.select_calls == calls_after_first
+    assert (server.query_cache_hits, server.query_cache_misses) == (1, 1)
+
+
+async def test_server_query_cache_keeps_each_encoding_of_a_query_apart():
+    clock = VirtualClock(start=10.0)
+    server = MetricsServer(clock=clock)
+    server.store.record("hits", 7.0, 9.0, {"instance": "a"})
+    await server.start(scrape=False)
+    try:
+        async with HttpClient() as client:
+            base = f"http://{server.address}/api/v1/query"
+            plain = await client.get(f"{base}?query=hits")
+            escaped = await client.get(f"{base}?query=%68its")
+    finally:
+        await server.stop()
+    assert plain.status == escaped.status == 200
+    assert plain.body == escaped.body
+    assert (server.query_cache_hits, server.query_cache_misses) == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["/api/v1/query", "/api/v1/query?query=", "/api/v1/query?query=" + quote("sum(((")],
+    ids=["missing", "empty", "unparseable"],
+)
+async def test_server_query_cache_never_serves_a_400(target):
+    server = MetricsServer(clock=VirtualClock(start=10.0))
+    await server.start(scrape=False)
+    try:
+        async with HttpClient() as client:
+            url = f"http://{server.address}{target}"
+            statuses = [(await client.get(url)).status for _ in range(2)]
+    finally:
+        await server.stop()
+    assert statuses == [400, 400]
+    assert server.query_cache_hits == 0
+    assert server._query_cache == {}
+
+
+async def test_a_target_starting_with_two_slashes_is_not_the_query_api():
+    # RFC 7230 §5.3.1: in origin form "//evil/api/v1/query" is the path;
+    # "evil" is no authority to strip.
+    server = MetricsServer(clock=VirtualClock(start=10.0))
+    await server.start(scrape=False)
+    try:
+        async with HttpClient() as client:
+            response = await client.get(
+                f"http://{server.address}//evil/api/v1/query?query=up"
+            )
+    finally:
+        await server.stop()
+    assert response.status == 404
+    assert server.query_cache_misses == 0
 
 
 async def test_metrics_server_health_reports_cache_counters():

@@ -1,4 +1,5 @@
-"""``PUT /bifrost/config`` answers malformed bodies with 400, state untouched."""
+"""``PUT /bifrost/config`` answers malformed bodies with 400, and a path that
+only looks like the admin API does not reach it: state untouched."""
 
 import pytest
 
@@ -58,5 +59,25 @@ async def test_bad_config_is_400_and_leaves_the_plan_untouched(kind, body):
         await proxy.stop()
     assert response.status == 400, response.body
     assert response.json()["status"] == "error"
+    assert after == before
+    assert before[0] == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+async def test_a_path_starting_with_two_slashes_is_not_the_admin_api(kind):
+    # RFC 7230 §5.3.1: "//x/bifrost/config" is an origin-form path; reading
+    # "x" as an authority would let any client clear the routing.
+    proxy = BifrostProxy("product", default_upstream=UPSTREAM)
+    await proxy.start()
+    try:
+        async with HttpClient() as client:
+            url = f"http://{proxy.address}/bifrost/config"
+            assert (await client.put(url, json_body=GOOD)).status == 200
+            before = _installed(proxy)
+            response = await client.delete(f"http://{proxy.address}//x/bifrost/config")
+        after = _installed(proxy)
+    finally:
+        await proxy.stop()
+    assert response.status != 200
     assert after == before
     assert before[0] == 1

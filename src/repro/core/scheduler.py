@@ -6,9 +6,10 @@ parallel checks) therefore meant hundreds to thousands of parked tasks,
 each woken individually per tick.  :class:`CheckScheduler` replaces that
 with a single heap-driven driver task: every scheduled check contributes
 one heap entry, the driver sleeps until the earliest deadline, and the
-checks due together are evaluated as one *wave*: each distinct
-``(provider, query)`` the wave asks is fetched once, by one short-lived
-task, and its answer is handed to every check that asked.
+checks due together are evaluated as one *wave*.  Each distinct
+``(provider, query)`` in flight is fetched once, by one short-lived task,
+and its answer is handed to every check that asked: the checks of one
+wave, and any check of a later wave that asked while it was in flight.
 
 Tick semantics — exception-check preemption, ``onProviderError``
 hold/tolerate handling, observer callbacks — live in
@@ -18,7 +19,7 @@ object, under a :class:`~repro.clock.VirtualClock`.
 
 Cost model: N checks waiting for their next tick cost one parked timer
 (the driver's sleep) and zero dedicated tasks; a wave costs one task per
-distinct fetch, none per check.
+question not already in flight, none per check.
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ logger = logging.getLogger(__name__)
 
 
 class _Fetch:
-    """One provider call of a wave, owned by the checks still waiting for it."""
+    """One provider call, owned by the checks still waiting for it,
+    whichever dispatch asked."""
 
-    __slots__ = ("provider", "query", "askers", "waiting", "task")
+    __slots__ = ("key", "provider", "query", "askers", "waiting", "task")
 
-    def __init__(self, provider: MetricsProvider, query: str):
+    def __init__(self, key: tuple[int, str], provider: MetricsProvider, query: str):
+        self.key = key
         self.provider = provider
         self.query = query
         #: (entry, position of the question among the entry's queries)
@@ -88,8 +91,8 @@ class _Entry:
         self.progress = CheckProgress(check)
         self.remaining = check.timer.repetitions
         self.future = future
-        #: This tick's answers, one slot per query, and the fetches of the
-        #: current wave whose answer has not arrived yet.
+        #: This tick's answers, one slot per query, and the fetches it
+        #: asked whose answer has not arrived yet.
         self.answers: list[Answer | None] = []
         self.fetches: list[_Fetch] = []
 
@@ -119,6 +122,9 @@ class CheckScheduler:
         self._wake = asyncio.Event()
         self._driver: asyncio.Task[None] | None = None
         self._fetching: set[asyncio.Task[None]] = set()
+        #: Every fetch whose answer has not been handed out, by
+        #: ``(id(provider), query)``: a due check joins the one it finds.
+        self._inflight: dict[tuple[int, str], _Fetch] = {}
         #: How many dispatches grouped 2+ same-deadline checks into one
         #: evaluation wave, and the size of the latest wave (observability
         #: for the shared-evaluation-plan path).
@@ -189,11 +195,13 @@ class CheckScheduler:
         """Dispatch every due check as one evaluation wave.
 
         Due entries are drained from the heap *before* any task is
-        created, and each distinct ``(provider, query)`` they ask becomes
-        one fetch: checks that decide on the same tick decide on the same
-        evidence, and a wave costs as many tasks and provider calls as it
-        has distinct questions.  Providers are told apart by identity, so
-        a wrapper around a provider is a different one.
+        created.  Each ``(provider, query)`` they ask joins the fetch
+        already in flight for it, from this dispatch or an earlier one,
+        or becomes a new fetch: a question costs one task and one provider
+        call however many checks ask it while it is out, and checks that
+        share a fetch decide on the same evidence.  Providers are told
+        apart by identity, so a wrapper around a provider is a different
+        one.
         """
         now = self.clock.now()
         heap = self._heap
@@ -207,7 +215,8 @@ class CheckScheduler:
         if len(due) > 1:
             self.tick_waves += 1
             self.last_wave_size = len(due)
-        wave: dict[tuple[int, str], _Fetch] = {}
+        inflight = self._inflight
+        issued: list[_Fetch] = []
         for entry in due:
             try:
                 asked = entry.check.condition.questions(entry.providers)
@@ -217,14 +226,15 @@ class CheckScheduler:
             entry.answers = [None] * len(asked)
             for position, (provider, query) in enumerate(asked):
                 key = (id(provider), query)
-                fetch = wave.get(key)
+                fetch = inflight.get(key)
                 if fetch is None:
-                    fetch = wave[key] = _Fetch(provider, query)
+                    fetch = inflight[key] = _Fetch(key, provider, query)
+                    issued.append(fetch)
                 fetch.askers.append((entry, position))
                 fetch.waiting += 1
                 entry.fetches.append(fetch)
         loop = asyncio.get_running_loop()
-        for fetch in wave.values():
+        for fetch in issued:
             fetch.task = loop.create_task(self._fetch(fetch))
             self._fetching.add(fetch.task)
             fetch.task.add_done_callback(self._fetching.discard)
@@ -255,6 +265,9 @@ class CheckScheduler:
     async def _fetch(self, fetch: _Fetch) -> None:
         """Ask one question, then fold every check whose last answer it was."""
         answer = await fetch_answer(fetch.provider, fetch.query)
+        # Leave the table before anything is folded, so no check joins a
+        # fetch that has answered: the next tick asks afresh.
+        self._leave_table(fetch)
         # Hand the answer out before folding anything: from here on no
         # entry lists this fetch, so a check cancelled while a peer's
         # observer runs cannot cancel the task out from under the rest.
@@ -319,14 +332,21 @@ class CheckScheduler:
     ) -> None:
         self._active.discard(entry)
         # Whatever the check still waited for loses an owner; a fetch
-        # without owners is cancelled, not leaked.
+        # without owners leaves the table and is cancelled, not leaked.
         for fetch in entry.fetches:
             fetch.waiting -= 1
-            if fetch.waiting == 0:
+            if fetch.waiting == 0 and self._leave_table(fetch):
                 fetch.task.cancel()
         entry.fetches = []
         # Wake the driver so it can re-plan (or exit when idle).
         self._wake.set()
+
+    def _leave_table(self, fetch: _Fetch) -> bool:
+        """Take *fetch* out of the in-flight table; False if it had left."""
+        if self._inflight.get(fetch.key) is not fetch:
+            return False
+        del self._inflight[fetch.key]
+        return True
 
     @property
     def pending_checks(self) -> int:
@@ -342,6 +362,7 @@ class CheckScheduler:
             stopping.append(self._driver)
         for task in stopping:
             task.cancel()
+        self._inflight.clear()
         await asyncio.gather(*stopping, return_exceptions=True)
         self._driver = None
         self._heap.clear()

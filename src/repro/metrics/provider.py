@@ -97,8 +97,12 @@ class HttpPrometheusProvider(MetricsProvider):
 
     Identical queries issued concurrently are *single-flighted*: the first
     caller performs the HTTP request and every overlapping caller awaits
-    the same in-flight result.  When N parallel strategies run the same
-    per-tick check, the server sees one request instead of N.
+    the same in-flight result.  A follower whose leader was cancelled,
+    but which was not cancelled itself, asks again.  No engine reaches
+    this: the check scheduler already shares every in-flight question,
+    so ``coalesced`` reads 0 under an engine.  It serves only callers of
+    :meth:`query` outside an engine, and stays while ``bench/`` reads
+    ``coalesced``.
     """
 
     name = "prometheus"
@@ -113,12 +117,18 @@ class HttpPrometheusProvider(MetricsProvider):
         self.coalesced = 0
 
     async def query(self, query: str) -> float | None:
-        existing = self._inflight.get(query)
-        if existing is not None:
-            self.coalesced += 1
+        while (existing := self._inflight.get(query)) is not None:
             # Shield: one cancelled follower must not cancel the shared
             # fetch out from under the leader and the other followers.
-            return await asyncio.shield(existing)
+            try:
+                value = await asyncio.shield(existing)
+            except asyncio.CancelledError:
+                if asyncio.current_task().cancelling():
+                    raise
+                # The leader was cancelled, not this caller: ask again.
+                continue
+            self.coalesced += 1
+            return value
         future: asyncio.Future[float | None] = (
             asyncio.get_running_loop().create_future()
         )
@@ -201,9 +211,10 @@ class StaticProvider(MetricsProvider):
     """Returns canned values, for unit tests and documentation examples.
 
     Values may be scalars (returned every time) or lists (consumed one per
-    query, repeating the last element when exhausted).  The check
-    scheduler asks each distinct query once per wave, so a list is
-    consumed once per wave, not once per check asking in it.
+    query, repeating the last element when exhausted).  Every check that
+    asks a query while the check scheduler's fetch of it is in flight
+    shares that fetch, so a list is consumed once per fetch, not once per
+    check asking.
     """
 
     name = "static"

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Callable
 
 from ..core.checks import BasicCheck, Check, ExceptionTriggered
 from ..core.events import Event, EventKind
+from ..metrics.provider import MetricsProvider
 from .faults import (
     ErrorFault,
     Fault,
@@ -222,6 +223,28 @@ class _Gate:
         return self.schedule.fault_for(index, now)
 
 
+class _ArmingPeriod(MetricsProvider):
+    """The face a faulted provider shows the engine for one arming period.
+
+    The check scheduler lets a check join a fetch of the same
+    ``(provider, query)`` that is still in flight, telling providers
+    apart by identity.  With a fresh face per arming change, a fetch
+    that one arming period's faults delayed or parked is a different
+    question from the same query asked after the change, so no check
+    inherits another period's injected delay or hang.
+    """
+
+    def __init__(self, inner: MetricsProvider):
+        self.inner = inner
+        self.name = inner.name
+
+    async def query(self, query: str) -> float | None:
+        return await self.inner.query(query)
+
+    async def close(self) -> None:
+        await self.inner.close()
+
+
 @dataclass
 class _Binding:
     """One spec wired to its live target(s)."""
@@ -230,6 +253,8 @@ class _Binding:
     gate: _Gate
     breakers: list = field(default_factory=list)
     bound: bool = True
+    #: The engine provider name a ``provider:`` spec wraps.
+    provider: str | None = None
 
     @property
     def armed(self) -> bool:
@@ -275,7 +300,9 @@ class ChaosController:
        on per-spec :class:`_Gate`s, and subscribe to the event bus.
     2. ``STATE_ENTERED`` events arm every spec whose ``phases`` include
        the new state and disarm the rest (``CHAOS_ARMED`` /
-       ``CHAOS_DISARMED``); breaker targets are forced open/closed.
+       ``CHAOS_DISARMED``); breaker targets are forced open/closed, and
+       a provider target shows the engine a fresh :class:`_ArmingPeriod`
+       face, so no fetch is shared across an arming change.
     3. ``STRATEGY_STARTED`` starts one watch task per steady-state
        check on the engine's shared scheduler; a violated hypothesis
        (exception check triggered, or a basic check mapping to outcome
@@ -344,7 +371,7 @@ class ChaosController:
             self._restores.append(
                 lambda n=name, o=original: self.engine.providers.__setitem__(n, o)
             )
-            return _Binding(spec, gate)
+            return _Binding(spec, gate, provider=name)
         if kind == "controller":
             original = self.engine.controller
             self.engine.controller = FaultyController(
@@ -469,6 +496,8 @@ class ChaosController:
             if should_arm == binding.armed:
                 continue
             binding.gate.armed = should_arm
+            if binding.provider is not None:
+                self._new_arming_period(binding.provider)
             for breaker in binding.breakers:
                 if should_arm:
                     breaker.force_open()
@@ -482,6 +511,14 @@ class ChaosController:
                     "state": state_name,
                 },
             )
+
+    def _new_arming_period(self, name: str) -> None:
+        """Show the engine a fresh face of provider *name*; see
+        :class:`_ArmingPeriod`."""
+        current = self.engine.providers[name]
+        if isinstance(current, _ArmingPeriod):
+            current = current.inner
+        self.engine.providers[name] = _ArmingPeriod(current)
 
     async def _finish(self, reason: str) -> None:
         if self._finished:

@@ -1,6 +1,7 @@
 """Tests for the instrumented-service base (metrics, queueing model)."""
 
 import asyncio
+import gc
 
 from repro.casestudy import InstrumentedService
 from repro.httpcore import HttpClient, Response
@@ -84,6 +85,10 @@ async def test_queue_factor_inflates_concurrent_latency():
             await client.get(f"http://{service.address}/work")
             return time.monotonic() - t0
 
+        # A full collection now keeps a collector pause (tens of ms after
+        # a long test session) out of the timed requests: it is not
+        # queueing, and landing in the lone request it hides the effect.
+        gc.collect()
         solo = await timed()
         concurrent = await asyncio.gather(*[timed() for _ in range(4)])
         assert max(concurrent) > solo * 1.5

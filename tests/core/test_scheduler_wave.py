@@ -2,11 +2,14 @@
 
 The checks due in one dispatch are one *wave*: each distinct ``(provider
 object, query string)`` is fetched once, by one Task, and every check that
-asked gets that answer (docs/architecture.md, "Check scheduler").  Nothing
-here is timed; everything runs under a :class:`VirtualClock`.
+asked gets that answer (docs/architecture.md, "Check scheduler").  A check
+whose question is still in flight from an earlier dispatch joins that
+fetch.  Nothing here is timed; everything runs under a
+:class:`VirtualClock`.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -28,7 +31,12 @@ from repro.core import (
     simple_basic_check,
 )
 from repro.core.routing import single_version
-from repro.metrics import MetricsProvider, ProviderError, StaticProvider
+from repro.metrics import (
+    HttpPrometheusProvider,
+    MetricsProvider,
+    ProviderError,
+    StaticProvider,
+)
 from repro.resilience import FaultSchedule, FaultyProvider
 
 
@@ -389,3 +397,144 @@ async def test_tripped_check_does_not_cancel_the_fetch_it_shared():
     assert caught.value.at == 6.0
     assert [e.at for e in (await futures[1]).executions] == [6.0]
     assert counter.fetches == 1
+
+
+# -- fetches in flight across dispatches -------------------------------------
+
+
+async def test_check_due_while_its_question_is_in_flight_joins_that_fetch():
+    clock = VirtualClock()
+    provider = ScriptedProvider(clock, latencies={"q": 2.0})
+    scheduler = CheckScheduler(clock)
+    # "early" asks at 5 and waits until 7; "late" becomes due at 6.
+    futures = [
+        scheduler.schedule(basic("early", "q"), {"p": provider}),
+        scheduler.schedule(basic("late", "q", interval=6.0), {"p": provider}),
+    ]
+    await clock.advance(5.5)
+    assert len(fetch_tasks()) == 1
+    counter = TaskCounter()
+    await clock.advance(0.5)  # "late" is dispatched now
+    assert counter.fetches == 0
+    assert counter.created == DRIVER_PARK
+    await clock.advance(1.0)
+    early, late = await asyncio.gather(*futures)
+    assert provider.calls == ["q"]
+    assert [(e.at, e.result) for e in early.executions] == [(7.0, 1)]
+    assert [(e.at, e.result) for e in late.executions] == [(7.0, 1)]
+    await assert_nothing_left(clock, scheduler)
+
+
+async def test_answered_fetch_is_not_reused_by_the_next_tick():
+    clock = VirtualClock()
+    provider = ScriptedProvider(clock, latencies={"q": 2.0})
+    scheduler = CheckScheduler(clock)
+    futures = [
+        scheduler.schedule(basic("twice", "q", repetitions=2), {"p": provider}),
+        scheduler.schedule(basic("after", "q", interval=8.0), {"p": provider}),
+    ]
+    await clock.advance(20.0)
+    twice, after = await asyncio.gather(*futures)
+    # Asked at 5 (answered at 7), 8 (by "after", answered at 10) and 12.
+    assert provider.calls == ["q", "q", "q"]
+    assert [e.at for e in twice.executions] == [7.0, 14.0]
+    assert [e.at for e in after.executions] == [10.0]
+
+
+async def test_fetch_whose_last_owner_left_is_not_joined():
+    clock = VirtualClock()
+    provider = ScriptedProvider(clock, latencies={"q": 2.0})
+    scheduler = CheckScheduler(clock)
+    futures = [
+        scheduler.schedule(basic("leaves", "q"), {"p": provider}),
+        scheduler.schedule(basic("arrives", "q", interval=6.0), {"p": provider}),
+    ]
+
+    async def leave_at_six():
+        # Parked before the driver's sleep for 6, so it wakes first there.
+        await clock.sleep(6.0)
+        futures[0].cancel()
+
+    leaving = asyncio.ensure_future(leave_at_six())
+    await clock.advance(6.0)
+    await leaving
+    await clock.advance(2.0)
+    arrived = await futures[1]
+    assert provider.calls == ["q", "q"]  # the cancelled fetch was not joined
+    assert [(e.at, e.result) for e in arrived.executions] == [(8.0, 1)]
+    await assert_nothing_left(clock, scheduler)
+
+
+async def test_wrapper_and_inner_provider_in_flight_are_two_questions():
+    clock = VirtualClock()
+    inner = ScriptedProvider(clock, latencies={"q": 2.0})
+    wrapped = FaultyProvider(inner, FaultSchedule(), clock)
+    providers = {"inner": inner, "wrapped": wrapped}
+    scheduler = CheckScheduler(clock)
+    futures = [
+        scheduler.schedule(basic("direct", "q", provider="inner"), providers),
+        scheduler.schedule(
+            basic("through", "q", provider="wrapped", interval=6.0), providers
+        ),
+        scheduler.schedule(
+            basic("joins", "q", provider="inner", interval=6.0), providers
+        ),
+    ]
+    await clock.advance(10.0)
+    direct, through, joins = await asyncio.gather(*futures)
+    assert wrapped.calls == 1
+    assert inner.calls == ["q", "q"]  # asked directly at 5, through the wrapper at 6
+    assert [e.at for e in direct.executions] == [7.0]
+    assert [e.at for e in joins.executions] == [7.0]
+    assert [e.at for e in through.executions] == [8.0]
+
+
+class SleepingClient:
+    """Stands in for HttpClient: every request takes *latency* on *clock*."""
+
+    def __init__(self, clock, latency):
+        self.clock = clock
+        self.latency = latency
+        self.requests: list[str] = []
+
+    async def get(self, url):
+        self.requests.append(url)
+        await self.clock.sleep(self.latency)
+        return SleepingClient.Response()
+
+    class Response:
+        status = 200
+        body = json.dumps({"status": "success", "data": {"value": 1.0}})
+
+        def json(self):
+            return json.loads(self.body)
+
+    async def close(self):
+        pass
+
+
+async def test_rollback_in_one_strategy_does_not_hang_another_sharing_a_query():
+    """A trips and cancels its check on ``q`` while B's check shares that fetch."""
+    clock = VirtualClock()
+    client = SleepingClient(clock, latency=0.2)
+    engine = Engine(clock=clock)
+    engine.register_provider("prom", HttpPrometheusProvider("http://m", client=client))
+    engine.register_provider("bad", StaticProvider({"errors": 0.0}))
+    rolls_back = engine.enact(one_phase_strategy("a", [
+        tripwire("tripwire", "errors", provider="bad", interval=0.05),
+        basic("q-check", "q", provider="prom", interval=0.025),
+    ], passing=2))
+    await clock.advance(0.02)
+    completes = engine.enact(one_phase_strategy("b", [
+        basic("q-check", "q", provider="prom", interval=0.025),
+    ], passing=1))
+    waiting = asyncio.ensure_future(engine.wait(completes))
+    await clock.advance(3.0)
+    assert (await engine.wait(rolls_back)).path == ["probe", "rollback"]
+    assert waiting.done()
+    report = await waiting
+    assert report.status == ExecutionStatus.COMPLETED
+    assert report.path == ["probe", "done"]
+    assert len(client.requests) == 1  # B joined A's fetch at 0.045
+    await assert_nothing_left(clock, engine.scheduler)
+    await engine.shutdown()

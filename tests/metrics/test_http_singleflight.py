@@ -86,3 +86,32 @@ async def test_failure_with_no_followers_does_not_warn(recwarn):
 
     gc.collect()
     assert not [w for w in recwarn if "never retrieved" in str(w.message)]
+
+
+async def test_follower_of_a_cancelled_leader_asks_again():
+    client = CountingClient(delay=0.01)
+    provider = HttpPrometheusProvider("http://metrics:9090", client=client)
+    leader = asyncio.ensure_future(provider.query("m"))
+    await asyncio.sleep(0)
+    follower = asyncio.ensure_future(provider.query("m"))
+    await asyncio.sleep(0)
+    leader.cancel()
+    assert await follower == 42.0
+    assert leader.cancelled()
+    assert len(client.requests) <= 2
+    # The follower shared no fetch: it asked again on its own.
+    assert provider.coalesced == 0
+
+
+async def test_cancelled_follower_still_raises_cancelled():
+    client = CountingClient(delay=0.01)
+    provider = HttpPrometheusProvider("http://metrics:9090", client=client)
+    leader = asyncio.ensure_future(provider.query("m"))
+    await asyncio.sleep(0)
+    follower = asyncio.ensure_future(provider.query("m"))
+    await asyncio.sleep(0)
+    follower.cancel()
+    leader.cancel()
+    with pytest.raises(asyncio.CancelledError):
+        await follower
+    assert len(client.requests) == 1

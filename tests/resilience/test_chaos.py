@@ -214,6 +214,50 @@ async def test_steady_state_violation_aborts_and_restores_safe_routing():
     assert engine.scheduler.pending_checks == 0
 
 
+async def test_fetch_parked_by_a_fault_is_not_joined_after_disarm():
+    """A hang armed in one phase parks the steady-state check's fetch.  A
+    check of the next phase, where the fault is disarmed, asks the same
+    query: it must make its own un-faulted call, not wait on the parked
+    one for the rest of the campaign."""
+    engine, clock, _store = engine_with_metrics()
+    engine.register_provider("aux", StaticProvider({"ready": 1.0}))
+    builder = StrategyBuilder("chaos-phases")
+    builder.service("svc", {"v1": "127.0.0.1:8081", "v2": "127.0.0.1:8082"})
+    builder.state("probe").route("svc", canary_split("v1", "v2", 10.0)).check(
+        simple_basic_check("ready", "ready", "> 0", 10.0, 1, provider="aux")
+    ).transitions([0.5], ["rollback", "verify"])
+    builder.state("verify").route("svc", canary_split("v1", "v2", 50.0)).check(
+        simple_basic_check("errors_ok", "errors_total", "< 50", 2.0, 2)
+    ).transitions([0.5], ["rollback", "done"])
+    builder.state("done").route("svc", single_version("v2")).final()
+    builder.state("rollback").route("svc", single_version("v1")).final(
+        rollback=True
+    )
+    spec = FaultSpec(
+        name="hang-metrics",
+        target="provider:prometheus",
+        mode="hang",
+        phases=("probe",),
+    )
+    # The hypothesis asks errors_total during probe, and its call hangs
+    # (lint's BF605 flags exactly that, so it is waved through here).
+    report = await run_game_day(
+        builder.build(),
+        campaign([spec], steady=[steady_check(4.0, 2)]),
+        engine,
+        allow_findings=True,
+        drive_limit=200,
+    )
+    assert report.status == "completed"
+    assert report.execution.path == ["probe", "verify", "done"]
+    assert [(i.fault, i.at) for i in report.injections] == [("HangFault", 4.0)]
+    # verify's two ticks at 12 and 14 saw no injected delay.
+    assert clock.now() <= 15.0
+    await engine.shutdown()
+    assert clock.pending_sleepers == 0
+    assert engine.scheduler.pending_checks == 0
+
+
 async def test_game_day_is_deterministic_per_seed():
     async def trace(seed):
         engine, _clock, _store = engine_with_metrics()

@@ -60,10 +60,6 @@ class CaseStudyApp:
         """Where end users (the load generator) connect."""
         return self.gateway.address
 
-    @property
-    def has_proxies(self) -> bool:
-        return self.product_proxy is not None
-
     def endpoints(self, service: str) -> dict[str, str]:
         """Version name → address for one proxied service."""
         versions = (

@@ -6,19 +6,20 @@ is deliberately *not* fronted by a Bifrost proxy in the experiments — the
 stable service whose traffic is never live-tested.
 
 The service can also act as the external η-injection point for
-header-based routing: when a :class:`~repro.core.selection.VersionAssigner`
-is attached, logins are answered with the user's test group, which clients
-then send as the group header ("the concrete header field has to be
-injected somewhere else in the process, e.g., by an external service
-called at the user's login", section 4.2.2).
+header-based routing: when a :class:`~repro.proxy.plan.RoutingPlan` is
+attached, logins are answered with the user's test group — the plan's η
+applied to the e-mail address — which clients then send as the group
+header ("the concrete header field has to be injected somewhere else in
+the process, e.g., by an external service called at the user's login",
+section 4.2.2).
 """
 
 from __future__ import annotations
 
 import uuid
 
-from ..core.selection import VersionAssigner
 from ..httpcore import ProtocolError, Request, Response
+from ..proxy.plan import RoutingPlan
 from .base import InstrumentedService
 from .documents import MongoClient
 
@@ -29,7 +30,7 @@ class AuthService(InstrumentedService):
     def __init__(
         self,
         mongo_address: str,
-        group_assigner: VersionAssigner | None = None,
+        group_assigner: RoutingPlan | None = None,
         **kwargs,
     ):
         super().__init__(name="auth", **kwargs)
@@ -70,9 +71,7 @@ class AuthService(InstrumentedService):
         self.logins_total.inc()
         payload = {"token": token, "email": email}
         if self.group_assigner is not None:
-            payload["group"] = self.group_assigner.assign(
-                email, {"country": session["country"]}
-            )
+            payload["group"] = self.group_assigner.bucket(email)
         return Response.from_json(payload)
 
     async def _handle_validate(self, request: Request) -> Response:

@@ -66,22 +66,10 @@ from .routing import (
     canary_split,
     single_version,
 )
-from .selection import (
-    AndSelector,
-    AttributeSelector,
-    PercentageSelector,
-    PredicateSelector,
-    SelectionError,
-    Selector,
-    VersionAssigner,
-    distribution,
-    stable_fraction,
-)
+from .selection import stable_fraction
 
 __all__ = [
     "ab_split",
-    "AndSelector",
-    "AttributeSelector",
     "Automaton",
     "BasicCheck",
     "canary_split",
@@ -93,7 +81,6 @@ __all__ = [
     "Comparison",
     "ConditionEvaluation",
     "ProviderErrorPolicy",
-    "distribution",
     "Engine",
     "Event",
     "forecast_rollout",
@@ -111,15 +98,11 @@ __all__ = [
     "ModelError",
     "OutcomeError",
     "OutputMapping",
-    "PercentageSelector",
-    "PredicateSelector",
     "ProxyController",
     "RecordingController",
     "RolloutForecast",
     "RoutingConfig",
     "RoutingError",
-    "SelectionError",
-    "Selector",
     "Service",
     "ServiceClaimedError",
     "StrategyRejectedError",
@@ -142,6 +125,5 @@ __all__ = [
     "optimistic_probabilities",
     "UserMapping",
     "Validator",
-    "VersionAssigner",
     "weighted_outcome",
 ]

@@ -62,6 +62,10 @@ class ServiceClaimedError(Exception):
     """A strategy touches a service another execution holds exclusively."""
 
 
+class ExecutionEndedError(Exception):
+    """Pause or resume asked of an execution that has already ended."""
+
+
 class ProxyController:
     """Applies routing configurations to the proxy fronting a service."""
 
@@ -102,6 +106,11 @@ class ExecutionStatus(enum.Enum):
     COMPLETED = "completed"
     ROLLED_BACK = "rolled_back"
     FAILED = "failed"
+
+
+_ENDED = frozenset(
+    {ExecutionStatus.COMPLETED, ExecutionStatus.ROLLED_BACK, ExecutionStatus.FAILED}
+)
 
 
 @dataclass
@@ -263,11 +272,19 @@ class StrategyExecution:
         held, time keeps passing — a long pause shows up as enactment
         delay in the report.
         """
+        self._require_live("pause")
         self._gate.clear()
 
     def resume(self) -> None:
         """Release a paused execution (idempotent)."""
+        self._require_live("resume")
         self._gate.set()
+
+    def _require_live(self, action: str) -> None:
+        if self.status in _ENDED:
+            raise ExecutionEndedError(
+                f"cannot {action} {self.execution_id}: it has {self.status.value}"
+            )
 
     @property
     def paused(self) -> bool:

@@ -2,15 +2,14 @@
 
 The paper's engine pushes "status updates" to the Bifrost CLI and
 dashboard over Socket.IO.  Here, an :class:`EventBus` carries typed
-:class:`Event` records to any number of subscribers: in-process callbacks
-(tests, the dashboard's feed) and bounded queues (long-polling HTTP
-clients).
+:class:`Event` records to any number of in-process subscribers (tests,
+the dashboard's feed, the enactment journal).
 
 Delivery is sync-first: :meth:`EventBus.publish` calls the subscribers in
-order before it returns, and while none returns a coroutine it feeds the
-queues and returns the already-done :data:`DELIVERED`.  The first
-coroutine hands the rest of delivery, in the same order, to the coroutine
-``publish`` returns, so ``await bus.publish(event)`` is always correct.
+order before it returns, and while none returns a coroutine it returns
+the already-done :data:`DELIVERED`.  The first coroutine hands the rest
+of delivery, in the same order, to the coroutine ``publish`` returns, so
+``await bus.publish(event)`` is always correct.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class EventKind(enum.Enum):
     # carry a dependency label (e.g. "provider:prometheus") in the
     # ``strategy`` field when emitted by wrappers rather than executions.
     PROVIDER_RETRY = "provider_retry"
-    ROUTING_RETRIED = "routing_retried"
     CIRCUIT_OPENED = "circuit_opened"
     CIRCUIT_HALF_OPEN = "circuit_half_open"
     CIRCUIT_CLOSED = "circuit_closed"
@@ -111,17 +109,14 @@ DELIVERED = _Delivered()
 
 
 class EventBus:
-    """Fan-out of engine events to callbacks and queues.
+    """Fan-out of engine events to callbacks.
 
-    Subscriber exceptions are logged and skipped (a broken dashboard must
-    never stall a rollout); queues are bounded and drop the oldest event
-    when full, favoring liveness over completeness for UI consumers.
+    Subscriber exceptions are logged and skipped: a broken dashboard must
+    never stall a rollout.
     """
 
-    def __init__(self, queue_size: int = 1000):
-        self._queue_size = queue_size
+    def __init__(self) -> None:
         self._subscribers: list[Subscriber] = []
-        self._queues: list[asyncio.Queue[Event]] = []
         #: Full in-memory history; experiments read this after a run.
         self.history: list[Event] = []
 
@@ -131,16 +126,6 @@ class EventBus:
     def unsubscribe(self, callback: Subscriber) -> None:
         if callback in self._subscribers:
             self._subscribers.remove(callback)
-
-    def queue(self) -> asyncio.Queue[Event]:
-        """A bounded queue receiving every future event."""
-        queue: asyncio.Queue[Event] = asyncio.Queue(self._queue_size)
-        self._queues.append(queue)
-        return queue
-
-    def drop_queue(self, queue: asyncio.Queue[Event]) -> None:
-        if queue in self._queues:
-            self._queues.remove(queue)
 
     def publish(self, event: Event) -> Awaitable[None]:
         """Record and deliver *event*; await the result to finish delivery."""
@@ -155,7 +140,6 @@ class EventBus:
                 continue
             if outcome is not None and asyncio.iscoroutine(outcome):
                 return self._deliver_rest(event, outcome, subscribers, index + 1)
-        self._feed_queues(event)
         return DELIVERED
 
     async def _deliver_rest(
@@ -173,16 +157,6 @@ class EventBus:
                     await outcome
             except Exception:
                 logger.exception("event subscriber failed")
-        self._feed_queues(event)
-
-    def _feed_queues(self, event: Event) -> None:
-        for queue in self._queues:
-            if queue.full():
-                try:
-                    queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    pass
-            queue.put_nowait(event)
 
     def of_kind(self, kind: EventKind) -> list[Event]:
         """History filter used heavily by tests and experiment analysis."""

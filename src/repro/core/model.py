@@ -96,10 +96,6 @@ class Strategy:
                 f"known: {sorted(self.services)}"
             ) from None
 
-    def resolve_version(self, service_name: str, version_name: str) -> ServiceVersion:
-        """Look up a version across the strategy's services."""
-        return self.service(service_name).version(version_name)
-
     def validate(self) -> None:
         """Check cross-references; raises :class:`ModelError` on problems.
 

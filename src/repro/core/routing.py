@@ -132,27 +132,49 @@ class RoutingConfig:
 
     @classmethod
     def from_wire(cls, payload: dict[str, Any]) -> "RoutingConfig":
-        """Parse the admin-API payload; raises RoutingError on bad input."""
+        """Parse the admin-API payload; raises RoutingError on bad input.
+
+        Names must be strings, percentages numbers (a bool is not one) and
+        ``sticky`` a bool: a wrongly typed field is refused, not coerced
+        into some other routing.
+        """
         try:
             config = cls(
                 splits=[
-                    TrafficSplit(item["version"], float(item["percentage"]))
+                    TrafficSplit(
+                        _typed(item, "version", str), float(_typed(item, "percentage", _NUMBER))
+                    )
                     for item in payload.get("splits", [])
                 ],
                 shadows=[
                     ShadowRoute(
-                        item["source"], item["target"], float(item.get("percentage", 100.0))
+                        _typed(item, "source", str),
+                        _typed(item, "target", str),
+                        float(_typed(item, "percentage", _NUMBER, 100.0)),
                     )
                     for item in payload.get("shadows", [])
                 ],
-                sticky=bool(payload.get("sticky", False)),
+                sticky=_typed(payload, "sticky", bool, False),
                 filter_kind=FilterKind(payload.get("filter", "cookie")),
-                header_name=payload.get("header", "X-Bifrost-Group"),
+                header_name=_typed(payload, "header", str, "X-Bifrost-Group"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RoutingError(f"bad routing payload: {exc}") from exc
         config.validate()
         return config
+
+
+_REQUIRED = object()
+_NUMBER = (int, float)
+
+
+def _typed(item: dict[str, Any], key: str, kind: Any, default: Any = _REQUIRED) -> Any:
+    """``item[key]`` (or *default* when absent), which must be a *kind*."""
+    value = item[key] if default is _REQUIRED else item.get(key, default)
+    # JSON true is an int to isinstance: only a bool field takes a bool.
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise TypeError(f"{key} has the wrong type: {value!r}")
+    return value
 
 
 def single_version(version: str) -> RoutingConfig:

@@ -1,38 +1,18 @@
-"""User selection functions η : U → V.
+"""The stable hash behind the user selection function η : U → V.
 
 Each state's user mappings are "built and controlled by the state's
 function η, which assigns a specific user u_i to a version v_j" (section
-3.2).  The paper is agnostic to how selection is implemented; Bifrost
-supports two enforcement paths:
-
-* **cookie-based** — the proxy itself buckets users; η is effectively a
-  deterministic hash of the user's proxy-issued UUID against the traffic
-  split (implemented in :mod:`repro.proxy.filters`).
-* **header-based** — an external component (e.g. the auth service at
-  login) runs η and injects a group header the proxy dispatches on.
-
-This module provides composable selector objects for that second path and
-for tests/analytics: percentage sampling, attribute filters ("US users"),
-and combinations thereof.  Selection is deterministic per (seed, user):
-the same user always lands in the same bucket, the property that makes
-A/B assignments stable across sessions.
+3.2).  In Bifrost, η is :meth:`repro.proxy.plan.RoutingPlan.bucket`: the
+proxy hashes the user's proxy-issued id against the cumulative traffic
+split.  This module holds the hash, so that the same user always lands in
+the same bucket — the property that makes A/B assignments stable across
+sessions.  For header-based routing an external component runs η and
+injects the group header the proxy dispatches on.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
-
-from .routing import RoutingConfig
-
-
-class SelectionError(Exception):
-    """A selector is misconfigured."""
-
-
-#: A user is an id plus attributes, e.g. {"country": "US", "plan": "pro"}.
-UserAttributes = Mapping[str, str]
 
 
 def stable_fraction(user_id: str, seed: str) -> float:
@@ -43,109 +23,3 @@ def stable_fraction(user_id: str, seed: str) -> float:
     """
     digest = hashlib.sha256(f"{seed}:{user_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
-
-
-@dataclass(frozen=True)
-class PercentageSelector:
-    """Selects a stable pseudo-random *percentage* of all users."""
-
-    percentage: float
-    seed: str = "bifrost"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.percentage <= 100.0:
-            raise SelectionError(f"percentage out of range: {self.percentage}")
-
-    def matches(self, user_id: str, attributes: UserAttributes | None = None) -> bool:
-        return stable_fraction(user_id, self.seed) * 100.0 < self.percentage
-
-
-@dataclass(frozen=True)
-class AttributeSelector:
-    """Selects users whose attribute equals one of the allowed values."""
-
-    attribute: str
-    values: tuple[str, ...]
-
-    def matches(self, user_id: str, attributes: UserAttributes | None = None) -> bool:
-        if not attributes:
-            return False
-        return attributes.get(self.attribute) in self.values
-
-
-@dataclass(frozen=True)
-class AndSelector:
-    """All component selectors must match (e.g. "5% of US users")."""
-
-    selectors: tuple["Selector", ...]
-
-    def matches(self, user_id: str, attributes: UserAttributes | None = None) -> bool:
-        return all(s.matches(user_id, attributes) for s in self.selectors)
-
-
-@dataclass(frozen=True)
-class PredicateSelector:
-    """Escape hatch: any callable over (user_id, attributes)."""
-
-    predicate: Callable[[str, UserAttributes | None], bool]
-
-    def matches(self, user_id: str, attributes: UserAttributes | None = None) -> bool:
-        return bool(self.predicate(user_id, attributes))
-
-
-Selector = PercentageSelector | AttributeSelector | AndSelector | PredicateSelector
-
-
-@dataclass
-class VersionAssigner:
-    """η itself: assign each user to a version of one service.
-
-    Buckets users against a :class:`RoutingConfig`'s traffic splits using
-    the stable fraction, honoring an optional eligibility selector for the
-    non-default versions ("only US users may get the canary"; ineligible
-    users fall back to the first split's version, which by convention is
-    the stable one).
-    """
-
-    config: RoutingConfig
-    seed: str = "bifrost"
-    eligibility: Selector | None = None
-    #: Sticky memo: user → version, per the ⟨u_k, v_j, sticky⟩ mappings.
-    assignments: dict[str, str] = field(default_factory=dict)
-
-    def assign(self, user_id: str, attributes: UserAttributes | None = None) -> str:
-        """Return the version for *user_id*, memoizing when sticky."""
-        if self.config.sticky and user_id in self.assignments:
-            return self.assignments[user_id]
-        version = self._select(user_id, attributes)
-        if self.config.sticky:
-            self.assignments[user_id] = version
-        return version
-
-    def _select(self, user_id: str, attributes: UserAttributes | None) -> str:
-        splits = self.config.splits
-        if not splits:
-            raise SelectionError("routing config has no splits")
-        if self.eligibility is not None and not self.eligibility.matches(
-            user_id, attributes
-        ):
-            return splits[0].version
-        point = stable_fraction(user_id, self.seed) * 100.0
-        cumulative = 0.0
-        for split in splits:
-            cumulative += split.percentage
-            if point < cumulative:
-                return split.version
-        return splits[-1].version
-
-
-def distribution(
-    assigner: VersionAssigner, user_ids: Sequence[str]
-) -> dict[str, float]:
-    """Observed share per version over a user population, for tests."""
-    counts: dict[str, int] = {}
-    for user_id in user_ids:
-        version = assigner.assign(user_id)
-        counts[version] = counts.get(version, 0) + 1
-    total = max(len(user_ids), 1)
-    return {version: 100.0 * count / total for version, count in counts.items()}

@@ -9,6 +9,8 @@ executing release strategies remotely or as part of release scripts"
 * ``GET /api/executions`` — all executions with status and current state.
 * ``GET /api/executions/{id}`` — one execution in detail.
 * ``DELETE /api/executions/{id}`` — cancel an execution.
+* ``POST /api/executions/{id}/pause`` and ``.../resume`` — hold or release
+  an execution before its next phase; 409 once it has ended.
 * ``GET /api/events?since=N`` — events after history index N (the
   dashboard's polling feed, standing in for Socket.IO pushes).
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from urllib.parse import unquote
 
-from ..core.engine import Engine, StrategyRejectedError
+from ..core.engine import Engine, ExecutionEndedError, StrategyRejectedError
 from ..dsl import DslError, compile_document
 from ..dsl.yaml_lite import YamlError
 from ..httpcore import HttpServer, Request, Response
@@ -116,20 +118,21 @@ class EngineApiServer(HttpServer):
         return Response.from_json({"status": "cancelled", "execution": execution_id})
 
     async def _handle_pause(self, request: Request) -> Response:
-        execution_id = unquote(request.path_params["id"])
-        try:
-            self.engine.pause(execution_id)
-        except KeyError:
-            return Response.from_json({"error": "no such execution"}, 404)
-        return Response.from_json({"status": "pausing", "execution": execution_id})
+        return self._hold(request, self.engine.pause, "pausing")
 
     async def _handle_resume(self, request: Request) -> Response:
+        return self._hold(request, self.engine.resume, "resumed")
+
+    def _hold(self, request: Request, action, status: str) -> Response:
+        """Pause or resume; an execution that has ended is a 409, untouched."""
         execution_id = unquote(request.path_params["id"])
         try:
-            self.engine.resume(execution_id)
+            action(execution_id)
         except KeyError:
             return Response.from_json({"error": "no such execution"}, 404)
-        return Response.from_json({"status": "resumed", "execution": execution_id})
+        except ExecutionEndedError as exc:
+            return Response.from_json({"error": str(exc)}, 409)
+        return Response.from_json({"status": status, "execution": execution_id})
 
     async def _handle_events(self, request: Request) -> Response:
         try:

@@ -110,15 +110,9 @@ class Headers:
         headers._fields = fields
         return headers
 
-    @classmethod
-    def from_raw(cls, items: list[tuple[str, str]]) -> "Headers":
-        """Build from ``(name, value)`` pairs known to be strings,
-        skipping the per-field coercion of the constructor."""
-        return cls._adopt([(name.lower(), name, value) for name, value in items])
-
     def forward_copy(self) -> "Headers":
         """**The** forwarding overlay: the fields a reverse proxy passes
-        upstream, as a fresh object — gateway, balancer and Bifrost proxy
+        upstream, as a fresh object — the gateway and the Bifrost proxy
         all start from it and append their own ``Host`` (and markers).
         Hop-by-hop fields, fields nominated by ``Connection`` (RFC 7230
         section 6.1) and ``Host`` are left out; everything else keeps its

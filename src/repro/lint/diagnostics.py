@@ -160,9 +160,6 @@ class LintConfig:
             return False
         return not code_matches(code, self.ignore)
 
-    def severity_of(self, code: str, default: Severity) -> Severity:
-        return self.severities.get(code, default)
-
     def merged(self, other: "LintConfig") -> "LintConfig":
         """Overlay *other* (higher precedence, e.g. CLI flags) on self."""
 

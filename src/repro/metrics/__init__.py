@@ -1,12 +1,12 @@
 """Metrics substrate: Prometheus + cAdvisor stand-ins.
 
 Time-series store, mini query language, instrumentation registry, text
-exposition, pull-based scraper, resource sampler, HTTP metrics server, and
+exposition, pull-based scraper, CPU meter, HTTP metrics server, and
 the provider interface the Bifrost engine queries.
 """
 
 from .aggregate import aggregate_cache_info
-from .cadvisor import CpuMeter, ResourceSampler, process_cpu_seconds, process_rss_bytes
+from .cadvisor import CpuMeter, process_cpu_seconds
 from .compile import compile_query
 from .exposition import parse as parse_exposition
 from .exposition import parse_tolerant as parse_exposition_tolerant
@@ -58,13 +58,11 @@ __all__ = [
     "parse_exposition_tolerant",
     "planner_for",
     "process_cpu_seconds",
-    "process_rss_bytes",
     "ProviderError",
     "QueryError",
     "Registry",
     "render_exposition",
     "render_exposition_lines",
-    "ResourceSampler",
     "Sample",
     "Scraper",
     "ScrapeTarget",

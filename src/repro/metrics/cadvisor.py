@@ -1,10 +1,9 @@
-"""Process resource sampling — the cAdvisor stand-in.
+"""Process CPU metering — the cAdvisor stand-in.
 
 The paper deploys cAdvisor next to every container to push CPU and memory
 utilization into Prometheus.  Our "containers" are asyncio components inside
-one process, so the sampler measures this process' CPU time and RSS and
-publishes them as gauges.  The scalability experiments (Figures 7 and 9)
-read ``engine_cpu_percent`` from here.
+one process, so the scalability experiments (Figures 7 and 9) meter this
+process' CPU time instead.
 
 CPU utilization is computed over sampling intervals:
 
@@ -16,22 +15,14 @@ VM utilization the paper reports.
 
 from __future__ import annotations
 
-import os
 import resource
 import time
-
-from .registry import Gauge, Registry
 
 
 def process_cpu_seconds() -> float:
     """Total user+system CPU seconds consumed by this process."""
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return usage.ru_utime + usage.ru_stime
-
-
-def process_rss_bytes() -> float:
-    """Resident set size in bytes (ru_maxrss is KiB on Linux)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024.0
 
 
 class CpuMeter:
@@ -57,36 +48,3 @@ class CpuMeter:
             return 0.0
         return max(0.0, min(100.0, 100.0 * cpu_delta / wall_delta))
 
-
-class ResourceSampler:
-    """Publishes process CPU%% and memory into a registry, cAdvisor-style.
-
-    ``instance`` labels mimic cAdvisor's container labels so strategy
-    queries can target a "container" by name.
-    """
-
-    def __init__(self, registry: Registry, instance: str = "engine"):
-        self.instance = instance
-        self._meter = CpuMeter()
-        self._cpu: Gauge = registry.gauge(
-            "container_cpu_percent",
-            "Interval CPU utilization of the sampled process",
-            label_names=("instance",),
-        ).labels(instance=instance)
-        self._memory: Gauge = registry.gauge(
-            "container_memory_bytes",
-            "Resident set size of the sampled process",
-            label_names=("instance",),
-        ).labels(instance=instance)
-        self._pid: Gauge = registry.gauge(
-            "container_pid", "Process id, for debugging", label_names=("instance",)
-        ).labels(instance=instance)
-        self._pid.set(float(os.getpid()))
-
-    def sample(self) -> tuple[float, float]:
-        """Take one sample; returns ``(cpu_percent, rss_bytes)``."""
-        cpu = self._meter.sample()
-        rss = process_rss_bytes()
-        self._cpu.set(cpu)
-        self._memory.set(rss)
-        return cpu, rss

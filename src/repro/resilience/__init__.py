@@ -2,7 +2,7 @@
 
 The engine survives flaky dependencies instead of equating them with bad
 releases: see :mod:`repro.resilience.policy` for the building blocks,
-:mod:`repro.resilience.wrappers` for the provider/controller decorators,
+:mod:`repro.resilience.wrappers` for the provider decorator,
 :mod:`repro.resilience.faults` for the deterministic fault-injection
 toolkit, :mod:`repro.resilience.chaos` for declared chaos campaigns
 enacted alongside strategies, and :mod:`repro.resilience.corpus` for the
@@ -38,7 +38,7 @@ from .policy import (
     Timeout,
     TimeoutExceeded,
 )
-from .wrappers import ResilientController, ResilientProvider
+from .wrappers import ResilientProvider
 
 __all__ = [
     "BreakerState",
@@ -59,7 +59,6 @@ __all__ = [
     "Injection",
     "LatencyFault",
     "ResilienceError",
-    "ResilientController",
     "ResilientProvider",
     "RetryPolicy",
     "Timeout",

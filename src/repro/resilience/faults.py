@@ -32,7 +32,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Iterable, Sequence
+from typing import Awaitable, Callable, Iterable
 
 from ..clock import Clock, RealClock
 from ..core.engine import ProxyController
@@ -104,7 +104,7 @@ class FaultSchedule:
     """An ordered list of (rule, fault) pairs; first matching rule wins.
 
     Clock-window rules added through :meth:`add_window` (and the
-    ``during``/``outages`` constructors) are validated eagerly: windows
+    ``during`` constructor) are validated eagerly: windows
     must be well-formed (``start < end``), added in ascending order, and
     non-overlapping.  Before this check existed a mis-declared overlap
     silently resolved by rule order, which made "which fault fired?"
@@ -183,18 +183,6 @@ class FaultSchedule:
     ) -> "FaultSchedule":
         """An outage window on the clock: faults while start <= now < end."""
         return cls().add_window(start, end, fault)
-
-    @classmethod
-    def outages(
-        cls,
-        windows: Sequence[tuple[float, float]],
-        fault: Fault | None = None,
-    ) -> "FaultSchedule":
-        """Several outage windows; must be sorted and non-overlapping."""
-        schedule = cls()
-        for start, end in windows:
-            schedule.add_window(start, end, fault)
-        return schedule
 
     @classmethod
     def seeded(

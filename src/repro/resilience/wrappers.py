@@ -1,17 +1,15 @@
-"""Resilient wrappers around the engine's two external seams.
+"""A resilient wrapper around the engine's metrics provider seam.
 
 :class:`ResilientProvider` decorates any
-:class:`~repro.metrics.provider.MetricsProvider`, and
-:class:`ResilientController` any
-:class:`~repro.core.engine.ProxyController`, with the policies from
-:mod:`repro.resilience.policy`.  Both publish degradation events on the
+:class:`~repro.metrics.provider.MetricsProvider` with the policies from
+:mod:`repro.resilience.policy`.  It publishes degradation events on the
 engine's :class:`~repro.core.events.EventBus` (``PROVIDER_RETRY``,
-``ROUTING_RETRIED``, ``CIRCUIT_*``) so the dashboard and CLI can show a
-dependency limping before it takes a rollout down with it.
+``CIRCUIT_*``) so the dashboard and CLI can show a dependency limping
+before it takes a rollout down with it.
 
 Since events carry a ``strategy`` field, wrapper events use a *label*
-(``provider:prometheus``, ``controller``) as their scope instead — they
-describe a shared dependency, not one enactment.
+(``provider:prometheus``) as their scope instead — they describe a
+shared dependency, not one enactment.
 """
 
 from __future__ import annotations
@@ -19,9 +17,7 @@ from __future__ import annotations
 import asyncio
 
 from ..clock import Clock, RealClock
-from ..core.engine import ProxyController
 from ..core.events import Event, EventBus, EventKind
-from ..core.routing import RoutingConfig
 from ..metrics.provider import MetricsProvider, ProviderError
 from .policy import BreakerState, CircuitBreaker, RetryPolicy, Timeout
 
@@ -32,62 +28,7 @@ _CIRCUIT_EVENTS = {
 }
 
 
-class _ResilientBase:
-    """Shared retry/breaker/event plumbing for both wrappers."""
-
-    def __init__(
-        self,
-        label: str,
-        clock: Clock | None,
-        retry: RetryPolicy | None,
-        timeout: Timeout | float | None,
-        breaker: CircuitBreaker | None,
-        bus: EventBus | None,
-    ):
-        self.label = label
-        self.clock = clock or RealClock()
-        self.retry = retry or RetryPolicy()
-        self.timeout = Timeout(timeout) if isinstance(timeout, (int, float)) else timeout
-        self.breaker = breaker
-        self.bus = bus
-
-    async def _publish(self, kind: EventKind, data: dict) -> None:
-        if self.bus is None:
-            return
-        await self.bus.publish(
-            Event(kind=kind, strategy=self.label, at=self.clock.now(), data=data)
-        )
-
-    async def _publish_breaker_transitions(self, seen: int) -> int:
-        """Publish any breaker transitions recorded past index *seen*."""
-        if self.breaker is None:
-            return seen
-        transitions = self.breaker.transitions
-        for at, old, new in transitions[seen:]:
-            await self._publish(
-                _CIRCUIT_EVENTS[new],
-                {"from": old.value, "to": new.value, "at": at},
-            )
-        return len(transitions)
-
-    async def _check_breaker(self, seen: int) -> tuple[bool, int]:
-        if self.breaker is None:
-            return True, seen
-        allowed = self.breaker.allow()
-        seen = await self._publish_breaker_transitions(seen)
-        return allowed, seen
-
-    async def _record(self, success: bool, seen: int) -> int:
-        if self.breaker is None:
-            return seen
-        if success:
-            self.breaker.record_success()
-        else:
-            self.breaker.record_failure()
-        return await self._publish_breaker_transitions(seen)
-
-
-class ResilientProvider(_ResilientBase, MetricsProvider):
+class ResilientProvider(MetricsProvider):
     """Retry/timeout/circuit-break any metrics provider.
 
     Exhausted retries (and a refused open circuit) surface as
@@ -107,9 +48,12 @@ class ResilientProvider(_ResilientBase, MetricsProvider):
         bus: EventBus | None = None,
         label: str | None = None,
     ):
-        super().__init__(
-            label or f"provider:{inner.name}", clock, retry, timeout, breaker, bus
-        )
+        self.label = label or f"provider:{inner.name}"
+        self.clock = clock or RealClock()
+        self.retry = retry or RetryPolicy()
+        self.timeout = Timeout(timeout) if isinstance(timeout, (int, float)) else timeout
+        self.breaker = breaker
+        self.bus = bus
         self.inner = inner
         self.name = inner.name
 
@@ -160,69 +104,38 @@ class ResilientProvider(_ResilientBase, MetricsProvider):
     async def close(self) -> None:
         await self.inner.close()
 
+    async def _publish(self, kind: EventKind, data: dict) -> None:
+        if self.bus is None:
+            return
+        await self.bus.publish(
+            Event(kind=kind, strategy=self.label, at=self.clock.now(), data=data)
+        )
 
-class ResilientController(ProxyController):
-    """Retry/circuit-break proxy reconfiguration.
+    async def _publish_breaker_transitions(self, seen: int) -> int:
+        """Publish any breaker transitions recorded past index *seen*."""
+        if self.breaker is None:
+            return seen
+        transitions = self.breaker.transitions
+        for at, old, new in transitions[seen:]:
+            await self._publish(
+                _CIRCUIT_EVENTS[new],
+                {"from": old.value, "to": new.value, "at": at},
+            )
+        return len(transitions)
 
-    Unlike the provider wrapper, exhausted retries re-raise the *original*
-    exception: the engine's failure handling (and its safe-routing
-    recovery) keys off controller error types, and resilience must not
-    launder them.
-    """
+    async def _check_breaker(self, seen: int) -> tuple[bool, int]:
+        if self.breaker is None:
+            return True, seen
+        allowed = self.breaker.allow()
+        seen = await self._publish_breaker_transitions(seen)
+        return allowed, seen
 
-    def __init__(
-        self,
-        inner: ProxyController,
-        clock: Clock | None = None,
-        *,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-        bus: EventBus | None = None,
-        label: str = "controller",
-    ):
-        self._base = _ResilientBase(label, clock, retry, None, breaker, bus)
-        self.inner = inner
+    async def _record(self, success: bool, seen: int) -> int:
+        if self.breaker is None:
+            return seen
+        if success:
+            self.breaker.record_success()
+        else:
+            self.breaker.record_failure()
+        return await self._publish_breaker_transitions(seen)
 
-    @property
-    def label(self) -> str:
-        return self._base.label
-
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        return self._base.breaker
-
-    async def apply(
-        self, service: str, config: RoutingConfig, endpoints: dict[str, str]
-    ) -> None:
-        base = self._base
-        seen = 0
-        last_error: Exception | None = None
-        for attempt in range(base.retry.attempts):
-            allowed, seen = await base._check_breaker(seen)
-            if not allowed:
-                raise ProviderError(
-                    f"{base.label}: circuit open, routing change refused"
-                ) from last_error
-            try:
-                await self.inner.apply(service, config, endpoints)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                last_error = exc
-                seen = await base._record(False, seen)
-                if attempt >= base.retry.retries:
-                    raise
-                delay = base.retry.delay(attempt, key=service)
-                await base._publish(
-                    EventKind.ROUTING_RETRIED,
-                    {
-                        "service": service,
-                        "attempt": attempt + 1,
-                        "delay": delay,
-                        "error": str(exc),
-                    },
-                )
-                await base.clock.sleep(delay)
-            else:
-                await base._record(True, seen)
-                return

@@ -12,8 +12,9 @@ from repro.casestudy import (
     load_fixtures,
     product_variant,
 )
-from repro.core import VersionAssigner, ab_split
+from repro.core import ab_split
 from repro.httpcore import HttpClient
+from repro.proxy import RoutingPlan
 
 
 # Async pytest fixtures are unavailable offline; each test materializes
@@ -114,7 +115,7 @@ async def test_validate_token_lifecycle():
 
 async def test_login_assigns_ab_group_when_configured():
     mongo, auth, client = await make_stack()
-    auth.group_assigner = VersionAssigner(ab_split("product_a", "product_b"))
+    auth.group_assigner = RoutingPlan(ab_split("product_a", "product_b"))
     try:
         response = await client.post(
             f"http://{auth.address}/auth/login",
@@ -122,7 +123,7 @@ async def test_login_assigns_ab_group_when_configured():
         )
         group = response.json()["group"]
         assert group in ("product_a", "product_b")
-        # Same user logs in again: same group (sticky η).
+        # Same user logs in again: same group (η is a stable hash).
         again = await client.post(
             f"http://{auth.address}/auth/login",
             json_body={"email": "user2@example.com", "password": "secret-2"},

@@ -61,32 +61,6 @@ async def test_unsubscribe():
     assert seen == []
 
 
-async def test_queue_receives_events():
-    bus = EventBus()
-    queue = bus.queue()
-    await bus.publish(make_event(state="a"))
-    event = queue.get_nowait()
-    assert event.data == {"state": "a"}
-
-
-async def test_full_queue_drops_oldest():
-    bus = EventBus(queue_size=2)
-    queue = bus.queue()
-    await bus.publish(make_event(n=1))
-    await bus.publish(make_event(n=2))
-    await bus.publish(make_event(n=3))
-    assert queue.get_nowait().data == {"n": 2}
-    assert queue.get_nowait().data == {"n": 3}
-
-
-async def test_drop_queue_stops_delivery():
-    bus = EventBus()
-    queue = bus.queue()
-    bus.drop_queue(queue)
-    await bus.publish(make_event())
-    assert queue.empty()
-
-
 async def test_history_and_of_kind():
     bus = EventBus()
     await bus.publish(make_event(EventKind.STATE_ENTERED))
@@ -142,7 +116,7 @@ def test_event_json_round_trip():
 # -- sync-first delivery ------------------------------------------------------
 
 #: (name, kind) rows: each subscriber records its name, then behaves as its
-#: kind says; one queue rides along.
+#: kind says.
 DELIVERY_TABLE = [
     ("a", "sync"),
     ("b", "async"),
@@ -152,9 +126,9 @@ DELIVERY_TABLE = [
 ]
 
 
-def table_subscriber(name, kind, calls, queue):
+def table_subscriber(name, kind, calls):
     def record():
-        calls.append((name, queue.qsize()))
+        calls.append(name)
         if kind.startswith("raising"):
             raise RuntimeError(f"subscriber {name} failed")
 
@@ -172,24 +146,20 @@ def table_subscriber(name, kind, calls, queue):
     return subscriber
 
 
-async def test_delivery_table_order_queue_errors_history(caplog):
+async def test_delivery_table_order_errors_history(caplog):
     bus = EventBus()
     calls = []
-    queue = bus.queue()
     for name, kind in DELIVERY_TABLE:
-        bus.subscribe(table_subscriber(name, kind, calls, queue))
+        bus.subscribe(table_subscriber(name, kind, calls))
     event = make_event()
 
     delivery = bus.publish(event)
     # The first coroutine hands the rest to the returned awaitable.
-    assert calls == [("a", 0)]
-    assert queue.empty()
+    assert calls == ["a"]
     await delivery
 
-    # Every subscriber ran once, in order, and saw an empty queue: the
-    # queue is fed only after the last subscriber.
-    assert calls == [(name, 0) for name, _ in DELIVERY_TABLE]
-    assert queue.get_nowait() is event
+    # Every subscriber ran once, in order.
+    assert calls == [name for name, _ in DELIVERY_TABLE]
     failures = [r for r in caplog.records if r.getMessage() == "event subscriber failed"]
     assert [str(r.exc_info[1]) for r in failures] == [
         "subscriber d failed",
@@ -203,12 +173,10 @@ async def test_sync_subscribers_have_run_when_publish_returns():
     seen = []
     bus.subscribe(seen.append)
     bus.subscribe(lambda event: seen.append(event.kind))
-    queue = bus.queue()
     event = make_event()
 
     delivery = bus.publish(event)
     assert seen == [event, EventKind.STATE_ENTERED]
-    assert queue.get_nowait() is event
     assert not asyncio.iscoroutine(delivery)
     await delivery
     await delivery  # already done, so awaiting again is harmless

@@ -47,7 +47,7 @@ def test_strategy_service_registry():
     strategy = Strategy("s")
     strategy.add_service(make_service())
     assert strategy.service("search").name == "search"
-    assert strategy.resolve_version("search", "fastSearch").endpoint == "127.0.0.1:9002"
+    assert strategy.service("search").version("fastSearch").endpoint == "127.0.0.1:9002"
     with pytest.raises(ModelError):
         strategy.add_service(make_service())
     with pytest.raises(ModelError):

@@ -1,19 +1,16 @@
-"""Tests for user selection functions η."""
+"""Tests for the user selection function η: ``RoutingPlan.bucket``.
+
+The proxy's compiled plan is the one η in the product; each case checks
+it against ``interpreted_bucket``, the configuration-walking oracle the
+plan-equivalence property proof uses.
+"""
 
 import pytest
 
-from repro.core import (
-    AndSelector,
-    AttributeSelector,
-    PercentageSelector,
-    PredicateSelector,
-    SelectionError,
-    VersionAssigner,
-    ab_split,
-    canary_split,
-    distribution,
-    stable_fraction,
-)
+from repro.core import ab_split, canary_split, stable_fraction
+from repro.httpcore import Headers, Request
+from repro.proxy import CLIENT_COOKIE, FilterChain
+from tests.property.test_plan_equivalence import interpreted_bucket
 
 USERS = [f"user-{i}" for i in range(2000)]
 
@@ -30,79 +27,38 @@ def test_stable_fraction_differs_per_seed():
     assert stable_fraction("u", "a") != stable_fraction("u", "b")
 
 
-def test_percentage_selector_selects_about_right_share():
-    selector = PercentageSelector(10.0)
-    selected = sum(selector.matches(user) for user in USERS)
-    assert 150 <= selected <= 250  # 10% of 2000 = 200 ± sampling noise
-
-
-def test_percentage_selector_bounds():
-    PercentageSelector(0.0)
-    PercentageSelector(100.0)
-    with pytest.raises(SelectionError):
-        PercentageSelector(101.0)
-
-
-def test_attribute_selector():
-    selector = AttributeSelector("country", ("US",))
-    assert selector.matches("u", {"country": "US"})
-    assert not selector.matches("u", {"country": "CH"})
-    assert not selector.matches("u", {})
-    assert not selector.matches("u", None)
-
-
-def test_and_selector_paper_example_us_canary():
-    # "assign 5% of US users to the fastSearch canary"
-    selector = AndSelector((AttributeSelector("country", ("US",)), PercentageSelector(5.0)))
-    us_selected = sum(selector.matches(user, {"country": "US"}) for user in USERS)
-    ch_selected = sum(selector.matches(user, {"country": "CH"}) for user in USERS)
-    assert 50 <= us_selected <= 150  # ~5% of 2000
-    assert ch_selected == 0
-
-
-def test_predicate_selector():
-    selector = PredicateSelector(lambda user, attrs: user.endswith("7"))
-    assert selector.matches("user-7")
-    assert not selector.matches("user-8")
-
-
 def test_assigner_split_shares_converge():
-    assigner = VersionAssigner(canary_split("search", "fastSearch", 5.0))
-    shares = distribution(assigner, USERS)
-    assert shares["search"] == pytest.approx(95.0, abs=2.0)
-    assert shares["fastSearch"] == pytest.approx(5.0, abs=2.0)
+    config = canary_split("search", "fastSearch", 5.0)
+    bucket = FilterChain(config).plan.bucket
+    versions = [bucket(user) for user in USERS]
+    assert versions == [interpreted_bucket(config, user) for user in USERS]
+    assert 100.0 * versions.count("search") / len(USERS) == pytest.approx(95.0, abs=2.0)
+    assert 100.0 * versions.count("fastSearch") / len(USERS) == pytest.approx(5.0, abs=2.0)
 
 
 def test_assigner_is_deterministic_without_sticky():
-    assigner = VersionAssigner(canary_split("a", "b", 50.0))
-    first = [assigner.assign(user) for user in USERS[:100]]
-    second = [assigner.assign(user) for user in USERS[:100]]
-    assert first == second
+    config = canary_split("a", "b", 50.0)
+    assert not config.sticky
+    bucket = FilterChain(config).plan.bucket
+    first = [bucket(user) for user in USERS[:100]]
+    assert first == [bucket(user) for user in USERS[:100]]
+    assert first == [interpreted_bucket(config, user) for user in USERS[:100]]
 
 
 def test_assigner_sticky_memoizes():
-    assigner = VersionAssigner(ab_split("a", "b"))
-    version = assigner.assign("user-1")
-    assert assigner.assignments["user-1"] == version
-    assert assigner.assign("user-1") == version
-
-
-def test_assigner_eligibility_falls_back_to_stable():
-    # Only US users are eligible for the canary bucket.
-    assigner = VersionAssigner(
-        canary_split("search", "fastSearch", 50.0),
-        eligibility=AttributeSelector("country", ("US",)),
-    )
-    non_us = [assigner.assign(user, {"country": "CH"}) for user in USERS[:200]]
-    assert set(non_us) == {"search"}
-    us = [assigner.assign(user, {"country": "US"}) for user in USERS[:200]]
-    assert "fastSearch" in set(us)
+    chain = FilterChain(ab_split("a", "b"))
+    request = Request("GET", "/", Headers([("Cookie", f"{CLIENT_COOKIE}=user-1")]))
+    version = chain.decide(request).version
+    assert version == chain.plan.bucket("user-1")
+    assert chain.sticky_store.get("user-1") == version
+    assert chain.decide(request).version == version
 
 
 def test_assigner_seed_changes_bucketing():
     config = canary_split("a", "b", 50.0)
-    first = VersionAssigner(config, seed="s1")
-    second = VersionAssigner(config, seed="s2")
-    assignments_1 = [first.assign(user) for user in USERS[:200]]
-    assignments_2 = [second.assign(user) for user in USERS[:200]]
+    first = FilterChain(config, seed="s1").plan.bucket
+    second = FilterChain(config, seed="s2").plan.bucket
+    assignments_1 = [first(user) for user in USERS[:200]]
+    assignments_2 = [second(user) for user in USERS[:200]]
+    assert assignments_1 == [interpreted_bucket(config, user, "s1") for user in USERS[:200]]
     assert assignments_1 != assignments_2

@@ -5,8 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.clock import VirtualClock
-from repro.core import Engine, RecordingController, StrategyBuilder, single_version
+from repro.core import Engine, ExecutionStatus, RecordingController
 from repro.core.events import Event, EventKind
 from repro.dashboard import EngineApiServer
 from repro.httpcore import HttpClient
@@ -163,6 +162,30 @@ async def test_pause_and_resume_over_the_api():
             f"http://{api.address}/api/executions/nope%231/pause"
         )
         assert response.status == 404
+    finally:
+        await api_teardown(proxy, engine, api, client)
+
+
+async def test_pausing_an_ended_execution_is_409_and_changes_nothing():
+    proxy, engine, api, client = await api_setup()
+    try:
+        response = await client.post(
+            f"http://{api.address}/api/strategies",
+            body=DOC.format(proxy=proxy.address).encode(),
+        )
+        execution_id = response.json()["execution"]
+        await engine.wait(execution_id)
+        execution = engine.execution(execution_id)
+        assert execution.status is ExecutionStatus.COMPLETED
+        encoded = execution_id.replace("#", "%23")
+        for action in ("pause", "resume", "pause"):
+            response = await client.post(
+                f"http://{api.address}/api/executions/{encoded}/{action}"
+            )
+            assert response.status == 409, response.body
+            assert "completed" in response.json()["error"]
+        assert execution.status is ExecutionStatus.COMPLETED
+        assert not execution.paused
     finally:
         await api_teardown(proxy, engine, api, client)
 

@@ -111,7 +111,7 @@ def test_config_from_document_full_section():
     )
     assert config.enabled("BF101")
     assert not config.enabled("BF104")
-    assert config.severity_of("BF305", Severity.WARNING) is Severity.ERROR
+    assert config.severities["BF305"] is Severity.ERROR
     assert config.max_unguarded_exposure == 10.0
 
 

@@ -1,9 +1,9 @@
-"""Tests for the resource sampler (cAdvisor stand-in)."""
+"""Tests for the CPU meter (cAdvisor stand-in)."""
 
 import time
 
-from repro.metrics import CpuMeter, Registry, ResourceSampler
-from repro.metrics.cadvisor import process_cpu_seconds, process_rss_bytes
+from repro.metrics import CpuMeter
+from repro.metrics.cadvisor import process_cpu_seconds
 
 
 def test_process_cpu_seconds_increases_under_load():
@@ -12,10 +12,6 @@ def test_process_cpu_seconds_increases_under_load():
     while time.monotonic() < deadline:
         sum(range(1000))
     assert process_cpu_seconds() > before
-
-
-def test_process_rss_is_positive():
-    assert process_rss_bytes() > 1024 * 1024  # every Python process > 1 MiB
 
 
 def test_cpu_meter_busy_loop_shows_high_utilization():
@@ -32,14 +28,3 @@ def test_cpu_meter_bounds():
     time.sleep(0.02)
     assert 0.0 <= meter.sample() <= 100.0
 
-
-def test_resource_sampler_publishes_gauges():
-    registry = Registry()
-    sampler = ResourceSampler(registry, instance="engine")
-    cpu, rss = sampler.sample()
-    points = {p.name: p for p in registry.collect()}
-    assert points["container_cpu_percent"].value == cpu
-    assert points["container_cpu_percent"].labels == {"instance": "engine"}
-    assert points["container_memory_bytes"].value == rss
-    assert rss > 0
-    assert "container_pid" in points

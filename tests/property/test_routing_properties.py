@@ -1,13 +1,13 @@
-"""Property-based tests for routing configs, selection, and filters."""
+"""Property-based tests for routing configs, the selection function η, and filters."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RoutingConfig, TrafficSplit, stable_fraction
-from repro.core.selection import VersionAssigner
 from repro.httpcore import Headers, Request
 from repro.proxy import CLIENT_COOKIE, FilterChain
+from tests.property.test_plan_equivalence import interpreted_bucket
 
 
 def split_configs():
@@ -50,16 +50,15 @@ def test_valid_configs_survive_wire_round_trip(config):
 
 @given(split_configs(), st.text(min_size=1, max_size=30))
 def test_assignment_always_yields_declared_version(config, user_id):
-    assigner = VersionAssigner(config)
-    version = assigner.assign(user_id)
+    version = FilterChain(config).plan.bucket(user_id)
     assert version in {split.version for split in config.splits}
 
 
 @given(split_configs(), st.text(min_size=1, max_size=30))
 def test_assignment_is_deterministic(config, user_id):
-    first = VersionAssigner(config).assign(user_id)
-    second = VersionAssigner(config).assign(user_id)
-    assert first == second
+    first = FilterChain(config).plan.bucket(user_id)
+    second = FilterChain(config).plan.bucket(user_id)
+    assert first == second == interpreted_bucket(config, user_id)
 
 
 @given(st.text(min_size=1, max_size=50), st.text(min_size=1, max_size=20))

@@ -1,11 +1,11 @@
-"""Unit tests for ResilientProvider / ResilientController."""
+"""Unit tests for ResilientProvider."""
 
 import asyncio
 
 import pytest
 
 from repro.clock import VirtualClock
-from repro.core import EventBus, EventKind, RecordingController, single_version
+from repro.core import EventBus, EventKind
 from repro.metrics import StaticProvider
 from repro.metrics.provider import ProviderError
 from repro.resilience import (
@@ -13,9 +13,7 @@ from repro.resilience import (
     CircuitBreaker,
     ErrorFault,
     FaultSchedule,
-    FaultyController,
     FaultyProvider,
-    ResilientController,
     ResilientProvider,
     RetryPolicy,
     Timeout,
@@ -134,32 +132,3 @@ async def test_provider_timeout_bounds_hung_backend():
     with pytest.raises(ProviderError):
         await drive(clock, provider.query("m"))
 
-
-async def test_controller_retries_and_emits_events():
-    clock = VirtualClock()
-    recording = RecordingController()
-    flaky = FaultyController(recording, FaultSchedule.first(2), clock)
-    bus = EventBus()
-    controller = ResilientController(
-        flaky, clock, retry=RetryPolicy(attempts=3, base_delay=1.0, seed=1), bus=bus
-    )
-    config = single_version("stable")
-    await drive(clock, controller.apply("svc", config, {"stable": "h:1"}))
-    assert recording.latest_for("svc") == config
-    retried = bus.of_kind(EventKind.ROUTING_RETRIED)
-    assert len(retried) == 2
-    assert retried[0].data["service"] == "svc"
-
-
-async def test_controller_exhausted_retries_keep_original_exception():
-    clock = VirtualClock()
-    dead = FaultyController(
-        RecordingController(), FaultSchedule.always(ErrorFault("proxy down")), clock
-    )
-    controller = ResilientController(
-        dead, clock, retry=RetryPolicy(attempts=2, base_delay=1.0, seed=0)
-    )
-    with pytest.raises(RuntimeError, match="proxy down"):
-        await drive(
-            clock, controller.apply("svc", single_version("stable"), {"stable": "h:1"})
-        )

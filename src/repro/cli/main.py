@@ -397,18 +397,7 @@ async def _run_local(args) -> int:
             "prometheus", HttpPrometheusProvider(args.prometheus)
         )
     if not args.quiet:
-        engine.bus.subscribe(
-            lambda event: print(
-                render_event(
-                    {
-                        "at": event.at,
-                        "strategy": event.strategy,
-                        "kind": event.kind.value,
-                        "data": event.data,
-                    }
-                )
-            )
-        )
+        engine.bus.subscribe(lambda event: print(render_event(event.to_wire())))
     execution_id = engine.enact(compiled.strategy)
     report = await engine.wait(execution_id)
     await engine.shutdown()
@@ -549,18 +538,7 @@ async def _chaos_run(args) -> int:
                 "prometheus", HttpPrometheusProvider(args.prometheus)
             )
     if not args.quiet:
-        engine.bus.subscribe(
-            lambda event: print(
-                render_event(
-                    {
-                        "at": event.at,
-                        "strategy": event.strategy,
-                        "kind": event.kind.value,
-                        "data": event.data,
-                    }
-                )
-            )
-        )
+        engine.bus.subscribe(lambda event: print(render_event(event.to_wire())))
     try:
         report = await run_game_day(
             compiled.strategy,

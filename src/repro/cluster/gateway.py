@@ -40,14 +40,6 @@ class Gateway(HttpServer):
         # Longest prefix first, so "/products" wins over "/".
         self._routes.sort(key=lambda item: len(item[0]), reverse=True)
 
-    def set_upstream(self, prefix: str, upstream: str) -> None:
-        """Re-point an existing prefix (service restarted elsewhere)."""
-        for index, (existing, _) in enumerate(self._routes):
-            if existing == prefix:
-                self._routes[index] = (prefix, upstream)
-                return
-        raise KeyError(f"no route with prefix {prefix!r}")
-
     def upstream_for(self, path: str) -> str | None:
         for prefix, upstream in self._routes:
             if path.startswith(prefix):

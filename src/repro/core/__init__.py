@@ -34,12 +34,11 @@ from .engine import (
     ExecutionStatus,
     ProxyController,
     RecordingController,
-    ServiceClaimedError,
     StateVisit,
     StrategyExecution,
     StrategyRejectedError,
 )
-from .events import Event, EventBus, EventKind, JsonlEventWriter
+from .events import Event, EventBus, EventKind
 from .scheduler import CheckScheduler
 from .model import ModelError, Service, ServiceVersion, Strategy
 from .outcome import (
@@ -53,7 +52,6 @@ from .reasoning import (
     RolloutForecast,
     forecast_rollout,
     optimistic_probabilities,
-    uniform_probabilities,
 )
 from .routing import (
     FilterKind,
@@ -86,7 +84,6 @@ __all__ = [
     "forecast_rollout",
     "EventBus",
     "EventKind",
-    "JsonlEventWriter",
     "ExceptionCheck",
     "ExceptionTriggered",
     "Execution",
@@ -104,7 +101,6 @@ __all__ = [
     "RoutingConfig",
     "RoutingError",
     "Service",
-    "ServiceClaimedError",
     "StrategyRejectedError",
     "ServiceVersion",
     "ShadowRoute",
@@ -121,7 +117,6 @@ __all__ = [
     "Timer",
     "TrafficSplit",
     "Transitions",
-    "uniform_probabilities",
     "optimistic_probabilities",
     "UserMapping",
     "Validator",

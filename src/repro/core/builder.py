@@ -81,7 +81,6 @@ class StrategyBuilder:
         self.name = name
         self._services: dict[str, Service] = {}
         self._states: list[StateBuilder] = []
-        self._start: str | None = None
 
     def service(self, name: str, versions: dict[str, str]) -> "StrategyBuilder":
         """Declare a service and its version endpoints (name → host:port)."""
@@ -99,11 +98,6 @@ class StrategyBuilder:
         self._states.append(builder)
         return builder
 
-    def start_at(self, name: str) -> "StrategyBuilder":
-        """Override the start state (default: the first declared)."""
-        self._start = name
-        return self
-
     def build(self) -> Strategy:
         """Assemble and validate; raises :class:`ModelError` on problems."""
         strategy = Strategy(self.name)
@@ -112,8 +106,6 @@ class StrategyBuilder:
         automaton = Automaton()
         for state_builder in self._states:
             automaton.add_state(state_builder._build())
-        if self._start is not None:
-            automaton.start = self._start
         strategy.automaton = automaton
         strategy.validate()
         return strategy

@@ -175,10 +175,10 @@ async def fetch_answer(provider: MetricsProvider, query: str) -> Answer:
 class ConditionEvaluation(NamedTuple):
     """One execution of f_ci, with provenance.
 
-    ``result`` is the 0/1 decision exactly as :meth:`MetricCondition.evaluate`
-    returns it (no data can never pass).  ``data_available`` records whether
-    the metrics the decision rule consulted were actually present — the
-    difference between "the check failed" and "we could not look".
+    ``result`` is the 0/1 decision (no data can never pass).
+    ``data_available`` records whether the metrics the decision rule
+    consulted were actually present — the difference between "the check
+    failed" and "we could not look".
     """
 
     result: int
@@ -260,10 +260,6 @@ class MetricCondition:
             register = getattr(provider, "subscribe", None)
             if register is not None:
                 register(query.query)
-
-    async def evaluate(self, providers: dict[str, MetricsProvider]) -> int:
-        """One execution of f_ci: fetch every query, then decide 0 or 1."""
-        return (await self.evaluate_detailed(providers)).result
 
     def questions(
         self, providers: dict[str, MetricsProvider]

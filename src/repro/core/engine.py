@@ -58,12 +58,8 @@ class StrategyRejectedError(Exception):
         )
 
 
-class ServiceClaimedError(Exception):
-    """A strategy touches a service another execution holds exclusively."""
-
-
 class ExecutionEndedError(Exception):
-    """Pause or resume asked of an execution that has already ended."""
+    """Pause, resume or cancel asked of an execution that has already ended."""
 
 
 class ProxyController:
@@ -272,15 +268,16 @@ class StrategyExecution:
         held, time keeps passing — a long pause shows up as enactment
         delay in the report.
         """
-        self._require_live("pause")
+        self.require_live("pause")
         self._gate.clear()
 
     def resume(self) -> None:
         """Release a paused execution (idempotent)."""
-        self._require_live("resume")
+        self.require_live("resume")
         self._gate.set()
 
-    def _require_live(self, action: str) -> None:
+    def require_live(self, action: str) -> None:
+        """Raise :class:`ExecutionEndedError` once the execution has ended."""
         if self.status in _ENDED:
             raise ExecutionEndedError(
                 f"cannot {action} {self.execution_id}: it has {self.status.value}"
@@ -552,8 +549,6 @@ class Engine:
         self._tasks: dict[str, asyncio.Task[ExecutionReport]] = {}
         self._chaos: dict[str, object] = {}
         self._counter = itertools.count(1)
-        #: Exclusive service claims: service name -> holding execution id.
-        self._claims: dict[str, str] = {}
 
     def register_provider(self, name: str, provider: MetricsProvider) -> None:
         self.providers[name] = provider
@@ -562,26 +557,12 @@ class Engine:
         self,
         strategy: Strategy,
         max_visits: int | None = None,
-        delay: float = 0.0,
-        exclusive: bool = False,
         safe_routing: dict[str, RoutingConfig] | None = None,
         allow_findings: bool = False,
         chaos=None,
         chaos_proxies: dict[str, object] | None = None,
     ) -> str:
         """Validate and start enacting *strategy*; returns an execution id.
-
-        With *delay*, enactment is scheduled for later (the CLI's "as part
-        of release scripts" use case: submit now, roll out tonight).  A
-        scheduled execution can be cancelled while still pending.
-
-        With *exclusive*, the execution claims every service its strategy
-        routes: until it finishes, enacting any other strategy touching
-        one of those services raises :class:`ServiceClaimedError`.  Two
-        teams reconfiguring the same proxy would silently fight over the
-        routing; claims turn that into an explicit scheduling decision.
-        (The paper's scalability experiment deliberately runs identical
-        strategies against one proxy, so sharing stays the default.)
 
         With *safe_routing* (service name → config), a failed or cancelled
         enactment drives those services to the given configs instead of the
@@ -610,16 +591,6 @@ class Engine:
             ).blocking()
             if blocking:
                 raise StrategyRejectedError(strategy.name, blocking)
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        routed_services = self._routed_services(strategy)
-        for service in sorted(routed_services):
-            holder = self._claims.get(service)
-            if holder is not None:
-                raise ServiceClaimedError(
-                    f"service {service!r} is exclusively claimed by "
-                    f"execution {holder!r}"
-                )
         execution_id = f"{strategy.name}#{next(self._counter)}"
         chaos_controller = None
         if chaos is not None:
@@ -643,41 +614,13 @@ class Engine:
             scheduler=self.scheduler,
         )
         self._executions[execution_id] = execution
-
-        async def run_after_delay() -> ExecutionReport:
-            if delay > 0:
-                await self.clock.sleep(delay)
-            return await execution.run()
-
-        task = asyncio.get_running_loop().create_task(
-            run_after_delay() if delay > 0 else execution.run()
-        )
-        if exclusive:
-            # Claimed only now that nothing above can raise: a chaos attach
-            # that fails must not leave claims no task will ever release.
-            for service in routed_services:
-                self._claims[service] = execution_id
-            task.add_done_callback(
-                lambda _task, eid=execution_id: self._release_claims(eid)
-            )
+        task = asyncio.get_running_loop().create_task(execution.run())
         if chaos_controller is not None:
             task.add_done_callback(
                 lambda _task, ctrl=chaos_controller: ctrl.deactivate()
             )
         self._tasks[execution_id] = task
         return execution_id
-
-    @staticmethod
-    def _routed_services(strategy: Strategy) -> set[str]:
-        assert strategy.automaton is not None
-        services: set[str] = set()
-        for state in strategy.automaton.states.values():
-            services.update(state.routing)
-        return services
-
-    def _release_claims(self, execution_id: str) -> None:
-        for service in [s for s, holder in self._claims.items() if holder == execution_id]:
-            del self._claims[service]
 
     def execution(self, execution_id: str) -> StrategyExecution:
         try:

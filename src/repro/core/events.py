@@ -3,7 +3,7 @@
 The paper's engine pushes "status updates" to the Bifrost CLI and
 dashboard over Socket.IO.  Here, an :class:`EventBus` carries typed
 :class:`Event` records to any number of in-process subscribers (tests,
-the dashboard's feed, the enactment journal).
+the CLI's event stream) and keeps the history the engine API serves.
 
 Delivery is sync-first: :meth:`EventBus.publish` calls the subscribers in
 order before it returns, and while none returns a coroutine it returns
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import asyncio
 import enum
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
@@ -73,25 +72,15 @@ class Event:
     at: float
     data: dict[str, Any] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind.value,
-                "strategy": self.strategy,
-                "at": self.at,
-                "data": self.data,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, raw: str) -> "Event":
-        payload = json.loads(raw)
-        return cls(
-            kind=EventKind(payload["kind"]),
-            strategy=payload["strategy"],
-            at=float(payload["at"]),
-            data=payload.get("data", {}),
-        )
+    def to_wire(self) -> dict[str, Any]:
+        """The event's JSON form, as ``/api/events`` serves it and the
+        CLI's event stream prints it."""
+        return {
+            "kind": self.kind.value,
+            "strategy": self.strategy,
+            "at": self.at,
+            "data": self.data,
+        }
 
 
 Subscriber = Callable[[Event], Awaitable[None] | None]
@@ -161,38 +150,3 @@ class EventBus:
     def of_kind(self, kind: EventKind) -> list[Event]:
         """History filter used heavily by tests and experiment analysis."""
         return [event for event in self.history if event.kind == kind]
-
-
-class JsonlEventWriter:
-    """Persists every event as one JSON line — the enactment journal.
-
-    Release engineering wants an audit trail ("which rollout changed the
-    routing at 03:12, and why?"); subscribe a writer to the engine's bus
-    and every state change, check execution, and transition lands in an
-    append-only file that :meth:`read` can replay.
-    """
-
-    def __init__(self, path):
-        from pathlib import Path
-
-        self.path = Path(path)
-        self._handle = self.path.open("a", encoding="utf-8")
-
-    def __call__(self, event: Event) -> None:
-        self._handle.write(event.to_json() + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        self._handle.close()
-
-    @classmethod
-    def read(cls, path) -> list[Event]:
-        """Replay a journal file back into events."""
-        from pathlib import Path
-
-        events = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line:
-                events.append(Event.from_json(line))
-        return events

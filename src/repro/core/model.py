@@ -70,9 +70,6 @@ class Service:
                 f"known: {sorted(self.versions)}"
             ) from None
 
-    def __contains__(self, version_name: object) -> bool:
-        return version_name in self.versions
-
 
 @dataclass
 class Strategy:

@@ -46,25 +46,6 @@ class RolloutForecast:
         )
 
 
-def uniform_probabilities(automaton: Automaton) -> TransitionProbabilities:
-    """Every outgoing range of a state is equally likely.
-
-    Exception-check fallbacks are ignored here — they model rare
-    emergencies; include them explicitly if you want them weighted.
-    """
-    probabilities: TransitionProbabilities = {}
-    for name, state in automaton.states.items():
-        if state.transitions is None:
-            continue
-        targets = state.transitions.targets
-        share = 1.0 / len(targets)
-        merged: dict[str, float] = {}
-        for target in targets:
-            merged[target] = merged.get(target, 0.0) + share
-        probabilities[name] = merged
-    return probabilities
-
-
 def optimistic_probabilities(
     automaton: Automaton, success: float = 0.9
 ) -> TransitionProbabilities:

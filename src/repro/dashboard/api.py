@@ -8,7 +8,8 @@ executing release strategies remotely or as part of release scripts"
   it, registers the deployment's proxies, and starts enactment.
 * ``GET /api/executions`` — all executions with status and current state.
 * ``GET /api/executions/{id}`` — one execution in detail.
-* ``DELETE /api/executions/{id}`` — cancel an execution.
+* ``DELETE /api/executions/{id}`` — cancel an execution; 409 once it has
+  ended.
 * ``POST /api/executions/{id}/pause`` and ``.../resume`` — hold or release
   an execution before its next phase; 409 once it has ended.
 * ``GET /api/events?since=N`` — events after history index N (the
@@ -109,13 +110,14 @@ class EngineApiServer(HttpServer):
         )
 
     async def _handle_cancel(self, request: Request) -> Response:
-        execution_id = unquote(request.path_params["id"])
-        try:
-            self.engine.execution(execution_id)
-        except KeyError:
-            return Response.from_json({"error": "no such execution"}, 404)
-        await self.engine.cancel(execution_id)
-        return Response.from_json({"status": "cancelled", "execution": execution_id})
+        response = self._hold(
+            request,
+            lambda execution_id: self.engine.execution(execution_id).require_live("cancel"),
+            "cancelled",
+        )
+        if response.status == 200:
+            await self.engine.cancel(unquote(request.path_params["id"]))
+        return response
 
     async def _handle_pause(self, request: Request) -> Response:
         return self._hold(request, self.engine.pause, "pausing")
@@ -124,7 +126,8 @@ class EngineApiServer(HttpServer):
         return self._hold(request, self.engine.resume, "resumed")
 
     def _hold(self, request: Request, action, status: str) -> Response:
-        """Pause or resume; an execution that has ended is a 409, untouched."""
+        """Pause, resume or admit a cancel; an execution that has ended is
+        a 409, untouched."""
         execution_id = unquote(request.path_params["id"])
         try:
             action(execution_id)
@@ -143,13 +146,7 @@ class EngineApiServer(HttpServer):
             return Response.from_json({"error": "since must not be negative"}, 400)
         history = self.engine.bus.history
         events = [
-            {
-                "index": index,
-                "kind": event.kind.value,
-                "strategy": event.strategy,
-                "at": event.at,
-                "data": event.data,
-            }
+            {"index": index, **event.to_wire()}
             for index, event in enumerate(history[since:], start=since)
         ]
         return Response.from_json({"events": events, "next": len(history)})

@@ -7,7 +7,7 @@ dependency.
 """
 
 from .compiler import CompiledStrategy, compile_document
-from .deployment import DeployedService, Deployment, parse_deployment
+from .deployment import DeployedService, Deployment
 from .errors import DslError
 from .serializer import serialize, to_document
 from .yaml_lite import YamlError, dumps, loads
@@ -20,7 +20,6 @@ __all__ = [
     "DslError",
     "dumps",
     "loads",
-    "parse_deployment",
     "serialize",
     "to_document",
     "YamlError",

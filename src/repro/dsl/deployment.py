@@ -26,15 +26,6 @@ class DeployedService:
     stable: str  # version name receiving unrouted traffic
     versions: dict[str, str] = field(default_factory=dict)  # name -> host:port
 
-    def endpoint(self, version: str) -> str:
-        try:
-            return self.versions[version]
-        except KeyError:
-            raise DslError(
-                f"service {self.name!r} has no version {version!r}; "
-                f"known: {sorted(self.versions)}"
-            ) from None
-
 
 @dataclass
 class Deployment:
@@ -54,14 +45,6 @@ class Deployment:
     def proxies(self) -> dict[str, str]:
         """service name → proxy address, for the engine's controller."""
         return {name: service.proxy for name, service in self.services.items()}
-
-
-def parse_deployment(raw: Any, path: str = "deployment") -> Deployment:
-    """Parse the document's ``deployment`` mapping."""
-    deployment = Deployment()
-    for name, body in services_section(raw, path).items():
-        deployment.services[name] = parse_service(name, body, f"{path}.services.{name}")
-    return deployment
 
 
 def services_section(raw: Any, path: str = "deployment") -> dict[str, Any]:

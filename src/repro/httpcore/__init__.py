@@ -7,7 +7,7 @@ client, streaming body primitives, and cookie helpers.
 
 from .client import HttpClient
 from .connection import HttpConnection
-from .cookies import SetCookie, format_cookie_header, parse_cookie_header
+from .cookies import SetCookie, parse_cookie_header
 from .errors import (
     BodyTooLarge,
     ConnectionClosed,
@@ -40,7 +40,6 @@ __all__ = [
     "compile_pattern",
     "DEFAULT_CHUNK_SIZE",
     "encode_chunk",
-    "format_cookie_header",
     "Handler",
     "HeaderTooLarge",
     "Headers",

@@ -268,12 +268,6 @@ class HttpClient:
         else:
             pool.append((connection, now))
 
-    def idle_connections(self, key: str | None = None) -> int:
-        """How many keep-alive connections are parked (observability)."""
-        if key is not None:
-            return len(self._pools.get(key, ()))
-        return sum(map(len, self._pools.values()))
-
     async def close(self) -> None:
         """Close all idle pooled connections and reject further use."""
         self._closed = True

@@ -64,8 +64,3 @@ class SetCookie:
         if self.same_site:
             parts.append(f"SameSite={self.same_site}")
         return "; ".join(parts)
-
-
-def format_cookie_header(cookies: dict[str, str]) -> str:
-    """Render a request ``Cookie`` header from a name/value mapping."""
-    return "; ".join(f"{name}={value}" for name, value in cookies.items())

@@ -11,7 +11,7 @@ lookups, the serializer and the forwarding copy compare the stored key.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 #: Never forwarded by a reverse proxy: the hop-by-hop fields of RFC 7230
 #: section 6.1, plus ``Host``, which each hop writes for its own upstream.
@@ -82,10 +82,6 @@ class Headers:
         wanted = name.lower()
         return [value for key, _, value in self._fields if key == wanted]
 
-    def items(self) -> list[tuple[str, str]]:
-        """All fields in insertion order, with original casing."""
-        return [(name, value) for _, name, value in self._fields]
-
     def wire_head(self, start_line: str, framing: str) -> bytes:
         """A message head as wire bytes: *start_line*, every field except
         the framing fields, then *framing* — the ``Content-Length`` or
@@ -124,35 +120,3 @@ class Headers:
                 token.strip().lower() for value in nominated for token in value.split(",")
             )
         return Headers._adopt([field for field in self._fields if field[0] not in drop])
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and self.get(name) is not None
-
-    def __getitem__(self, name: str) -> str:
-        value = self.get(name)
-        if value is None:
-            raise KeyError(name)
-        return value
-
-    def __setitem__(self, name: str, value: str) -> None:
-        self.set(name, value)
-
-    def __delitem__(self, name: str) -> None:
-        if name not in self:
-            raise KeyError(name)
-        self.remove(name)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self.items())
-
-    def __len__(self) -> int:
-        return len(self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Headers):
-            return NotImplemented
-        ours = [(key, value) for key, _, value in self._fields]
-        return ours == [(key, value) for key, _, value in other._fields]
-
-    def __repr__(self) -> str:
-        return f"Headers({self.items()!r})"

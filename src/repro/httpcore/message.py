@@ -176,21 +176,6 @@ class Request(_Body):
             self._cookie_cache = cached
         return cached[1]
 
-    def copy(self) -> "Request":
-        """Deep-enough copy for shadowing: headers list and body are copied.
-
-        Buffered bodies only — a stream has one consumer and cannot be
-        copied (use :class:`~repro.httpcore.stream.StreamTee` to fan out).
-        """
-        return Request(
-            method=self.method,
-            target=self.target,
-            headers=self.headers.copy(),
-            body=self.body,
-            http_version=self.http_version,
-            path_params=dict(self.path_params),
-        )
-
     def serialize(self) -> bytes:
         """Render the request as HTTP/1.1 wire bytes.
 
@@ -232,11 +217,6 @@ class Response(_Body):
     @property
     def reason(self) -> str:
         return REASON_PHRASES.get(self.status, "Unknown")
-
-    @property
-    def ok(self) -> bool:
-        """True for any 2xx status."""
-        return 200 <= self.status < 300
 
     @classmethod
     def streaming(

@@ -88,6 +88,3 @@ class Router:
         if self._fallback is not None:
             return self._fallback
         raise RouteNotFound(f"{request.method} {path}")
-
-    def __len__(self) -> int:
-        return len(self._routes)

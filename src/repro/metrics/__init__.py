@@ -1,15 +1,13 @@
 """Metrics substrate: Prometheus + cAdvisor stand-ins.
 
 Time-series store, mini query language, instrumentation registry, text
-exposition, pull-based scraper, CPU meter, HTTP metrics server, and
-the provider interface the Bifrost engine queries.
+exposition rendering, a scraper of in-process registries, CPU meter, HTTP
+metrics server, and the provider interface the Bifrost engine queries.
 """
 
 from .aggregate import aggregate_cache_info
 from .cadvisor import CpuMeter, process_cpu_seconds
 from .compile import compile_query
-from .exposition import parse as parse_exposition
-from .exposition import parse_tolerant as parse_exposition_tolerant
 from .exposition import render as render_exposition
 from .exposition import render_lines as render_exposition_lines
 from .plan import planner_for
@@ -30,8 +28,8 @@ from .query import (
     parse,
 )
 from .registry import Counter, Gauge, Histogram, MetricPoint, Registry
-from .scraper import Scraper, ScrapeTarget
-from .series import Sample, SeriesKey, TimeSeries
+from .scraper import Scraper
+from .series import SeriesKey, TimeSeries
 from .server import MetricsServer
 from .store import LabelMatcher, MetricStore
 
@@ -54,8 +52,6 @@ __all__ = [
     "MetricsServer",
     "MetricStore",
     "parse",
-    "parse_exposition",
-    "parse_exposition_tolerant",
     "planner_for",
     "process_cpu_seconds",
     "ProviderError",
@@ -63,9 +59,7 @@ __all__ = [
     "Registry",
     "render_exposition",
     "render_exposition_lines",
-    "Sample",
     "Scraper",
-    "ScrapeTarget",
     "SeriesKey",
     "StaticProvider",
     "TimeSeries",

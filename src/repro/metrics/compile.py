@@ -23,9 +23,4 @@ def cache_info():
     return compile_query.cache_info()
 
 
-def clear_cache() -> None:
-    """Drop every memoized parse (tests and long-lived processes)."""
-    compile_query.cache_clear()
-
-
-__all__ = ["Expression", "compile_query", "cache_info", "clear_cache"]
+__all__ = ["Expression", "compile_query", "cache_info"]

@@ -1,25 +1,14 @@
-"""Prometheus text exposition format: render and parse.
+"""Prometheus text exposition format, rendered.
 
-Services expose ``GET /metrics`` in this format; the scraper parses it back
-into samples.  Implementing both directions keeps the wire contract honest
-and lets the reproduction swap in a real Prometheus without code changes.
+The proxy and the metrics server serve ``GET /metrics`` in this format, so
+a real Prometheus could scrape them.  Nothing in the product parses it
+back: in-process registries reach the store through the scraper's local
+targets, other processes through ``POST /api/v1/ingest``.
 """
 
 from __future__ import annotations
 
-import re
-
 from .registry import MetricPoint, Registry
-
-# The label section is matched greedily up to the *last* closing brace so
-# label values may themselves contain braces; the sample value after it
-# never does.
-_LINE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?"
-    r"\s+(?P<value>[^\s]+)\s*$"
-)
-_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 
 def render_lines(points: list[MetricPoint] | Registry):
@@ -45,57 +34,6 @@ def render(points: list[MetricPoint] | Registry) -> str:
     return "".join(render_lines(points))
 
 
-def parse(text: str) -> list[MetricPoint]:
-    """Parse exposition text into points; comments and blanks are skipped.
-
-    Strict: the first malformed line raises :class:`ValueError`.  Scrapers
-    ingesting third-party payloads should prefer :func:`parse_tolerant`,
-    which skips bad lines instead of discarding the whole payload.
-    """
-    points, errors = _parse_lines(text, strict=True)
-    assert not errors  # strict mode raised instead
-    return points
-
-
-def parse_tolerant(text: str) -> tuple[list[MetricPoint], list[str]]:
-    """Parse exposition text, skipping malformed lines.
-
-    Returns ``(points, bad_lines)``: every well-formed sample plus the
-    raw text of each line that failed to parse, so callers can count and
-    log them (see ``Scraper.parse_errors``) without losing the rest of a
-    target's payload to one corrupt line.
-    """
-    return _parse_lines(text, strict=False)
-
-
-def _parse_lines(text: str, strict: bool) -> tuple[list[MetricPoint], list[str]]:
-    points: list[MetricPoint] = []
-    errors: list[str] = []
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        match = _LINE.match(line)
-        if match is None:
-            if strict:
-                raise ValueError(f"malformed exposition line: {line!r}")
-            errors.append(line)
-            continue
-        labels = {}
-        if match.group("labels"):
-            for name, value in _LABEL.findall(match.group("labels")):
-                labels[name] = value.replace('\\"', '"').replace("\\\\", "\\")
-        try:
-            value = _parse_value(match.group("value"))
-        except ValueError:
-            if strict:
-                raise ValueError(f"malformed exposition line: {line!r}") from None
-            errors.append(line)
-            continue
-        points.append(MetricPoint(match.group("name"), labels, value))
-    return points, errors
-
-
 def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -108,11 +46,3 @@ def _format_value(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
-
-
-def _parse_value(raw: str) -> float:
-    if raw == "+Inf":
-        return float("inf")
-    if raw == "-Inf":
-        return float("-inf")
-    return float(raw)

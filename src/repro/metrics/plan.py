@@ -73,9 +73,6 @@ class PlanNode:
         self.memo_stamp: tuple[float, int] | None = None
         self.memo_value: list[VectorSample] = []
 
-    def __repr__(self) -> str:
-        return f"PlanNode({self.expression!r}, uses={self.uses})"
-
 
 def _child_expressions(expression: Expression) -> tuple[Expression, ...]:
     """Independently-evaluable subexpressions of *expression*.

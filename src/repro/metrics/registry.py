@@ -91,25 +91,10 @@ class Gauge(_Metric):
         super().__init__(name, help_text, label_names)
         self._value = 0.0
 
-    def _check_unlabelled(self) -> None:
+    def set(self, value: float) -> None:
         if self.label_names:
             raise ValueError(f"metric {self.name} is labelled; use .labels() first")
-
-    def set(self, value: float) -> None:
-        self._check_unlabelled()
         self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._check_unlabelled()
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._check_unlabelled()
-        self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
 
     def collect(self) -> list[MetricPoint]:
         return [
@@ -158,10 +143,6 @@ class Histogram(_Metric):
     @property
     def count(self) -> int:
         return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
 
     def collect(self) -> list[MetricPoint]:
         points = []
@@ -226,15 +207,9 @@ class Registry:
         self._register(metric)
         return metric
 
-    def get(self, name: str) -> _Metric | None:
-        return self._metrics.get(name)
-
     def collect(self) -> list[MetricPoint]:
         """Snapshot every metric for exposition or direct ingestion."""
         points: list[MetricPoint] = []
         for metric in self._metrics.values():
             points.extend(metric.collect())
         return points
-
-    def __len__(self) -> int:
-        return len(self._metrics)

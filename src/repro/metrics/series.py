@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import inf
 from typing import NamedTuple, Sequence
 
@@ -37,10 +36,6 @@ class SeriesKey(NamedTuple):
     name: str
     labels: tuple[tuple[str, str], ...] = ()
 
-    @classmethod
-    def make(cls, name: str, labels: dict[str, str] | None = None) -> "SeriesKey":
-        return cls(name, tuple(sorted(labels.items())) if labels else ())
-
     def label_dict(self) -> dict[str, str]:
         return dict(self.labels)
 
@@ -49,14 +44,6 @@ class SeriesKey(NamedTuple):
             return self.name
         rendered = ",".join(f'{k}="{v}"' for k, v in self.labels)
         return f"{self.name}{{{rendered}}}"
-
-
-@dataclass
-class Sample:
-    """One observation of a metric."""
-
-    timestamp: float
-    value: float
 
 
 #: Smallest ring capacity allocated once a series holds data.
@@ -79,9 +66,6 @@ class TimeSeries:
         #: Timestamp of the latest sample, or ``None`` when empty: stored
         #: by the appends, so ingest's order check reads one slot.
         self.newest_timestamp: float | None = None
-
-    def __repr__(self) -> str:
-        return f"TimeSeries({self.key}, samples={self._size})"
 
     # -- ring primitives ---------------------------------------------------
 
@@ -138,22 +122,14 @@ class TimeSeries:
 
     # -- public API --------------------------------------------------------
 
-    def append(self, timestamp: float, value: float) -> None:
-        """Record one sample; timestamps must be non-decreasing."""
-        last = self.newest_timestamp
-        if last is not None and timestamp < last:
-            raise ValueError(
-                f"out-of-order sample for {self.key}: {timestamp} < {last}"
-            )
-        self.append_ordered(timestamp, value)
-
     def append_ordered(
         self, timestamp: float, value: float, retention: float = inf
     ) -> None:
-        """:meth:`append` for a sample already checked against
-        :attr:`newest_timestamp`, then ``drop_before(timestamp -
-        retention)`` folded in — the apply pass of
-        ``MetricStore.record_batch``.
+        """Record one sample, then ``drop_before(timestamp - retention)``
+        folded in — the apply pass of ``MetricStore.record_batch``.
+
+        The caller has checked *timestamp* against
+        :attr:`newest_timestamp`: samples must be non-decreasing.
 
         The fold pays one comparison when nothing leaves and no search
         when only the oldest sample does (a series at retention-full
@@ -181,18 +157,8 @@ class TimeSeries:
             else:
                 self.drop_before(floor)
 
-    def __len__(self) -> int:
-        return self._size
-
-    def latest(self) -> Sample | None:
-        """The most recent sample, or ``None`` for an empty series."""
-        if not self._size:
-            return None
-        position = (self._start + self._size - 1) % len(self._ts)
-        return Sample(self._ts[position], self._vs[position])
-
-    def at(self, timestamp: float, staleness: float = float("inf")) -> Sample | None:
-        """The newest sample at or before *timestamp*.
+    def value_at(self, timestamp: float, staleness: float = float("inf")) -> float | None:
+        """The value of the newest sample at or before *timestamp*.
 
         Returns ``None`` if there is no such sample or it is older than
         *staleness* seconds relative to *timestamp* (Prometheus applies a
@@ -202,49 +168,27 @@ class TimeSeries:
         if index < 0:
             return None
         position = (self._start + index) % len(self._ts)
-        found = self._ts[position]
-        if timestamp - found > staleness:
-            return None
-        return Sample(found, self._vs[position])
-
-    def value_at(self, timestamp: float, staleness: float = float("inf")) -> float | None:
-        """Like :meth:`at` but returns the bare value, allocating nothing."""
-        index = self._bisect_right(timestamp) - 1
-        if index < 0:
-            return None
-        position = (self._start + index) % len(self._ts)
         if timestamp - self._ts[position] > staleness:
             return None
         return self._vs[position]
 
-    @property
-    def oldest_timestamp(self) -> float | None:
-        """Timestamp of the first retained sample, or ``None`` when empty."""
-        return self._ts[self._start] if self._size else None
-
     def window_bounds(self, start: float, end: float) -> tuple[int, int]:
         """Logical index bounds ``(lo, hi)`` of samples with ``start < t <= end``.
 
-        The zero-copy primitive behind :meth:`window` and
-        :meth:`window_arrays`: nothing is materialized, callers slice the
-        ring through the accessors.
+        The zero-copy primitive behind :meth:`window_arrays`: nothing is
+        materialized, callers slice the ring through the accessors.
         """
         return self._bisect_right(start), self._bisect_right(end)
 
     def window_arrays(self, start: float, end: float) -> tuple[Sequence[float], Sequence[float]]:
         """Timestamp/value array slices for the range selector window.
 
-        Two packed ``array('d')`` slices instead of one :class:`Sample`
-        object per point — the allocation-light path the range functions
-        (``rate``, ``*_over_time``) iterate over.
+        Two packed ``array('d')`` slices, not one object per point — the
+        allocation-light path the range functions (``rate``,
+        ``*_over_time``) iterate over.
         """
         lo, hi = self.window_bounds(start, end)
         return self._slice(self._ts, lo, hi), self._slice(self._vs, lo, hi)
-
-    def window(self, start: float, end: float) -> list[Sample]:
-        """All samples with ``start < timestamp <= end`` (range selector)."""
-        timestamps, values = self.window_arrays(start, end)
-        return [Sample(t, v) for t, v in zip(timestamps, values)]
 
     def drop_before(self, timestamp: float) -> int:
         """Discard samples older than *timestamp*; returns how many.

@@ -1,14 +1,16 @@
 """The metrics server: our in-process "Prometheus".
 
 Combines a :class:`~repro.metrics.store.MetricStore`, a
-:class:`~repro.metrics.scraper.Scraper`, and an HTTP query API:
+:class:`~repro.metrics.scraper.Scraper` of in-process registries, and an
+HTTP API:
 
 * ``GET /api/v1/query?query=...`` — instant query, returns
   ``{"status": "success", "data": {"value": <scalar|null>, "vector": [...]}}``
 * ``POST /api/v1/ingest`` — push-style ingestion (JSON list of samples),
-  used by components that prefer push over scrape
+  how components in another process reach the store
 * ``GET /api/v1/series`` — list known series, for the dashboard
-* ``GET /healthz`` — liveness
+* ``GET /healthz`` — liveness, series count and cache tallies
+* ``GET /metrics`` — the server's own cache tallies, as exposition text
 
 The scalar in ``data.value`` is the sum over the result vector (matching
 :func:`repro.metrics.query.evaluate_scalar`); the raw vector is included
@@ -18,7 +20,7 @@ for clients that need per-instance values.
 from __future__ import annotations
 
 from ..clock import Clock, RealClock
-from ..httpcore import HttpClient, HttpServer, ProtocolError, Request, Response
+from ..httpcore import HttpServer, ProtocolError, Request, Response
 from .compile import cache_info as compiled_query_cache_info
 from .exposition import render_lines
 from .plan import planner_for
@@ -38,14 +40,11 @@ class MetricsServer(HttpServer):
         scrape_interval: float = 1.0,
         clock: Clock | None = None,
         retention: float | None = 3600.0,
-        client: HttpClient | None = None,
     ):
         super().__init__(host=host, port=port, name="prometheus")
         self.clock = clock or RealClock()
         self.store = MetricStore(retention=retention)
-        self.scraper = Scraper(
-            self.store, interval=scrape_interval, clock=self.clock, client=client
-        )
+        self.scraper = Scraper(self.store, interval=scrape_interval, clock=self.clock)
         self.router.get("/api/v1/query")(self._handle_query)
         self.router.post("/api/v1/ingest")(self._handle_ingest)
         self.router.get("/api/v1/series")(self._handle_series)
@@ -69,13 +68,6 @@ class MetricsServer(HttpServer):
         #: Memo hit/miss tallies, exposed on ``/healthz`` for operators.
         self.query_cache_hits = 0
         self.query_cache_misses = 0
-        #: Circuit breakers surfaced on ``/healthz`` — anything with a
-        #: ``snapshot()`` (see ``CircuitBreaker.snapshot``).
-        self.breakers: dict[str, object] = {}
-
-    def register_breaker(self, name: str, breaker) -> None:
-        """Expose *breaker*'s state + transition counters on ``/healthz``."""
-        self.breakers[name] = breaker
 
     async def start(self, scrape: bool = True) -> None:
         await super().start()
@@ -219,10 +211,6 @@ class MetricsServer(HttpServer):
             {
                 "status": "up",
                 "series": len(self.store),
-                "breakers": {
-                    name: breaker.snapshot()
-                    for name, breaker in self.breakers.items()
-                },
                 "caches": {
                     "query_memo": {
                         "hits": self.query_cache_hits,

@@ -222,9 +222,6 @@ class MetricStore:
             series.append_ordered(timestamp, value, retention)
         self.generation += 1
 
-    def series(self, key: SeriesKey) -> TimeSeries | None:
-        return self._series.get(key)
-
     def select(
         self, name: str, matchers: Sequence[LabelMatcher] | None = None
     ) -> list[TimeSeries]:
@@ -253,11 +250,3 @@ class MetricStore:
 
     def __len__(self) -> int:
         return len(self._series)
-
-    def clear(self) -> None:
-        self._series.clear()
-        self._by_sent.clear()
-        self._by_name.clear()
-        self._selector_cache.clear()
-        self.generation += 1
-        self.series_generation += 1

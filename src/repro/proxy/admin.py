@@ -64,9 +64,6 @@ class LocalProxyController(ProxyController):
     def __init__(self, proxies: dict[str, BifrostProxy] | None = None):
         self.proxies: dict[str, BifrostProxy] = dict(proxies or {})
 
-    def register(self, service: str, proxy: BifrostProxy) -> None:
-        self.proxies[service] = proxy
-
     async def apply(
         self, service: str, config: RoutingConfig, endpoints: dict[str, str]
     ) -> None:

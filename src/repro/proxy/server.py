@@ -146,10 +146,6 @@ class BifrostProxy(HttpServer):
             "Sticky assignments evicted to stay within capacity",
         )
 
-        #: Circuit breakers surfaced on ``/bifrost/healthz`` — anything
-        #: with a ``snapshot()`` (see ``CircuitBreaker.snapshot``).
-        self.breakers: dict[str, object] = {}
-
         self.router.put("/bifrost/config")(self._handle_put_config)
         self.router.get("/metrics")(self._handle_metrics)
         self.router.get("/bifrost/config")(self._handle_get_config)
@@ -389,19 +385,11 @@ class BifrostProxy(HttpServer):
     async def _handle_stats(self, request: Request) -> Response:
         return Response.from_json(self.stats_snapshot())
 
-    def register_breaker(self, name: str, breaker) -> None:
-        """Expose *breaker*'s state + transition counters on ``/healthz``."""
-        self.breakers[name] = breaker
-
     async def _handle_health(self, request: Request) -> Response:
         return Response.from_json(
             {
                 "status": "up",
                 "service": self.service,
-                "breakers": {
-                    name: breaker.snapshot()
-                    for name, breaker in self.breakers.items()
-                },
                 "caches": {
                     "sticky": {
                         "size": len(self.sticky_store),

@@ -167,11 +167,6 @@ class FaultSchedule:
         return cls().add(lambda index, now: index % n == 0, fault)
 
     @classmethod
-    def first(cls, n: int, fault: Fault | None = None) -> "FaultSchedule":
-        """A dependency that is down at startup: the first *n* calls fault."""
-        return cls().add(lambda index, now: index <= n, fault)
-
-    @classmethod
     def calls(cls, indices: Iterable[int], fault: Fault | None = None) -> "FaultSchedule":
         """Fault exactly the given 1-based call numbers."""
         frozen = frozenset(indices)
@@ -342,5 +337,5 @@ class FaultyUpstream:
 
     def __getattr__(self, name: str):
         # transparently expose anything else the proxy pokes at
-        # (idle_connections(), counters, ...) on the wrapped client.
+        # (counters, ...) on the wrapped client.
         return getattr(self.inner, name)

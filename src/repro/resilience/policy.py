@@ -252,7 +252,7 @@ class CircuitBreaker:
 
         While forced, :meth:`allow` refuses every call — the cooldown
         does not elapse into HALF_OPEN.  The transition is recorded like
-        any organic one so event wrappers and healthz views see it.
+        any organic one so the event wrapper publishes it.
         """
         self.forced = True
         self._open()
@@ -264,16 +264,3 @@ class CircuitBreaker:
         self._probes_granted = 0
         self._probe_successes = 0
         self._transition(BreakerState.CLOSED)
-
-    def snapshot(self) -> dict:
-        """JSON-friendly view for ``/healthz`` endpoints."""
-        counts = {state.value: 0 for state in BreakerState}
-        for _, _, new_state in self.transitions:
-            counts[new_state.value] += 1
-        return {
-            "state": self.state.value,
-            "forced": self.forced,
-            "failure_fraction": round(self.failure_fraction, 4),
-            "transitions": counts,
-            "transitions_total": len(self.transitions),
-        }

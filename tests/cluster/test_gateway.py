@@ -61,27 +61,6 @@ async def test_dead_upstream_is_502():
         await gateway.stop()
 
 
-async def test_set_upstream_repoints_route():
-    a = upstream("a")
-    b = upstream("b")
-    await a.start()
-    await b.start()
-    gateway = Gateway()
-    gateway.add_route("/", a.address)
-    await gateway.start()
-    try:
-        async with HttpClient() as client:
-            assert (await client.get(f"http://{gateway.address}/")).json()["tag"] == "a"
-            gateway.set_upstream("/", b.address)
-            assert (await client.get(f"http://{gateway.address}/")).json()["tag"] == "b"
-        with pytest.raises(KeyError):
-            gateway.set_upstream("/missing", "h:1")
-    finally:
-        await gateway.stop()
-        await a.stop()
-        await b.stop()
-
-
 def test_prefix_must_start_with_slash():
     with pytest.raises(ValueError):
         Gateway().add_route("products", "h:1")

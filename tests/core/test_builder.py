@@ -35,10 +35,9 @@ def test_builder_assembles_valid_strategy():
 def test_builder_first_state_is_start_unless_overridden():
     builder = StrategyBuilder("s")
     builder.service("svc", {"v": "h:1"})
-    builder.state("later").dwell(1).goto("done")
     builder.state("first").dwell(1).goto("later")
+    builder.state("later").dwell(1).goto("done")
     builder.state("done").final()
-    builder.start_at("first")
     strategy = builder.build()
     assert strategy.automaton.start == "first"
 

@@ -46,7 +46,7 @@ async def test_multi_query_condition_completes_in_max_latency():
         clock,
         latencies={"qa": 1.0, "qb": 2.0, "qc": 3.0},
     )
-    task = asyncio.create_task(_three_query_condition().evaluate({"static": provider}))
+    task = asyncio.create_task(_three_query_condition().evaluate_detailed({"static": provider}))
     # Strictly less than the slowest query: not done yet.
     await clock.advance(2.5)
     assert not task.done()
@@ -55,7 +55,7 @@ async def test_multi_query_condition_completes_in_max_latency():
     # seconds and three separate advances to get there.
     await clock.advance(0.5)
     assert task.done()
-    assert task.result() == 1
+    assert task.result().result == 1
     assert clock.now() == 3.0
     assert sorted(provider.query_log) == ["qa", "qb", "qc"]
 
@@ -67,12 +67,12 @@ async def test_fanout_is_not_sequential_sum():
         clock,
         latencies={"qa": 1.0, "qb": 1.0, "qc": 1.0},
     )
-    task = asyncio.create_task(_three_query_condition().evaluate({"static": provider}))
+    task = asyncio.create_task(_three_query_condition().evaluate_detailed({"static": provider}))
     # One advance of the common latency finishes the whole condition:
     # all three sleeps were pending concurrently.
     await clock.advance(1.0)
     assert task.done()
-    assert task.result() == 1
+    assert task.result().result == 1
 
 
 async def test_fanout_missing_provider_raises_before_fetching():
@@ -83,7 +83,7 @@ async def test_fanout_missing_provider_raises_before_fetching():
         predicate=lambda values: True,
     )
     with pytest.raises(CheckError):
-        await condition.evaluate({"static": provider})
+        await condition.evaluate_detailed({"static": provider})
     assert provider.query_log == []  # resolution failed before any fetch
 
 
@@ -99,4 +99,4 @@ async def test_fanout_provider_error_counts_as_no_data():
         ),
         predicate=lambda values: values["b"] is None and values["a"] == 1.0,
     )
-    assert await condition.evaluate({"static": provider}) == 1
+    assert (await condition.evaluate_detailed({"static": provider})).result == 1

@@ -224,43 +224,6 @@ async def test_engine_events_cover_lifecycle():
     assert kinds.count(EventKind.ROUTING_APPLIED) == 3
 
 
-async def test_exclusive_claim_blocks_conflicting_strategies():
-    from repro.core.engine import ServiceClaimedError
-
-    engine = Engine(clock=VirtualClock())
-    clock = engine.clock
-    first = engine.enact(linear_strategy("team-a"), exclusive=True)
-    # Another strategy touching the same service is rejected — exclusive
-    # or not.
-    with pytest.raises(ServiceClaimedError):
-        engine.enact(linear_strategy("team-b"))
-    with pytest.raises(ServiceClaimedError):
-        engine.enact(linear_strategy("team-c"), exclusive=True)
-    # A strategy over a different service is unaffected.
-    builder = StrategyBuilder("other-service")
-    builder.service("other", {"v": "h:9"})
-    builder.state("s").route("other", single_version("v")).dwell(1).goto("done")
-    builder.state("done").final()
-    engine.enact(builder.build(), exclusive=True)
-    # Once the claim holder finishes, the service frees up.
-    await asyncio.sleep(0)
-    await clock.advance(5)
-    await engine.wait(first)
-    second = engine.enact(linear_strategy("team-b"))
-    await clock.advance(5)
-    report = await engine.wait(second)
-    assert report.status is ExecutionStatus.COMPLETED
-
-
-async def test_cancelled_exclusive_execution_releases_claims():
-    engine = Engine(clock=VirtualClock())
-    execution_id = engine.enact(linear_strategy(), exclusive=True)
-    await asyncio.sleep(0)
-    await engine.cancel(execution_id)
-    await asyncio.sleep(0)  # let the done-callback run
-    engine.enact(linear_strategy("after-cancel"))  # must not raise
-
-
 async def test_a_chaos_campaign_that_fails_to_attach_claims_nothing():
     from repro.resilience.chaos import ChaosCampaign, ChaosError, FaultSpec
 
@@ -270,12 +233,10 @@ async def test_a_chaos_campaign_that_fails_to_attach_claims_nothing():
         "c", specs=[FaultSpec(name="f", target="controller", phases=("nowhere",))]
     )
     with pytest.raises(ChaosError):
-        engine.enact(
-            linear_strategy("shop"), exclusive=True, allow_findings=True, chaos=campaign
-        )
-    assert engine._claims == {}
+        engine.enact(linear_strategy("shop"), allow_findings=True, chaos=campaign)
+    assert engine.executions == {}
     assert engine.bus._subscribers == subscribers
-    execution_id = engine.enact(linear_strategy("shop"), exclusive=True)
+    execution_id = engine.enact(linear_strategy("shop"))
     await asyncio.sleep(0)
     await engine.clock.advance(5)
     report = await engine.wait(execution_id)
@@ -293,33 +254,13 @@ async def test_non_exclusive_strategies_still_share_services():
     assert all(r.status is ExecutionStatus.COMPLETED for r in reports)
 
 
-async def test_delayed_enactment_waits_before_starting():
-    engine = Engine(clock=VirtualClock())
-    clock = engine.clock
-    execution_id = engine.enact(linear_strategy(), delay=10.0)
-    await asyncio.sleep(0)
-    await clock.advance(9)
-    execution = engine.execution(execution_id)
-    assert execution.status is ExecutionStatus.PENDING
-    assert engine.bus.history == []  # nothing published yet
-    await clock.advance(1 + 5)  # delay elapses + the 5s strategy runs
-    report = await engine.wait(execution_id)
-    assert report.status is ExecutionStatus.COMPLETED
-    assert report.started_at == 10.0
-
-
 async def test_scheduled_execution_can_be_cancelled_while_pending():
+    # Cancelled before its task first runs: the execution never left PENDING.
     engine = Engine(clock=VirtualClock())
-    execution_id = engine.enact(linear_strategy(), delay=100.0)
-    await asyncio.sleep(0)
+    execution_id = engine.enact(linear_strategy())
+    assert engine.execution(execution_id).status is ExecutionStatus.PENDING
     await engine.cancel(execution_id)
     assert engine.execution(execution_id).status is ExecutionStatus.FAILED
-
-
-async def test_negative_delay_rejected():
-    engine = Engine(clock=VirtualClock())
-    with pytest.raises(ValueError):
-        engine.enact(linear_strategy(), delay=-1.0)
 
 
 async def test_pause_holds_before_next_state():

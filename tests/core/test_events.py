@@ -1,6 +1,7 @@
 """Tests for the engine event bus."""
 
 import asyncio
+import json
 import sys
 
 import pytest
@@ -71,37 +72,6 @@ async def test_history_and_of_kind():
     assert len(bus.of_kind(EventKind.STRATEGY_FAILED)) == 0
 
 
-async def test_jsonl_writer_persists_and_replays(tmp_path):
-    from repro.core import JsonlEventWriter
-
-    path = tmp_path / "journal.jsonl"
-    bus = EventBus()
-    writer = JsonlEventWriter(path)
-    bus.subscribe(writer)
-    await bus.publish(make_event(EventKind.STRATEGY_STARTED))
-    await bus.publish(make_event(EventKind.STATE_ENTERED, state="canary"))
-    writer.close()
-    replayed = JsonlEventWriter.read(path)
-    assert [e.kind for e in replayed] == [
-        EventKind.STRATEGY_STARTED,
-        EventKind.STATE_ENTERED,
-    ]
-    assert replayed[1].data == {"state": "canary"}
-
-
-async def test_jsonl_writer_appends_across_instances(tmp_path):
-    from repro.core import JsonlEventWriter
-
-    path = tmp_path / "journal.jsonl"
-    first = JsonlEventWriter(path)
-    first(make_event(EventKind.STRATEGY_STARTED))
-    first.close()
-    second = JsonlEventWriter(path)
-    second(make_event(EventKind.STRATEGY_COMPLETED))
-    second.close()
-    assert len(JsonlEventWriter.read(path)) == 2
-
-
 def test_event_json_round_trip():
     event = Event(
         kind=EventKind.STATE_COMPLETED,
@@ -109,8 +79,13 @@ def test_event_json_round_trip():
         at=12.5,
         data={"outcome": 4, "next": "c"},
     )
-    restored = Event.from_json(event.to_json())
-    assert restored == event
+    # The one wire form: /api/events serves it, the CLI prints it.
+    assert json.loads(json.dumps(event.to_wire())) == {
+        "kind": "state_completed",
+        "strategy": "fastsearch",
+        "at": 12.5,
+        "data": {"outcome": 4, "next": "c"},
+    }
 
 
 # -- sync-first delivery ------------------------------------------------------

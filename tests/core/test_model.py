@@ -31,8 +31,8 @@ def test_version_requires_name_and_endpoint():
 def test_service_version_lookup():
     service = make_service()
     assert service.version("fastSearch").endpoint == "127.0.0.1:9002"
-    assert "search" in service
-    assert "missing" not in service
+    assert "search" in service.versions
+    assert "missing" not in service.versions
     with pytest.raises(ModelError):
         service.version("missing")
 

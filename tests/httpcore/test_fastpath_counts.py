@@ -7,6 +7,7 @@ import asyncio
 import sys
 
 from repro.httpcore import BodyStream, Headers, HttpClient, HttpServer, Request, Response
+from tests.httpcore.wire import parked
 
 
 def make_server() -> HttpServer:
@@ -68,7 +69,7 @@ async def test_warm_buffered_round_trips_create_no_tasks():
             assert response.body == body
         # Client and server share this loop: neither side made a Task.
         assert counter.created == 0
-        assert client.idle_connections() == 1
+        assert parked(client) == 1
 
 
 async def test_warm_buffered_round_trips_arm_at_most_one_timer():
@@ -119,7 +120,7 @@ async def test_streamed_request_and_response_create_at_most_one_task_per_send():
             )
             assert await response.aread() == b"abcd"
             assert counter.created <= sends
-        assert client.idle_connections() == 1
+        assert parked(client) == 1
 
 
 async def test_each_field_name_is_lowered_once_per_hop():
@@ -184,7 +185,7 @@ async def test_dispatch_allocates_no_closure_per_request(monkeypatch):
 async def test_middleware_added_after_start_applies_to_the_next_request():
     async with make_server() as server, HttpClient() as client:
         url = f"http://{server.address}/x"
-        assert "X-Late" not in (await client.get(url)).headers
+        assert (await client.get(url)).headers.get("X-Late") is None
 
         async def late(request, handler):
             response = await handler(request)
@@ -194,4 +195,4 @@ async def test_middleware_added_after_start_applies_to_the_next_request():
         server.add_middleware(late)
         # Same keep-alive connection, already-composed handler: still applies.
         assert (await client.get(url)).headers.get("X-Late") == "yes"
-        assert client.idle_connections() == 1
+        assert parked(client) == 1

@@ -1,6 +1,7 @@
 """Unit tests for the case-insensitive header multimap."""
 
 from repro.httpcore import Headers
+from tests.httpcore.wire import fields
 
 
 def test_get_is_case_insensitive():
@@ -39,39 +40,15 @@ def test_remove_is_case_insensitive_and_ignores_missing():
     headers = Headers([("A", "1"), ("a", "2"), ("B", "3")])
     headers.remove("A")
     headers.remove("never-there")
-    assert headers.items() == [("B", "3")]
-
-
-def test_mapping_protocol():
-    headers = Headers()
-    headers["X-One"] = "1"
-    assert "x-one" in headers
-    assert headers["X-ONE"] == "1"
-    del headers["x-one"]
-    assert "X-One" not in headers
-    assert len(headers) == 0
-
-
-def test_getitem_raises_keyerror():
-    import pytest
-
-    with pytest.raises(KeyError):
-        Headers()["gone"]
-
-
-def test_delitem_raises_keyerror_when_absent():
-    import pytest
-
-    with pytest.raises(KeyError):
-        del Headers()["gone"]
+    assert fields(headers) == [("B", "3")]
 
 
 def test_copy_is_independent():
     original = Headers([("A", "1")])
     clone = original.copy()
     clone.add("B", "2")
-    assert "B" not in original
-    assert "B" in clone
+    assert original.get("B") is None
+    assert clone.get("B") == "2"
 
 
 def test_init_from_dict():
@@ -80,14 +57,9 @@ def test_init_from_dict():
     assert headers.get("accept") == "*/*"
 
 
-def test_equality_ignores_name_case_but_not_order():
-    assert Headers([("A", "1")]) == Headers([("a", "1")])
-    assert Headers([("A", "1"), ("B", "2")]) != Headers([("B", "2"), ("A", "1")])
-
-
 def test_iteration_preserves_insertion_order():
     headers = Headers([("Z", "26"), ("A", "1")])
-    assert list(headers) == [("Z", "26"), ("A", "1")]
+    assert fields(headers) == [("Z", "26"), ("A", "1")]
 
 
 def test_values_are_coerced_to_strings():
@@ -99,9 +71,9 @@ def test_values_are_coerced_to_strings():
 def test_merge_joins_onto_the_first_field_in_place_or_adds():
     headers = Headers([("A", "1"), ("COOKIE", "x=1"), ("cookie", "y=2")])
     headers.merge("Cookie", "z=3", "; ")
-    assert headers.items() == [("A", "1"), ("COOKIE", "x=1; z=3"), ("cookie", "y=2")]
+    assert fields(headers) == [("A", "1"), ("COOKIE", "x=1; z=3"), ("cookie", "y=2")]
     headers.merge("Via", "1.1 gw", ", ")
-    assert headers.items()[-1] == ("Via", "1.1 gw")
+    assert fields(headers)[-1] == ("Via", "1.1 gw")
     assert headers.get("via") == "1.1 gw"
 
 
@@ -122,13 +94,13 @@ def test_forward_copy_drops_hop_by_hop_nominated_and_host_only():
             ("Content-Length", "3"),
         ]
     )
-    before = original.items()
+    before = fields(original)
     forwarded = original.forward_copy()
-    assert forwarded.items() == [
-        ("Set-Cookie", "a=1"),
-        ("set-cookie", "b=2"),
-        ("Content-Length", "3"),
-    ]
+    assert fields(forwarded) == [("Set-Cookie", "a=1"), ("set-cookie", "b=2")]
+    assert forwarded.get("content-length") == "3"
+    assert forwarded.get("transfer-encoding") is None
     forwarded.add("Host", "b")
-    assert original.items() == before  # a copy: the receiver is untouched
+    # A copy: the receiver is untouched.
+    assert fields(original) == before
+    assert original.get("transfer-encoding") == "chunked"
     assert forwarded.get("host") == "b"

@@ -16,7 +16,7 @@ from repro.httpcore import (
 from repro.httpcore.connection import BULK_BUFFER_BYTES, BUFFER_BYTES
 from repro.httpcore.errors import BodyTooLarge, HeaderTooLarge
 from repro.httpcore.message import MAX_HEADER_BYTES
-from tests.httpcore.wire import feed
+from tests.httpcore.wire import feed, fields
 
 
 async def read_request(data: bytes, tears=(), **kwargs):
@@ -147,21 +147,10 @@ async def test_read_response_malformed_status_line():
         await read_response(b"HTTP/1.1 abc OK\r\n\r\n")
 
 
-def test_request_copy_is_deep_enough_for_shadowing():
-    request = Request("GET", "/x", Headers([("A", "1")]), b"body")
-    clone = request.copy()
-    clone.headers.set("A", "2")
-    clone.path_params["id"] = "7"
-    assert request.headers.get("A") == "1"
-    assert request.path_params == {}
-
-
 def test_response_helpers():
     assert Response.text("hi").body == b"hi"
     assert Response.text("hi").headers.get("content-type").startswith("text/plain")
     assert Response.html("<p>x</p>").headers.get("content-type").startswith("text/html")
-    assert Response(status=204).ok
-    assert not Response(status=404).ok
     assert Response(status=404).reason == "Not Found"
     assert Response(status=299).reason == "Unknown"
 
@@ -288,7 +277,11 @@ async def test_single_pass_parser_matches_reference_on_hostile_heads(start_line,
         items, framing, close = expected
         message = await read(raw + b"x" * 16, stream=True, max_body=0)
         stream = message.stream
-        assert message.headers.items() == items, lines
+        framed = ("content-length", "transfer-encoding")
+        assert fields(message.headers) == [f for f in items if f[0].lower() not in framed], lines
+        for name in framed:
+            declared = [v for n, v in items if n.lower() == name]
+            assert message.headers.get_all(name) == declared, lines
         assert (stream and stream.length, stream is not None and stream.length is None) == framing, lines
         assert message.connection_close is close, lines
         # serialize . parse renders what it always rendered.
@@ -321,11 +314,14 @@ async def _both(connection):
 
 
 async def test_head_split_at_every_offset_frames_the_same():
+    def framed(requests):
+        return [(request.serialize(), request.connection_close) for request in requests]
+
     expected = await _both(feed(PIPELINED))
     assert expected[0].body == b"hello" and expected[1].connection_close
     for offset in range(1, len(PIPELINED)):
         torn = await _both(feed(PIPELINED, tears=(offset, len(PIPELINED))))
-        assert torn == expected, offset
+        assert framed(torn) == framed(expected), offset
 
 
 def _straddling() -> tuple[bytes, bytes]:

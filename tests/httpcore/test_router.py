@@ -106,7 +106,6 @@ def test_decorator_registration():
     async def delete_handler(request):
         return Response.text("d")
 
-    assert len(router) == 4
     assert router.resolve(Request("GET", "/g")) is get_handler
     assert router.resolve(Request("POST", "/p")) is post_handler
     assert router.resolve(Request("PUT", "/u")) is put_handler

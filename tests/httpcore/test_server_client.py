@@ -19,6 +19,7 @@ from repro.httpcore import (
     Response,
 )
 from repro.proxy import BifrostProxy
+from tests.httpcore.wire import parked
 
 
 def make_server() -> HttpServer:
@@ -177,13 +178,13 @@ async def test_timeout_budget_covers_the_round_trip_and_burns_the_connection(par
         async with HttpClient(timeout=timeout) as client:
             url = f"http://127.0.0.1:{port}/"
             assert (await client.get(url)).body == b"ok"
-            assert client.idle_connections() == 1
+            assert parked(client) == 1
             started = loop.time()
             with pytest.raises(RequestTimeout):
                 await client.get(url)  # rides the pooled connection
             assert loop.time() - started < 1.2 * timeout
             await asyncio.wait_for(saw_close.wait(), 1.0)  # closed ...
-            assert client.idle_connections() == 0  # ... not pooled ...
+            assert parked(client) == 0  # ... not pooled ...
             assert connections == 1  # ... and a timeout is never retried
 
 
@@ -214,7 +215,7 @@ async def test_timeout_budget_includes_the_request_body_pump():
         response = await client.send(request, "127.0.0.1", port)
         assert response.body == b"reply"
         assert loop.time() - started < 1.2 * timeout
-        assert client.idle_connections() == 0
+        assert parked(client) == 0
 
 
 # -- the client's one deadline timer ------------------------------------------
@@ -403,11 +404,11 @@ def test_split_url_variants():
 async def test_idle_connections_observability():
     async with make_server() as server, HttpClient() as client:
         key = server.address
-        assert client.idle_connections() == 0
+        assert parked(client) == 0
         await client.get(f"http://{server.address}/ping")
-        assert client.idle_connections() == 1
-        assert client.idle_connections(key) == 1
-        assert client.idle_connections("other:80") == 0
+        assert parked(client) == 1
+        assert parked(client, key) == 1
+        assert parked(client, "other:80") == 0
 
 
 async def test_stale_idle_connection_evicted_on_acquire():
@@ -420,7 +421,7 @@ async def test_stale_idle_connection_evicted_on_acquire():
         response = await client.get(f"http://{server.address}/ping")
         assert response.status == 200
         assert old.transport.is_closing()  # the stale socket was retired
-        assert client.idle_connections() == 1  # a fresh one was pooled
+        assert parked(client) == 1  # a fresh one was pooled
         assert pool[0][0] is not old
 
 
@@ -439,7 +440,7 @@ async def test_stale_acquire_drains_older_stack_entries():
         ]
         await client.get(f"http://{server.address}/ping")
         assert all(connection.transport.is_closing() for connection in old)
-        assert client.idle_connections() == 1
+        assert parked(client) == 1
 
 
 async def test_release_ages_out_oldest_idler():
@@ -455,7 +456,7 @@ async def test_release_ages_out_oldest_idler():
         # sweeps the expired connection off the bottom of the stack.
         await client.get(f"http://{server.address}/ping")
         assert oldest.transport.is_closing()
-        assert client.idle_connections() == 2
+        assert parked(client) == 2
         assert all(not c.transport.is_closing() for c, _ in pool)
 
 
@@ -464,7 +465,7 @@ async def test_fresh_connections_survive_idle_sweeps():
         for _ in range(4):
             await client.get(f"http://{server.address}/ping")
         # Sequential keep-alive traffic: one warm connection, never evicted.
-        assert client.idle_connections() == 1
+        assert parked(client) == 1
         assert server.requests_handled == 4
 
 

@@ -20,7 +20,7 @@ from repro.httpcore import (
 from repro.httpcore.connection import BULK_BUFFER_BYTES
 from repro.httpcore.errors import BodyTooLarge, IncompleteMessage
 from repro.httpcore.stream import CHUNKED_EOF, relay_body
-from tests.httpcore.wire import CHUNKED_HEAD, decode_chunked, feed
+from tests.httpcore.wire import CHUNKED_HEAD, decode_chunked, feed, parked
 
 
 async def collect(iterator) -> bytes:
@@ -288,7 +288,7 @@ async def test_streamed_response_end_to_end_keeps_connection():
         assert response.stream is not None
         assert await response.aread() == b"x" * 131072
         # Drain rule satisfied on both sides: the connection is pooled again.
-        assert client.idle_connections(server.address) == 1
+        assert parked(client, server.address) == 1
         again = await client.post(f"http://{server.address}/echo", body=b"ok")
         assert again.body == b"ok"
 
@@ -325,7 +325,7 @@ async def test_unconsumed_request_stream_is_drained_for_keepalive():
             "GET", f"http://{server.address}/ignore-body", body=b"leftover" * 100
         )
         assert first.body == b"ignored"
-        assert client.idle_connections(server.address) == 1
+        assert parked(client, server.address) == 1
         second = await client.post(f"http://{server.address}/echo", body=b"next")
         assert second.body == b"next"
 
@@ -390,7 +390,7 @@ async def test_server_answers_413_when_handler_buffers_too_much():
             )
             assert response.status == 413
             # The oversized connection was closed, not reused.
-            assert client.idle_connections(server.address) == 0
+            assert parked(client, server.address) == 0
 
 
 async def test_buffered_server_rejects_declared_oversize():

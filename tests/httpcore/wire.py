@@ -6,6 +6,10 @@ per event-loop turn, and then EOF.  Delivery honours ``pause_reading`` and
 asks the protocol for a buffer before every piece, exactly as a socket
 transport does, so torn heads, compaction, growth and backpressure all run
 the code a real connection runs.
+
+``fields(headers)`` lists the header fields as they go on the wire, and
+``parked(client)`` counts the keep-alive connections an
+:class:`~repro.httpcore.HttpClient` holds in its pools.
 """
 
 from __future__ import annotations
@@ -13,7 +17,22 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 
-from repro.httpcore import HttpConnection, read_request, read_response
+from repro.httpcore import Headers, HttpClient, HttpConnection, read_request, read_response
+
+
+def fields(headers: Headers) -> list[tuple[str, str]]:
+    """Every field *headers* serializes, as ``(name as given, value)`` in
+    order.  The framing fields (``Content-Length``, ``Transfer-Encoding``)
+    are written per message, so they are not among them."""
+    head = headers.wire_head("", "").decode("latin-1")
+    return [tuple(line.split(": ", 1)) for line in head.split("\r\n") if line]
+
+
+def parked(client: HttpClient, key: str | None = None) -> int:
+    """Idle keep-alive connections in *client*'s pools (for ``host:port`` *key*)."""
+    if key is not None:
+        return len(client._pools.get(key, ()))
+    return sum(map(len, client._pools.values()))
 
 
 class MemoryTransport(asyncio.Transport):

@@ -9,10 +9,6 @@ from repro.lint.diagnostics import code_matches
 # -- Severity ----------------------------------------------------------------
 
 
-def test_severity_ordering_by_rank():
-    assert Severity.ERROR.rank < Severity.WARNING.rank < Severity.INFO.rank
-
-
 def test_severity_parse():
     assert Severity.parse("error") is Severity.ERROR
     assert Severity.parse("WARNING") is Severity.WARNING

@@ -17,7 +17,7 @@ from repro.metrics import (
     parse,
     planner_for,
 )
-from repro.metrics.compile import cache_info, clear_cache
+from repro.metrics.compile import cache_info
 from repro.metrics.series import SeriesKey, TimeSeries
 
 
@@ -25,7 +25,7 @@ from repro.metrics.series import SeriesKey, TimeSeries
 
 
 def test_compile_query_memoizes_per_string():
-    clear_cache()
+    compile_query.cache_clear()
     first = compile_query('errors{instance="a", code=~"5.."}')
     second = compile_query('errors{instance="a", code=~"5.."}')
     assert first is second  # same object, no re-parse
@@ -78,10 +78,10 @@ def test_selector_cache_survives_appends_to_existing_series():
     store.record("m", 2.0, 2.0, {"v": "a"})  # same series, no invalidation
     selected = store.select("m", matchers)
     assert len(selected) == 1
-    assert selected[0].latest().value == 2.0
+    assert selected[0].value_at(2.0) == 2.0
 
 
-def test_generation_bumps_on_record_and_clear():
+def test_generation_bumps_on_record():
     store = MetricStore()
     start = store.generation
     store.record("m", 1.0, 1.0)
@@ -89,11 +89,6 @@ def test_generation_bumps_on_record_and_clear():
     mid = store.generation
     store.record("m", 2.0, 2.0)
     assert store.generation > mid
-    last = store.generation
-    store.clear()
-    assert store.generation > last
-    assert store.select("m") == []
-    assert store.names() == set()
 
 
 def test_retention_guard_still_drops_expired_samples():
@@ -101,34 +96,24 @@ def test_retention_guard_still_drops_expired_samples():
     for t in range(30):
         store.record("m", float(t), float(t))
     series = store.select("m")[0]
-    assert series.oldest_timestamp >= 30 - 1 - 10.0
+    timestamps = series.window_arrays(-1.0, 99.0)[0]
+    assert timestamps[0] >= 30 - 1 - 10.0
     # recent samples survive
-    assert series.latest().timestamp == 29.0
+    assert timestamps[-1] == series.newest_timestamp == 29.0
 
 
 # -- zero-copy series reads --------------------------------------------------------
 
 
 def test_window_bounds_and_arrays_match_window():
-    series = TimeSeries(SeriesKey.make("m"))
+    series = TimeSeries(SeriesKey("m"))
     for t in range(10):
-        series.append(float(t), float(t * 2))
+        series.append_ordered(float(t), float(t * 2))
     lo, hi = series.window_bounds(2.0, 7.0)
     timestamps, values = series.window_arrays(2.0, 7.0)
-    samples = series.window(2.0, 7.0)
-    assert hi - lo == len(samples) == len(timestamps) == len(values)
-    assert list(timestamps) == [s.timestamp for s in samples]
-    assert list(values) == [s.value for s in samples]
-    assert timestamps[0] == 3.0 and timestamps[-1] == 7.0  # start exclusive
-
-
-def test_value_at_matches_at():
-    series = TimeSeries(SeriesKey.make("m"))
-    series.append(1.0, 10.0)
-    series.append(5.0, 50.0)
-    assert series.value_at(5.0) == series.at(5.0).value == 50.0
-    assert series.value_at(0.5) is None and series.at(0.5) is None
-    assert series.value_at(100.0, staleness=10.0) is None
+    assert hi - lo == len(timestamps) == len(values) == 5
+    assert list(timestamps) == [3.0, 4.0, 5.0, 6.0, 7.0]  # start exclusive
+    assert list(values) == [6.0, 8.0, 10.0, 12.0, 14.0]
 
 
 # -- per-instant memo (the plan's root node) ---------------------------------------

@@ -183,7 +183,7 @@ async def test_bad_input_is_4xx_and_leaves_the_store_untouched(method, target, b
     assert 400 <= response.status < 500, response.body
     assert response.json()["status"] == "error"
     assert (len(store), store.generation, store.series_generation) == before
-    assert server.store.select("m")[0].latest().value == 1.0
+    assert server.store.select("m")[0].value_at(float("inf")) == 1.0
 
 
 async def test_metrics_server_health():
@@ -305,7 +305,7 @@ async def test_ingest_bad_sample_mid_batch_records_nothing():
     # The leading valid sample was not recorded behind the 400.
     assert server.store.generation == generation
     series = server.store.select("sales")[0]
-    assert series.latest().value == 1.0
+    assert series.value_at(float("inf")) == 1.0
 
 
 async def test_ingest_rejects_out_of_order_against_store_atomically():
@@ -326,7 +326,8 @@ async def test_ingest_rejects_out_of_order_against_store_atomically():
             assert "out-of-order" in response.json()["error"]
     finally:
         await server.stop()
-    assert len(server.store.select("m")[0]) == 1  # neither sample landed
+    # Neither sample landed.
+    assert list(server.store.select("m")[0].window_arrays(0.0, 99.0)[0]) == [40.0]
 
 
 async def test_ingest_out_of_order_within_batch_same_series():
@@ -364,7 +365,7 @@ async def test_ingest_same_timestamp_is_accepted():
             assert response.json() == {"status": "success", "ingested": 2}
     finally:
         await server.stop()
-    assert len(server.store.select("m")[0]) == 2
+    assert list(server.store.select("m")[0].window_arrays(0.0, 99.0)[1]) == [1.0, 2.0]
 
 
 # -- server-side query cache ------------------------------------------------------
@@ -528,7 +529,7 @@ async def test_metrics_server_health_reports_cache_counters():
 
 
 async def test_metrics_server_scrapes_own_cache_gauges():
-    from repro.metrics import parse_exposition
+    from tests.metrics.exposition_reference import parse_exposition
 
     server = MetricsServer(clock=VirtualClock())
     await server.start(scrape=False)

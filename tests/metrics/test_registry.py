@@ -51,12 +51,17 @@ def test_labels_returns_same_child_for_same_values(registry):
     assert counter.labels(x="1") is not counter.labels(x="2")
 
 
-def test_gauge_set_inc_dec(registry):
+def test_gauge_set(registry):
     gauge = registry.gauge("inflight")
     gauge.set(10)
-    gauge.inc()
-    gauge.dec(3)
-    assert gauge.value == 8
+    gauge.set(8)
+    assert [(p.name, p.value) for p in gauge.collect()] == [("inflight", 8)]
+
+
+def test_labelled_gauge_requires_labels_call(registry):
+    gauge = registry.gauge("g", label_names=("x",))
+    with pytest.raises(ValueError):
+        gauge.set(1)
 
 
 def test_histogram_observe_and_collect(registry):
@@ -103,10 +108,3 @@ def test_registry_collect_combines_all_metrics(registry):
     registry.gauge("b").set(2)
     names = {p.name for p in registry.collect()}
     assert names == {"a", "b"}
-    assert len(registry) == 2
-
-
-def test_registry_get(registry):
-    counter = registry.counter("a")
-    assert registry.get("a") is counter
-    assert registry.get("missing") is None

@@ -1,16 +1,9 @@
-"""Tests for the pull-based scraper (local and HTTP targets)."""
+"""Tests for the scraper of in-process registries."""
 
 import pytest
 
 from repro.clock import VirtualClock
-from repro.httpcore import HttpServer, Response
-from repro.metrics import (
-    LabelMatcher,
-    MetricStore,
-    Registry,
-    Scraper,
-    render_exposition,
-)
+from repro.metrics import LabelMatcher, MetricStore, Registry, Scraper
 
 
 async def test_scrape_local_registry():
@@ -24,48 +17,19 @@ async def test_scrape_local_registry():
     assert ingested == 1
     series = store.select("hits", [LabelMatcher("instance", "=", "svc:80")])
     assert len(series) == 1
-    assert series[0].latest().value == 5.0
-    assert series[0].latest().timestamp == 100.0
-
-
-async def test_scrape_http_target():
-    registry = Registry()
-    registry.gauge("temperature").set(21.5)
-    server = HttpServer()
-
-    @server.router.get("/metrics")
-    async def metrics(request):
-        return Response.text(render_exposition(registry))
-
-    async with server:
-        store = MetricStore()
-        scraper = Scraper(store)
-        scraper.add_target("svc:80", f"http://{server.address}/metrics")
-        ingested = await scraper.scrape_once()
-        await scraper.stop()
-    assert ingested == 1
-    assert store.select("temperature")[0].latest().value == 21.5
-
-
-async def test_scrape_failure_is_counted_not_fatal():
-    store = MetricStore()
-    scraper = Scraper(store)
-    scraper.add_target("dead:80", "http://127.0.0.1:1/metrics")
-    ingested = await scraper.scrape_once()
-    assert ingested == 0
-    assert scraper.failures["dead:80"] == 1
-    await scraper.scrape_once()
-    assert scraper.failures["dead:80"] == 2
-    await scraper.stop()
+    assert series[0].value_at(100.0) == 5.0
+    assert series[0].newest_timestamp == 100.0
 
 
 async def test_scrape_mixed_targets_one_failing():
     registry = Registry()
     registry.counter("ok_metric").inc()
+    broken = Registry()
+    broken.counter("").inc()  # a series no selector could name: refused
     store = MetricStore()
     scraper = Scraper(store)
+    scraper.add_local("bad", broken)
     scraper.add_local("good", registry)
-    scraper.add_target("dead:80", "http://127.0.0.1:1/metrics")
     ingested = await scraper.scrape_once()
     await scraper.stop()
     assert ingested == 1
@@ -90,7 +54,7 @@ async def test_periodic_scrape_loop_with_virtual_clock():
     await clock.advance(5)
     await scraper.stop()
     series = store.select("g")[0]
-    values = [sample.value for sample in series.window(-1, clock.now())]
+    values = list(series.window_arrays(-1, clock.now())[1])
     assert values == [0.0, 1.0, 2.0]
 
 

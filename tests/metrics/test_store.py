@@ -1,17 +1,18 @@
 """Unit tests for the metric store and label matchers."""
 
+from math import inf
+
 import pytest
 
-from repro.metrics import LabelMatcher, MetricsServer, MetricStore, SeriesKey
+from repro.metrics import LabelMatcher, MetricsServer, MetricStore
 
 
 def test_record_creates_series_on_first_sight():
     store = MetricStore()
     store.record("requests", 1.0, timestamp=1.0, labels={"instance": "a"})
     assert len(store) == 1
-    series = store.series(SeriesKey.make("requests", {"instance": "a"}))
-    assert series is not None
-    assert series.latest().value == 1.0
+    (series,) = store.select("requests", [LabelMatcher("instance", "=", "a")])
+    assert series.value_at(inf) == 1.0
 
 
 def test_record_appends_to_existing_series():
@@ -19,7 +20,7 @@ def test_record_appends_to_existing_series():
     store.record("m", 1.0, 1.0)
     store.record("m", 2.0, 2.0)
     assert len(store) == 1
-    assert len(store.series(SeriesKey.make("m"))) == 2
+    assert list(store.select("m")[0].window_arrays(-inf, inf)[1]) == [1.0, 2.0]
 
 
 def test_distinct_labels_create_distinct_series():
@@ -96,7 +97,7 @@ def test_non_finite_timestamp_rejected(bad):
     # The ordering guard still holds, and retention kept the history.
     with pytest.raises(ValueError, match="out-of-order"):
         store.record("m", 3.0, 0.5)
-    assert [s.timestamp for s in store.select("m")[0].window(-1.0, 100.0)] == [1.0]
+    assert list(store.select("m")[0].window_arrays(-1.0, 100.0)[0]) == [1.0]
     store.record("m", float("nan"), 2.0)  # values may be NaN
 
 
@@ -129,9 +130,8 @@ def test_retention_drops_old_samples():
     store.record("m", 1.0, 0.0)
     store.record("m", 2.0, 5.0)
     store.record("m", 3.0, 20.0)  # triggers drop of t=0 and t=5
-    series = store.series(SeriesKey.make("m"))
-    assert len(series) == 1
-    assert series.latest().timestamp == 20.0
+    series = store.select("m")[0]
+    assert list(series.window_arrays(-inf, inf)[0]) == [20.0]
 
 
 @pytest.mark.parametrize("bad", [-5.0, -1e-9, float("nan"), float("-inf")])
@@ -149,14 +149,12 @@ def test_retention_zero_or_more_is_accepted(retention):
     store = MetricStore(retention=retention)
     store.record("m", 1.0, 1.0)
     store.record("m", 2.0, 2.0)
-    kept = [s.timestamp for s in store.select("m")[0].window(-1.0, 9.0)]
+    kept = list(store.select("m")[0].window_arrays(-1.0, 9.0)[0])
     assert kept == ([2.0] if retention == 0.0 else [1.0, 2.0])
 
 
-def test_names_and_clear():
+def test_names():
     store = MetricStore()
     store.record("a", 1.0, 1.0)
     store.record("b", 1.0, 1.0)
     assert store.names() == {"a", "b"}
-    store.clear()
-    assert len(store) == 0

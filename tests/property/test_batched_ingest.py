@@ -79,8 +79,17 @@ def _selectable(labels):
     return all(label and isinstance(value, str) for label, value in (labels or {}).items())
 
 
+def _key(name, labels):
+    return SeriesKey(name, tuple(sorted(labels.items())) if labels else ())
+
+
+def _found(store, key):
+    """The store's series under *key*, or ``None``."""
+    return next((series for series in store.select(key.name) if series.key == key), None)
+
+
 class PerPoint:
-    """Reference store: one ``TimeSeries.append`` and one trim per sample."""
+    """Reference store: one order check, append and trim per sample."""
 
     def __init__(self, retention=None):
         self.retention = retention
@@ -91,13 +100,15 @@ class PerPoint:
     def record(self, name, value, timestamp, labels):
         if not isfinite(timestamp) or not _selectable(labels):
             raise ValueError(name)
-        key = SeriesKey.make(name, labels)
+        key = _key(name, labels)
         series = self.by_key.get(key)
         if series is None:
             series = self.by_key[key] = TimeSeries(key)
             self.series_generation += 1
-        series.append(timestamp, value)  # raises on out-of-order
-        if self.retention is not None and series.oldest_timestamp < timestamp - self.retention:
+        if series.newest_timestamp is not None and timestamp < series.newest_timestamp:
+            raise ValueError(f"out-of-order sample for {key}")
+        series.append_ordered(timestamp, value)
+        if self.retention is not None:
             series.drop_before(timestamp - self.retention)
         self.generation += 1
 
@@ -135,9 +146,9 @@ def _batch_is_valid(store, batch):
     for name, value, timestamp, labels in batch:
         if not _selectable(labels):
             return False  # never names an existing series, and cannot create one
-        key = SeriesKey.make(name, labels)
+        key = _key(name, labels)
         if key not in floors:
-            series = store.series(key)
+            series = _found(store, key)
             floors[key] = series.newest_timestamp if series is not None else None
         floor = floors[key]
         if floor is not None and timestamp < floor:
@@ -234,5 +245,5 @@ def test_non_consecutive_repeats_land_in_order():
         reference.record(*sample)
     assert _snapshot(batched) == _snapshot(reference)
     assert (len(batched), batched.generation, batched.series_generation) == (3, 1, 3)
-    series = batched.series(SeriesKey.make("m", a))
-    assert [s.value for s in series.window(0.0, 9.0)] == [1.0, 4.0, 5.0]
+    series = _found(batched, _key("m", a))
+    assert list(series.window_arrays(0.0, 9.0)[1]) == [1.0, 4.0, 5.0]

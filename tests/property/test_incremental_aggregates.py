@@ -12,7 +12,7 @@ never changes what any of them sees.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics import MetricStore, SeriesKey, planner_for
+from repro.metrics import MetricStore, planner_for
 from repro.metrics import aggregate
 
 FUNCTIONS = sorted(aggregate.RANGE_REFERENCE)
@@ -36,7 +36,7 @@ ops = st.lists(
 
 def _check_read(store, window, at):
     planner = planner_for(store)
-    series = store.series(SeriesKey.make("m"))
+    series = (store.select("m") or [None])[0]
     for function in FUNCTIONS:
         got = planner.evaluate_scalar(store, f"{function}(m[{window:g}s])", at)
         expected = (
@@ -80,7 +80,7 @@ def test_incremental_is_close_with_default_interval(values_list, window):
     at = float(len(values_list))
     for index, value in enumerate(values_list):
         store.record("m", value, float(index))
-        series = store.series(SeriesKey.make("m"))
+        series = (store.select("m") or [None])[0]
         for function in FUNCTIONS:
             query = f"{function}(m[{window:g}s])"
             expected = aggregate.rescan_value(series, function, window, at)

@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.loadgen import SummaryStats, percentile
-from repro.metrics import MetricPoint, MetricStore, evaluate_scalar, parse_exposition, render_exposition
+from repro.metrics import MetricPoint, MetricStore, evaluate_scalar, render_exposition
+from tests.metrics.exposition_reference import parse_exposition
 from repro.analysis.timeseries import BoxplotStats
 
 label_values = st.text(

@@ -12,7 +12,7 @@ the newest sample, and unconstrained values make counter resets common.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics import MetricStore, SeriesKey, evaluate_scalar
+from repro.metrics import MetricStore, evaluate_scalar
 from repro.metrics.query import RANGE_FUNCTIONS
 
 RETENTION = 20.0
@@ -90,7 +90,7 @@ def test_range_queries_match_list_model(ops_list):
             model.append((now, op[2]))
             model[:] = [(t, v) for t, v in model if t >= now - RETENTION]
         elif op[0] == "trim":
-            series = store.series(SeriesKey.make("m"))
+            series = (store.select("m") or [None])[0]
             if series is not None:
                 boundary = now + op[1]
                 series.drop_before(boundary)
@@ -106,9 +106,9 @@ def test_emptied_series_refills():
     store = MetricStore(retention=RETENTION)
     for t in range(5):
         store.record("m", float(t), float(t))
-    series = store.series(SeriesKey.make("m"))
+    series = (store.select("m") or [None])[0]
     series.drop_before(100.0)
-    assert len(series) == 0
+    assert series.newest_timestamp is None
     assert evaluate_scalar(store, "count_over_time(m[60s])", 4.0) is None
     store.record("m", 7.0, 5.0)
     store.record("m", 2.0, 6.0)  # a counter reset right after the refill

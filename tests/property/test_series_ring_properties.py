@@ -9,10 +9,16 @@ anywhere, some interleaving here finds it.
 """
 
 import bisect
+from math import inf
 
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics.series import Sample, SeriesKey, TimeSeries, _MIN_CAPACITY
+from repro.metrics.series import SeriesKey, TimeSeries, _MIN_CAPACITY
+
+
+def retained(ring, start=-inf, end=inf):
+    """The ring's ``(timestamp, value)`` samples in ``(start, end]``."""
+    return list(zip(*ring.window_arrays(start, end)))
 
 
 class ListSeries:
@@ -25,16 +31,6 @@ class ListSeries:
         if self.samples and timestamp < self.samples[-1][0]:
             raise ValueError("out of order")
         self.samples.append((timestamp, value))
-
-    def __len__(self):
-        return len(self.samples)
-
-    def latest(self):
-        return self.samples[-1] if self.samples else None
-
-    @property
-    def oldest_timestamp(self):
-        return self.samples[0][0] if self.samples else None
 
     @property
     def newest_timestamp(self):
@@ -80,7 +76,6 @@ operations = st.lists(
             st.just("append_retained"), st.floats(min_value=0.0, max_value=3.0), values, retentions
         ),
         st.tuples(st.just("drop_before"), timestamps),
-        st.tuples(st.just("at"), timestamps, staleness),
         st.tuples(st.just("value_at"), timestamps, staleness),
         st.tuples(st.just("window"), timestamps, st.floats(min_value=0.0, max_value=40.0)),
     ),
@@ -91,7 +86,7 @@ operations = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(operations)
 def test_ring_series_matches_list_model(ops):
-    ring = TimeSeries(SeriesKey.make("m"))
+    ring = TimeSeries(SeriesKey("m"))
     model = ListSeries()
     now = 0.0
     for op in ops:
@@ -100,7 +95,7 @@ def test_ring_series_matches_list_model(ops):
             # exercise duplicate-timestamp bisects.
             _, delta, value = op
             now += delta
-            ring.append(now, value)
+            ring.append_ordered(now, value)
             model.append(now, value)
         elif op[0] == "append_retained":
             # MetricStore's apply pass: append, trimming to the retention
@@ -112,11 +107,6 @@ def test_ring_series_matches_list_model(ops):
             model.drop_before(now - retention)
         elif op[0] == "drop_before":
             assert ring.drop_before(op[1]) == model.drop_before(op[1])
-        elif op[0] == "at":
-            _, t, stale = op
-            found = ring.at(t, staleness=stale)
-            expected = model.at(t, staleness=stale)
-            assert (found and (found.timestamp, found.value)) == (expected or None)
         elif op[0] == "value_at":
             _, t, stale = op
             expected = model.at(t, staleness=stale)
@@ -125,18 +115,15 @@ def test_ring_series_matches_list_model(ops):
             _, start, width = op
             end = start + width
             expected = model.window(start, end)
-            assert [(s.timestamp, s.value) for s in ring.window(start, end)] == expected
+            assert retained(ring, start, end) == expected
             lo, hi = ring.window_bounds(start, end)
             assert hi - lo == len(expected)
             ts, vs = ring.window_arrays(start, end)
             assert list(ts) == [s[0] for s in expected]
             assert list(vs) == [s[1] for s in expected]
         # Invariants checked after every single operation.
-        assert len(ring) == len(model)
-        assert ring.oldest_timestamp == model.oldest_timestamp
+        assert retained(ring) == model.samples
         assert ring.newest_timestamp == model.newest_timestamp
-        latest = ring.latest()
-        assert (latest and (latest.timestamp, latest.value)) == (model.latest() or None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -145,19 +132,20 @@ def test_ring_series_matches_list_model(ops):
     st.integers(min_value=0, max_value=100),
 )
 def test_drop_then_refill_keeps_order_checks(deltas, drop_at_step):
-    """Appends after trims must still reject out-of-order timestamps."""
-    ring = TimeSeries(SeriesKey.make("m"))
+    """Appends after trims must still track the newest timestamp, which
+    the store's out-of-order check reads."""
+    ring = TimeSeries(SeriesKey("m"))
     model = ListSeries()
     now = 0.0
     for step, delta in enumerate(deltas):
         now += delta
-        ring.append(now, float(step))
+        ring.append_ordered(now, float(step))
         model.append(now, float(step))
         if step == drop_at_step:
             cutoff = now / 2.0
             assert ring.drop_before(cutoff) == model.drop_before(cutoff)
         assert ring.newest_timestamp == model.newest_timestamp
-    assert [(s.timestamp, s.value) for s in ring.window(-1.0, now + 1.0)] == model.samples
+    assert retained(ring, -1.0, now + 1.0) == model.samples
 
 
 @settings(max_examples=100, deadline=None)
@@ -168,59 +156,54 @@ def test_drop_then_refill_keeps_order_checks(deltas, drop_at_step):
 def test_emptying_drop_then_refill_tracks_newest(first, refill):
     """A trim that empties the ring forgets the newest timestamp: a refill
     may start below it, and is order-checked against itself from there."""
-    ring = TimeSeries(SeriesKey.make("m"))
+    ring = TimeSeries(SeriesKey("m"))
     model = ListSeries()
     for timestamps in (sorted(first), sorted(refill)):
         for value, timestamp in enumerate(timestamps):
-            ring.append(timestamp, float(value))
+            ring.append_ordered(timestamp, float(value))
             model.append(timestamp, float(value))
             assert ring.newest_timestamp == model.newest_timestamp == timestamp
         cutoff = max(timestamps, default=0.0) + 1.0
         assert ring.drop_before(cutoff) == model.drop_before(cutoff) == len(timestamps)
-        assert ring.newest_timestamp is None and ring.oldest_timestamp is None
-        assert len(ring) == 0
+        assert ring.newest_timestamp is None
+        assert retained(ring) == []
 
 
 def test_trim_shrinks_capacity_back_down():
     """A retention-style workload must not pin the grown buffer forever."""
-    ring = TimeSeries(SeriesKey.make("m"))
+    ring = TimeSeries(SeriesKey("m"))
     for t in range(10_000):
-        ring.append(float(t), 1.0)
+        ring.append_ordered(float(t), 1.0)
     grown = len(ring._ts)
     assert grown >= 10_000
     ring.drop_before(9_990.0)
-    assert len(ring) == 10
-    # Shrink hysteresis: capacity follows occupancy back down.
-    assert len(ring._ts) <= max(_MIN_CAPACITY, 4 * len(ring))
     # The survivors are intact and ordered.
-    assert [s.timestamp for s in ring.window(-1.0, 1e6)] == [
-        float(t) for t in range(9_990, 10_000)
-    ]
+    assert retained(ring) == [(float(t), 1.0) for t in range(9_990, 10_000)]
+    # Shrink hysteresis: capacity follows occupancy back down.
+    assert len(ring._ts) <= max(_MIN_CAPACITY, 4 * 10)
 
 
 def test_steady_state_retention_capacity_is_bounded():
     """append+drop_before cycling (the scraper's pattern) stays O(window)."""
-    ring = TimeSeries(SeriesKey.make("m"))
+    ring = TimeSeries(SeriesKey("m"))
     for t in range(50_000):
-        ring.append(float(t), 1.0)
+        ring.append_ordered(float(t), 1.0)
         if t >= 100:
             ring.drop_before(float(t - 100))
-    assert len(ring) == 101
+    assert len(retained(ring)) == 101
     assert len(ring._ts) <= 1024  # far below the 50k samples ever appended
 
 
 def test_wrapped_ring_window_returns_samples():
     """Force physical wrap-around, then read windows spanning the seam."""
-    ring = TimeSeries(SeriesKey.make("m"))
+    ring = TimeSeries(SeriesKey("m"))
     for t in range(12):
-        ring.append(float(t), float(t * 10))
+        ring.append_ordered(float(t), float(t * 10))
     ring.drop_before(8.0)  # start pointer advances, no shrink at this size
     for t in range(12, 22):
-        ring.append(float(t), float(t * 10))  # writes wrap physically
-    window = ring.window(9.0, 20.0)
-    assert [s.timestamp for s in window] == [float(t) for t in range(10, 21)]
-    assert [s.value for s in window] == [float(t * 10) for t in range(10, 21)]
-    assert ring.at(13.5) == Sample(13.0, 130.0)
+        ring.append_ordered(float(t), float(t * 10))  # writes wrap physically
+    assert retained(ring, 9.0, 20.0) == [(float(t), float(t * 10)) for t in range(10, 21)]
+    assert ring.value_at(13.5) == 130.0
     assert ring.value_at(8.0) == 80.0
 
 
@@ -229,24 +212,21 @@ def test_folded_trim_drops_none_one_or_many_as_drop_before_does():
     through each way the fold can go: nothing leaves while the ring grows,
     exactly one leaves per append while it wraps, and a larger cut that
     compacts the buffers."""
-    ring = TimeSeries(SeriesKey.make("m"))
+    ring = TimeSeries(SeriesKey("m"))
     model = ListSeries()
     seen = set()
 
     def step(t, retention):
         capacity = len(ring._ts)
-        size = len(ring)
+        size = len(model.samples)
         ring.append_ordered(t, -t, retention)
         model.append(t, -t)
         model.drop_before(t - retention)
-        assert [(s.timestamp, s.value) for s in ring.window(-1.0, t)] == model.samples
-        assert (ring.oldest_timestamp, ring.newest_timestamp) == (
-            model.oldest_timestamp,
-            model.newest_timestamp,
-        )
-        left = size + 1 - len(ring)
+        assert retained(ring, -1.0, t) == model.samples
+        assert ring.newest_timestamp == model.newest_timestamp
+        left = size + 1 - len(model.samples)
         seen.add(("left", min(left, 2)))
-        if ring._start + len(ring) > len(ring._ts):
+        if ring._start + len(model.samples) > len(ring._ts):
             seen.add("wrapped")
         if len(ring._ts) < capacity:
             seen.add("compacted")
@@ -260,4 +240,4 @@ def test_folded_trim_drops_none_one_or_many_as_drop_before_does():
         step(float(t), 10.0)
     step(520.0, 0.0)  # only the newest timestamp stays
     assert seen == {("left", 0), ("left", 1), ("left", 2), "wrapped", "compacted"}
-    assert len(ring) == 1
+    assert retained(ring) == [(520.0, -520.0)]

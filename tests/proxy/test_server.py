@@ -451,7 +451,7 @@ async def test_sticky_store_bounded_at_proxy_level():
 
 
 async def test_metrics_scrape_exposes_backpressure_counters():
-    from repro.metrics import parse_exposition
+    from tests.metrics.exposition_reference import parse_exposition
 
     proxy, upstreams, endpoints, client = await proxy_setup("stable")
     try:

@@ -27,8 +27,8 @@ The report is held against the "Not run by the product" section of
 ``docs/architecture.md``, which lists functions as ``module:Qualified.name``
 with a reason under three headings: "Not reached" (no root calls it),
 "Reached only by a bench run" (``--check`` runs no bench, so it cannot see
-these) and "Reached on some runs only" (timing decides, e.g. whether a
-body arrives in one read).  The command fails when an unreached function
+these) and "Reached on some runs only" (timing decides; empty while every
+root is deterministic).  The command fails when an unreached function
 is listed under none of them, when one listed as "Not reached" is reached,
 when a listed name no longer exists, and, on a full run, when one listed
 as reached by a bench run is not.

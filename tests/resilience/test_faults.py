@@ -26,9 +26,6 @@ def test_schedule_every_matches_one_in_n():
 def test_schedule_shapes():
     assert FaultSchedule.never().fault_for(1, 0.0) is None
     assert FaultSchedule.always().fault_for(999, 0.0) is not None
-    first = FaultSchedule.first(2)
-    assert first.fault_for(2, 0.0) is not None
-    assert first.fault_for(3, 0.0) is None
     calls = FaultSchedule.calls({2, 5})
     assert [i for i in range(1, 7) if calls.fault_for(i, 0.0)] == [2, 5]
     outage = FaultSchedule.during(10.0, 20.0)

@@ -39,7 +39,7 @@ def resilient(inner, clock, **kwargs):
 async def test_provider_retries_transient_failures():
     clock = VirtualClock()
     flaky = FaultyProvider(
-        StaticProvider({"m": 3.0}), FaultSchedule.first(2), clock
+        StaticProvider({"m": 3.0}), FaultSchedule.calls({1, 2}), clock
     )
     bus = EventBus()
     provider = resilient(flaky, clock, bus=bus)
@@ -94,7 +94,7 @@ async def test_provider_breaker_short_circuits_calls():
 async def test_provider_breaker_recovers_through_half_open():
     clock = VirtualClock()
     # Down for the first 3 calls, healthy afterwards.
-    flaky = FaultyProvider(StaticProvider({"m": 9.0}), FaultSchedule.first(3), clock)
+    flaky = FaultyProvider(StaticProvider({"m": 9.0}), FaultSchedule.calls({1, 2, 3}), clock)
     bus = EventBus()
     breaker = CircuitBreaker(
         clock, window=10, failure_rate=0.5, min_calls=3, cooldown=30.0

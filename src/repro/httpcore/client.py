@@ -31,7 +31,8 @@ class HttpClient:
     likely already closed, and retiring them client-side avoids burning
     the stale-connection retry on a request that could have gone straight
     to a fresh socket.  The client is safe for concurrent use from many
-    tasks (each in-flight request owns its connection).
+    tasks: each in-flight request owns its connection, except that the
+    GETs of one :meth:`get_pipelined` train share one.
 
     *timeout* is the budget of one whole round trip — writing the request,
     reading the response and, for a streamed request body, finishing the
@@ -67,6 +68,11 @@ class HttpClient:
         self._deadlines: dict[HttpConnection, tuple[float, Request]] = {}
         self._timer: asyncio.TimerHandle | None = None
         self._timer_loop: asyncio.AbstractEventLoop | None = None
+        #: ``host:port`` -> the riders of the train boarding there, each
+        #: ``(request, future)`` in boarding order (:meth:`get_pipelined`).
+        self._boarding: dict[str, list[tuple[Request, asyncio.Future[Response]]]] = {}
+        #: Trains under way, held so that none is collected mid-ride.
+        self._trains: set[asyncio.Task[None]] = set()
 
     async def request(
         self,
@@ -145,11 +151,7 @@ class HttpClient:
         loop = connection.loop
         # One deadline for the whole round trip, not a scope or ``wait_for``
         # per await: the client's timer fails whatever wait is pending.
-        expires = loop.time() + deadline
-        self._deadlines[connection] = (expires, request)
-        timer = self._timer
-        if timer is None or expires < timer.when() or loop is not self._timer_loop:
-            self._arm(loop, expires)
+        self._track(connection, loop.time() + deadline, request)
         pump: asyncio.Task[None] | None = None
         response: Response | None = None
         try:
@@ -203,6 +205,13 @@ class HttpClient:
             finish(True)
         return response
 
+    def _track(self, connection: HttpConnection, expires: float, request: Request) -> None:
+        """Put the round trip on *connection* under the deadline timer."""
+        self._deadlines[connection] = (expires, request)
+        loop, timer = connection.loop, self._timer
+        if timer is None or expires < timer.when() or loop is not self._timer_loop:
+            self._arm(loop, expires)
+
     def _arm(self, loop: asyncio.AbstractEventLoop, when: float) -> None:
         """Move the deadline timer to *when* on *loop*."""
         if self._timer is not None:
@@ -233,6 +242,110 @@ class HttpClient:
 
     async def delete(self, url: str, **kwargs: Any) -> Response:
         return await self.request("DELETE", url, **kwargs)
+
+    async def get_pipelined(self, url: str) -> Response:
+        """A bodiless, buffered GET of *url* that may share a connection.
+
+        The GETs to one ``host:port`` issued in one event-loop iteration
+        board one *train*, which departs in the next: on one connection,
+        idle or fresh, every request goes out in one write and the
+        responses, which HTTP/1.1 returns in request order (RFC 7230
+        §6.3.2), are handed to their riders as each is parsed.  A rider
+        cancelled on the way still has its response read, then dropped.
+
+        Riders left unanswered by a pooled connection that fails, or by a
+        ``Connection: close`` response, are re-sent once on a fresh
+        connection — :meth:`send`'s stale-connection rule, which a GET,
+        being idempotent, may take mid-pipeline.  The client *timeout*
+        bounds the train from departure: when it runs out, every rider
+        still unanswered gets :class:`RequestTimeout`, the connection is
+        closed and nothing is re-sent.
+        """
+        if self._closed:
+            raise ConnectionClosed("client is closed")
+        host, port, target = _split_url(url)
+        key = f"{host}:{port}"
+        loop = asyncio.get_running_loop()
+        riders = self._boarding.get(key)
+        if riders is None:
+            riders = self._boarding[key] = []
+            # A task's first step is a ``call_soon``: the train departs
+            # once this iteration's riders have boarded.
+            train = loop.create_task(self._depart(key, host, port, riders))
+            self._trains.add(train)
+            train.add_done_callback(self._trains.discard)
+        future: asyncio.Future[Response] = loop.create_future()
+        riders.append((Request("GET", target, Headers({"Host": key})), future))
+        return await future
+
+    async def _depart(
+        self,
+        key: str,
+        host: str,
+        port: int,
+        riders: list[tuple[Request, "asyncio.Future[Response]"]],
+    ) -> None:
+        """Carry one train to ``host:port``; the riders take its outcome."""
+        del self._boarding[key]  # later GETs board the next train
+        expires = asyncio.get_running_loop().time() + self.timeout
+        connection = self._idle(key)
+        reused = connection is not None
+        failure: BaseException
+        try:
+            for resend in (False, True):
+                if connection is None:
+                    connection = await _open(host, port)
+                try:
+                    await self._ride(key, connection, riders, expires)
+                except (HttpError, ConnectionError, OSError) as exc:
+                    if resend or not reused or isinstance(exc, RequestTimeout):
+                        failure = exc
+                        break
+                riders = [rider for rider in riders if not rider[1].done()]
+                if not riders:
+                    return
+                connection = None
+            else:
+                failure = ConnectionClosed("connection closed before response")
+        except BaseException as exc:
+            failure = exc
+        for _, future in riders:
+            if not future.done():
+                if isinstance(failure, Exception):
+                    future.set_exception(failure)
+                else:
+                    future.cancel()
+        if not isinstance(failure, Exception):
+            raise failure  # the train itself was cancelled
+
+    async def _ride(
+        self,
+        key: str,
+        connection: HttpConnection,
+        riders: list[tuple[Request, "asyncio.Future[Response]"]],
+        expires: float,
+    ) -> None:
+        """Send *riders*' requests on *connection* in one write and answer
+        them in order; stop early after a ``Connection: close`` response.
+        The connection is pooled only if it answered them all."""
+        self._track(connection, expires, riders[0][0])
+        try:
+            connection.write(b"".join([request.serialize() for request, _ in riders]))
+            for _, future in riders:
+                response = await connection.receive(False, self.max_body_bytes)
+                if response is None:
+                    raise IncompleteMessage("connection closed before response")
+                if not future.done():
+                    future.set_result(response)
+                if response.connection_close:
+                    connection.close()
+                    return
+        except BaseException:
+            connection.close()
+            raise
+        finally:
+            self._deadlines.pop(connection, None)
+        self._release(key, connection)
 
     def _idle(self, key: str) -> HttpConnection | None:
         """A live pooled connection to *key*, or ``None``."""

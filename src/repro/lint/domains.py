@@ -10,9 +10,13 @@ over-approximates the evaluator's possible outputs.
 Where bounds come from
 ----------------------
 
-* **Arithmetic** is exact interval arithmetic, mirroring the evaluator's
-  one quirk: division by zero yields ``+inf`` (not an error), so a
-  denominator interval containing 0 extends the result to ``+inf``.
+* **Arithmetic** is exact interval arithmetic.  Division mirrors the
+  evaluator's IEEE 754 rule: over a zero the quotient is ``±inf`` by the
+  numerator's sign, so a denominator interval containing 0 extends the
+  result to the infinities the numerator's signs reach, and ``0 / 0`` is
+  NaN, so a quotient whose numerator and denominator can both be 0 is
+  marked ``nan``.  The evaluator ignores the sign of a zero denominator,
+  which the domain could not track.
 * **Range functions**: ``rate``/``increase`` accumulate only
   non-negative deltas plus counter resets, so they are provably
   ``>= 0`` for *any* input series; ``count_over_time`` returns at least
@@ -34,10 +38,13 @@ a gauge deliberately named ``requests_total`` that goes negative would
 evade BF601.  That trade is intentional — without naming conventions
 every selector is ``[-inf, inf]`` and the domain proves nothing.
 
-Missing data and NaN are outside the domain: a check over ``None``/NaN
-always *fails* (see :class:`repro.core.outcome.Validator`), which agrees
-with BF601's "can never pass" verdict and only weakens BF602's "always
-passes" verdict from a theorem to a strong warning.
+A check over ``None``/NaN always *fails* (see
+:class:`repro.core.outcome.Validator`).  That agrees with BF601's "can
+never pass" verdict, and an interval marked ``nan`` is never called
+tautological by BF602.  Missing data, NaN samples and the NaN of
+arithmetic on infinities (``inf - inf``, ``0 * inf``, ``inf / inf``) stay
+outside the domain: they only weaken BF602's "always passes" verdict from
+a theorem to a strong warning.
 """
 
 from __future__ import annotations
@@ -64,6 +71,8 @@ class Interval:
 
     lo: float = -_INF
     hi: float = _INF
+    #: The query can also yield NaN (``0 / 0``), which no validator accepts.
+    nan: bool = False
 
     def __contains__(self, value: float) -> bool:
         return self.lo <= value <= self.hi
@@ -76,7 +85,8 @@ class Interval:
                 return "-inf"
             return f"{int(x)}" if x == int(x) else f"{x:g}"
 
-        return f"[{fmt(self.lo)}, {fmt(self.hi)}]"
+        bounds = f"[{fmt(self.lo)}, {fmt(self.hi)}]"
+        return f"{bounds} or NaN" if self.nan else bounds
 
 
 TOP = Interval()
@@ -105,11 +115,11 @@ def _mul_bound(a: float, b: float) -> float:
 
 
 def _add(x: Interval, y: Interval) -> Interval:
-    return Interval(x.lo + y.lo, x.hi + y.hi)
+    return Interval(x.lo + y.lo, x.hi + y.hi, x.nan or y.nan)
 
 
 def _sub(x: Interval, y: Interval) -> Interval:
-    return Interval(x.lo - y.hi, x.hi - y.lo)
+    return Interval(x.lo - y.hi, x.hi - y.lo, x.nan or y.nan)
 
 
 def _mul(x: Interval, y: Interval) -> Interval:
@@ -119,30 +129,35 @@ def _mul(x: Interval, y: Interval) -> Interval:
         _mul_bound(x.hi, y.lo),
         _mul_bound(x.hi, y.hi),
     ]
-    return Interval(min(products), max(products))
+    return Interval(min(products), max(products), x.nan or y.nan)
 
 
 def _div(x: Interval, y: Interval) -> Interval:
+    nan = x.nan or y.nan
     if 0.0 in y:
-        # The evaluator maps any division by zero to +inf, so the result
-        # always reaches +inf; it stays non-negative only when both the
-        # numerator and every non-zero denominator are.
-        lo = 0.0 if x.lo >= 0.0 and y.lo >= 0.0 else -_INF
-        return Interval(lo, _INF)
+        # x / 0 is +inf for x > 0, -inf for x < 0 and NaN for 0 / 0.  Over
+        # a non-negative denominator the quotient keeps the numerator's
+        # sign; any other mix reaches both infinities.
+        nan = nan or 0.0 in x
+        if y.lo >= 0.0 and x.lo >= 0.0:
+            return Interval(0.0, _INF, nan)
+        if y.lo >= 0.0 and x.hi <= 0.0:
+            return Interval(-_INF, 0.0, nan)
+        return Interval(-_INF, _INF, nan)
     quotients = [
         _mul_bound(x.lo, 1.0 / y.lo),
         _mul_bound(x.lo, 1.0 / y.hi),
         _mul_bound(x.hi, 1.0 / y.lo),
         _mul_bound(x.hi, 1.0 / y.hi),
     ]
-    return Interval(min(quotients), max(quotients))
+    return Interval(min(quotients), max(quotients), nan)
 
 
 def _sum_of(values: Interval) -> Interval:
     """Sum of one-or-more values drawn from *values*."""
     lo = values.lo if values.lo >= 0.0 else -_INF
     hi = values.hi if values.hi <= 0.0 else _INF
-    return Interval(lo, hi)
+    return Interval(lo, hi, values.nan)
 
 
 def interval_of(expression: Expression) -> Interval:
@@ -209,7 +224,7 @@ def never_holds(interval: Interval, op: str, bound: float) -> bool:
 def always_holds(interval: Interval, op: str, bound: float) -> bool:
     """True when ``value <op> bound`` is true for *every* value in
     *interval* — the validator is a tautology (modulo missing data)."""
-    if math.isnan(bound):
+    if math.isnan(bound) or interval.nan:
         return False
     if op == "<":
         return interval.hi < bound

@@ -95,6 +95,10 @@ def _query_target(query: str) -> str:
 class HttpPrometheusProvider(MetricsProvider):
     """Queries a metrics server's ``/api/v1/query`` endpoint.
 
+    Each fetch is an :meth:`HttpClient.get_pipelined`, so the questions
+    a check-scheduler wave issues together reach the server as one
+    pipelined write on one connection.
+
     Identical queries issued concurrently are *single-flighted*: the first
     caller performs the HTTP request and every overlapping caller awaits
     the same in-flight result.  A follower whose leader was cancelled,
@@ -155,7 +159,7 @@ class HttpPrometheusProvider(MetricsProvider):
     async def _fetch(self, query: str) -> float | None:
         url = self.base_url + _query_target(query)
         try:
-            response = await self._client.get(url)
+            response = await self._client.get_pipelined(url)
         except Exception as exc:
             raise ProviderError(f"metrics server unreachable: {exc}") from exc
         if response.status != 200:

@@ -23,6 +23,7 @@ vector of ``(labels, value)`` pairs.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -517,6 +518,19 @@ def _histogram_quantile(
     return result
 
 
+def _divide(a: float, b: float) -> float:
+    """``a / b``, over a zero as IEEE 754 (and PromQL) divide by +0:
+    ±Inf with the numerator's sign, NaN for ``0 / 0``.  The sign of a zero
+    denominator is not consulted, so the lint interval domain, which does
+    not track it, stays sound (``repro.lint.domains``)."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a)
+
+
 def _combine(
     op: str, left: list[VectorSample], right: list[VectorSample]
 ) -> list[VectorSample]:
@@ -525,7 +539,7 @@ def _combine(
         "+": lambda a, b: a + b,
         "-": lambda a, b: a - b,
         "*": lambda a, b: a * b,
-        "/": lambda a, b: a / b if b != 0 else float("inf"),
+        "/": _divide,
     }
     apply = operators[op]
     if len(left) == 1 and not left[0].labels:

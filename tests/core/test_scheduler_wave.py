@@ -502,6 +502,9 @@ class SleepingClient:
         await self.clock.sleep(self.latency)
         return SleepingClient.Response()
 
+    async def get_pipelined(self, url):
+        return await self.get(url)
+
     class Response:
         status = 200
         body = json.dumps({"status": "success", "data": {"value": 1.0}})

@@ -47,12 +47,14 @@ from repro.resilience import (
 )
 
 
-def canary_strategy(endpoints, interval=0.1, repetitions=3):
+def canary_strategy(
+    endpoints, interval=0.1, repetitions=3, query="up_metric", validator=">0"
+):
     builder = StrategyBuilder("failure-test")
     builder.service("svc", endpoints)
     builder.state("canary").route("svc", canary_split("stable", "canary", 10.0)).check(
         simple_basic_check(
-            "health", "up_metric", ">0", interval, repetitions, provider="prometheus"
+            "health", query, validator, interval, repetitions, provider="prometheus"
         )
     ).transitions([0.5], ["rollback", "done"])
     builder.state("done").route("svc", single_version("canary")).final()
@@ -95,6 +97,31 @@ async def test_a_metrics_answer_that_is_not_a_number_rolls_back_not_fails():
     )
     execution_id = engine.enact(canary_strategy({"stable": "h:1", "canary": "h:2"}))
     report = await engine.wait(execution_id)
+    assert report.status is ExecutionStatus.ROLLED_BACK
+    assert report.path == ["canary", "rollback"]
+    await engine.shutdown()
+    await metrics.stop()
+
+
+async def test_a_canary_without_traffic_does_not_pass_a_success_ratio():
+    """0/0 is NaN, not +Inf: a success ratio over no requests is no
+    evidence, so the check fails and the strategy rolls back."""
+    metrics = MetricsServer()
+    await metrics.start(scrape=False)
+    now = metrics.clock.now()
+    for age in (20.0, 10.0, 0.0):  # flat counters: no request at all
+        metrics.store.record("ok_total", 5.0, now - age)
+        metrics.store.record("all_total", 5.0, now - age)
+    engine = Engine(controller=RecordingController())
+    engine.register_provider(
+        "prometheus", HttpPrometheusProvider(f"http://{metrics.address}")
+    )
+    strategy = canary_strategy(
+        {"stable": "h:1", "canary": "h:2"},
+        query="sum(rate(ok_total[30s])) / sum(rate(all_total[30s]))",
+        validator=">0.99",
+    )
+    report = await engine.wait(engine.enact(strategy))
     assert report.status is ExecutionStatus.ROLLED_BACK
     assert report.path == ["canary", "rollback"]
     await engine.shutdown()

@@ -90,6 +90,31 @@ def test_division_by_interval_containing_zero_reaches_inf():
     assert (lo, hi) == (0.0, INF)
 
 
+def test_zero_over_zero_marks_the_quotient_nan():
+    # The evaluator answers 0/0 with NaN, which no validator accepts.
+    ratio = interval_of(compile_query("errors_total / requests_total"))
+    assert ratio.nan
+    assert str(ratio) == "[0, +inf] or NaN"
+    assert not always_holds(ratio, ">=", 0.0)
+    assert never_holds(ratio, "<", 0.0)  # NaN cannot satisfy it either
+    # NaN survives further arithmetic and aggregation, but not count.
+    assert interval_of(compile_query("sum(errors_total / requests_total) * 100")).nan
+    assert not interval_of(compile_query("count(errors_total / requests_total)")).nan
+
+
+def test_a_numerator_that_cannot_be_zero_gives_no_nan():
+    quotient = interval_of(compile_query("(errors_total + 1) / requests_total"))
+    assert (quotient.lo, quotient.hi, quotient.nan) == (0.0, INF, False)
+    assert always_holds(quotient, ">=", 0.0)
+    assert not interval_of(compile_query("saturation_ratio / 2")).nan
+
+
+def test_a_non_positive_numerator_over_zero_reaches_minus_inf():
+    # x / 0 is -inf for x < 0: the quotient keeps the numerator's sign.
+    assert bounds("(0 - errors_total) / requests_total") == (-INF, 0.0)
+    assert bounds("(0 - errors_total) / (requests_total - 1)") == (-INF, INF)
+
+
 def test_division_by_strictly_positive_scalar_stays_bounded():
     assert bounds("saturation_ratio / 2") == (0.0, 0.5)
 

@@ -167,6 +167,14 @@ def test_bf602_not_raised_for_satisfiable_falsifiable_checks():
     assert not by_code(result, "BF601")
 
 
+def test_bf602_not_raised_for_a_ratio_that_can_be_zero_over_zero():
+    # With no traffic the ratio is 0/0, NaN, and the check fails.
+    ratio = document(validator='">= 0"', query='"errors_total / requests_total"')
+    assert not by_code(lint(ratio), "BF602")
+    shifted = document(validator='">= 0"', query='"(errors_total + 1) / requests_total"')
+    assert by_code(lint(shifted), "BF602")
+
+
 def test_bf602_suppressible_inline():
     doc = document(query="saturation_ratio").replace(
         'validator: "< 50"',

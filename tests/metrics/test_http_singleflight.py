@@ -37,6 +37,9 @@ class CountingClient:
             raise ConnectionError("backend down")
         return FakeResponse({"status": "success", "data": {"value": self.value}})
 
+    async def get_pipelined(self, url):
+        return await self.get(url)
+
     async def close(self):
         pass
 

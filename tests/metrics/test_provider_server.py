@@ -1,11 +1,13 @@
 """Tests for the metrics server and the provider implementations."""
 
+import math
 from urllib.parse import quote
 
 import pytest
 
 from repro.clock import VirtualClock
 from repro.core.checks import fetch_answer
+from repro.core.outcome import Validator
 from repro.httpcore import HttpClient, HttpServer, Request, Response
 from repro.metrics import (
     HttpPrometheusProvider,
@@ -267,6 +269,26 @@ async def test_a_number_or_null_is_the_answer(body, value):
             assert await fetch_answer(provider, "up") == (value, None)
         finally:
             await provider.close()
+
+
+async def test_a_success_ratio_over_zero_traffic_fails_its_check():
+    """0/0 is NaN, not +Inf: a ">0.99" success-ratio check with no traffic
+    must not pass."""
+    server = MetricsServer(clock=VirtualClock(start=100.0))
+    for t in (80.0, 90.0, 99.0):
+        server.store.record("ok_total", 5.0, t)
+        server.store.record("all_total", 5.0, t)
+    await server.start(scrape=False)
+    provider = HttpPrometheusProvider(f"http://{server.address}")
+    try:
+        value = await provider.query(
+            "sum(rate(ok_total[30s])) / sum(rate(all_total[30s]))"
+        )
+        assert math.isnan(value)
+        assert Validator.parse(">0.99").check(value) == 0
+    finally:
+        await provider.close()
+        await server.stop()
 
 
 async def test_http_provider_unreachable_raises():

@@ -1,5 +1,7 @@
 """Unit tests for the mini query language (parser and evaluator)."""
 
+import math
+
 import pytest
 
 from repro.metrics import MetricStore, QueryError, evaluate, evaluate_scalar
@@ -219,6 +221,23 @@ def test_evaluate_scalar_arithmetic(store):
 
 def test_evaluate_division_by_zero_is_inf(store):
     assert evaluate_scalar(store, 'requests{instance="a"} / 0', at=10.0) == float("inf")
+
+
+def test_evaluate_division_by_zero_follows_ieee_754(store):
+    # As PromQL: the sign of the quotient is the numerator's, and 0/0 is NaN.
+    assert evaluate_scalar(store, '(0 - requests{instance="a"}) / 0', at=10.0) == -math.inf
+    assert math.isnan(evaluate_scalar(store, "0 / 0", at=10.0))
+    assert math.isnan(evaluate_scalar(store, 'requests{instance="a"} * 0 / 0', at=10.0))
+
+
+def test_success_ratio_over_zero_traffic_is_nan_not_inf():
+    # A flat counter pair: no request succeeded and none was made.
+    store = MetricStore()
+    for t in (0.0, 10.0, 20.0):
+        store.record("ok_total", 5.0, t)
+        store.record("all_total", 5.0, t)
+    ratio = "sum(rate(ok_total[30s])) / sum(rate(all_total[30s]))"
+    assert math.isnan(evaluate_scalar(store, ratio, at=20.0))
 
 
 def test_evaluate_vector_vector_arithmetic_matches_labels(store):

@@ -155,21 +155,31 @@ Answer = tuple[float | None, str | None]
 
 
 async def fetch_answer(provider: MetricsProvider, query: str) -> Answer:
-    """Ask *provider* one question; its failure becomes "no data".
+    """Ask *provider* one question; its failure becomes "no data"."""
+    try:
+        value = await provider.query(query)
+    except Exception as exc:
+        value = exc
+    return answer_of(query, value)
+
+
+def answer_of(query: str, value: float | None | Exception) -> Answer:
+    """The :data:`Answer` to *query* that a provider gave as *value*.
 
     Any provider exception — ``ProviderError`` or an unexpected one a
     backend leaks (``ConnectionError``, ``OSError``, ...) — downgrades the
     metric to "no data" rather than crashing the enactment; only
-    ``CancelledError`` propagates.
+    ``CancelledError`` propagates, and it never arrives here.
     """
-    try:
-        return await provider.query(query), None
-    except ProviderError as exc:
-        logger.warning("query %r failed: %s", query, exc)
-        return None, str(exc)
-    except Exception as exc:
-        logger.exception("query %r raised unexpectedly; treating as no data", query)
-        return None, f"{type(exc).__name__}: {exc}"
+    if not isinstance(value, Exception):
+        return value, None
+    if isinstance(value, ProviderError):
+        logger.warning("query %r failed: %s", query, value)
+        return None, str(value)
+    logger.error(
+        "query %r raised unexpectedly; treating as no data", query, exc_info=value
+    )
+    return None, f"{type(value).__name__}: {value}"
 
 
 class ConditionEvaluation(NamedTuple):

@@ -7,9 +7,12 @@ each woken individually per tick.  :class:`CheckScheduler` replaces that
 with a single heap-driven driver task: every scheduled check contributes
 one heap entry, the driver sleeps until the earliest deadline, and the
 checks due together are evaluated as one *wave*.  Each distinct
-``(provider, query)`` in flight is fetched once, by one short-lived task,
-and its answer is handed to every check that asked: the checks of one
-wave, and any check of a later wave that asked while it was in flight.
+``(provider, query)`` in flight is fetched once, and its answer is handed
+to every check that asked: the checks of one wave, and any check of a
+later wave that asked while it was in flight.  The new questions one
+dispatch asks of one provider are one short-lived task and one
+:meth:`~repro.metrics.provider.MetricsProvider.ask` call, which folds
+each check in the step that brought its last answer.
 
 Tick semantics — exception-check preemption, ``onProviderError``
 hold/tolerate handling, observer callbacks — live in
@@ -19,7 +22,7 @@ object, under a :class:`~repro.clock.VirtualClock`.
 
 Cost model: N checks waiting for their next tick cost one parked timer
 (the driver's sleep) and zero dedicated tasks; a wave costs one task per
-question not already in flight, none per check.
+provider it asks a question not already in flight, none per check.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ import asyncio
 import heapq
 import itertools
 import logging
+from contextlib import aclosing
+from typing import AsyncIterator
 
 from ..clock import Clock
-from ..metrics.provider import MetricsProvider
+from ..metrics.provider import Asked, MetricsProvider
 from .checks import (
     Answer,
     Check,
@@ -39,25 +44,41 @@ from .checks import (
     CheckResult,
     ExceptionTriggered,
     ExecutionObserver,
-    fetch_answer,
+    answer_of,
 )
 
 logger = logging.getLogger(__name__)
 
 
 class _Fetch:
-    """One provider call, owned by the checks still waiting for it,
-    whichever dispatch asked."""
+    """One question out to a provider, owned by the checks still waiting
+    for it, whichever dispatch asked."""
 
-    __slots__ = ("key", "provider", "query", "askers", "waiting", "task")
+    __slots__ = ("key", "query", "askers", "waiting", "batch")
 
-    def __init__(self, key: tuple[int, str], provider: MetricsProvider, query: str):
+    def __init__(self, key: tuple[int, str], query: str, batch: "_Batch"):
         self.key = key
-        self.provider = provider
         self.query = query
         #: (entry, position of the question among the entry's queries)
         self.askers: list[tuple[_Entry, int]] = []
         self.waiting = 0
+        self.batch = batch
+
+
+class _Batch:
+    """The new questions one dispatch asks of one provider: one task, one
+    :meth:`~repro.metrics.provider.MetricsProvider.ask` call."""
+
+    __slots__ = ("provider", "fetches", "live", "folding", "answers", "task")
+
+    def __init__(self, provider: MetricsProvider):
+        self.provider = provider
+        #: The batch's fetches in ``ask`` order, until its task takes them.
+        self.fetches: list[_Fetch] | None = []
+        #: How many of the fetches are still in the in-flight table.
+        self.live = 0
+        self.folding = False
+        self.answers: AsyncIterator[Asked] | None = None
         self.task: asyncio.Task[None] | None = None
 
 
@@ -103,9 +124,10 @@ class CheckScheduler:
     ``schedule`` arms a check and returns a future resolving to its
     :class:`CheckResult` (or raising :class:`ExceptionTriggered` /
     whatever the evaluation raised).  Cancelling the future deschedules
-    the check and withdraws it from the fetches it waits on — a fetch
-    nobody waits on any more is cancelled, one somebody does is not —
-    which is how the engine implements exception-check preemption: the
+    the check and withdraws it from the fetches it waits on — a provider
+    call none of whose questions anybody waits on any more is cancelled,
+    one with a question somebody does is not — which is how the engine
+    implements exception-check preemption: the
     first triggered check fails its future, and the state executor
     cancels the rest.
 
@@ -121,7 +143,8 @@ class CheckScheduler:
         self._active: set[_Entry] = set()
         self._wake = asyncio.Event()
         self._driver: asyncio.Task[None] | None = None
-        self._fetching: set[asyncio.Task[None]] = set()
+        #: The batches whose task has not finished.
+        self._batches: set[_Batch] = set()
         #: Every fetch whose answer has not been handed out, by
         #: ``(id(provider), query)``: a due check joins the one it finds.
         self._inflight: dict[tuple[int, str], _Fetch] = {}
@@ -197,9 +220,10 @@ class CheckScheduler:
         Due entries are drained from the heap *before* any task is
         created.  Each ``(provider, query)`` they ask joins the fetch
         already in flight for it, from this dispatch or an earlier one,
-        or becomes a new fetch: a question costs one task and one provider
-        call however many checks ask it while it is out, and checks that
-        share a fetch decide on the same evidence.  Providers are told
+        or becomes a new fetch: a question is asked once however many
+        checks ask it while it is out, and checks that share a fetch
+        decide on the same evidence.  The new fetches of one provider
+        are one batch: one task and one ``ask`` call.  Providers are told
         apart by identity, so a wrapper around a provider is a different
         one.
         """
@@ -216,7 +240,7 @@ class CheckScheduler:
             self.tick_waves += 1
             self.last_wave_size = len(due)
         inflight = self._inflight
-        issued: list[_Fetch] = []
+        batches: dict[int, _Batch] = {}
         for entry in due:
             try:
                 asked = entry.check.condition.questions(entry.providers)
@@ -228,16 +252,26 @@ class CheckScheduler:
                 key = (id(provider), query)
                 fetch = inflight.get(key)
                 if fetch is None:
-                    fetch = inflight[key] = _Fetch(key, provider, query)
-                    issued.append(fetch)
+                    batch = batches.get(key[0])
+                    if batch is None:
+                        batch = batches[key[0]] = _Batch(provider)
+                    fetch = inflight[key] = _Fetch(key, query, batch)
+                    batch.fetches.append(fetch)
                 fetch.askers.append((entry, position))
                 fetch.waiting += 1
                 entry.fetches.append(fetch)
+        # ``ask`` is called here, not in the batch task: a provider may
+        # start its queries at once (the default ``ask`` does), as early
+        # as a task per question used to.
         loop = asyncio.get_running_loop()
-        for fetch in issued:
-            fetch.task = loop.create_task(self._fetch(fetch))
-            self._fetching.add(fetch.task)
-            fetch.task.add_done_callback(self._fetching.discard)
+        for batch in batches.values():
+            batch.live = len(batch.fetches)
+            batch.answers = batch.provider.ask([fetch.query for fetch in batch.fetches])
+            batch.task = loop.create_task(self._ask(batch))
+            self._batches.add(batch)
+            batch.task.add_done_callback(
+                lambda _, batch=batch: self._batches.discard(batch)
+            )
 
     async def _wait_for_wake(self, timeout: float | None) -> None:
         """Park until the next deadline or until new/changed work arrives."""
@@ -262,15 +296,37 @@ class CheckScheduler:
             sleeper.cancel()
         self._wake.clear()
 
-    async def _fetch(self, fetch: _Fetch) -> None:
-        """Ask one question, then fold every check whose last answer it was."""
-        answer = await fetch_answer(fetch.provider, fetch.query)
+    async def _ask(self, batch: _Batch) -> None:
+        """Ask one provider a batch; fold each check whose last answer
+        arrives in the step that brought it."""
+        # The batch lets go of its answers, so they are freed with this
+        # frame; close() closes those of a task that never started.
+        # Nor does it keep its fetches: each points back at it, and that
+        # cycle would wait for the collector.
+        fetches, answers = batch.fetches, batch.answers
+        batch.fetches = batch.answers = None
+        async with aclosing(answers):
+            try:
+                async for position, value in answers:
+                    await self._deliver(fetches[position], value)
+                    if not batch.live:
+                        return  # the rest has no owner left
+            except Exception as exc:  # an ask that raised instead of answering
+                for fetch in fetches:
+                    if self._inflight.get(fetch.key) is fetch:
+                        await self._deliver(fetch, exc)
+
+    async def _deliver(self, fetch: _Fetch, value: float | None | Exception) -> None:
+        """Hand *fetch*'s answer out, then fold every check it completed."""
+        answer = answer_of(fetch.query, value)
         # Leave the table before anything is folded, so no check joins a
         # fetch that has answered: the next tick asks afresh.
-        self._leave_table(fetch)
+        batch = fetch.batch
+        if self._leave_table(fetch):
+            batch.live -= 1
         # Hand the answer out before folding anything: from here on no
         # entry lists this fetch, so a check cancelled while a peer's
-        # observer runs cannot cancel the task out from under the rest.
+        # observer runs cannot take the fetch's owners away.
         complete: list[_Entry] = []
         for entry, position in fetch.askers:
             if entry.future.done():
@@ -279,9 +335,14 @@ class CheckScheduler:
             entry.fetches.remove(fetch)
             if not entry.fetches:
                 complete.append(entry)
-        for entry in complete:
-            if not entry.future.done():
-                await self._fold(entry)
+        if complete:
+            # While a fold runs, a batch that loses its last owner is not
+            # cancelled under it: _ask stops once the fold is done.
+            batch.folding = True
+            for entry in complete:
+                if not entry.future.done():
+                    await self._fold(entry)
+            batch.folding = False
 
     async def _fold(self, entry: _Entry) -> None:
         """One tick: decide on the wave's answers, fold in, re-arm or finish."""
@@ -332,11 +393,15 @@ class CheckScheduler:
     ) -> None:
         self._active.discard(entry)
         # Whatever the check still waited for loses an owner; a fetch
-        # without owners leaves the table and is cancelled, not leaked.
+        # without owners leaves the table, and a batch whose fetches all
+        # left it is cancelled, not leaked (or, mid-fold, stops after).
         for fetch in entry.fetches:
             fetch.waiting -= 1
             if fetch.waiting == 0 and self._leave_table(fetch):
-                fetch.task.cancel()
+                batch = fetch.batch
+                batch.live -= 1
+                if not batch.live and not batch.folding:
+                    batch.task.cancel()
         entry.fetches = []
         # Wake the driver so it can re-plan (or exit when idle).
         self._wake.set()
@@ -354,15 +419,19 @@ class CheckScheduler:
         return len(self._active)
 
     async def close(self) -> None:
-        """Cancel every scheduled check, its fetches, and the driver."""
+        """Cancel every scheduled check, its batches, and the driver."""
         for entry in list(self._active):
             entry.future.cancel()
-        stopping = list(self._fetching)
+        batches = list(self._batches)
+        stopping = [batch.task for batch in batches]
         if self._driver is not None and not self._driver.done():
             stopping.append(self._driver)
         for task in stopping:
             task.cancel()
         self._inflight.clear()
         await asyncio.gather(*stopping, return_exceptions=True)
+        for batch in batches:
+            if batch.answers is not None:  # its task never started
+                await batch.answers.aclose()
         self._driver = None
         self._heap.clear()

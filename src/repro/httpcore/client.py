@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Any
+from typing import Any, AsyncIterator, Sequence
 
 from .connection import HttpConnection
 from .errors import ConnectionClosed, HttpError, IncompleteMessage, RequestTimeout
@@ -32,7 +32,7 @@ class HttpClient:
     the stale-connection retry on a request that could have gone straight
     to a fresh socket.  The client is safe for concurrent use from many
     tasks: each in-flight request owns its connection, except that the
-    GETs of one :meth:`get_pipelined` train share one.
+    GETs of one :meth:`get_many` train share one.
 
     *timeout* is the budget of one whole round trip — writing the request,
     reading the response and, for a streamed request body, finishing the
@@ -68,11 +68,6 @@ class HttpClient:
         self._deadlines: dict[HttpConnection, tuple[float, Request]] = {}
         self._timer: asyncio.TimerHandle | None = None
         self._timer_loop: asyncio.AbstractEventLoop | None = None
-        #: ``host:port`` -> the riders of the train boarding there, each
-        #: ``(request, future)`` in boarding order (:meth:`get_pipelined`).
-        self._boarding: dict[str, list[tuple[Request, asyncio.Future[Response]]]] = {}
-        #: Trains under way, held so that none is collected mid-ride.
-        self._trains: set[asyncio.Task[None]] = set()
 
     async def request(
         self,
@@ -243,109 +238,96 @@ class HttpClient:
     async def delete(self, url: str, **kwargs: Any) -> Response:
         return await self.request("DELETE", url, **kwargs)
 
-    async def get_pipelined(self, url: str) -> Response:
-        """A bodiless, buffered GET of *url* that may share a connection.
+    async def get_many(
+        self, urls: Sequence[str]
+    ) -> AsyncIterator[tuple[int, Response | Exception]]:
+        """Bodiless, buffered GETs of *urls*, all to one ``host:port``, as
+        one pipelined train driven by the caller's own task.
 
-        The GETs to one ``host:port`` issued in one event-loop iteration
-        board one *train*, which departs in the next: on one connection,
-        idle or fresh, every request goes out in one write and the
-        responses, which HTTP/1.1 returns in request order (RFC 7230
-        §6.3.2), are handed to their riders as each is parsed.  A rider
-        cancelled on the way still has its response read, then dropped.
+        On one connection, idle or fresh, every request goes out in one
+        write, and the responses, which HTTP/1.1 returns in request order
+        (RFC 7230 §6.3.2), are yielded as ``(position in urls, response)``
+        as each is parsed.  The last one is yielded after the connection
+        is back in the pool; a caller that stops before it (closes the
+        iterator, or is cancelled) closes the connection.
 
-        Riders left unanswered by a pooled connection that fails, or by a
-        ``Connection: close`` response, are re-sent once on a fresh
+        Requests left unanswered by a pooled connection that fails, or by
+        a ``Connection: close`` response, are re-sent once on a fresh
         connection — :meth:`send`'s stale-connection rule, which a GET,
         being idempotent, may take mid-pipeline.  The client *timeout*
-        bounds the train from departure: when it runs out, every rider
-        still unanswered gets :class:`RequestTimeout`, the connection is
-        closed and nothing is re-sent.
+        bounds the train from its start, the caller's time between
+        answers included: when it runs out, every request still
+        unanswered gets :class:`RequestTimeout`, the connection is closed
+        and nothing is re-sent.  A failure that is not re-sent is yielded,
+        as the exception, for every request it left unanswered; only
+        cancellation propagates.
         """
-        if self._closed:
-            raise ConnectionClosed("client is closed")
-        host, port, target = _split_url(url)
+        host, port, _ = _split_url(urls[0])
         key = f"{host}:{port}"
-        loop = asyncio.get_running_loop()
-        riders = self._boarding.get(key)
-        if riders is None:
-            riders = self._boarding[key] = []
-            # A task's first step is a ``call_soon``: the train departs
-            # once this iteration's riders have boarded.
-            train = loop.create_task(self._depart(key, host, port, riders))
-            self._trains.add(train)
-            train.add_done_callback(self._trains.discard)
-        future: asyncio.Future[Response] = loop.create_future()
-        riders.append((Request("GET", target, Headers({"Host": key})), future))
-        return await future
-
-    async def _depart(
-        self,
-        key: str,
-        host: str,
-        port: int,
-        riders: list[tuple[Request, "asyncio.Future[Response]"]],
-    ) -> None:
-        """Carry one train to ``host:port``; the riders take its outcome."""
-        del self._boarding[key]  # later GETs board the next train
+        origin = f"http://{key}"
+        targets = []
+        for url in urls:
+            if url.startswith(origin) and url.startswith("/", len(origin)):
+                targets.append(url[len(origin) :])
+                continue
+            other_host, other_port, target = _split_url(url)
+            if other_host != host or other_port != port:
+                raise ValueError(f"one train goes to one host:port: {url!r} is not {key}")
+            targets.append(target)
+        # What Request.serialize writes for a bodiless GET whose only
+        # header is Host, without building a message per request.
+        tail = f" HTTP/1.1\r\nHost: {key}\r\nContent-Length: 0\r\n\r\n"
+        unanswered = list(range(len(targets)))
+        if self._closed:
+            closed = ConnectionClosed("client is closed")
+            for position in unanswered:
+                yield position, closed
+            return
+        failure: Exception = ConnectionClosed("connection closed before response")
         expires = asyncio.get_running_loop().time() + self.timeout
         connection = self._idle(key)
         reused = connection is not None
-        failure: BaseException
-        try:
-            for resend in (False, True):
-                if connection is None:
-                    connection = await _open(host, port)
+        for resend in (False, True):
+            if resend or connection is None:
                 try:
-                    await self._ride(key, connection, riders, expires)
+                    connection = await _open(host, port)
                 except (HttpError, ConnectionError, OSError) as exc:
-                    if resend or not reused or isinstance(exc, RequestTimeout):
-                        failure = exc
+                    failure = exc
+                    break
+            riding, answered = unanswered, 0
+            self._track(connection, expires, Request("GET", targets[riding[0]]))
+            try:
+                connection.write("".join([f"GET {targets[p]}{tail}" for p in riding]).encode("latin-1"))
+                for position in riding:
+                    response = await connection.receive(False, self.max_body_bytes)
+                    if response is None:
+                        raise IncompleteMessage("connection closed before response")
+                    answered += 1
+                    if answered == len(riding) or response.connection_close:
                         break
-                riders = [rider for rider in riders if not rider[1].done()]
-                if not riders:
-                    return
-                connection = None
+                    yield position, response
+            except (HttpError, ConnectionError, OSError) as exc:
+                connection.close()
+                unanswered = riding[answered:]
+                if resend or not reused or isinstance(exc, RequestTimeout):
+                    failure = exc
+                    break
+                continue
+            except BaseException:
+                connection.close()
+                raise
+            finally:
+                self._deadlines.pop(connection, None)
+            unanswered = riding[answered:]
+            if response.connection_close:
+                connection.close()
             else:
-                failure = ConnectionClosed("connection closed before response")
-        except BaseException as exc:
-            failure = exc
-        for _, future in riders:
-            if not future.done():
-                if isinstance(failure, Exception):
-                    future.set_exception(failure)
-                else:
-                    future.cancel()
-        if not isinstance(failure, Exception):
-            raise failure  # the train itself was cancelled
-
-    async def _ride(
-        self,
-        key: str,
-        connection: HttpConnection,
-        riders: list[tuple[Request, "asyncio.Future[Response]"]],
-        expires: float,
-    ) -> None:
-        """Send *riders*' requests on *connection* in one write and answer
-        them in order; stop early after a ``Connection: close`` response.
-        The connection is pooled only if it answered them all."""
-        self._track(connection, expires, riders[0][0])
-        try:
-            connection.write(b"".join([request.serialize() for request, _ in riders]))
-            for _, future in riders:
-                response = await connection.receive(False, self.max_body_bytes)
-                if response is None:
-                    raise IncompleteMessage("connection closed before response")
-                if not future.done():
-                    future.set_result(response)
-                if response.connection_close:
-                    connection.close()
-                    return
-        except BaseException:
-            connection.close()
-            raise
-        finally:
-            self._deadlines.pop(connection, None)
-        self._release(key, connection)
+                self._release(key, connection)
+            yield position, response
+            if not unanswered:
+                return
+        for position in unanswered:
+            yield position, failure
 
     def _idle(self, key: str) -> HttpConnection | None:
         """A live pooled connection to *key*, or ``None``."""

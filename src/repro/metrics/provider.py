@@ -6,7 +6,8 @@ by metrics providers or external services".  This module defines that
 seam:
 
 * :class:`MetricsProvider` — the interface (async ``query`` returning a
-  scalar or ``None`` when no data exists yet),
+  scalar or ``None`` when no data exists yet, and ``ask``, many queries
+  in one call, answered as each answer arrives),
 * :class:`LocalPrometheusProvider` — evaluates against an in-process store,
 * :class:`HttpPrometheusProvider` — queries a metrics server over HTTP
   (:mod:`repro.metrics.server`), exercising the same network path as the
@@ -17,11 +18,13 @@ seam:
 from __future__ import annotations
 
 import asyncio
+from contextlib import aclosing
 from functools import lru_cache
+from typing import AsyncIterator, Awaitable, Sequence
 from urllib.parse import quote
 
 from ..clock import Clock, RealClock
-from ..httpcore import HttpClient, ProtocolError
+from ..httpcore import HttpClient, ProtocolError, Response
 from . import plan
 from .compile import compile_query
 from .query import QueryError
@@ -30,6 +33,11 @@ from .store import MetricStore
 
 class ProviderError(Exception):
     """The provider could not answer (unreachable, bad query, ...)."""
+
+
+#: One answer from :meth:`MetricsProvider.ask`: the query's position and
+#: its value, or the exception asking it raised.
+Asked = tuple[int, float | None | Exception]
 
 
 class MetricsProvider:
@@ -41,8 +49,66 @@ class MetricsProvider:
         """Evaluate *query* now; ``None`` means "no data"."""
         raise NotImplementedError
 
+    def ask(self, queries: Sequence[str]) -> AsyncIterator[Asked]:
+        """Ask every query in *queries* in one call.
+
+        The iterator yields ``(position, value)`` as each answer arrives,
+        with the exception a failed query raised as its value; only
+        cancellation propagates.  Closing it (``aclose``) gives up the
+        queries still out.
+
+        Here a single query is one :meth:`query` call, awaited inline
+        when the iterator is first read.  Several start now, one
+        :meth:`query` in a task each, and are answered in completion
+        order, so a slow or hung query delays only itself.
+        """
+        if len(queries) == 1:
+            return self._ask_one(queries[0])
+        return _EachInATask(self, queries)
+
+    async def _ask_one(self, query: str) -> AsyncIterator[Asked]:
+        try:
+            value = await self.query(query)
+        except Exception as exc:
+            value = exc
+        yield 0, value
+
     async def close(self) -> None:
         """Release any resources (HTTP connections)."""
+
+
+class _EachInATask:
+    """The default :meth:`MetricsProvider.ask` of several queries: one
+    :meth:`~MetricsProvider.query` task each, answers in completion order."""
+
+    def __init__(self, provider: MetricsProvider, queries: Sequence[str]):
+        loop = asyncio.get_running_loop()
+        self._arrived: asyncio.Queue[Asked] = asyncio.Queue()
+        self._left = len(queries)
+        self._tasks = [
+            loop.create_task(self._answer(provider.query(query), position))
+            for position, query in enumerate(queries)
+        ]
+
+    async def _answer(self, asking: Awaitable[float | None], position: int) -> None:
+        try:
+            value = await asking
+        except Exception as exc:
+            value = exc
+        self._arrived.put_nowait((position, value))
+
+    def __aiter__(self) -> "_EachInATask":
+        return self
+
+    async def __anext__(self) -> Asked:
+        if not self._left:
+            raise StopAsyncIteration
+        self._left -= 1
+        return await self._arrived.get()
+
+    async def aclose(self) -> None:
+        for task in self._tasks:
+            task.cancel()
 
 
 class LocalPrometheusProvider(MetricsProvider):
@@ -95,18 +161,20 @@ def _query_target(query: str) -> str:
 class HttpPrometheusProvider(MetricsProvider):
     """Queries a metrics server's ``/api/v1/query`` endpoint.
 
-    Each fetch is an :meth:`HttpClient.get_pipelined`, so the questions
-    a check-scheduler wave issues together reach the server as one
-    pipelined write on one connection.
+    :meth:`ask` sends its queries as one :meth:`HttpClient.get_many`
+    train, driven from the asking task: one write on one connection, and
+    each answer yielded as its response is parsed.  :meth:`query` is a
+    train of one.
 
-    Identical queries issued concurrently are *single-flighted*: the first
-    caller performs the HTTP request and every overlapping caller awaits
-    the same in-flight result.  A follower whose leader was cancelled,
-    but which was not cancelled itself, asks again.  No engine reaches
-    this: the check scheduler already shares every in-flight question,
-    so ``coalesced`` reads 0 under an engine.  It serves only callers of
-    :meth:`query` outside an engine, and stays while ``bench/`` reads
-    ``coalesced``.
+    Identical :meth:`query` calls issued concurrently are
+    *single-flighted*: the first caller performs the HTTP request and
+    every overlapping caller awaits the same in-flight result.  A
+    follower whose leader was cancelled, but which was not cancelled
+    itself, asks again.  No engine reaches this: the check scheduler
+    calls :meth:`ask`, with each in-flight question once, so
+    ``coalesced`` reads 0 under an engine.  It serves only callers of
+    :meth:`query` outside an engine, and stays while ``bench/`` patches
+    :meth:`query` and reads ``coalesced``.
     """
 
     name = "prometheus"
@@ -119,6 +187,13 @@ class HttpPrometheusProvider(MetricsProvider):
         #: How many calls were answered by piggybacking on an in-flight
         #: request (observability for tests and benchmarks).
         self.coalesced = 0
+
+    async def ask(self, queries: Sequence[str]) -> AsyncIterator[Asked]:
+        base = self.base_url
+        responses = self._client.get_many([base + _query_target(query) for query in queries])
+        async with aclosing(responses):
+            async for position, response in responses:
+                yield position, _answer(response)
 
     async def query(self, query: str) -> float | None:
         while (existing := self._inflight.get(query)) is not None:
@@ -138,7 +213,10 @@ class HttpPrometheusProvider(MetricsProvider):
         )
         self._inflight[query] = future
         try:
-            value = await self._fetch(query)
+            async for _, value in self.ask([query]):
+                pass  # a train of one: read to its end, which pools the connection
+            if isinstance(value, Exception):
+                raise value
         except asyncio.CancelledError:
             if not future.done():
                 future.cancel()
@@ -156,31 +234,31 @@ class HttpPrometheusProvider(MetricsProvider):
         finally:
             self._inflight.pop(query, None)
 
-    async def _fetch(self, query: str) -> float | None:
-        url = self.base_url + _query_target(query)
-        try:
-            response = await self._client.get_pipelined(url)
-        except Exception as exc:
-            raise ProviderError(f"metrics server unreachable: {exc}") from exc
-        if response.status != 200:
-            raise ProviderError(
-                f"metrics server returned {response.status}: {response.body[:200]!r}"
-            )
-        try:
-            payload = response.json()
-            if payload["status"] != "success":
-                raise ProviderError(f"query failed: {payload.get('error')}")
-            value = payload["data"]["value"]
-        except (ProtocolError, TypeError, KeyError):
-            raise ProviderError(f"not a query answer: {response.body[:200]!r}") from None
-        # Only a number or null is an answer; a bool is not a number here.
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ProviderError(f"data.value is not a number: {value!r:.200}")
-        return value
-
     async def close(self) -> None:
         if self._owns_client:
             await self._client.close()
+
+
+def _answer(response: Response | Exception) -> float | None | ProviderError:
+    """What one ``/api/v1/query`` response, or the failure that took its
+    place, says: a number, ``None``, or the :class:`ProviderError` it is."""
+    if isinstance(response, Exception):
+        return ProviderError(f"metrics server unreachable: {response}")
+    if response.status != 200:
+        return ProviderError(
+            f"metrics server returned {response.status}: {response.body[:200]!r}"
+        )
+    try:
+        payload = response.json()
+        if payload["status"] != "success":
+            return ProviderError(f"query failed: {payload.get('error')}")
+        value = payload["data"]["value"]
+    except (ProtocolError, TypeError, KeyError):
+        return ProviderError(f"not a query answer: {response.body[:200]!r}")
+    # Only a number or null is an answer; a bool is not a number here.
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        return ProviderError(f"data.value is not a number: {value!r:.200}")
+    return value
 
 
 class HealthProvider(MetricsProvider):

@@ -24,6 +24,7 @@ vector of ``(labels, value)`` pairs.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -531,17 +532,20 @@ def _divide(a: float, b: float) -> float:
         return math.copysign(math.inf, a)
 
 
+#: The binary arithmetic operators, built once rather than per evaluation.
+_OPERATORS: dict[str, Callable[[float, float], float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+}
+
+
 def _combine(
     op: str, left: list[VectorSample], right: list[VectorSample]
 ) -> list[VectorSample]:
     """Vector/scalar arithmetic; scalar sides broadcast over vector sides."""
-    operators: dict[str, Callable[[float, float], float]] = {
-        "+": lambda a, b: a + b,
-        "-": lambda a, b: a - b,
-        "*": lambda a, b: a * b,
-        "/": _divide,
-    }
-    apply = operators[op]
+    apply = _OPERATORS[op]
     if len(left) == 1 and not left[0].labels:
         return [VectorSample(s.labels, apply(left[0].value, s.value)) for s in right]
     if len(right) == 1 and not right[0].labels:

@@ -241,6 +241,9 @@ class _ArmingPeriod(MetricsProvider):
     async def query(self, query: str) -> float | None:
         return await self.inner.query(query)
 
+    def ask(self, queries):
+        return self.inner.ask(queries)
+
     async def close(self) -> None:
         await self.inner.close()
 

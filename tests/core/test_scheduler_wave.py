@@ -1,11 +1,13 @@
 """Wave evaluation: counts that repeat exactly, and fetches that have owners.
 
 The checks due in one dispatch are one *wave*: each distinct ``(provider
-object, query string)`` is fetched once, by one Task, and every check that
-asked gets that answer (docs/architecture.md, "Check scheduler").  A check
-whose question is still in flight from an earlier dispatch joins that
-fetch.  Nothing here is timed; everything runs under a
-:class:`VirtualClock`.
+object, query string)`` is fetched once, and every check that asked gets
+that answer (docs/architecture.md, "Check scheduler").  The new questions
+a dispatch asks of one provider are one batch: one Task and one ``ask``
+call, which with the default ``ask`` runs one Task per question when it
+holds more than one.  A check whose question is still in flight from an
+earlier dispatch joins that fetch.  Nothing here is timed; everything runs
+under a :class:`VirtualClock`.
 """
 
 import asyncio
@@ -41,8 +43,12 @@ from repro.resilience import FaultSchedule, FaultyProvider
 
 
 #: While a wave is out the driver parks once on its wake event: one Task
-#: per wave whatever the wave's size (``_wait_for_wake``), beside the fetches.
+#: per wave whatever the wave's size (``_wait_for_wake``), beside the batches.
 DRIVER_PARK = 1
+#: The coroutine of a batch's Task, and of the default ``ask``'s Task per
+#: question in a batch of several.
+BATCH = "CheckScheduler._ask"
+QUESTION = "_EachInATask._answer"
 
 
 class TaskCounter:
@@ -50,12 +56,17 @@ class TaskCounter:
 
     def __init__(self) -> None:
         self.created = 0
-        self.fetches = 0
+        self.batches = 0
+        self.questions = 0
         asyncio.get_running_loop().set_task_factory(self)
 
     def __call__(self, loop, coro, **kwargs):
+        # At loop shutdown asyncio also closes async generators in Tasks,
+        # which run an ``athrow`` awaitable, not a coroutine.
+        qualname = getattr(coro, "__qualname__", None)
         self.created += 1
-        self.fetches += coro.__qualname__ == "CheckScheduler._fetch"
+        self.batches += qualname == BATCH
+        self.questions += qualname == QUESTION
         return asyncio.Task(coro, loop=loop, **kwargs)
 
 
@@ -118,10 +129,10 @@ async def one_wave(clock, scheduler, checks, providers):
     return futures, counter
 
 
-def fetch_tasks():
+def fetch_tasks(qualname=BATCH):
     return [
         task for task in asyncio.all_tasks()
-        if task.get_coro().__qualname__ == "CheckScheduler._fetch"
+        if task.get_coro().__qualname__ == qualname
     ]
 
 
@@ -138,9 +149,11 @@ async def test_wave_costs_one_task_and_one_call_per_distinct_question(checks, di
     results = await asyncio.gather(*futures)
     assert all(result.mapped == 1 for result in results)
     assert sorted(provider.calls) == sorted(f"q{k}" for k in range(distinct))
-    # With distinct == checks nothing is shared and nothing is added.
-    assert counter.fetches == distinct
-    assert counter.created == distinct + DRIVER_PARK
+    # With distinct == checks nothing is shared and nothing is added: one
+    # batch, whose default ``ask`` awaits a single question inline.
+    assert counter.batches == 1
+    assert counter.questions == (distinct if distinct > 1 else 0)
+    assert counter.created == counter.batches + counter.questions + DRIVER_PARK
     assert scheduler.last_wave_size == checks
 
 
@@ -176,7 +189,7 @@ async def test_same_query_on_two_providers_or_through_a_wrapper_is_not_shared():
     ]
     futures, counter = await one_wave(clock, scheduler, population, providers)
     await asyncio.gather(*futures)
-    assert counter.fetches == 3
+    assert (counter.batches, counter.questions) == (3, 0)
     assert wrapped.calls == 1
     assert inner.query_log == ["q", "q"]  # once asked directly, once through the wrapper
     assert twin.query_log == ["q"]
@@ -191,7 +204,7 @@ async def test_one_provider_under_two_names_is_one_question():
         clock, scheduler, population, {"first": provider, "second": provider}
     )
     await asyncio.gather(*futures)
-    assert counter.fetches == 1
+    assert (counter.batches, counter.questions) == (1, 0)
     assert provider.query_log == ["q"]
 
 
@@ -211,7 +224,7 @@ async def test_two_query_comparison_folds_only_when_both_values_are_in():
     futures, counter = await one_wave(
         clock, scheduler, [compare, basic("fast-only", "fast")], {"p": provider}
     )
-    assert counter.fetches == 2
+    assert (counter.batches, counter.questions) == (1, 2)
     assert futures[1].done() and not futures[0].done()
     await clock.advance(3.0)
     compared, fast_only = await asyncio.gather(*futures)
@@ -263,7 +276,7 @@ async def test_provider_failure_reaches_every_asker_as_no_data():
         results = await asyncio.gather(*futures)
     finally:
         MetricCondition.evaluate_detailed = original
-    assert counter.fetches == 2
+    assert (counter.batches, counter.questions) == (1, 2)
     assert [result.aggregated for result in results] == [0, 0, 0]
     assert seen == {
         "x": (False, ("x: backend rebooting",)),
@@ -284,7 +297,7 @@ async def test_unregistered_provider_fails_only_its_own_check():
     with pytest.raises(CheckError, match="no provider named 'nope'"):
         await futures[0]
     assert (await futures[1]).mapped == 1
-    assert counter.fetches == 1
+    assert (counter.batches, counter.questions) == (1, 0)
 
 
 # -- ownership -------------------------------------------------------------
@@ -292,7 +305,7 @@ async def test_unregistered_provider_fails_only_its_own_check():
 
 async def assert_nothing_left(clock, scheduler):
     await clock.advance(0.0)
-    assert fetch_tasks() == []
+    assert fetch_tasks() == [] and fetch_tasks(QUESTION) == []
     assert scheduler.pending_checks == 0
     assert clock.pending_sleepers == 0
 
@@ -396,7 +409,7 @@ async def test_tripped_check_does_not_cancel_the_fetch_it_shared():
         await futures[0]
     assert caught.value.at == 6.0
     assert [e.at for e in (await futures[1]).executions] == [6.0]
-    assert counter.fetches == 1
+    assert (counter.batches, counter.questions) == (1, 0)
 
 
 # -- fetches in flight across dispatches -------------------------------------
@@ -415,7 +428,7 @@ async def test_check_due_while_its_question_is_in_flight_joins_that_fetch():
     assert len(fetch_tasks()) == 1
     counter = TaskCounter()
     await clock.advance(0.5)  # "late" is dispatched now
-    assert counter.fetches == 0
+    assert counter.batches == 0
     assert counter.created == DRIVER_PARK
     await clock.advance(1.0)
     early, late = await asyncio.gather(*futures)
@@ -502,8 +515,9 @@ class SleepingClient:
         await self.clock.sleep(self.latency)
         return SleepingClient.Response()
 
-    async def get_pipelined(self, url):
-        return await self.get(url)
+    async def get_many(self, urls):
+        for position, url in enumerate(urls):
+            yield position, await self.get(url)
 
     class Response:
         status = 200

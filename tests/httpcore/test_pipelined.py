@@ -1,4 +1,4 @@
-"""Pipelined GET trains (``HttpClient.get_pipelined``) against a real server."""
+"""Pipelined GET trains (``HttpClient.get_many``) against a real server."""
 
 import asyncio
 
@@ -7,12 +7,15 @@ import pytest
 import repro.httpcore.client as client_module
 from repro.httpcore import (
     ConnectionClosed,
+    Headers,
     HttpClient,
     HttpServer,
     IncompleteMessage,
+    Request,
     RequestTimeout,
     Response,
 )
+from repro.httpcore.connection import HttpConnection
 from tests.httpcore.wire import parked
 
 
@@ -70,60 +73,101 @@ def opened(monkeypatch):
     return connections
 
 
+@pytest.fixture
+def writes(monkeypatch, opened):
+    """How many writes the client made on the connections it opened."""
+    writers = []
+    original = HttpConnection.write
+
+    def counting_write(connection, data):
+        writers.append(connection)
+        return original(connection, data)
+
+    monkeypatch.setattr(HttpConnection, "write", counting_write)
+    return lambda: sum(any(w is mine for _, mine in opened) for w in writers)
+
+
 def urls(server, numbers):
     return [f"http://{server.address}/n/{n}" for n in numbers]
 
 
-async def ride(client, targets):
-    """One train: every GET issued in the same loop iteration."""
-    return await asyncio.gather(
-        *(client.get_pipelined(url) for url in targets), return_exceptions=True
-    )
+async def train(client, targets, order=None):
+    """One ``get_many`` train read to its end: the answers by position.
+    *order*, when given, collects the positions as they were yielded."""
+    answers = [None] * len(targets)
+    async for position, answer in client.get_many(targets):
+        answers[position] = answer
+        if order is not None:
+            order.append(position)
+    return answers
 
 
-async def test_responses_come_back_in_request_order(opened):
+async def test_responses_come_back_in_request_order(opened, writes):
     async with NumberServer() as server, HttpClient() as client:
-        responses = await ride(client, urls(server, range(12)))
+        order = []
+        responses = await train(client, urls(server, range(12)), order)
+        assert order == list(range(12))
         assert [response.body for response in responses] == [
             str(n).encode() for n in range(12)
         ]
         assert server.asked == list(range(12))
-        assert len(opened) == 1  # one train, one connection
+        assert len(opened) == 1 and writes() == 1  # one train, one write
         assert parked(client, server.address) == 1
         # The next train reuses the pooled connection.
-        again = await ride(client, urls(server, [20, 21]))
+        again = await train(client, urls(server, [20, 21]))
         assert [response.body for response in again] == [b"20", b"21"]
         assert len(opened) == 1
 
 
+async def test_a_train_writes_what_request_serialize_writes(opened, monkeypatch):
+    sent = []
+    original = HttpConnection.write
+
+    def recording_write(connection, data):
+        if any(connection is mine for _, mine in opened):
+            sent.append(data)
+        return original(connection, data)
+
+    monkeypatch.setattr(HttpConnection, "write", recording_write)
+    async with NumberServer() as server, HttpClient() as client:
+        targets = ["/n/1", "/n/2?q=a%20b"]
+        # The second URL names the same host:port without the scheme.
+        responses = await train(
+            client, [f"http://{server.address}{targets[0]}", f"{server.address}{targets[1]}"]
+        )
+        assert [response.body for response in responses] == [b"1", b"2"]
+        headers = Headers({"Host": server.address})
+        assert sent == [b"".join(Request("GET", t, headers).serialize() for t in targets)]
+
+
 async def test_a_cancelled_rider_does_not_disturb_the_others(opened):
+    """A caller cancelled mid-train takes only its own train down."""
     async with NumberServer(hang=0) as server, HttpClient() as client:
-        riders = [
-            asyncio.ensure_future(client.get_pipelined(url))
-            for url in urls(server, range(5))
-        ]
-        await server.entered.wait()  # the train is on its way
-        riders[2].cancel()
+        cancelled = asyncio.ensure_future(train(client, urls(server, range(5))))
+        await server.entered.wait()  # the first train is on its way
+        # Its connection is out, so the next train opens another.
+        other = await train(client, urls(server, [5, 6]))
+        assert [response.body for response in other] == [b"5", b"6"]
+        cancelled.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await cancelled
         server.release.set()
-        done = await asyncio.gather(*riders, return_exceptions=True)
-        assert isinstance(done[2], asyncio.CancelledError)
-        assert [done[n].body for n in (0, 1, 3, 4)] == [b"0", b"1", b"3", b"4"]
-        # The dropped answer was read off the wire: the connection is
-        # pooled and the next rider gets its own answer on it.
-        assert server.asked == list(range(5))
+        # The cancelled train's connection is closed, not pooled; the
+        # other one is pooled and the next train rides it.
+        assert opened[0][1].transport.is_closing()
         assert parked(client, server.address) == 1
-        assert (await client.get_pipelined(urls(server, [7])[0])).body == b"7"
-        assert len(opened) == 1
+        assert (await train(client, urls(server, [7])))[0].body == b"7"
+        assert len(opened) == 2
 
 
 async def test_a_stale_pooled_connection_is_replaced_once(opened):
     async with NumberServer() as server, HttpClient() as client:
-        await client.get_pipelined(urls(server, [0])[0])
+        await train(client, urls(server, [0]))
         assert parked(client, server.address) == 1
         # The pooled connection ends after reading the next request,
         # before answering it.
         server.drop = {1}
-        responses = await ride(client, urls(server, [1, 2, 3]))
+        responses = await train(client, urls(server, [1, 2, 3]))
         assert [response.body for response in responses] == [b"1", b"2", b"3"]
         assert len(opened) == 2
         assert server.asked == [0, 1, 1, 2, 3]
@@ -132,7 +176,7 @@ async def test_a_stale_pooled_connection_is_replaced_once(opened):
 
 async def test_a_fresh_connection_that_ends_early_is_not_retried(opened):
     async with NumberServer(drop={1}) as server, HttpClient() as client:
-        responses = await ride(client, urls(server, [0, 1, 2]))
+        responses = await train(client, urls(server, [0, 1, 2]))
         assert responses[0].body == b"0"
         assert all(isinstance(failed, IncompleteMessage) for failed in responses[1:])
         assert len(opened) == 1
@@ -141,7 +185,7 @@ async def test_a_fresh_connection_that_ends_early_is_not_retried(opened):
 
 async def test_connection_close_resends_the_rest_once(opened):
     async with NumberServer(close_every=2) as server, HttpClient() as client:
-        responses = await ride(client, urls(server, range(3)))
+        responses = await train(client, urls(server, range(3)))
         assert [response.body for response in responses] == [b"0", b"1", b"2"]
         assert server.asked == [0, 1, 2]
         assert len(opened) == 2
@@ -151,7 +195,7 @@ async def test_connection_close_resends_the_rest_once(opened):
 
 async def test_a_second_connection_close_fails_the_rest(opened):
     async with NumberServer(close_every=2) as server, HttpClient() as client:
-        responses = await ride(client, urls(server, range(6)))
+        responses = await train(client, urls(server, range(6)))
         assert [response.body for response in responses[:4]] == [b"0", b"1", b"2", b"3"]
         assert all(isinstance(failed, ConnectionClosed) for failed in responses[4:])
         assert server.asked == [0, 1, 2, 3]
@@ -161,8 +205,8 @@ async def test_a_second_connection_close_fails_the_rest(opened):
 
 async def test_a_timeout_fails_every_unanswered_rider(opened):
     async with NumberServer(hang=1) as server, HttpClient(timeout=0.05) as client:
-        await client.get_pipelined(urls(server, [9])[0])  # pool a connection
-        responses = await ride(client, urls(server, range(4)))
+        await train(client, urls(server, [9]))  # pool a connection
+        responses = await train(client, urls(server, range(4)))
         assert responses[0].body == b"0"
         assert all(isinstance(failed, RequestTimeout) for failed in responses[1:])
         # Nothing is re-sent and no connection is pooled.
@@ -173,39 +217,47 @@ async def test_a_timeout_fails_every_unanswered_rider(opened):
         assert not client._deadlines
 
 
-async def test_two_hosts_in_one_iteration_make_two_trains(opened):
+async def test_two_hosts_in_one_iteration_make_two_trains(opened, writes):
+    """Two providers' batches are two trains: one per ``get_many`` call."""
     async with NumberServer() as first, NumberServer() as second, HttpClient() as client:
-        targets = urls(first, [0, 1, 2]) + urls(second, [3, 4])
-        responses = await ride(client, targets)
-        assert [response.body for response in responses] == [b"0", b"1", b"2", b"3", b"4"]
+        one, two = await asyncio.gather(
+            train(client, urls(first, [0, 1, 2])), train(client, urls(second, [3, 4]))
+        )
+        assert [response.body for response in one + two] == [b"0", b"1", b"2", b"3", b"4"]
         assert sorted(key for key, _ in opened) == sorted([first.address, second.address])
         assert first.asked == [0, 1, 2] and second.asked == [3, 4]
+        assert writes() == 2
+        # One train goes to one host.
+        with pytest.raises(ValueError):
+            await train(client, urls(first, [5]) + urls(second, [6]))
 
 
 async def test_riders_of_later_iterations_board_later_trains(opened):
-    async with NumberServer() as server, HttpClient() as client:
-        early = asyncio.ensure_future(client.get_pipelined(urls(server, [0])[0]))
-        await asyncio.sleep(0)
-        await asyncio.sleep(0)  # the first train has departed
-        late = asyncio.ensure_future(client.get_pipelined(urls(server, [1])[0]))
-        assert [(await early).body, (await late).body] == [b"0", b"1"]
+    """Two dispatches' batches are two trains, even to one host."""
+    async with NumberServer(hang=0) as server, HttpClient() as client:
+        early = asyncio.ensure_future(train(client, urls(server, [0])))
+        await server.entered.wait()  # the first train is out
+        late = await train(client, urls(server, [1]))
+        server.release.set()
+        assert [(await early)[0].body, late[0].body] == [b"0", b"1"]
         assert len(opened) == 2  # the first connection was still out
 
 
 async def test_no_connection_is_leaked(opened):
     async with NumberServer(hang=3, close_every=4) as server:
         client = HttpClient(timeout=0.05)
-        await ride(client, urls(server, range(6)))  # times out at 3
+        await train(client, urls(server, range(6)))  # times out at 3
         server.hang = None
-        await ride(client, urls(server, range(6, 12)))  # closes after 9
+        await train(client, urls(server, range(6, 12)))  # closes after 9
         await client.close()
         assert opened
         assert all(connection.transport.is_closing() for _, connection in opened)
-        assert not client._trains and not client._boarding and not client._deadlines
+        assert not client._deadlines
 
 
-async def test_a_closed_client_boards_nothing():
+async def test_a_closed_client_boards_nothing(opened):
     client = HttpClient()
     await client.close()
-    with pytest.raises(ConnectionClosed):
-        await client.get_pipelined("http://127.0.0.1:1/n/0")
+    answers = await train(client, ["http://127.0.0.1:1/n/0", "http://127.0.0.1:1/n/1"])
+    assert all(isinstance(answer, ConnectionClosed) for answer in answers)
+    assert not opened

@@ -37,8 +37,14 @@ class CountingClient:
             raise ConnectionError("backend down")
         return FakeResponse({"status": "success", "data": {"value": self.value}})
 
-    async def get_pipelined(self, url):
-        return await self.get(url)
+    async def get_many(self, urls):
+        """``HttpClient.get_many``'s contract: a failure is yielded."""
+        for position, url in enumerate(urls):
+            try:
+                response = await self.get(url)
+            except ConnectionError as exc:
+                response = exc
+            yield position, response
 
     async def close(self):
         pass

@@ -1,9 +1,10 @@
 """The metrics server answers a pipelined write in order, over a real socket.
 
-``HttpPrometheusProvider`` sends the questions of one scheduler wave as one
-pipelined write (``HttpClient.get_pipelined``); this pins what that relies
-on from the server: one response per request, in request order, whatever
-each one costs (memo hit, miss, error), on a connection that stays usable.
+``HttpPrometheusProvider`` sends the questions one scheduler dispatch asks
+of it as one pipelined write (``HttpClient.get_many``); this pins what that
+relies on from the server: one response per request, in request order,
+whatever each one costs (memo hit, miss, error), on a connection that stays
+usable.
 """
 
 import asyncio

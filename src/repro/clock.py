@@ -33,8 +33,8 @@ class Clock:
 class RealClock(Clock):
     """Wall-clock time backed by ``time.monotonic`` and ``asyncio.sleep``."""
 
-    def now(self) -> float:
-        return time.monotonic()
+    #: The C function itself, so a clock read runs no Python frame.
+    now = staticmethod(time.monotonic)
 
     async def sleep(self, seconds: float) -> None:
         await asyncio.sleep(seconds)

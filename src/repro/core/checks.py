@@ -15,7 +15,6 @@ at t0..t3).
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import re
 from dataclasses import dataclass, field
@@ -154,15 +153,6 @@ class ProviderErrorPolicy:
 Answer = tuple[float | None, str | None]
 
 
-async def fetch_answer(provider: MetricsProvider, query: str) -> Answer:
-    """Ask *provider* one question; its failure becomes "no data"."""
-    try:
-        value = await provider.query(query)
-    except Exception as exc:
-        value = exc
-    return answer_of(query, value)
-
-
 def answer_of(query: str, value: float | None | Exception) -> Answer:
     """The :data:`Answer` to *query* that a provider gave as *value*.
 
@@ -198,7 +188,7 @@ class ConditionEvaluation(NamedTuple):
 
 @dataclass
 class MetricCondition:
-    """f_ci — fetch Ω_i from providers and decide pass/fail.
+    """f_ci — the queries Ω_i asks of providers, and the pass/fail rule.
 
     Exactly one decision rule applies to the fetched values:
 
@@ -286,28 +276,15 @@ class MetricCondition:
             asked.append((provider, query.query))
         return asked
 
-    async def evaluate_detailed(
-        self,
-        providers: dict[str, MetricsProvider],
-        answers: Sequence[Answer] | None = None,
+    def evaluate_detailed(
+        self, providers: dict[str, MetricsProvider], answers: Sequence[Answer]
     ) -> ConditionEvaluation:
         """One execution of f_ci, distinguishing *failed* from *no data*.
 
-        *answers* are this condition's already fetched values, one
-        :data:`Answer` per query in order (the scheduler fetches each
-        distinct question of a wave once and hands it to every asker);
-        the call then returns without suspending.  Without them the
-        queries are fetched here, concurrently, so a condition costs
-        roughly its slowest query rather than the sum of all latencies.
+        *answers* are this condition's fetched values, one :data:`Answer`
+        per query in order (the scheduler fetches each distinct question
+        in flight once and hands it to every asker).
         """
-        if answers is None:
-            asked = self.questions(providers)
-            if len(asked) == 1:
-                answers = [await fetch_answer(*asked[0])]
-            else:
-                answers = await asyncio.gather(
-                    *(fetch_answer(provider, query) for provider, query in asked)
-                )
         if self.validator is not None and len(answers) == 1:
             # One query, so it is the subject: decide with no lookups.
             value, error = answers[0]

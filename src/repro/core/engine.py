@@ -487,16 +487,13 @@ class StrategyExecution:
         return list(results[: len(futures)])
 
     # Plain methods returning the bus's awaitable: the scheduler awaits it
-    # only when it is a coroutine, so a tick with sync subscribers has none.
+    # only when it is not DELIVERED, so a tick with sync subscribers has none.
 
     def _check_observer(self, check, execution) -> Awaitable[None]:
-        return self._publish(
-            EventKind.CHECK_EXECUTED,
-            {
-                "state": self.current_state,
-                "check": check.name,
-                "result": execution.result,
-            },
+        # Stamped with the tick's own instant: one clock read per tick.
+        data = {"state": self.current_state, "check": check.name, "result": execution.result}
+        return self.bus.publish(
+            Event(EventKind.CHECK_EXECUTED, self.strategy.name, execution.at, data)
         )
 
     def _check_completed(self, result: CheckResult) -> Awaitable[None]:

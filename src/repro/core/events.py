@@ -105,21 +105,23 @@ class EventBus:
     """
 
     def __init__(self) -> None:
-        self._subscribers: list[Subscriber] = []
+        #: Replaced, never mutated, so ``publish`` iterates it uncopied.
+        self._subscribers: tuple[Subscriber, ...] = ()
         #: Full in-memory history; experiments read this after a run.
         self.history: list[Event] = []
 
     def subscribe(self, callback: Subscriber) -> None:
-        self._subscribers.append(callback)
+        self._subscribers += (callback,)
 
     def unsubscribe(self, callback: Subscriber) -> None:
         if callback in self._subscribers:
-            self._subscribers.remove(callback)
+            index = self._subscribers.index(callback)
+            self._subscribers = self._subscribers[:index] + self._subscribers[index + 1 :]
 
     def publish(self, event: Event) -> Awaitable[None]:
         """Record and deliver *event*; await the result to finish delivery."""
         self.history.append(event)
-        subscribers = list(self._subscribers)
+        subscribers = self._subscribers
         for index, callback in enumerate(subscribers):
             try:
                 outcome = callback(event)
@@ -132,7 +134,7 @@ class EventBus:
         return DELIVERED
 
     async def _deliver_rest(
-        self, event: Event, pending, subscribers: list[Subscriber], start: int
+        self, event: Event, pending, subscribers: tuple[Subscriber, ...], start: int
     ) -> None:
         """The coroutine path: finish *pending*, then the subscribers after it."""
         try:

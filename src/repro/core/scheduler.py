@@ -31,8 +31,9 @@ import asyncio
 import heapq
 import itertools
 import logging
+import math
 from contextlib import aclosing
-from typing import AsyncIterator
+from typing import AsyncIterator, Awaitable
 
 from ..clock import Clock
 from ..metrics.provider import Asked, MetricsProvider
@@ -46,6 +47,7 @@ from .checks import (
     ExecutionObserver,
     answer_of,
 )
+from .events import DELIVERED
 
 logger = logging.getLogger(__name__)
 
@@ -118,6 +120,13 @@ class _Entry:
         self.fetches: list[_Fetch] = []
 
 
+async def _then(pending: Awaitable[None], step, *args) -> None:
+    """Await *pending*, then ``step(*args)`` and the coroutine it returns."""
+    await pending
+    if (pending := step(*args)) is not None:
+        await pending
+
+
 class CheckScheduler:
     """Runs many checks' timed loops off one heap and one driver task.
 
@@ -142,6 +151,8 @@ class CheckScheduler:
         self._sequence = itertools.count()
         self._active: set[_Entry] = set()
         self._wake = asyncio.Event()
+        #: The parked driver's deadline (``inf``: none; ``-inf``: not parked).
+        self._sleep_until = -math.inf
         self._driver: asyncio.Task[None] | None = None
         #: The batches whose task has not finished.
         self._batches: set[_Batch] = set()
@@ -189,7 +200,9 @@ class CheckScheduler:
 
     def _arm(self, entry: _Entry, deadline: float) -> None:
         heapq.heappush(self._heap, (deadline, next(self._sequence), entry))
-        self._wake.set()
+        # Only a parked driver that would sleep past *deadline* needs waking.
+        if deadline < self._sleep_until:
+            self._wake.set()
 
     def _ensure_driver(self) -> None:
         if self._driver is None or self._driver.done():
@@ -207,12 +220,11 @@ class CheckScheduler:
             if not self._heap:
                 # Every live check is mid-evaluation; its completion will
                 # re-arm the heap (or finish) and set the wake event.
-                await self._wait_for_wake(None)
+                await self._wait_for_wake(math.inf)
                 continue
             deadline = self._heap[0][0]
-            now = self.clock.now()
-            if deadline > now:
-                await self._wait_for_wake(deadline - now)
+            if deadline > self.clock.now():
+                await self._wait_for_wake(deadline)
 
     def _dispatch_due(self) -> None:
         """Dispatch every due check as one evaluation wave.
@@ -273,27 +285,21 @@ class CheckScheduler:
                 lambda _, batch=batch: self._batches.discard(batch)
             )
 
-    async def _wait_for_wake(self, timeout: float | None) -> None:
-        """Park until the next deadline or until new/changed work arrives."""
+    async def _wait_for_wake(self, deadline: float) -> None:
+        """Park until *deadline* (``inf``: none), an earlier arm or a finish."""
         if self._wake.is_set():
             self._wake.clear()
             return
-        waker = asyncio.ensure_future(self._wake.wait())
-        if timeout is None:
-            try:
-                await waker
-            finally:
-                waker.cancel()
-            self._wake.clear()
-            return
-        sleeper = asyncio.ensure_future(self.clock.sleep(timeout))
+        self._sleep_until = deadline
+        waiting = [asyncio.ensure_future(self._wake.wait())]
+        if deadline < math.inf:
+            waiting.append(asyncio.ensure_future(self.clock.sleep(deadline - self.clock.now())))
         try:
-            await asyncio.wait(
-                (waker, sleeper), return_when=asyncio.FIRST_COMPLETED
-            )
+            await asyncio.wait(waiting, return_when=asyncio.FIRST_COMPLETED)
         finally:
-            waker.cancel()
-            sleeper.cancel()
+            for waiter in waiting:
+                waiter.cancel()
+            self._sleep_until = -math.inf
         self._wake.clear()
 
     async def _ask(self, batch: _Batch) -> None:
@@ -308,16 +314,19 @@ class CheckScheduler:
         async with aclosing(answers):
             try:
                 async for position, value in answers:
-                    await self._deliver(fetches[position], value)
+                    if (folding := self._deliver(fetches[position], value)) is not None:
+                        await folding
                     if not batch.live:
                         return  # the rest has no owner left
             except Exception as exc:  # an ask that raised instead of answering
                 for fetch in fetches:
                     if self._inflight.get(fetch.key) is fetch:
-                        await self._deliver(fetch, exc)
+                        if (folding := self._deliver(fetch, exc)) is not None:
+                            await folding
 
-    async def _deliver(self, fetch: _Fetch, value: float | None | Exception) -> None:
-        """Hand *fetch*'s answer out, then fold every check it completed."""
+    def _deliver(self, fetch: _Fetch, value: float | None | Exception) -> Awaitable[None] | None:
+        """Hand *fetch*'s answer out, then fold every check it completed
+        (``None``, or a coroutine that finishes the folds)."""
         answer = answer_of(fetch.query, value)
         # Leave the table before anything is folded, so no check joins a
         # fetch that has answered: the next tick asks afresh.
@@ -335,52 +344,76 @@ class CheckScheduler:
             entry.fetches.remove(fetch)
             if not entry.fetches:
                 complete.append(entry)
-        if complete:
-            # While a fold runs, a batch that loses its last owner is not
-            # cancelled under it: _ask stops once the fold is done.
-            batch.folding = True
-            for entry in complete:
-                if not entry.future.done():
-                    await self._fold(entry)
-            batch.folding = False
+        return self._fold_each(batch, complete)
 
-    async def _fold(self, entry: _Entry) -> None:
-        """One tick: decide on the wave's answers, fold in, re-arm or finish."""
+    def _fold_each(self, batch: _Batch, entries: list[_Entry]) -> Awaitable[None] | None:
+        """Fold *entries* in order, up to one that returns a coroutine;
+        then a coroutine that awaits it and folds the rest."""
+        for index, entry in enumerate(entries):
+            if not entry.future.done() and (pending := self._fold(entry)) is not None:
+                # While a fold waits, a batch that loses its last owner is
+                # not cancelled under it: _ask stops once the fold is done.
+                batch.folding = True
+                return _then(pending, self._fold_each, batch, entries[index + 1 :])
+        batch.folding = False
+        return None
+
+    def _fold(self, entry: _Entry) -> Awaitable[None] | None:
+        """One tick: decide on the wave's answers, fold in, re-arm or finish;
+        a coroutine only if the observer or ``on_complete`` returned one."""
         try:
-            evaluation = await entry.check.condition.evaluate_detailed(
+            evaluation = entry.check.condition.evaluate_detailed(
                 entry.providers, entry.answers
             )
             at = self.clock.now()
             outcome = entry.progress.apply(evaluation, at)
             if outcome.execution is not None and entry.observer is not None:
                 seen = entry.observer(entry.check, outcome.execution)
-                if seen is not None and asyncio.iscoroutine(seen):
-                    await seen
-            if outcome.triggered:
-                self._finish(entry, error=ExceptionTriggered(entry.check, at))
-                return
-            entry.remaining -= 1
-            if entry.remaining <= 0:
-                await self._finish_result(entry)
-            elif not entry.future.done():
-                self._arm(entry, self.clock.now() + entry.check.timer.interval)
+                if seen is not None and seen is not DELIVERED:
+                    return self._fold_after(entry, seen, outcome.triggered, at)
+            return self._advance(entry, outcome.triggered, at)
         except Exception as exc:  # defensive: a broken observer or callback
             self._finish(entry, error=exc)
+            return None
 
-    async def _finish_result(self, entry: _Entry) -> None:
+    async def _fold_after(self, entry: _Entry, seen, triggered: bool, at: float) -> None:
+        try:
+            await _then(seen, self._advance, entry, triggered, at)
+        except Exception as exc:
+            self._finish(entry, error=exc)
+
+    def _advance(self, entry: _Entry, triggered: bool, at: float) -> Awaitable[None] | None:
+        """Trigger, re-arm at ``at + interval``, or finish (returning
+        ``on_complete``'s coroutine, if it returned one)."""
+        if triggered:
+            self._finish(entry, error=ExceptionTriggered(entry.check, at))
+            return None
+        entry.remaining -= 1
+        if entry.remaining <= 0:
+            return self._finish_result(entry)
+        if not entry.future.done():
+            self._arm(entry, at + entry.check.timer.interval)
+        return None
+
+    def _finish_result(self, entry: _Entry) -> Awaitable[None] | None:
         result = entry.progress.result()
-        on_complete = entry.on_complete
-        if on_complete is not None and not entry.future.done():
+        done = None
+        if entry.on_complete is not None and not entry.future.done():
             try:
-                outcome = on_complete(result)
-                if outcome is not None and asyncio.iscoroutine(outcome):
-                    await outcome
-            except asyncio.CancelledError:
-                raise
+                done = entry.on_complete(result)
             except Exception:
-                logger.exception(
-                    "check %r completion callback failed", entry.check.name
-                )
+                logger.exception("check %r completion callback failed", entry.check.name)
+        if done is not None and done is not DELIVERED:
+            return self._resolve_after(done, entry, result)
+        if not entry.future.done():
+            entry.future.set_result(result)
+        return None
+
+    async def _resolve_after(self, done, entry: _Entry, result: CheckResult) -> None:
+        try:
+            await done
+        except Exception:
+            logger.exception("check %r completion callback failed", entry.check.name)
         if not entry.future.done():
             entry.future.set_result(result)
 

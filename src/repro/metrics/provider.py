@@ -255,6 +255,8 @@ def _answer(response: Response | Exception) -> float | None | ProviderError:
         value = payload["data"]["value"]
     except (ProtocolError, TypeError, KeyError):
         return ProviderError(f"not a query answer: {response.body[:200]!r}")
+    if value in ("+Inf", "-Inf", "NaN"):  # how JSON carries them (Prometheus)
+        return float(value)
     # Only a number or null is an answer; a bool is not a number here.
     if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
         return ProviderError(f"data.value is not a number: {value!r:.200}")

@@ -14,10 +14,15 @@ HTTP API:
 
 The scalar in ``data.value`` is the sum over the result vector (matching
 :func:`repro.metrics.query.evaluate_scalar`); the raw vector is included
-for clients that need per-instance values.
+for clients that need per-instance values.  JSON has no number for a
+value that is not finite: it is written ``"+Inf"``, ``"-Inf"`` or ``"NaN"``,
+as Prometheus does.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 from ..clock import Clock, RealClock
 from ..httpcore import HttpServer, ProtocolError, Request, Response
@@ -28,6 +33,10 @@ from .query import QueryError, layout_cache_info
 from .registry import Registry
 from .scraper import Scraper
 from .store import MetricStore
+
+
+#: Raises ``ValueError`` on a float that is not finite: no bare ``NaN``.
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
 
 
 class MetricsServer(HttpServer):
@@ -107,19 +116,19 @@ class MetricsServer(HttpServer):
         except QueryError as exc:
             return Response.from_json({"status": "error", "error": str(exc)}, 400)
         scalar = sum(sample.value for sample in vector) if vector else None
-        response = Response.from_json(
-            {
-                "status": "success",
-                "data": {
-                    "value": scalar,
-                    "vector": [
-                        {"labels": sample.labels, "value": sample.value}
-                        for sample in vector
-                    ],
-                },
-            }
-        )
-        self._query_cache[target] = response.body
+        samples = [{"labels": sample.labels, "value": sample.value} for sample in vector]
+        payload = {"status": "success", "data": {"value": scalar, "vector": samples}}
+        try:
+            body = _STRICT_JSON.encode(payload).encode()
+        except ValueError:  # a value that is not finite: rare, so encoded twice
+            for sample in (payload["data"], *samples):
+                value = sample["value"]
+                if value is not None and not math.isfinite(value):
+                    sample["value"] = "NaN" if math.isnan(value) else "+Inf" if value > 0 else "-Inf"
+            body = _STRICT_JSON.encode(payload).encode()
+        self._query_cache[target] = body
+        response = Response(status=200, body=body)
+        response.headers.setdefault("Content-Type", "application/json")
         return response
 
     async def _handle_ingest(self, request: Request) -> Response:

@@ -1,8 +1,8 @@
 """Concurrent fan-out of multi-query conditions.
 
-A condition with several metric queries fetches them with
-``asyncio.gather``, so one execution costs ~max(query latencies) instead of
-their sum.  Verified against the virtual clock with a provider that sleeps
+The reference fetch (``tests/core/fetching.py``) asks a condition's
+several metric queries with ``asyncio.gather``, so one execution costs
+~max(query latencies) instead of their sum.  Verified against the virtual clock with a provider that sleeps
 before answering.
 """
 
@@ -13,6 +13,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.core import CheckError, MetricCondition, MetricQuery
 from repro.metrics import StaticProvider
+from tests.core.fetching import evaluate
 
 
 class SlowStaticProvider(StaticProvider):
@@ -46,7 +47,7 @@ async def test_multi_query_condition_completes_in_max_latency():
         clock,
         latencies={"qa": 1.0, "qb": 2.0, "qc": 3.0},
     )
-    task = asyncio.create_task(_three_query_condition().evaluate_detailed({"static": provider}))
+    task = asyncio.create_task(evaluate(_three_query_condition(), {"static": provider}))
     # Strictly less than the slowest query: not done yet.
     await clock.advance(2.5)
     assert not task.done()
@@ -67,7 +68,7 @@ async def test_fanout_is_not_sequential_sum():
         clock,
         latencies={"qa": 1.0, "qb": 1.0, "qc": 1.0},
     )
-    task = asyncio.create_task(_three_query_condition().evaluate_detailed({"static": provider}))
+    task = asyncio.create_task(evaluate(_three_query_condition(), {"static": provider}))
     # One advance of the common latency finishes the whole condition:
     # all three sleeps were pending concurrently.
     await clock.advance(1.0)
@@ -83,7 +84,7 @@ async def test_fanout_missing_provider_raises_before_fetching():
         predicate=lambda values: True,
     )
     with pytest.raises(CheckError):
-        await condition.evaluate_detailed({"static": provider})
+        await evaluate(condition, {"static": provider})
     assert provider.query_log == []  # resolution failed before any fetch
 
 
@@ -99,4 +100,4 @@ async def test_fanout_provider_error_counts_as_no_data():
         ),
         predicate=lambda values: values["b"] is None and values["a"] == 1.0,
     )
-    assert (await condition.evaluate_detailed({"static": provider})).result == 1
+    assert (await evaluate(condition, {"static": provider})).result == 1

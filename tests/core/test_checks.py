@@ -18,6 +18,7 @@ from repro.core import (
     simple_basic_check,
 )
 from repro.metrics import StaticProvider
+from tests.core.fetching import evaluate
 
 
 # -- Timer ---------------------------------------------------------------------
@@ -74,27 +75,27 @@ def test_condition_validator_subject_must_exist():
 async def test_simple_condition_evaluates_against_provider():
     condition = MetricCondition.simple("request_errors", "<5", provider="static")
     providers = {"static": StaticProvider({"request_errors": 3.0})}
-    assert (await condition.evaluate_detailed(providers)).result == 1
+    assert (await evaluate(condition, providers)).result == 1
     providers = {"static": StaticProvider({"request_errors": 7.0})}
-    assert (await condition.evaluate_detailed(providers)).result == 0
+    assert (await evaluate(condition, providers)).result == 0
 
 
 async def test_condition_missing_data_fails():
     condition = MetricCondition.simple("m", "<5", provider="static")
     providers = {"static": StaticProvider({"m": None})}
-    assert (await condition.evaluate_detailed(providers)).result == 0
+    assert (await evaluate(condition, providers)).result == 0
 
 
 async def test_condition_provider_error_counts_as_failure():
     condition = MetricCondition.simple("unknown", "<5", provider="static")
     providers = {"static": StaticProvider({})}
-    assert (await condition.evaluate_detailed(providers)).result == 0
+    assert (await evaluate(condition, providers)).result == 0
 
 
 async def test_condition_unknown_provider_raises():
     condition = MetricCondition.simple("m", "<5", provider="nope")
     with pytest.raises(CheckError):
-        await condition.evaluate_detailed({})
+        await evaluate(condition, {})
 
 
 async def test_condition_with_custom_predicate_over_multiple_metrics():
@@ -106,9 +107,9 @@ async def test_condition_with_custom_predicate_over_multiple_metrics():
         predicate=lambda values: (values["sales_a"] or 0) > (values["sales_b"] or 0),
     )
     providers = {"static": StaticProvider({"sales_a_q": 12.0, "sales_b_q": 8.0})}
-    assert (await condition.evaluate_detailed(providers)).result == 1
+    assert (await evaluate(condition, providers)).result == 1
     providers = {"static": StaticProvider({"sales_a_q": 2.0, "sales_b_q": 8.0})}
-    assert (await condition.evaluate_detailed(providers)).result == 0
+    assert (await evaluate(condition, providers)).result == 0
 
 
 async def test_condition_predicate_exception_counts_as_failure():
@@ -117,7 +118,7 @@ async def test_condition_predicate_exception_counts_as_failure():
         predicate=lambda values: 1 / 0,
     )
     providers = {"static": StaticProvider({"q": 1.0})}
-    assert (await condition.evaluate_detailed(providers)).result == 0
+    assert (await evaluate(condition, providers)).result == 0
 
 
 # -- Comparison -------------------------------------------------------------------
@@ -165,9 +166,9 @@ async def test_condition_with_comparison_evaluates():
         comparison=Comparison("sales_a", ">", "sales_b"),
     )
     providers = {"static": StaticProvider({"q_a": 12.0, "q_b": 8.0})}
-    assert (await condition.evaluate_detailed(providers)).result == 1
+    assert (await evaluate(condition, providers)).result == 1
     providers = {"static": StaticProvider({"q_a": 2.0, "q_b": 8.0})}
-    assert (await condition.evaluate_detailed(providers)).result == 0
+    assert (await evaluate(condition, providers)).result == 0
 
 
 def test_comparison_sides_must_be_query_names():

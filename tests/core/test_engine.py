@@ -228,7 +228,7 @@ async def test_a_chaos_campaign_that_fails_to_attach_claims_nothing():
     from repro.resilience.chaos import ChaosCampaign, ChaosError, FaultSpec
 
     engine = Engine(clock=VirtualClock())
-    subscribers = list(engine.bus._subscribers)
+    subscribers = tuple(engine.bus._subscribers)
     campaign = ChaosCampaign(
         "c", specs=[FaultSpec(name="f", target="controller", phases=("nowhere",))]
     )

@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.metrics import LocalPrometheusProvider, MetricStore, StaticProvider
 from repro.metrics.provider import MetricsProvider, ProviderError
+from tests.core.fetching import evaluate
 
 
 class ScriptedProvider(MetricsProvider):
@@ -69,13 +70,13 @@ async def run_check(check, provider):
 
 async def test_evaluate_distinguishes_no_data_from_failed():
     condition = MetricCondition.simple("m", ">0", provider="static")
-    ok = await condition.evaluate_detailed({"static": StaticProvider({"m": 1.0})})
+    ok = await evaluate(condition, {"static": StaticProvider({"m": 1.0})})
     assert (ok.result, ok.data_available) == (1, True)
-    failed = await condition.evaluate_detailed({"static": StaticProvider({"m": -1.0})})
+    failed = await evaluate(condition, {"static": StaticProvider({"m": -1.0})})
     assert (failed.result, failed.data_available) == (0, True)
-    missing = await condition.evaluate_detailed({"static": StaticProvider({"m": None})})
+    missing = await evaluate(condition, {"static": StaticProvider({"m": None})})
     assert (missing.result, missing.data_available) == (0, False)
-    erroring = await condition.evaluate_detailed({"static": StaticProvider({})})
+    erroring = await evaluate(condition, {"static": StaticProvider({})})
     assert (erroring.result, erroring.data_available) == (0, False)
     assert erroring.errors
 
@@ -85,7 +86,7 @@ async def test_unexpected_provider_exception_is_no_data_not_a_crash():
     condition = MetricCondition.simple("m", ">0", provider="static")
     for leaked in (ConnectionError("refused"), OSError("broken pipe"), TimeoutError()):
         provider = ScriptedProvider([leaked])
-        evaluation = await condition.evaluate_detailed({"static": provider})
+        evaluation = await evaluate(condition, {"static": provider})
         assert (evaluation.result, evaluation.data_available) == (0, False)
 
 
@@ -94,7 +95,7 @@ async def test_query_that_does_not_parse_is_no_data_with_the_parse_message():
     store.record("x", 1.0, 0.0, {"a": "b"})
     provider = LocalPrometheusProvider(store, VirtualClock())
     condition = MetricCondition.simple('x{a=~"("}', ">0")
-    evaluation = await condition.evaluate_detailed({"prometheus": provider})
+    evaluation = await evaluate(condition, {"prometheus": provider})
     assert (evaluation.result, evaluation.data_available) == (0, False)
     assert "invalid regex" in evaluation.errors[0]
 
@@ -108,7 +109,7 @@ async def test_cancelled_error_still_propagates():
 
     condition = MetricCondition.simple("m", ">0", provider="static")
     with pytest.raises(asyncio.CancelledError):
-        await condition.evaluate_detailed({"static": Cancelling()})
+        await evaluate(condition, {"static": Cancelling()})
 
 
 # -- ProviderErrorPolicy parsing ------------------------------------------

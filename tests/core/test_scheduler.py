@@ -212,3 +212,35 @@ async def test_schedule_subscribes_queries_to_plan_aware_providers():
     await asyncio.sleep(0)
     await clock.advance(5.0)
     await future
+
+
+class CountingClock(VirtualClock):
+    """A VirtualClock that counts ``sleep`` calls: one per driver park."""
+
+    def __init__(self):
+        super().__init__()
+        self.sleeps = 0
+
+    async def sleep(self, seconds):
+        self.sleeps += 1
+        await super().sleep(seconds)
+
+
+async def test_only_an_earlier_deadline_wakes_the_parked_driver():
+    clock = CountingClock()
+    providers = {"static": StaticProvider({"q": 1.0})}
+    scheduler = CheckScheduler(clock)
+    first = scheduler.schedule(make_check("first", interval=5.0, repetitions=1), providers)
+    await clock.advance(0)
+    assert clock.sleeps == 1  # parked until t=5
+    later = scheduler.schedule(make_check("later", interval=8.0, repetitions=1), providers)
+    await clock.advance(0)
+    assert clock.sleeps == 1  # t=8 is after t=5: still the same park
+    earlier = scheduler.schedule(make_check("earlier", interval=2.0, repetitions=1), providers)
+    await clock.advance(0)
+    assert clock.sleeps == 2  # woken, and parked again until t=2
+    assert clock.pending_sleepers == 1
+    await clock.advance(10.0)
+    results = await asyncio.gather(first, later, earlier)
+    assert [result.executions[0].at for result in results] == [5.0, 8.0, 2.0]
+    await scheduler.close()

@@ -260,8 +260,8 @@ async def test_provider_failure_reaches_every_asker_as_no_data():
     seen: dict[str, tuple] = {}
     original = MetricCondition.evaluate_detailed
 
-    async def recording(self, providers, answers=None):
-        evaluation = await original(self, providers, answers)
+    def recording(self, providers, answers):
+        evaluation = original(self, providers, answers)
         seen[self.queries[0].name] = (evaluation.data_available, evaluation.errors)
         return evaluation
 

@@ -1,12 +1,12 @@
 """Tests for the metrics server and the provider implementations."""
 
+import json
 import math
 from urllib.parse import quote
 
 import pytest
 
 from repro.clock import VirtualClock
-from repro.core.checks import fetch_answer
 from repro.core.outcome import Validator
 from repro.httpcore import HttpClient, HttpServer, Request, Response
 from repro.metrics import (
@@ -17,6 +17,7 @@ from repro.metrics import (
     ProviderError,
     StaticProvider,
 )
+from tests.core.fetching import fetch_answer
 
 
 async def test_local_provider_queries_store():
@@ -221,6 +222,10 @@ async def test_http_provider_end_to_end():
 NOT_AN_ANSWER = [
     ("string-value", b'{"status": "success", "data": {"value": "abc"}}'),
     ("numeric-string-value", b'{"status": "success", "data": {"value": "1e3"}}'),
+    # Only Prometheus' own spellings stand for a value that is not finite.
+    ("inf-string-value", b'{"status": "success", "data": {"value": "inf"}}'),
+    ("infinity-string-value", b'{"status": "success", "data": {"value": "Infinity"}}'),
+    ("nan-string-value", b'{"status": "success", "data": {"value": "nan"}}'),
     ("bool-value", b'{"status": "success", "data": {"value": true}}'),
     ("list-value", b'{"status": "success", "data": {"value": [1]}}'),
     ("object-value", b'{"status": "success", "data": {"value": {}}}'),
@@ -289,6 +294,52 @@ async def test_a_success_ratio_over_zero_traffic_fails_its_check():
     finally:
         await provider.close()
         await server.stop()
+
+
+#: (query, the provider's value, the body's data.value and vector values):
+#: JSON has no number for these, so the server writes Prometheus' strings.
+NON_FINITE = [
+    ("x / 0", math.inf, "+Inf", ["+Inf", "+Inf"]),
+    ("(0 - x) / 0", -math.inf, "-Inf", ["-Inf", "-Inf"]),
+    ("0 / 0", math.nan, "NaN", ["NaN"]),
+    ("z / 0", math.nan, "NaN", ["NaN"]),
+    ("x / y", math.inf, "+Inf", ["+Inf", 3.0]),
+]
+
+
+def strict_json(body: bytes):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(body, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "query, value, scalar, vector", NON_FINITE, ids=[row[0] for row in NON_FINITE]
+)
+async def test_a_value_that_is_not_finite_is_still_json(query, value, scalar, vector):
+    server = MetricsServer(clock=VirtualClock(start=100.0))
+    for instance, x, y in (("a", 2.0, 0.0), ("b", 3.0, 1.0)):
+        server.store.record("x", x, 99.0, {"i": instance})
+        server.store.record("y", y, 99.0, {"i": instance})
+    server.store.record("z", 0.0, 99.0)
+    await server.start(scrape=False)
+    provider = HttpPrometheusProvider(f"http://{server.address}")
+    try:
+        async with HttpClient() as client:
+            response = await client.get(
+                f"http://{server.address}/api/v1/query?query={quote(query)}"
+            )
+        data = strict_json(response.body)["data"]
+        assert data["value"] == scalar
+        assert [sample["value"] for sample in data["vector"]] == vector
+        answered = await provider.query(query)
+    finally:
+        await provider.close()
+        await server.stop()
+    assert answered == value or (math.isnan(answered) and math.isnan(value))
+    if math.isnan(value):
+        assert Validator.parse("<0.05").check(answered) == 0
 
 
 async def test_http_provider_unreachable_raises():

@@ -31,6 +31,7 @@ from repro.core import (
     simple_basic_check,
 )
 from repro.metrics import MetricsProvider, ProviderError, StaticProvider
+from tests.core.fetching import evaluate
 
 # Value sequences: 1.0 passes "<5", 99.0 fails it, None is "no data".
 tick_values = st.lists(
@@ -65,7 +66,7 @@ async def run_per_task(check, providers, clock, observer):
     progress = CheckProgress(check)
     for _ in range(check.timer.repetitions):
         await clock.sleep(check.timer.interval)
-        evaluation = await check.condition.evaluate_detailed(providers)
+        evaluation = await evaluate(check.condition, providers)
         at = clock.now()
         outcome = progress.apply(evaluation, at)
         if outcome.execution is not None:

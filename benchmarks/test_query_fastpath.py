@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from repro.metrics import MetricStore, evaluate_scalar, parse
-from repro.metrics.compile import compile_query
+from repro.metrics.query import compile_query
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,7 +54,7 @@ class LegacySelectStore:
         for key, series in self._store._series.items():
             if key.name != name:
                 continue
-            labels = key.label_dict()
+            labels = dict(key.labels)
             if all(_legacy_matches(matcher, labels) for matcher in matchers):
                 found.append(series)
         return found

@@ -7,7 +7,6 @@ metrics server, and the provider interface the Bifrost engine queries.
 
 from .aggregate import aggregate_cache_info
 from .cadvisor import CpuMeter, process_cpu_seconds
-from .compile import compile_query
 from .exposition import render as render_exposition
 from .exposition import render_lines as render_exposition_lines
 from .plan import planner_for
@@ -22,6 +21,7 @@ from .provider import (
 from .query import (
     QueryError,
     VectorSample,
+    compile_query,
     evaluate,
     evaluate_scalar,
     layout_cache_info,

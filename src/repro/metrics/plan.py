@@ -44,7 +44,7 @@ from .query import (
     _reduce,
     compile_query,
 )
-from .store import MetricStore
+from .store import RETAIN_LIMIT, MetricStore
 
 #: Distinct subscribed roots a planner interns before starting over.
 _ROOT_LIMIT = 4096
@@ -142,9 +142,12 @@ class Planner:
         """Evaluate through the shared plan; every distinct node runs once.
 
         Returns the memoized vector itself — callers must treat it as
-        immutable (every in-tree caller only reads it).
+        immutable (every in-tree caller only reads it).  A text longer than
+        ``RETAIN_LIMIT`` is evaluated outside the plan (no root, no node).
         """
         if isinstance(expression, str):
+            if len(expression) > RETAIN_LIMIT:
+                return _eval(store, compile_query(expression), at)
             expression = compile_query(expression)
         return self._eval_node(store, self.subscribe(expression), at)
 
@@ -184,25 +187,16 @@ class Planner:
     # -- observability -----------------------------------------------------
 
     @property
-    def interned_nodes(self) -> int:
-        return len(self._nodes)
-
-    @property
     def shared_nodes(self) -> int:
         """Distinct nodes serving more than one subscriber."""
         return sum(1 for node in self._nodes.values() if node.uses > 1)
 
-    @property
-    def evaluations_saved(self) -> int:
-        """Node evaluations answered from the memo instead of running."""
-        return self.node_hits
-
     def cache_info(self) -> dict[str, int]:
         return {
             "roots": len(self._roots),
-            "interned_nodes": self.interned_nodes,
+            "interned_nodes": len(self._nodes),
             "plan_shared_nodes": self.shared_nodes,
-            "plan_evaluations_saved": self.evaluations_saved,
+            "plan_evaluations_saved": self.node_hits,
             "node_hits": self.node_hits,
             "node_misses": self.node_misses,
         }

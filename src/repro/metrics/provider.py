@@ -26,8 +26,7 @@ from urllib.parse import quote
 from ..clock import Clock, RealClock
 from ..httpcore import HttpClient, ProtocolError, Response
 from . import plan
-from .compile import compile_query
-from .query import QueryError
+from .query import QueryError, compile_query
 from .store import MetricStore
 
 

@@ -28,12 +28,12 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Mapping, NamedTuple
 from weakref import WeakKeyDictionary
 
 from .aggregate import rescan_value
-from .series import TimeSeries
-from .store import LabelMatcher, MetricStore
+from .series import NO_LABELS, Labels, TimeSeries
+from .store import RETAIN_LIMIT, LabelMatcher, MetricStore, retained
 
 #: Instant selectors ignore samples older than this, like Prometheus.
 STALENESS = 300.0
@@ -54,11 +54,11 @@ class QueryError(Exception):
     """The query is syntactically or semantically invalid."""
 
 
-@dataclass(frozen=True)
-class VectorSample:
-    """One element of an instant-vector result."""
+class VectorSample(NamedTuple):
+    """One element of an instant-vector result.  ``labels`` is the series'
+    own read-only :class:`Labels` (or ``NO_LABELS``), never a copy."""
 
-    labels: dict[str, str]
+    labels: Mapping[str, str]
     value: float
 
 
@@ -321,16 +321,21 @@ def parse(query: str) -> Expression:
     return _Parser(tokens).parse()
 
 
-@lru_cache(maxsize=4096)
+_compiled = lru_cache(maxsize=4096)(parse)
+#: Hit/miss statistics of the compiled-query cache.
+compile_cache_info = _compiled.cache_info
+
+
 def compile_query(query: str) -> Expression:
     """Parse *query*, memoizing the result per query string.
 
     Check conditions evaluate the same handful of query strings on every
     timer tick; the AST is immutable (frozen dataclasses), so one parse
     serves every subsequent evaluation.  Parse errors are not cached —
-    ``lru_cache`` does not memoize raised exceptions.
+    ``lru_cache`` does not memoize raised exceptions — and neither is a
+    query longer than ``RETAIN_LIMIT``.
     """
-    return parse(query)
+    return parse(query) if len(query) > RETAIN_LIMIT else _compiled(query)
 
 
 # -- Evaluation ----------------------------------------------------------------
@@ -363,7 +368,7 @@ def evaluate_scalar(store: MetricStore, expression: Expression | str, at: float)
 
 def _eval(store: MetricStore, node: Expression, at: float) -> list[VectorSample]:
     if isinstance(node, Scalar):
-        return [VectorSample({}, node.value)]
+        return [VectorSample(NO_LABELS, node.value)]
     if isinstance(node, Selector):
         if node.window is not None:
             raise QueryError("range selector needs a function like rate()")
@@ -371,7 +376,7 @@ def _eval(store: MetricStore, node: Expression, at: float) -> list[VectorSample]
         for series in store.select(node.name, node.matchers):
             value = series.value_at(at, staleness=STALENESS)
             if value is not None:
-                result.append(VectorSample(series.key.label_dict(), value))
+                result.append(VectorSample(series.labels, value))
         return result
     if isinstance(node, FunctionCall):
         selector = node.argument
@@ -381,7 +386,7 @@ def _eval(store: MetricStore, node: Expression, at: float) -> list[VectorSample]
         for series in store.select(selector.name, selector.matchers):
             value = rescan_value(series, function, window, at)
             if value is not None:
-                result.append(VectorSample(series.key.label_dict(), value))
+                result.append(VectorSample(series.labels, value))
         return result
     if isinstance(node, Aggregation):
         return _reduce(node.op, _eval(store, node.argument, at))
@@ -414,18 +419,16 @@ def _reduce(op: str, vector: list[VectorSample]) -> list[VectorSample]:
         value = max(values)
     else:
         value = float(len(values))
-    return [VectorSample({}, value)]
+    return [VectorSample(NO_LABELS, value)]
 
 
 #: Grouped/sorted histogram bucket layouts, cached per store and selector.
 #: A layout is pure structure — which bucket series exist, grouped by their
 #: labels minus ``le`` and sorted by bound — so it only changes when a new
 #: series appears; it is keyed on ``store.series_generation`` and survives
-#: every sample append.  Values per tick are still read live through
-#: ``series.value_at``.
-_BucketLayout = list[
-    tuple[tuple[tuple[str, str], ...], list[tuple[float, TimeSeries]]]
-]
+#: every sample append.  A group's labels are one :class:`Labels`, rendered
+#: once per layout; values are read live through ``series.value_at``.
+_BucketLayout = list[tuple[Labels, list[tuple[float, TimeSeries]]]]
 _LAYOUT_CACHES: "WeakKeyDictionary[MetricStore, dict]" = WeakKeyDictionary()
 
 #: Process-wide hit/miss tally for the layout cache, surfaced on health
@@ -453,7 +456,7 @@ def _bucket_layout(store: MetricStore, selector: Selector) -> _BucketLayout:
     _LAYOUT_CACHE_STATS["misses"] += 1
     groups: dict[tuple[tuple[str, str], ...], list[tuple[float, TimeSeries]]] = {}
     for series in store.select(selector.name, selector.matchers):
-        labels = series.key.label_dict()
+        labels = dict(series.labels)  # a copy: the series' own is read-only
         raw_bound = labels.pop("le", None)
         if raw_bound is None:
             continue  # not a bucket series
@@ -464,10 +467,11 @@ def _bucket_layout(store: MetricStore, selector: Selector) -> _BucketLayout:
         key = tuple(sorted(labels.items()))
         groups.setdefault(key, []).append((bound, series))
     layout: _BucketLayout = [
-        (key, sorted(buckets, key=lambda pair: pair[0]))
+        (Labels(key), sorted(buckets, key=lambda pair: pair[0]))
         for key, buckets in groups.items()
     ]
-    caches[cache_key] = (generation, layout)
+    if retained(selector.name, selector.matchers):
+        caches[cache_key] = (generation, layout)
     return layout
 
 
@@ -485,7 +489,7 @@ def _histogram_quantile(
     counts and interpolates.
     """
     result = []
-    for key, layout in _bucket_layout(store, node.argument):
+    for labels, layout in _bucket_layout(store, node.argument):
         # Stale/empty series drop out per tick, exactly as the uncached
         # path dropped ``None`` values before grouping.
         buckets = [
@@ -515,7 +519,7 @@ def _histogram_quantile(
                     value = previous_bound + (bound - previous_bound) * fraction
                 break
             previous_bound, previous_count = bound, count
-        result.append(VectorSample(dict(key), value))
+        result.append(VectorSample(labels, value))
     return result
 
 

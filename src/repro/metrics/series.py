@@ -18,6 +18,7 @@ copies for the range functions to iterate.
 
 from __future__ import annotations
 
+import json
 from array import array
 from bisect import bisect_left, bisect_right
 from math import inf
@@ -36,15 +37,39 @@ class SeriesKey(NamedTuple):
     name: str
     labels: tuple[tuple[str, str], ...] = ()
 
-    def label_dict(self) -> dict[str, str]:
-        return dict(self.labels)
-
     def __str__(self) -> str:
         if not self.labels:
             return self.name
         rendered = ",".join(f'{k}="{v}"' for k, v in self.labels)
         return f"{self.name}{{{rendered}}}"
 
+
+class Labels(dict):
+    """A read-only label set; :attr:`json` is its JSON text, rendered on
+    first use (what ``json.dumps`` writes for the mapping)."""
+
+    __slots__ = ("_json",)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a series' labels are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return Labels, (dict(self),)
+
+    @property
+    def json(self) -> str:
+        try:
+            return self._json
+        except AttributeError:
+            self._json = text = json.dumps(self)
+            return text
+
+
+#: The label set of a sample with no labels (a scalar, an aggregation).
+NO_LABELS = Labels()
 
 #: Smallest ring capacity allocated once a series holds data.
 _MIN_CAPACITY = 16
@@ -55,10 +80,11 @@ _EMPTY = array("d")
 class TimeSeries:
     """An append-only, time-ordered series of samples on ring buffers."""
 
-    __slots__ = ("key", "_ts", "_vs", "_start", "_size", "newest_timestamp")
+    __slots__ = ("key", "_labels", "_ts", "_vs", "_start", "_size", "newest_timestamp")
 
     def __init__(self, key: SeriesKey):
         self.key = key
+        self._labels: Labels | None = None
         self._ts = array("d")  # timestamps, physical ring order
         self._vs = array("d")  # values, parallel to _ts
         self._start = 0  # physical index of the logical first sample
@@ -66,6 +92,14 @@ class TimeSeries:
         #: Timestamp of the latest sample, or ``None`` when empty: stored
         #: by the appends, so ingest's order check reads one slot.
         self.newest_timestamp: float | None = None
+
+    @property
+    def labels(self) -> Labels:
+        """The series' one label set, built on first use and shared by
+        every answer that reads the series."""
+        if self._labels is None:
+            self._labels = Labels(self.key.labels)
+        return self._labels
 
     # -- ring primitives ---------------------------------------------------
 

@@ -21,26 +21,52 @@ as Prometheus does.
 
 from __future__ import annotations
 
-import json
 import math
 
 from ..clock import Clock, RealClock
 from ..httpcore import HttpServer, ProtocolError, Request, Response
-from .compile import cache_info as compiled_query_cache_info
 from .exposition import render_lines
 from .plan import planner_for
-from .query import QueryError, layout_cache_info
+from .query import QueryError, VectorSample, compile_cache_info, layout_cache_info
 from .registry import Registry
 from .scraper import Scraper
-from .store import MetricStore
+from .store import RETAIN_LIMIT, MetricStore
 
 
-#: Raises ``ValueError`` on a float that is not finite: no bare ``NaN``.
-_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+#: Request targets the server keeps a decoded query for.
+_TARGET_LIMIT = 4096
+
+
+def _prometheus_number(value: float) -> str:
+    """*value* in JSON; one that is not finite is a string, as Prometheus writes it."""
+    if math.isfinite(value):
+        return repr(value)
+    return '"NaN"' if math.isnan(value) else '"+Inf"' if value > 0 else '"-Inf"'
+
+
+def render_answer(vector: list[VectorSample]) -> bytes:
+    """The answer body for *vector*, byte for byte what ``json`` writes for
+    its payload, from each sample's pre-rendered label text and
+    ``float.__repr__``, which is how ``json`` writes a finite float."""
+    if not vector:
+        return b'{"status": "success", "data": {"value": null, "vector": []}}'
+    scalar = sum([sample.value for sample in vector])
+    number = repr if math.isfinite(scalar) else _prometheus_number  # all finite, or not
+    samples = ", ".join([
+        f'{{"labels": {labels.json}, "value": {number(value)}}}' for labels, value in vector
+    ])
+    text = f'{{"status": "success", "data": {{"value": {number(scalar)}, "vector": [{samples}]}}}}'
+    return text.encode()
 
 
 class MetricsServer(HttpServer):
-    """HTTP facade over a metric store + scraper."""
+    """HTTP facade over a metric store + scraper.
+
+    The query route decodes a request target once (``/healthz``'s
+    ``query_memo.size`` counts the targets it keeps) and serves its body
+    again while ``(now, store.generation)`` holds (``query_cache_hits``);
+    only bodies written under the current stamp are kept.
+    """
 
     def __init__(
         self,
@@ -67,13 +93,11 @@ class MetricsServer(HttpServer):
             "Query-path cache hits and misses",
             label_names=("cache", "event"),
         )
-        #: Per-(tick, generation) memo of rendered query responses, keyed
-        #: on the raw request target.  The plan nodes below it share the
-        #: same stamp and already evaluate once; what this layer saves is
-        #: decoding the target and rendering the JSON body again when N
-        #: parallel strategies ask the same query in one tick.
-        self._query_cache: dict[str, bytes] = {}
-        self._query_cache_key: tuple[float, int] | None = None
+        #: Raw target -> decoded query (oldest first), and -> body written under
+        #: ``_stamp``; a target longer than RETAIN_LIMIT is kept by neither.
+        self._targets: dict[str, str] = {}
+        self._bodies: dict[str, bytes] = {}
+        self._stamp: tuple[float, int] | None = None
         #: Memo hit/miss tallies, exposed on ``/healthz`` for operators.
         self.query_cache_hits = 0
         self.query_cache_misses = 0
@@ -89,44 +113,42 @@ class MetricsServer(HttpServer):
 
     async def _handle_query(self, request: Request) -> Response:
         now = self.clock.now()
-        cache_key = (now, self.store.generation)
-        if cache_key != self._query_cache_key:
-            self._query_cache_key = cache_key
-            self._query_cache.clear()
-        # Keyed on the raw target: a hit decodes nothing.  Two encodings of
-        # one query are two entries, each evaluated once by the plan memo.
+        stamp = (now, self.store.generation)
+        if stamp != self._stamp:
+            self._stamp = stamp
+            self._bodies = {}
+        # Keyed on the raw target: a known one decodes nothing.  Two
+        # encodings of one query are two entries, one plan root.
         target = request.target
-        body = self._query_cache.get(target)
+        body = self._bodies.get(target)
         if body is not None:
             self.query_cache_hits += 1
             response = Response(status=200, body=body)
             response.headers.setdefault("Content-Type", "application/json")
             return response
-        query = request.query.get("query")
-        if not query:
-            return Response.from_json(
-                {"status": "error", "error": "missing query parameter"}, 400
-            )
+        query = self._targets.get(target)
+        if query is None:
+            query = request.query.get("query")
+            if not query:
+                return Response.from_json(
+                    {"status": "error", "error": "missing query parameter"}, 400
+                )
         self.query_cache_misses += 1
         try:
             # Shared-plan evaluation: distinct subexpressions across every
             # query hitting this server (and any local provider on the same
-            # store) evaluate once per tick.
+            # store) evaluate once per tick.  It is handed the text, so the
+            # compiled-query cache sees every query.
             vector = planner_for(self.store).evaluate(self.store, query, now)
         except QueryError as exc:
             return Response.from_json({"status": "error", "error": str(exc)}, 400)
-        scalar = sum(sample.value for sample in vector) if vector else None
-        samples = [{"labels": sample.labels, "value": sample.value} for sample in vector]
-        payload = {"status": "success", "data": {"value": scalar, "vector": samples}}
-        try:
-            body = _STRICT_JSON.encode(payload).encode()
-        except ValueError:  # a value that is not finite: rare, so encoded twice
-            for sample in (payload["data"], *samples):
-                value = sample["value"]
-                if value is not None and not math.isfinite(value):
-                    sample["value"] = "NaN" if math.isnan(value) else "+Inf" if value > 0 else "-Inf"
-            body = _STRICT_JSON.encode(payload).encode()
-        self._query_cache[target] = body
+        body = render_answer(vector)
+        if len(target) <= RETAIN_LIMIT:
+            if target not in self._targets and len(self._targets) >= _TARGET_LIMIT:
+                del self._targets[next(iter(self._targets))]
+            self._targets[target] = query
+            if len(self._bodies) < _TARGET_LIMIT:
+                self._bodies[target] = body
         response = Response(status=200, body=body)
         response.headers.setdefault("Content-Type", "application/json")
         return response
@@ -190,7 +212,7 @@ class MetricsServer(HttpServer):
         return Response.from_json({"status": "success", "data": names})
 
     async def _handle_self_metrics(self, request: Request) -> Response:
-        compiled = compiled_query_cache_info()
+        compiled = compile_cache_info()
         layout = layout_cache_info()
         planner = planner_for(self.store)
         tallies = {
@@ -213,7 +235,7 @@ class MetricsServer(HttpServer):
         return response
 
     async def _handle_health(self, request: Request) -> Response:
-        compiled = compiled_query_cache_info()
+        compiled = compile_cache_info()
         layout = layout_cache_info()
         planner = planner_for(self.store)
         return Response.from_json(
@@ -224,7 +246,7 @@ class MetricsServer(HttpServer):
                     "query_memo": {
                         "hits": self.query_cache_hits,
                         "misses": self.query_cache_misses,
-                        "size": len(self._query_cache),
+                        "size": len(self._targets),
                     },
                     "compiled_query": {
                         "hits": compiled.hits,
@@ -235,6 +257,6 @@ class MetricsServer(HttpServer):
                     "evaluation_plan": planner.cache_info(),
                 },
                 "plan_shared_nodes": planner.shared_nodes,
-                "plan_evaluations_saved": planner.evaluations_saved,
+                "plan_evaluations_saved": planner.node_hits,
             }
         )

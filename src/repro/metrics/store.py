@@ -23,6 +23,15 @@ from typing import Sequence
 
 from .series import SeriesKey, TimeSeries
 
+#: The longest query (or matcher) text a query-path cache keeps: a longer
+#: one is compiled and evaluated, never retained.
+RETAIN_LIMIT = 4096
+
+
+def retained(name: str, matchers: Sequence["LabelMatcher"]) -> bool:
+    """Whether a cache may keep a key of *name* and *matchers* (16 more per matcher)."""
+    return len(name) + sum([len(m.label) + len(m.value) + 16 for m in matchers]) <= RETAIN_LIMIT
+
 
 @lru_cache(maxsize=1024)
 def _compile_anchored(pattern: str) -> re.Pattern[str]:
@@ -50,8 +59,10 @@ def _check_identity(name, labels) -> None:
 class LabelMatcher:
     """One label matcher: ``name op value`` with op in ``= != =~ !~``.
 
-    A regex matcher whose pattern does not compile is rejected here, with
-    :class:`ValueError`, so no matcher that exists can fail in ``matches``.
+    A regex matcher whose pattern does not compile, or is longer than
+    ``RETAIN_LIMIT`` (its compiled form would be kept by two caches), is
+    rejected here with :class:`ValueError`, so no matcher that exists can
+    fail in ``matches``.
     """
 
     label: str
@@ -62,6 +73,8 @@ class LabelMatcher:
         if self.op not in ("=", "!=", "=~", "!~"):
             raise ValueError(f"unknown label matcher op: {self.op!r}")
         if self.op in ("=~", "!~"):
+            if len(self.value) > RETAIN_LIMIT:
+                raise ValueError(f"regex for label {self.label!r} over {RETAIN_LIMIT} characters")
             try:
                 _compile_anchored(self.value)
             except re.error as exc:
@@ -236,12 +249,12 @@ class MetricStore:
         cached = by_matchers.get(cache_key)
         if cached is not None:
             return list(cached)
-        found = []
-        for series in bucket:
-            labels = series.key.label_dict()
-            if all(matcher.matches(labels) for matcher in matchers):
-                found.append(series)
-        by_matchers[cache_key] = found
+        found = [
+            series for series in bucket
+            if all(matcher.matches(series.labels) for matcher in matchers)
+        ]
+        if retained(name, matchers):
+            by_matchers[cache_key] = found
         return list(found)
 
     def names(self) -> set[str]:

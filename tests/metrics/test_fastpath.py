@@ -17,7 +17,8 @@ from repro.metrics import (
     parse,
     planner_for,
 )
-from repro.metrics.compile import cache_info
+from repro.metrics.query import _compiled
+from repro.metrics.query import compile_cache_info as cache_info
 from repro.metrics.series import SeriesKey, TimeSeries
 
 
@@ -25,7 +26,7 @@ from repro.metrics.series import SeriesKey, TimeSeries
 
 
 def test_compile_query_memoizes_per_string():
-    compile_query.cache_clear()
+    _compiled.cache_clear()
     first = compile_query('errors{instance="a", code=~"5.."}')
     second = compile_query('errors{instance="a", code=~"5.."}')
     assert first is second  # same object, no re-parse

@@ -7,7 +7,7 @@ from repro.metrics import (
     evaluate_scalar,
     planner_for,
 )
-from repro.metrics.compile import compile_query
+from repro.metrics.query import compile_query
 from repro.metrics.plan import Planner
 
 
@@ -84,7 +84,7 @@ def test_planner_fans_out_shared_subexpressions():
     }
     for name, query in queries.items():
         assert results[name] == evaluate_scalar(store, query, 29.0)
-    assert planner.evaluations_saved >= 1
+    assert planner.cache_info()["plan_evaluations_saved"] >= 1
 
 
 def test_planner_for_is_one_per_store():

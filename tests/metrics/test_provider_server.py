@@ -511,14 +511,20 @@ async def test_server_query_cache_hit_decodes_nothing(monkeypatch):
 
             monkeypatch.setattr(Request, "query", property(refuse))
             second = await client.get(url)
+            calls_after_second = server.store.select_calls
+            # Past its stamp the body is evaluated again; the target is
+            # still not decoded again.
+            await clock.advance(1.0)
+            third = await client.get(url)
     finally:
         await server.stop()
     # The memo is keyed on the raw target: a hit neither decodes it nor
     # reaches the store.
-    assert first.status == second.status == 200
-    assert second.body == first.body
-    assert server.store.select_calls == calls_after_first
-    assert (server.query_cache_hits, server.query_cache_misses) == (1, 1)
+    assert first.status == second.status == third.status == 200
+    assert second.body == first.body == third.body
+    assert calls_after_second == calls_after_first
+    assert server.store.select_calls > calls_after_first
+    assert (server.query_cache_hits, server.query_cache_misses) == (1, 2)
 
 
 async def test_server_query_cache_keeps_each_encoding_of_a_query_apart():
@@ -554,7 +560,7 @@ async def test_server_query_cache_never_serves_a_400(target):
         await server.stop()
     assert statuses == [400, 400]
     assert server.query_cache_hits == 0
-    assert server._query_cache == {}
+    assert server._targets == {} and server._bodies == {}
 
 
 async def test_a_target_starting_with_two_slashes_is_not_the_query_api():

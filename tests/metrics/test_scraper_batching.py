@@ -63,7 +63,7 @@ async def test_labeled_points_gain_the_instance_label():
     assert store.names() == {f"metric_{i}_total" for i in range(24)}
     for i in range(24):
         (series,) = store.select(f"metric_{i}_total")
-        assert series.key.label_dict() == {"zone": f"z{i % 3}", "instance": "svc:80"}
+        assert series.labels == {"zone": f"z{i % 3}", "instance": "svc:80"}
         assert series.newest_timestamp == 7.0
         assert series.value_at(7.0) == float(i)
 

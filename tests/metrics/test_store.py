@@ -44,7 +44,7 @@ def test_select_with_equality_matcher():
     store.record("m", 2.0, 1.0, {"instance": "product:80"})
     matched = store.select("m", [LabelMatcher("instance", "=", "search:80")])
     assert len(matched) == 1
-    assert matched[0].key.label_dict()["instance"] == "search:80"
+    assert matched[0].labels["instance"] == "search:80"
 
 
 def test_select_with_negation_and_regex_matchers():

@@ -13,7 +13,7 @@ Two equivalences back the optimizations:
 from hypothesis import given, settings, strategies as st
 
 from repro.metrics import LabelMatcher, MetricStore, evaluate_scalar, parse
-from repro.metrics.compile import compile_query
+from repro.metrics.query import compile_query
 
 metric_names = st.sampled_from(["requests", "errors", "latency", "m_a", "m_b"])
 label_names = st.sampled_from(["instance", "zone", "code", "v"])

@@ -48,6 +48,11 @@ class LegacySelectStore:
     def __init__(self, store: MetricStore):
         self._store = store
 
+    @property
+    def series_generation(self) -> int:
+        """The store's shape stamp, which the histogram layout cache keys on."""
+        return self._store.series_generation
+
     def select(self, name, matchers=None):
         matchers = matchers or []
         found = []

@@ -449,42 +449,28 @@ class StrategyExecution:
     async def _run_checks(self, state: State) -> list[CheckResult]:
         """Run all checks in parallel; dwell at least the explicit duration.
 
-        Every check is dispatched through the shared
-        :class:`~repro.core.scheduler.CheckScheduler` — one heap entry per
-        check instead of one task per check.  An exception check failure
-        cancels every other scheduled check and propagates
-        :class:`ExceptionTriggered` — the immediate-rollback semantics of
-        the model.
+        The state's checks are one group on the shared
+        :class:`~repro.core.scheduler.CheckScheduler`: one heap entry per
+        check, one future for all of them.  An exception check failure
+        fails that future with :class:`ExceptionTriggered` and retires
+        every sibling in the same step — the immediate-rollback semantics
+        of the model.
         """
-        futures = [
-            self.scheduler.schedule(
-                check,
-                self.providers,
-                observer=self._check_observer,
-                on_complete=self._check_completed,
-            )
-            for check in state.checks
-        ]
-        awaitables: list[asyncio.Future] = list(futures)
-        if state.duration is not None:
-            awaitables.append(
-                asyncio.ensure_future(self.clock.sleep(state.duration))
-            )
+        checks = self.scheduler.schedule_group(
+            state.checks,
+            self.providers,
+            observer=self._check_observer,
+            on_complete=self._check_completed,
+        )
+        if state.duration is None:
+            return await checks
+        dwell = asyncio.ensure_future(self.clock.sleep(state.duration))
         try:
-            results = await asyncio.gather(*awaitables)
-        except BaseException:
-            # gather does not cancel siblings on a plain exception; tear
-            # down every still-scheduled check (and the dwell sleep), and
-            # retrieve losers' exceptions so none goes unobserved when two
-            # checks trigger on the same tick.
-            for waiter in awaitables:
-                if waiter.done():
-                    if not waiter.cancelled():
-                        waiter.exception()
-                else:
-                    waiter.cancel()
-            raise
-        return list(results[: len(futures)])
+            results = await checks
+            await dwell
+        finally:
+            dwell.cancel()
+        return results
 
     # Plain methods returning the bus's awaitable: the scheduler awaits it
     # only when it is not DELIVERED, so a tick with sync subscribers has none.

@@ -22,7 +22,10 @@ object, under a :class:`~repro.clock.VirtualClock`.
 
 Cost model: N checks waiting for their next tick cost one parked timer
 (the driver's sleep) and zero dedicated tasks; a wave costs one task per
-provider it asks a question not already in flight, none per check.
+provider it asks a question not already in flight, none per check.  The
+checks scheduled together (a phase's) are one group with one future,
+resolved when the last completes: completing a check costs no future, no
+callback and no driver wake, only a flag and a counter.
 """
 
 from __future__ import annotations
@@ -85,39 +88,76 @@ class _Batch:
 
 
 class _Entry:
-    """One scheduled check: its progress, remaining ticks, and result future."""
+    """One scheduled check: its progress, remaining ticks, and its place
+    in its group."""
 
     __slots__ = (
         "check",
-        "providers",
-        "observer",
-        "on_complete",
+        "group",
+        "slot",
+        "done",
         "progress",
         "remaining",
-        "future",
         "answers",
         "fetches",
     )
 
-    def __init__(
-        self,
-        check: Check,
-        providers: dict[str, MetricsProvider],
-        observer: ExecutionObserver | None,
-        on_complete,
-        future: "asyncio.Future[CheckResult]",
-    ):
+    def __init__(self, check: Check, group: "_Group", slot: int):
         self.check = check
-        self.providers = providers
-        self.observer = observer
-        self.on_complete = on_complete
+        self.group = group
+        #: This check's position among its group's results.
+        self.slot = slot
+        self.done = False
         self.progress = CheckProgress(check)
         self.remaining = check.timer.repetitions
-        self.future = future
         #: This tick's answers, one slot per query, and the fetches it
         #: asked whose answer has not arrived yet.
         self.answers: list[Answer | None] = []
         self.fetches: list[_Fetch] = []
+
+
+class _Group(asyncio.Future):
+    """Checks scheduled together (a phase's, or one alone) and the one
+    future they share.
+
+    It resolves to the checks' :class:`CheckResult` list, in scheduling
+    order, once the last completes (to the result itself for a check
+    scheduled alone), or fails with the first exception one of them
+    raises.
+    """
+
+    __slots__ = (
+        "scheduler",
+        "providers",
+        "observer",
+        "on_complete",
+        "single",
+        "entries",
+        "results",
+        "left",
+    )
+
+    def __init__(self, scheduler: "CheckScheduler", providers, observer, on_complete, single):
+        super().__init__(loop=asyncio.get_running_loop())
+        self.scheduler = scheduler
+        self.providers = providers
+        self.observer = observer
+        self.on_complete = on_complete
+        self.single = single
+        #: The checks, in order, until the group is settled: each entry
+        #: points back at its group, and that cycle would wait for the
+        #: collector.
+        self.entries: list[_Entry] | tuple[()] = []
+        self.results: list[CheckResult | None] = []
+        #: How many of the checks have not completed yet.
+        self.left = 0
+
+    def cancel(self, msg=None) -> bool:
+        # Cancelling the group, or the task awaiting it, retires its checks
+        # in this step: none is folded again, none keeps a fetch.
+        if not self.done():
+            self.scheduler._retire_group(self)
+        return super().cancel(msg)
 
 
 async def _then(pending: Awaitable[None], step, *args) -> None:
@@ -130,15 +170,17 @@ async def _then(pending: Awaitable[None], step, *args) -> None:
 class CheckScheduler:
     """Runs many checks' timed loops off one heap and one driver task.
 
-    ``schedule`` arms a check and returns a future resolving to its
-    :class:`CheckResult` (or raising :class:`ExceptionTriggered` /
-    whatever the evaluation raised).  Cancelling the future deschedules
-    the check and withdraws it from the fetches it waits on — a provider
-    call none of whose questions anybody waits on any more is cancelled,
-    one with a question somebody does is not — which is how the engine
-    implements exception-check preemption: the
-    first triggered check fails its future, and the state executor
-    cancels the rest.
+    ``schedule_group`` arms a phase's checks as one group and returns one
+    future resolving to their :class:`CheckResult` list, in order, once
+    the last completes; ``schedule`` arms a check alone, a group of one
+    whose future resolves to its result.  The first check to raise
+    (:class:`ExceptionTriggered`, or whatever the evaluation raised)
+    fails the future and retires every sibling in the same step, which is
+    the model's exception-check preemption.  Retiring a check deschedules
+    it and withdraws it from the fetches it waits on — a provider call
+    none of whose questions anybody waits on any more is cancelled, one
+    with a question somebody does is not.  Cancelling the future retires
+    every check of the group still scheduled.
 
     The driver starts lazily on the first ``schedule`` and exits on its
     own once no checks remain, so a scheduler needs no explicit lifecycle
@@ -149,7 +191,9 @@ class CheckScheduler:
         self.clock = clock
         self._heap: list[tuple[float, int, _Entry]] = []
         self._sequence = itertools.count()
-        self._active: set[_Entry] = set()
+        #: How many checks are scheduled, and the groups they belong to.
+        self._pending = 0
+        self._groups: set[_Group] = set()
         self._wake = asyncio.Event()
         #: The parked driver's deadline (``inf``: none; ``-inf``: not parked).
         self._sleep_until = -math.inf
@@ -172,29 +216,48 @@ class CheckScheduler:
         observer: ExecutionObserver | None = None,
         on_complete=None,
     ) -> "asyncio.Future[CheckResult]":
-        """Arm *check*'s timer loop; returns a future for its final result.
+        """Arm *check* alone; returns a future for its final result."""
+        return self._schedule((check,), providers, observer, on_complete, single=True)
+
+    def schedule_group(
+        self,
+        checks,
+        providers: dict[str, MetricsProvider],
+        observer: ExecutionObserver | None = None,
+        on_complete=None,
+    ) -> "asyncio.Future[list[CheckResult]]":
+        """Arm *checks* together; returns one future for their results.
 
         *observer* is invoked after every recorded execution.
-        *on_complete*, when given, is awaited with the final
-        :class:`CheckResult` right before the future resolves successfully
-        (the engine publishes CHECK_COMPLETED there without needing a
+        *on_complete*, when given, is awaited with each check's final
+        :class:`CheckResult` before that check counts as complete (the
+        engine publishes CHECK_COMPLETED there without needing a
         dedicated awaiting task per check).
         """
-        future: asyncio.Future[CheckResult] = (
-            asyncio.get_running_loop().create_future()
-        )
-        entry = _Entry(check, providers, observer, on_complete, future)
+        return self._schedule(checks, providers, observer, on_complete, single=False)
+
+    def _schedule(self, checks, providers, observer, on_complete, single) -> _Group:
         # Arming a check subscribes its queries to any plan-aware provider:
         # subexpressions shared with other scheduled checks intern into one
         # evaluation-plan node before the first tick fires.
-        check.condition.subscribe(providers)
-        self._active.add(entry)
-        future.add_done_callback(
-            lambda done, entry=entry: self._on_future_done(entry, done)
-        )
-        self._arm(entry, self.clock.now() + check.timer.interval)
+        for check in checks:
+            check.condition.subscribe(providers)
+        group = _Group(self, providers, observer, on_complete, single)
+        if not checks:
+            group.set_result([])
+            return group
+        now = self.clock.now()
+        entries = group.entries
+        for slot, check in enumerate(checks):
+            entry = _Entry(check, group, slot)
+            entries.append(entry)
+            self._arm(entry, now + check.timer.interval)
+        group.left = len(entries)
+        group.results = [None] * len(entries)
+        self._pending += len(entries)
+        self._groups.add(group)
         self._ensure_driver()
-        return future
+        return group
 
     # -- internal machinery ------------------------------------------------
 
@@ -211,15 +274,15 @@ class CheckScheduler:
     async def _drive(self) -> None:
         while True:
             self._dispatch_due()
-            if not self._active:
+            if not self._pending:
                 return
             # Drop dead entries from the heap top so their stale deadlines
             # cannot stretch the next sleep.
-            while self._heap and self._heap[0][2].future.done():
+            while self._heap and self._heap[0][2].done:
                 heapq.heappop(self._heap)
             if not self._heap:
-                # Every live check is mid-evaluation; its completion will
-                # re-arm the heap (or finish) and set the wake event.
+                # Every live check is mid-evaluation; a re-arm, or the last
+                # check retiring, sets the wake event.
                 await self._wait_for_wake(math.inf)
                 continue
             deadline = self._heap[0][0]
@@ -244,20 +307,27 @@ class CheckScheduler:
         due: list[_Entry] = []
         while heap and heap[0][0] <= now:
             _, _, entry = heapq.heappop(heap)
-            if not entry.future.done():
+            if not entry.done:
                 due.append(entry)
         if not due:
             return
         if len(due) > 1:
             self.tick_waves += 1
             self.last_wave_size = len(due)
-        inflight = self._inflight
-        batches: dict[int, _Batch] = {}
+        # Every check names its questions before any joins a fetch: one
+        # that cannot fails its group, whose due siblings then ask nothing.
+        asking: list[tuple[_Entry, list]] = []
         for entry in due:
+            if entry.done:
+                continue
             try:
-                asked = entry.check.condition.questions(entry.providers)
+                asking.append((entry, entry.check.condition.questions(entry.group.providers)))
             except CheckError as exc:
                 self._finish(entry, error=exc)
+        inflight = self._inflight
+        batches: dict[int, _Batch] = {}
+        for entry, asked in asking:
+            if entry.done:
                 continue
             entry.answers = [None] * len(asked)
             for position, (provider, query) in enumerate(asked):
@@ -312,6 +382,8 @@ class CheckScheduler:
         fetches, answers = batch.fetches, batch.answers
         batch.fetches = batch.answers = None
         async with aclosing(answers):
+            if not batch.live:
+                return  # every owner left before the task started
             try:
                 async for position, value in answers:
                     if (folding := self._deliver(fetches[position], value)) is not None:
@@ -338,22 +410,23 @@ class CheckScheduler:
         # observer runs cannot take the fetch's owners away.
         complete: list[_Entry] = []
         for entry, position in fetch.askers:
-            if entry.future.done():
+            if entry.done:
                 continue
             entry.answers[position] = answer
             entry.fetches.remove(fetch)
             if not entry.fetches:
                 complete.append(entry)
-        return self._fold_each(batch, complete)
+        return self._fold_each(batch, complete) if complete else None
 
     def _fold_each(self, batch: _Batch, entries: list[_Entry]) -> Awaitable[None] | None:
         """Fold *entries* in order, up to one that returns a coroutine;
         then a coroutine that awaits it and folds the rest."""
+        # While a fold runs or waits, a batch that loses its last owner (a
+        # sibling's trigger, an observer cancelling) is not cancelled
+        # under it: _ask stops once the fold is done.
+        batch.folding = True
         for index, entry in enumerate(entries):
-            if not entry.future.done() and (pending := self._fold(entry)) is not None:
-                # While a fold waits, a batch that loses its last owner is
-                # not cancelled under it: _ask stops once the fold is done.
-                batch.folding = True
+            if not entry.done and (pending := self._fold(entry)) is not None:
                 return _then(pending, self._fold_each, batch, entries[index + 1 :])
         batch.folding = False
         return None
@@ -361,14 +434,15 @@ class CheckScheduler:
     def _fold(self, entry: _Entry) -> Awaitable[None] | None:
         """One tick: decide on the wave's answers, fold in, re-arm or finish;
         a coroutine only if the observer or ``on_complete`` returned one."""
+        group = entry.group
         try:
             evaluation = entry.check.condition.evaluate_detailed(
-                entry.providers, entry.answers
+                group.providers, entry.answers
             )
             at = self.clock.now()
             outcome = entry.progress.apply(evaluation, at)
-            if outcome.execution is not None and entry.observer is not None:
-                seen = entry.observer(entry.check, outcome.execution)
+            if outcome.execution is not None and group.observer is not None:
+                seen = group.observer(entry.check, outcome.execution)
                 if seen is not None and seen is not DELIVERED:
                     return self._fold_after(entry, seen, outcome.triggered, at)
             return self._advance(entry, outcome.triggered, at)
@@ -391,53 +465,83 @@ class CheckScheduler:
         entry.remaining -= 1
         if entry.remaining <= 0:
             return self._finish_result(entry)
-        if not entry.future.done():
+        if not entry.done:
             self._arm(entry, at + entry.check.timer.interval)
         return None
 
     def _finish_result(self, entry: _Entry) -> Awaitable[None] | None:
+        if entry.done:
+            return None
         result = entry.progress.result()
         done = None
-        if entry.on_complete is not None and not entry.future.done():
+        on_complete = entry.group.on_complete
+        if on_complete is not None:
             try:
-                done = entry.on_complete(result)
+                done = on_complete(result)
             except Exception:
                 logger.exception("check %r completion callback failed", entry.check.name)
         if done is not None and done is not DELIVERED:
-            return self._resolve_after(done, entry, result)
-        if not entry.future.done():
-            entry.future.set_result(result)
+            return self._complete_after(done, entry, result)
+        self._complete(entry, result)
         return None
 
-    async def _resolve_after(self, done, entry: _Entry, result: CheckResult) -> None:
+    async def _complete_after(self, done, entry: _Entry, result: CheckResult) -> None:
         try:
             await done
         except Exception:
             logger.exception("check %r completion callback failed", entry.check.name)
-        if not entry.future.done():
-            entry.future.set_result(result)
+        self._complete(entry, result)
+
+    def _complete(self, entry: _Entry, result: CheckResult) -> None:
+        """Record *entry*'s result; the group's last one resolves it."""
+        if entry.done:
+            return
+        group = entry.group
+        group.results[entry.slot] = result
+        self._retire(entry)
+        group.left -= 1
+        if not group.left:
+            self._retire_group(group)
+            group.set_result(group.results[0] if group.single else group.results)
 
     def _finish(self, entry: _Entry, error: BaseException) -> None:
-        if not entry.future.done():
-            entry.future.set_exception(error)
+        """Fail *entry*'s group with *error*, retiring every sibling now."""
+        if entry.done:
+            return
+        group = entry.group
+        self._retire_group(group)
+        group.set_exception(error)
 
-    def _on_future_done(
-        self, entry: _Entry, future: "asyncio.Future[CheckResult]"
-    ) -> None:
-        self._active.discard(entry)
+    def _retire_group(self, group: _Group) -> None:
+        """Retire every check of *group* still scheduled, and let go of
+        them (before the group is settled or cancelled)."""
+        for entry in group.entries:
+            if not entry.done:
+                self._retire(entry)
+        group.entries = ()
+        self._groups.discard(group)
+
+    def _retire(self, entry: _Entry) -> None:
+        entry.done = True
+        self._pending -= 1
         # Whatever the check still waited for loses an owner; a fetch
         # without owners leaves the table, and a batch whose fetches all
-        # left it is cancelled, not leaked (or, mid-fold, stops after).
-        for fetch in entry.fetches:
-            fetch.waiting -= 1
-            if fetch.waiting == 0 and self._leave_table(fetch):
-                batch = fetch.batch
-                batch.live -= 1
-                if not batch.live and not batch.folding:
-                    batch.task.cancel()
-        entry.fetches = []
-        # Wake the driver so it can re-plan (or exit when idle).
-        self._wake.set()
+        # left it is cancelled, not leaked (or, mid-fold, stops after; or,
+        # not started yet while the batch still holds its answers, stops
+        # first thing and closes them).
+        if entry.fetches:
+            for fetch in entry.fetches:
+                fetch.waiting -= 1
+                if fetch.waiting == 0 and self._leave_table(fetch):
+                    batch = fetch.batch
+                    batch.live -= 1
+                    if not batch.live and not batch.folding and batch.answers is None:
+                        batch.task.cancel()
+            entry.fetches = []
+        # The driver parks with no deadline while every check is
+        # mid-evaluation; it needs waking only to exit.
+        if not self._pending:
+            self._wake.set()
 
     def _leave_table(self, fetch: _Fetch) -> bool:
         """Take *fetch* out of the in-flight table; False if it had left."""
@@ -449,12 +553,12 @@ class CheckScheduler:
     @property
     def pending_checks(self) -> int:
         """How many checks are currently scheduled (observability)."""
-        return len(self._active)
+        return self._pending
 
     async def close(self) -> None:
         """Cancel every scheduled check, its batches, and the driver."""
-        for entry in list(self._active):
-            entry.future.cancel()
+        for group in list(self._groups):
+            group.cancel()
         batches = list(self._batches)
         stopping = [batch.task for batch in batches]
         if self._driver is not None and not self._driver.done():

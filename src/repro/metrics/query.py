@@ -33,7 +33,7 @@ from weakref import WeakKeyDictionary
 
 from .aggregate import rescan_value
 from .series import NO_LABELS, Labels, TimeSeries
-from .store import RETAIN_LIMIT, LabelMatcher, MetricStore, retained
+from .store import CACHE_ENTRIES, RETAIN_LIMIT, LabelMatcher, MetricStore, retained
 
 #: Instant selectors ignore samples older than this, like Prometheus.
 STALENESS = 300.0
@@ -427,7 +427,8 @@ def _reduce(op: str, vector: list[VectorSample]) -> list[VectorSample]:
 #: labels minus ``le`` and sorted by bound — so it only changes when a new
 #: series appears; it is keyed on ``store.series_generation`` and survives
 #: every sample append.  A group's labels are one :class:`Labels`, rendered
-#: once per layout; values are read live through ``series.value_at``.
+#: once per layout; values are read live through ``series.value_at``.  A
+#: store keeps at most ``CACHE_ENTRIES`` layouts, the oldest evicted first.
 _BucketLayout = list[tuple[Labels, list[tuple[float, TimeSeries]]]]
 _LAYOUT_CACHES: "WeakKeyDictionary[MetricStore, dict]" = WeakKeyDictionary()
 
@@ -471,6 +472,8 @@ def _bucket_layout(store: MetricStore, selector: Selector) -> _BucketLayout:
         for key, buckets in groups.items()
     ]
     if retained(selector.name, selector.matchers):
+        if cached is None and len(caches) >= CACHE_ENTRIES:
+            del caches[next(iter(caches))]
         caches[cache_key] = (generation, layout)
     return layout
 

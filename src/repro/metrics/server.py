@@ -30,11 +30,7 @@ from .plan import planner_for
 from .query import QueryError, VectorSample, compile_cache_info, layout_cache_info
 from .registry import Registry
 from .scraper import Scraper
-from .store import RETAIN_LIMIT, MetricStore
-
-
-#: Request targets the server keeps a decoded query for.
-_TARGET_LIMIT = 4096
+from .store import CACHE_ENTRIES, RETAIN_LIMIT, MetricStore
 
 
 def _prometheus_number(value: float) -> str:
@@ -144,10 +140,10 @@ class MetricsServer(HttpServer):
             return Response.from_json({"status": "error", "error": str(exc)}, 400)
         body = render_answer(vector)
         if len(target) <= RETAIN_LIMIT:
-            if target not in self._targets and len(self._targets) >= _TARGET_LIMIT:
+            if target not in self._targets and len(self._targets) >= CACHE_ENTRIES:
                 del self._targets[next(iter(self._targets))]
             self._targets[target] = query
-            if len(self._bodies) < _TARGET_LIMIT:
+            if len(self._bodies) < CACHE_ENTRIES:
                 self._bodies[target] = body
         response = Response(status=200, body=body)
         response.headers.setdefault("Content-Type", "application/json")

@@ -27,6 +27,11 @@ from .series import SeriesKey, TimeSeries
 #: one is compiled and evaluated, never retained.
 RETAIN_LIMIT = 4096
 
+#: How many entries a query-path cache keeps per store (the server's
+#: target table, resolved selectors, histogram layouts); a miss past it
+#: evicts the oldest.
+CACHE_ENTRIES = 4096
+
 
 def retained(name: str, matchers: Sequence["LabelMatcher"]) -> bool:
     """Whether a cache may keep a key of *name* and *matchers* (16 more per matcher)."""
@@ -111,8 +116,12 @@ class MetricStore:
         self._by_sent: dict[tuple, TimeSeries] = {}
         #: Name index: every series bucketed by metric name.
         self._by_name: dict[str, list[TimeSeries]] = {}
-        #: Resolved selector cache, invalidated per name on series creation.
-        self._selector_cache: dict[str, dict[tuple[LabelMatcher, ...], list[TimeSeries]]] = {}
+        #: Resolved selectors by ``(name, matchers)``, each stamped with the
+        #: size of the name's bucket it was resolved against: a bucket only
+        #: grows, so a new series of that name makes the entry stale.
+        self._selector_cache: dict[
+            tuple[str, tuple[LabelMatcher, ...]], tuple[int, list[TimeSeries]]
+        ] = {}
         #: Bumped on every mutation; lets callers detect "store changed".
         self.generation = 0
         #: Bumped only when the *shape* of the store changes (a series is
@@ -224,10 +233,9 @@ class MetricStore:
         for series in created.values():
             name = series.key.name
             self._series[series.key] = series
+            # A new series can change what any cached selector for this
+            # name matches: the bucket grows, and their stamps go stale.
             self._by_name.setdefault(name, []).append(series)
-            # A new series can change what any cached selector for
-            # this name matches, so resolved selectors start over.
-            self._selector_cache.pop(name, None)
             self.series_generation += 1
         self._by_sent.update(sent)
         retention = inf if self.retention is None else self.retention
@@ -244,17 +252,19 @@ class MetricStore:
             return []
         if not matchers:
             return list(bucket)
-        cache_key = tuple(matchers)
-        by_matchers = self._selector_cache.setdefault(name, {})
-        cached = by_matchers.get(cache_key)
-        if cached is not None:
-            return list(cached)
+        cache = self._selector_cache
+        cache_key = (name, tuple(matchers))
+        cached = cache.get(cache_key)
+        if cached is not None and cached[0] == len(bucket):
+            return list(cached[1])
         found = [
             series for series in bucket
             if all(matcher.matches(series.labels) for matcher in matchers)
         ]
         if retained(name, matchers):
-            by_matchers[cache_key] = found
+            if cached is None and len(cache) >= CACHE_ENTRIES:
+                del cache[next(iter(cache))]
+            cache[cache_key] = (len(bucket), found)
         return list(found)
 
     def names(self) -> set[str]:

@@ -339,8 +339,9 @@ async def test_fetch_is_cancelled_when_its_last_waiting_check_is():
     await assert_nothing_left(clock, scheduler)
 
 
-async def test_preemption_cancels_the_fetches_only_the_losers_waited_on():
-    """An exception check trips while its siblings wait on a hung query."""
+async def preempt_hung_siblings(tripwire_first):
+    """A phase whose exception check trips while its siblings wait on a
+    hung query; returns the hung provider's calls."""
     clock = VirtualClock()
     provider = ScriptedProvider(clock, hanging={"hangs"})
     bad = StaticProvider({"errors": 0.0})
@@ -348,17 +349,29 @@ async def test_preemption_cancels_the_fetches_only_the_losers_waited_on():
     engine.register_provider("p", provider)
     engine.register_provider("bad", bad)
     checks = [
-        tripwire("tripwire", "errors", provider="bad"),
         basic("stuck-1", "hangs", repetitions=3),
         basic("stuck-2", "hangs", repetitions=3),
     ]
+    trip = tripwire("tripwire", "errors", provider="bad")
+    checks = [trip, *checks] if tripwire_first else [*checks, trip]
     execution_id = engine.enact(one_phase_strategy("rollout", checks, passing=2))
     await clock.advance(6.0)
     report = await engine.wait(execution_id)
     assert report.path == ["probe", "rollback"]
-    assert provider.calls == ["hangs"]
     await assert_nothing_left(clock, engine.scheduler)
     await engine.shutdown()
+    return provider.calls
+
+
+async def test_preemption_cancels_the_fetches_only_the_losers_waited_on():
+    """The hung question's batch started first: the trip cancels it."""
+    assert await preempt_hung_siblings(tripwire_first=False) == ["hangs"]
+
+
+async def test_a_batch_whose_askers_all_retired_before_it_started_sends_nothing():
+    """The trip retires its siblings in the step that folds it, before the
+    hung question's batch has taken a step: that batch stops unasked."""
+    assert await preempt_hung_siblings(tripwire_first=True) == []
 
 
 async def test_engine_cancel_takes_its_hung_fetches_along():

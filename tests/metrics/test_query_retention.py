@@ -1,10 +1,11 @@
 """A long query is answered, and nothing on the query path keeps it.
 
 Every cache on the answer path is bounded by count (the compiled-query
-LRU, the planner's roots, the server's per-target table), so one that kept
-a 64 KiB text per entry would hold gigabytes that anonymous requests
-chose.  A text longer than ``RETAIN_LIMIT`` is compiled and evaluated but
-not retained.
+LRU, the planner's roots, the server's per-target table, the store's
+resolved selectors and histogram layouts), so one that kept a 64 KiB text
+per entry would hold gigabytes that anonymous requests chose, and short
+distinct queries cannot grow one without limit.  A text longer than
+``RETAIN_LIMIT`` is compiled and evaluated but not retained.
 """
 
 import gc
@@ -15,7 +16,7 @@ from repro.clock import VirtualClock
 from repro.httpcore import HttpClient
 from repro.metrics import MetricsServer, planner_for
 from repro.metrics.query import _LAYOUT_CACHES, compile_cache_info
-from repro.metrics.store import RETAIN_LIMIT
+from repro.metrics.store import CACHE_ENTRIES, RETAIN_LIMIT
 
 #: Bytes that 500 long requests may leave allocated: each one retained
 #: would keep more than RETAIN_LIMIT bytes, so 500 would keep over 2 MB.
@@ -49,7 +50,7 @@ def cache_sizes(server: MetricsServer) -> dict[str, int]:
         "compiled": compile_cache_info().currsize,
         "roots": planner.cache_info()["roots"],
         "nodes": planner.cache_info()["interned_nodes"],
-        "selectors": sum(len(cached) for cached in store._selector_cache.values()),
+        "selectors": len(store._selector_cache),
         "layouts": len(_LAYOUT_CACHES.get(store, {})),
     }
 
@@ -119,3 +120,23 @@ async def test_bodies_of_a_past_stamp_are_released():
     assert within_stamp > 300 * body  # the bodies of this stamp are kept
     assert after_stamp < 300 * body // 20  # and released when it passes
     assert len(server._targets) == 301
+
+
+async def test_short_distinct_queries_do_not_grow_the_caches_past_their_bound():
+    """20,000 distinct short queries, each resolving two selectors and one
+    histogram layout: every cache stops at ``CACHE_ENTRIES``."""
+    server = MetricsServer(clock=VirtualClock(start=10.0))
+    server.store.record("up", 1.0, 9.0, {"job": "a"})
+    server.store.record("latency_bucket", 1.0, 9.0, {"job": "a", "le": "+Inf"})
+    await server.start(scrape=False)
+    try:
+        async with HttpClient() as client:
+            base = f"http://{server.address}/api/v1/query?query="
+            for index in range(20_000):
+                query = f'histogram_quantile(0.5, latency_bucket{{job="{index}"}}) + up{{job="{index}"}}'
+                assert (await client.get(base + quote(query))).status == 200
+    finally:
+        await server.stop()
+    sizes = cache_sizes(server)
+    assert sizes["targets"] == sizes["selectors"] == sizes["layouts"] == CACHE_ENTRIES, sizes
+    assert sizes["compiled"] <= CACHE_ENTRIES and sizes["roots"] <= CACHE_ENTRIES, sizes

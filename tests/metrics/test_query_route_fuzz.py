@@ -72,7 +72,7 @@ async def _exchange(reader, writer, target: str) -> tuple[int, bytes]:
 
 
 def test_hostile_query_targets_are_answered_below_500(monkeypatch):
-    monkeypatch.setattr(metrics_server, "_TARGET_LIMIT", TABLE_BOUND)
+    monkeypatch.setattr(metrics_server, "CACHE_ENTRIES", TABLE_BOUND)
     loop = asyncio.new_event_loop()
     server = MetricsServer(clock=VirtualClock(start=10.0))
     server.store.record("m", 1.0, 9.0, {"a": "b"})

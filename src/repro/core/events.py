@@ -35,13 +35,7 @@ class EventKind(enum.Enum):
     STRATEGY_RESUMED = "strategy_resumed"
     STRATEGY_COMPLETED = "strategy_completed"
     STRATEGY_FAILED = "strategy_failed"
-    # Resilience: degradation of the engine's own dependencies.  These
-    # carry a dependency label (e.g. "provider:prometheus") in the
-    # ``strategy`` field when emitted by wrappers rather than executions.
-    PROVIDER_RETRY = "provider_retry"
-    CIRCUIT_OPENED = "circuit_opened"
-    CIRCUIT_HALF_OPEN = "circuit_half_open"
-    CIRCUIT_CLOSED = "circuit_closed"
+    # Safe-routing recovery after an enactment fails or is cancelled.
     SAFE_ROUTING_APPLIED = "safe_routing_applied"
     SAFE_ROUTING_FAILED = "safe_routing_failed"
 

@@ -134,15 +134,14 @@ class HttpServer:
             while True:
                 try:
                     request = await connection.receive(self.stream_bodies, self.max_body_bytes)
-                except BodyTooLarge as exc:
-                    # The oversized body is still on the wire, so the
-                    # connection cannot carry another request: 413, close.
-                    response = Response.text(str(exc), status=413)
+                except ProtocolError as exc:
+                    # Nothing after a framing error (an oversized body
+                    # still on the wire, a malformed head) can be read
+                    # as a request: 413 or 400, and say the close.
+                    status = 413 if isinstance(exc, BodyTooLarge) else 400
+                    response = Response.text(str(exc), status=status)
                     response.headers.set("Connection", "close")
                     connection.write(response.serialize())
-                    break
-                except ProtocolError as exc:
-                    connection.write(Response.text(str(exc), status=400).serialize())
                     break
                 if request is None:
                     break

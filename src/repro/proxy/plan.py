@@ -54,9 +54,14 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     if not raw_port:
         return host, 80
     try:
-        return host, int(raw_port)
+        port = int(raw_port)
     except ValueError as exc:
         raise ValueError(f"endpoint has a bad port: {endpoint!r}") from exc
+    # Outside 1-65535 a connect raises OverflowError, not an OSError the
+    # data plane answers with 502.
+    if not 0 < port < 65536:
+        raise ValueError(f"endpoint port out of range: {endpoint!r}")
+    return host, port
 
 
 def normalize_endpoints(

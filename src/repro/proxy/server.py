@@ -50,8 +50,9 @@ async def read_config(
     """The routing config and endpoints of a ``PUT /bifrost/config`` body.
 
     Anything that is not a JSON object with an object ``routing`` and a
-    mapping ``endpoints`` raises :class:`RoutingError`, which every admin
-    handler answers with 400 before touching its installed plan.
+    mapping ``endpoints`` of strings or lists raises :class:`RoutingError`,
+    which every admin handler answers with 400 before touching its
+    installed plan.
     """
     # Buffered outside the try: a body past the size limit stays a 413.
     await request.aread()
@@ -68,13 +69,13 @@ async def read_config(
     if not isinstance(endpoints, dict):
         raise RoutingError("endpoints must be a mapping")
     config = RoutingConfig.from_wire(routing)
-    cleaned: dict[str, str | list[str]] = {}
     for version, value in endpoints.items():
-        if isinstance(value, list):
-            cleaned[version] = [str(item) for item in value]
-        else:
-            cleaned[version] = str(value)
-    return config, cleaned
+        # Refused, not coerced: ``str(5)`` would name host "5".
+        if not isinstance(value, (str, list)):
+            raise RoutingError(
+                f"endpoint of version {version!r} must be a string or a list"
+            )
+    return config, endpoints
 
 
 class BifrostProxy(HttpServer):

@@ -1,12 +1,11 @@
-"""Resilience layer: policies, wrappers, fault injection, and chaos.
+"""Fault injection and chaos campaigns.
 
-The engine survives flaky dependencies instead of equating them with bad
-releases: see :mod:`repro.resilience.policy` for the building blocks,
-:mod:`repro.resilience.wrappers` for the provider decorator,
-:mod:`repro.resilience.faults` for the deterministic fault-injection
-toolkit, :mod:`repro.resilience.chaos` for declared chaos campaigns
-enacted alongside strategies, and :mod:`repro.resilience.corpus` for the
-seeded generative soak suite that stresses all of it under VirtualClock.
+A provider that fails is answered by the check that asked it: its
+``onProviderError`` policy (hold, tolerate, trigger) decides the phase.
+This package injects the failures that policy has to answer:
+:mod:`repro.resilience.faults` is the deterministic fault-injection
+toolkit and :mod:`repro.resilience.chaos` the declared chaos campaigns
+enacted alongside strategies.
 """
 
 from .chaos import (
@@ -30,22 +29,11 @@ from .faults import (
     HangFault,
     LatencyFault,
 )
-from .policy import (
-    BreakerState,
-    CircuitBreaker,
-    ResilienceError,
-    RetryPolicy,
-    Timeout,
-    TimeoutExceeded,
-)
-from .wrappers import ResilientProvider
 
 __all__ = [
-    "BreakerState",
     "ChaosCampaign",
     "ChaosController",
     "ChaosError",
-    "CircuitBreaker",
     "ErrorFault",
     "Fault",
     "FaultSchedule",
@@ -58,11 +46,6 @@ __all__ = [
     "HangFault",
     "Injection",
     "LatencyFault",
-    "ResilienceError",
-    "ResilientProvider",
-    "RetryPolicy",
-    "Timeout",
-    "TimeoutExceeded",
     "parse_target",
     "run_game_day",
 ]

@@ -5,10 +5,9 @@ automatically; chaos engineering says the same about failure.  A
 :class:`ChaosCampaign` packages both halves:
 
 * :class:`FaultSpec`s — what to break (a metrics provider, the proxy
-  controller, a service's upstream path, one version's endpoints, a
-  circuit breaker), how (errors, latency, hangs, breaker-forcing), at
-  what deterministic seeded rate, and **during which phases** of the
-  strategy's automaton.
+  controller, a service's upstream path, one version's endpoints), how
+  (errors, latency, hangs), at what deterministic seeded rate, and
+  **during which phases** of the strategy's automaton.
 * ``steady_state`` hypotheses — ordinary metric/exception checks that
   must keep passing while the faults fire.  A violated hypothesis aborts
   the campaign: faults disarm, the enactment is cancelled, and the
@@ -41,7 +40,6 @@ from .faults import (
     ErrorFault,
     Fault,
     FaultSchedule,
-    FaultScheduleError,
     FaultyController,
     FaultyProvider,
     FaultyUpstream,
@@ -59,18 +57,16 @@ class ChaosError(ValueError):
 
 
 #: target kinds a fault spec may name, and whether they take an argument.
-TARGET_KINDS = ("provider", "controller", "upstream", "endpoint", "breaker")
+TARGET_KINDS = ("provider", "controller", "upstream", "endpoint")
 
-#: fault modes; "open" is only meaningful for breaker targets.
-FAULT_MODES = ("error", "latency", "hang", "open")
+#: fault modes a spec may name.
+FAULT_MODES = ("error", "latency", "hang")
 
 
 def parse_target(target: str) -> tuple[str, str]:
     """Split ``"kind:name"`` into its parts, validating the kind.
 
-    ``controller`` stands alone; ``breaker`` labels may themselves
-    contain colons (e.g. ``breaker:provider:prometheus``), so only the
-    first colon splits.
+    ``controller`` stands alone; only the first colon splits.
     """
     kind, _, name = target.partition(":")
     if kind not in TARGET_KINDS:
@@ -106,17 +102,11 @@ class FaultSpec:
     message: str = "chaos: injected fault"
 
     def __post_init__(self) -> None:
-        kind, _ = parse_target(self.target)
+        parse_target(self.target)
         if self.mode not in FAULT_MODES:
             raise ChaosError(
                 f"fault {self.name!r}: unknown mode {self.mode!r}; "
                 f"expected one of {', '.join(FAULT_MODES)}"
-            )
-        if (self.mode == "open") != (kind == "breaker"):
-            raise ChaosError(
-                f"fault {self.name!r}: mode 'open' is required for breaker "
-                f"targets and invalid elsewhere (target {self.target!r}, "
-                f"mode {self.mode!r})"
             )
         if self.mode == "latency" and self.latency <= 0:
             raise ChaosError(
@@ -135,21 +125,18 @@ class FaultSpec:
     def target_name(self) -> str:
         return parse_target(self.target)[1]
 
-    def build_fault(self) -> Fault | None:
+    def build_fault(self) -> Fault:
         if self.mode == "error":
             return ErrorFault(self.message)
         if self.mode == "latency":
             return LatencyFault(self.latency)
-        if self.mode == "hang":
-            return HangFault()
-        return None  # breaker-forcing injects no per-call fault
+        return HangFault()
 
     def build_schedule(self, seed: int) -> FaultSchedule:
         """The spec's deterministic schedule: pure in (seed, spec.name)."""
-        fault = self.build_fault()
-        if fault is None:
-            return FaultSchedule.never()
-        return FaultSchedule.seeded(self.rate, seed, key=self.name, fault=fault)
+        return FaultSchedule.seeded(
+            self.rate, seed, key=self.name, fault=self.build_fault()
+        )
 
 
 @dataclass
@@ -254,7 +241,6 @@ class _Binding:
 
     spec: FaultSpec
     gate: _Gate
-    breakers: list = field(default_factory=list)
     bound: bool = True
     #: The engine provider name a ``provider:`` spec wraps.
     provider: str | None = None
@@ -303,9 +289,9 @@ class ChaosController:
        on per-spec :class:`_Gate`s, and subscribe to the event bus.
     2. ``STATE_ENTERED`` events arm every spec whose ``phases`` include
        the new state and disarm the rest (``CHAOS_ARMED`` /
-       ``CHAOS_DISARMED``); breaker targets are forced open/closed, and
-       a provider target shows the engine a fresh :class:`_ArmingPeriod`
-       face, so no fetch is shared across an arming change.
+       ``CHAOS_DISARMED``); a provider target shows the engine a fresh
+       :class:`_ArmingPeriod` face, so no fetch is shared across an
+       arming change.
     3. ``STRATEGY_STARTED`` starts one watch task per steady-state
        check on the engine's shared scheduler; a violated hypothesis
        (exception check triggered, or a basic check mapping to outcome
@@ -319,8 +305,8 @@ class ChaosController:
     Upstream/endpoint targets bind only when the engine was handed the
     in-process :class:`~repro.proxy.BifrostProxy` objects via ``chaos_proxies``;
     unbound targets are tolerated and surfaced on the report, so a
-    rehearsal without live proxies still runs the provider/controller/
-    breaker parts of the campaign.
+    rehearsal without live proxies still runs the provider and
+    controller parts of the campaign.
     """
 
     def __init__(
@@ -384,44 +370,26 @@ class ChaosController:
                 lambda o=original: setattr(self.engine, "controller", o)
             )
             return _Binding(spec, gate)
-        if kind in ("upstream", "endpoint"):
-            service = name.split("/", 1)[0]
-            proxy = self.proxies.get(service)
-            if proxy is None:
-                self.unbound_targets.append(spec.target)
-                return _Binding(spec, gate, bound=False)
-            endpoints: frozenset[str] | None = None
-            if kind == "endpoint":
-                version = name.split("/", 1)[1]
-                endpoints = frozenset(
-                    {strategy.services[service].versions[version].endpoint}
-                )
-            original = proxy._client
-            proxy._client = FaultyUpstream(
-                original, gate, self.clock, endpoints=endpoints, on_inject=hook
-            )
-            self._restores.append(
-                lambda p=proxy, o=original: setattr(p, "_client", o)
-            )
-            return _Binding(spec, gate)
-        # kind == "breaker"
-        breakers = self._resolve_breakers(name)
-        if not breakers:
+        # kind is "upstream" or "endpoint"
+        service = name.split("/", 1)[0]
+        proxy = self.proxies.get(service)
+        if proxy is None:
             self.unbound_targets.append(spec.target)
             return _Binding(spec, gate, bound=False)
-        return _Binding(spec, gate, breakers=breakers)
-
-    def _resolve_breakers(self, label: str) -> list:
-        found = []
-        candidates = list(self.engine.providers.values())
-        candidates.append(self.engine.controller)
-        for candidate in candidates:
-            breaker = getattr(candidate, "breaker", None)
-            if breaker is None:
-                continue
-            if getattr(candidate, "label", None) == label and breaker not in found:
-                found.append(breaker)
-        return found
+        endpoints: frozenset[str] | None = None
+        if kind == "endpoint":
+            version = name.split("/", 1)[1]
+            endpoints = frozenset(
+                {strategy.services[service].versions[version].endpoint}
+            )
+        original = proxy._client
+        proxy._client = FaultyUpstream(
+            original, gate, self.clock, endpoints=endpoints, on_inject=hook
+        )
+        self._restores.append(
+            lambda p=proxy, o=original: setattr(p, "_client", o)
+        )
+        return _Binding(spec, gate)
 
     def _injection_hook(self, spec: FaultSpec):
         async def on_inject(index: int, fault: Fault) -> None:
@@ -448,10 +416,7 @@ class ChaosController:
     def deactivate(self) -> None:
         """Synchronously restore every wrapped seam and stop watching."""
         for binding in self._bindings:
-            if binding.armed:
-                binding.gate.armed = False
-                for breaker in binding.breakers:
-                    breaker.force_close()
+            binding.gate.armed = False
         for future in self._steady_futures:
             if not future.done():
                 future.cancel()
@@ -501,11 +466,6 @@ class ChaosController:
             binding.gate.armed = should_arm
             if binding.provider is not None:
                 self._new_arming_period(binding.provider)
-            for breaker in binding.breakers:
-                if should_arm:
-                    breaker.force_open()
-                else:
-                    breaker.force_close()
             await self._publish(
                 EventKind.CHAOS_ARMED if should_arm else EventKind.CHAOS_DISARMED,
                 {

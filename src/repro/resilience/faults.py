@@ -1,6 +1,6 @@
 """Deterministic fault injection for providers, controllers, and upstreams.
 
-Resilience code is only trustworthy if its failure paths are exercised,
+Failure handling is only trustworthy if its failure paths are exercised,
 and failure paths are only testable if failures happen *on schedule*.
 This toolkit wraps the three seams the middleware talks to the world
 through:
@@ -16,8 +16,8 @@ through:
   instead of silently resolving by match order.
 * :class:`ErrorFault` / :class:`LatencyFault` / :class:`HangFault` — what
   firing means: raise (any exception type — ``ProviderError``, raw
-  ``ConnectionError``, ...), delay by clock time, or park ~forever (to be
-  killed by a :class:`~repro.resilience.policy.Timeout` or cancellation).
+  ``ConnectionError``, ...), delay by clock time, or park ~forever (until
+  cancelled).
 * :class:`FaultyProvider` / :class:`FaultyController` /
   :class:`FaultyUpstream` — the wrappers, recording every injection for
   assertions and reporting each one to an optional ``on_inject`` hook

@@ -320,7 +320,7 @@ async def test_bad_input_is_4xx_and_leaves_the_engine_untouched(
 ):
     engine = Engine(controller=RecordingController())
     for _ in range(3):
-        await engine.bus.publish(Event(EventKind.CIRCUIT_OPENED, "provider:x", 0.0))
+        await engine.bus.publish(Event(EventKind.SAFE_ROUTING_APPLIED, "x", 0.0))
     api = EngineApiServer(engine)
     await api.start()
     try:

@@ -178,6 +178,13 @@ chaos:
         (("target: provider:prometheus", "target: widget:x"), "unknown fault target"),
         (("mode: error", "mode: explode"), "unknown mode"),
         (("rate: 0.4", "rate: 1.4"), "rate"),
+        # No breaker target and no 'open' mode: the check's
+        # onProviderError is the one answer to a failing provider.
+        (
+            ("target: provider:prometheus", "target: breaker:provider:prometheus"),
+            "unknown fault target",
+        ),
+        (("mode: error", "mode: open"), "unknown mode"),
     ],
 )
 def test_bad_chaos_sections_raise(mutation, match):

@@ -336,6 +336,27 @@ async def test_malformed_request_gets_400():
         writer.close()
 
 
+async def test_a_400_that_closes_the_connection_says_so():
+    """RFC 7230 §6.6: the server closes after a malformed head, so its
+    400 carries ``Connection: close`` and nothing follows it."""
+    async with make_server() as server:
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(b"GET /a b HTTP/1.1\r\nHost: x\r\n\r\n")
+        await writer.drain()
+        head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 5)
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].split(" ")[1] == "400"
+        assert "connection: close" in [line.lower() for line in lines[1:]]
+        length = next(
+            int(line.split(":", 1)[1])
+            for line in lines[1:]
+            if line.lower().startswith("content-length:")
+        )
+        await asyncio.wait_for(reader.readexactly(length), 5)
+        assert await asyncio.wait_for(reader.read(1), 5) == b""
+        writer.close()
+
+
 async def test_middleware_wraps_handlers_in_order():
     server = make_server()
     order = []

@@ -12,7 +12,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.lint import fix_text, lint_strategy, lint_text
-from repro.resilience.corpus import (
+from tests.resilience.soak_corpus import (
     _build_campaign,
     _build_strategy,
     generate_scenario,

@@ -60,7 +60,7 @@ def roots(check: bool) -> list[tuple[str, list[str], int]]:
     found = [
         ("product suites", [python, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                             "tests/integration", "tests/cli", "tests/casestudy"], 0),
-        ("soak corpus", [python, "-m", "repro.resilience.corpus", "--count",
+        ("soak corpus", [python, "-m", "tests.resilience.soak_corpus", "--count",
                          "60" if check else "200", "--base-seed", "0", "--quiet"], 0),
         # The shipped game day is red by design: exit 2.
         ("game day", [python, "-m", "repro.cli.main", "chaos", "run",

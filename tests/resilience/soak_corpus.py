@@ -7,10 +7,6 @@ express under every fault schedule the chaos layer can inject:
 * the shared check scheduler never leaks tasks, and the virtual clock
   never strands sleepers (``pending_checks == 0``, ``pending_sleepers
   == 0`` after shutdown);
-* circuit breakers only make legal transitions (CLOSED→OPEN,
-  OPEN→HALF_OPEN, HALF_OPEN→{CLOSED,OPEN}, plus the forced OPEN↔CLOSED
-  edges of the chaos controller) and converge to an unforced CLOSED
-  once a campaign is over;
 * every routing config the engine ever applies — including safe-routing
   recovery after an abort — is internally consistent: splits sum to
   100, every version is declared;
@@ -20,12 +16,12 @@ express under every fault schedule the chaos layer can inject:
 
 Each scenario is derived from a single integer seed via
 ``random.Random(f"bifrost-corpus:{seed}")`` — a red scenario is
-reproduced by its seed alone (``python -m repro.resilience.corpus
---only-seed N``).  Everything runs under :class:`~repro.clock.
-VirtualClock`, so hundreds of multi-minute game days soak in seconds
-of wall time.  Fault modes are restricted to ``error``/``latency``/
-``open`` — ``hang`` would need per-scenario watchdog budgets and adds
-no invariant coverage.
+reproduced by its seed alone (``PYTHONPATH=src python -m
+tests.resilience.soak_corpus --only-seed N`` from the repository root).
+Everything runs under :class:`~repro.clock.VirtualClock`, so hundreds of
+multi-minute game days soak in seconds of wall time.  Fault modes are
+restricted to ``error``/``latency`` — ``hang`` would need per-scenario
+watchdog budgets and adds no invariant coverage.
 """
 
 from __future__ import annotations
@@ -38,33 +34,20 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from ..clock import VirtualClock
-from ..core.builder import StrategyBuilder
-from ..core.checks import (
+from repro.clock import VirtualClock
+from repro.core.builder import StrategyBuilder
+from repro.core.checks import (
     ExceptionCheck,
     MetricCondition,
     ProviderErrorPolicy,
     Timer,
     simple_basic_check,
 )
-from ..core.engine import Engine, RecordingController
-from ..core.routing import canary_split, single_version
-from ..metrics.provider import LocalPrometheusProvider
-from ..metrics.store import MetricStore
-from .chaos import ChaosCampaign, FaultSpec, run_game_day
-from .policy import BreakerState, CircuitBreaker
-from .wrappers import ResilientProvider
-
-#: Transitions a breaker may legally record.  The last two are the
-#: chaos controller's forced edges (force_open from CLOSED, force_close
-#: back from OPEN / HALF_OPEN).
-LEGAL_BREAKER_TRANSITIONS = {
-    (BreakerState.CLOSED, BreakerState.OPEN),
-    (BreakerState.OPEN, BreakerState.HALF_OPEN),
-    (BreakerState.HALF_OPEN, BreakerState.CLOSED),
-    (BreakerState.HALF_OPEN, BreakerState.OPEN),
-    (BreakerState.OPEN, BreakerState.CLOSED),
-}
+from repro.core.engine import Engine, RecordingController
+from repro.core.routing import canary_split, single_version
+from repro.metrics.provider import LocalPrometheusProvider
+from repro.metrics.store import MetricStore
+from repro.resilience.chaos import ChaosCampaign, FaultSpec, run_game_day
 
 _METRICS = ("errors_total", "latency_p99", "saturation_ratio")
 
@@ -88,7 +71,6 @@ class Scenario:
     services: dict[str, dict[str, str]]
     specs: list[FaultSpec]
     workload: dict[str, float]
-    use_breaker: bool
     steady_tolerant: bool
 
 
@@ -159,20 +141,14 @@ def generate_scenario(seed: int) -> Scenario:
     if not any(p["checked"] for p in phases):
         phases[0]["checked"] = True
 
-    use_breaker = rng.random() < 0.4
+    # Unused, but drawn: dropping the draw would shift every later
+    # choice and change the scenario each seed names.
+    rng.random()
     steady_tolerant = rng.random() < 0.5
     specs = []
     for index in range(rng.randint(0, 3)):
-        target = rng.choice(
-            ["provider:prometheus", "controller"]
-            + (["breaker:provider:prometheus"] if use_breaker else [])
-        )
-        kind = target.partition(":")[0]
-        mode = (
-            "open"
-            if kind == "breaker"
-            else rng.choice(("error", "latency"))
-        )
+        target = rng.choice(["provider:prometheus", "controller"])
+        mode = rng.choice(("error", "latency"))
         during = tuple(
             sorted(
                 rng.sample(
@@ -187,7 +163,7 @@ def generate_scenario(seed: int) -> Scenario:
                 target=target,
                 mode=mode,
                 phases=during,
-                rate=1.0 if mode == "open" else rng.choice((0.2, 0.5, 0.9)),
+                rate=rng.choice((0.2, 0.5, 0.9)),
                 latency=rng.choice((0.5, 2.0)) if mode == "latency" else 0.0,
             )
         )
@@ -201,7 +177,6 @@ def generate_scenario(seed: int) -> Scenario:
         services=services,
         specs=specs,
         workload=workload,
-        use_breaker=use_breaker,
         steady_tolerant=steady_tolerant,
     )
 
@@ -291,20 +266,7 @@ async def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     recording = RecordingController()
     engine = Engine(controller=recording, clock=clock)
-    provider = LocalPrometheusProvider(store, clock)
-    breaker = None
-    if scenario.use_breaker:
-        breaker = CircuitBreaker(
-            clock, window=8, failure_rate=0.5, min_calls=3, cooldown=30.0
-        )
-        engine.register_provider(
-            "prometheus",
-            ResilientProvider(
-                provider, clock, bus=engine.bus, breaker=breaker
-            ),
-        )
-    else:
-        engine.register_provider("prometheus", provider)
+    engine.register_provider("prometheus", LocalPrometheusProvider(store, clock))
 
     strategy = _build_strategy(scenario)
     campaign = _build_campaign(scenario)
@@ -339,17 +301,6 @@ async def run_scenario(scenario: Scenario) -> ScenarioResult:
     }
     for _service, config, _endpoints in recording.applied:
         _check_config(config, versions)
-
-    # Invariant: breakers only make legal transitions and end CLOSED,
-    # unforced, once the campaign has been torn down.
-    if breaker is not None:
-        for _at, old, new in breaker.transitions:
-            assert (old, new) in LEGAL_BREAKER_TRANSITIONS, (
-                f"illegal breaker transition {old} -> {new}"
-            )
-        if campaign is not None:
-            assert not breaker.forced, "breaker left forced after campaign"
-            assert breaker.state is BreakerState.CLOSED
 
     signature = trace_signature(engine.bus.history)
     await engine.shutdown()
@@ -403,7 +354,7 @@ async def run_corpus(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.resilience.corpus",
+        prog="python -m tests.resilience.soak_corpus",
         description="seeded generative soak corpus for the chaos layer",
     )
     parser.add_argument("--count", type=int, default=200)
@@ -445,15 +396,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     if not report.ok:
         seeds = ", ".join(str(r.seed) for r in report.failures)
-        print(f"reproduce with: python -m repro.resilience.corpus "
-              f"--only-seed {report.failures[0].seed}  (failing seeds: {seeds})")
+        print(f"reproduce with: PYTHONPATH=src python -m "
+              f"tests.resilience.soak_corpus --only-seed "
+              f"{report.failures[0].seed}  (failing seeds: {seeds})")
         return 1
     return 0
 
 
 __all__ = [
     "CorpusReport",
-    "LEGAL_BREAKER_TRANSITIONS",
     "Scenario",
     "ScenarioResult",
     "generate_scenario",

@@ -19,13 +19,10 @@ from repro.metrics.provider import LocalPrometheusProvider
 from repro.metrics.store import MetricStore
 from repro.proxy import BifrostProxy
 from repro.resilience import (
-    BreakerState,
     ChaosCampaign,
     ChaosError,
-    CircuitBreaker,
     FaultSpec,
     FaultyUpstream,
-    ResilientProvider,
     parse_target,
     run_game_day,
 )
@@ -85,11 +82,6 @@ def test_parse_target_grammar():
     assert parse_target("controller") == ("controller", "")
     assert parse_target("upstream:search") == ("upstream", "search")
     assert parse_target("endpoint:search/v2") == ("endpoint", "search/v2")
-    # Breaker labels may themselves contain colons.
-    assert parse_target("breaker:provider:prometheus") == (
-        "breaker",
-        "provider:prometheus",
-    )
 
 
 @pytest.mark.parametrize(
@@ -106,9 +98,6 @@ def test_fault_spec_validation():
         FaultSpec(name="f", target="provider:p", mode="explode", phases=("a",))
     with pytest.raises(ChaosError):
         FaultSpec(name="f", target="provider:p", rate=1.5, phases=("a",))
-    with pytest.raises(ChaosError):
-        # 'open' only makes sense for breaker targets.
-        FaultSpec(name="f", target="provider:p", mode="open", phases=("a",))
     with pytest.raises(ChaosError):
         # latency mode needs a positive latency.
         FaultSpec(name="f", target="provider:p", mode="latency", phases=("a",))
@@ -299,34 +288,6 @@ async def test_controller_fault_fails_execution_but_recovers_routing():
     await engine.shutdown()
 
 
-async def test_breaker_fault_forces_open_then_restores():
-    engine, clock, _store = engine_with_metrics()
-    breaker = CircuitBreaker(clock, window=8, min_calls=3, cooldown=30.0)
-    inner = engine.providers["prometheus"]
-    engine.register_provider(
-        "prometheus", ResilientProvider(inner, clock, bus=engine.bus, breaker=breaker)
-    )
-    spec = FaultSpec(
-        name="trip-breaker",
-        target="breaker:provider:prometheus",
-        mode="open",
-        phases=("canary",),
-    )
-    # Tolerant hypothesis: the campaign itself should survive the forcing.
-    report = await run_game_day(
-        canary_strategy(), campaign([spec], steady=[steady_check(20.0, 40)]), engine
-    )
-    assert any(
-        old is BreakerState.CLOSED and new is BreakerState.OPEN
-        for _at, old, new in breaker.transitions
-    )
-    # Torn down: unforced and CLOSED again, whatever the outcome was.
-    assert not breaker.forced
-    assert breaker.state is BreakerState.CLOSED
-    assert report.status in ("completed", "rolled_back", "failed")
-    await engine.shutdown()
-
-
 async def test_unbound_targets_are_tolerated_and_reported():
     engine, _clock, _store = engine_with_metrics()
     specs = [
@@ -334,14 +295,11 @@ async def test_unbound_targets_are_tolerated_and_reported():
             name="ghost-upstream", target="upstream:svc", phases=("canary",)
         ),
         FaultSpec(
-            name="ghost-breaker",
-            target="breaker:nope",
-            mode="open",
-            phases=("canary",),
+            name="ghost-endpoint", target="endpoint:svc/v2", phases=("canary",)
         ),
     ]
     report = await run_game_day(canary_strategy(), campaign(specs), engine)
-    assert set(report.unbound_targets) == {"upstream:svc", "breaker:nope"}
+    assert set(report.unbound_targets) == {"upstream:svc", "endpoint:svc/v2"}
     assert report.status in ("completed", "rolled_back")
     await engine.shutdown()
 

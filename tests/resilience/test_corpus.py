@@ -1,6 +1,6 @@
 """The generative soak corpus: invariants, determinism, shard-invariance."""
 
-from repro.resilience.corpus import (
+from tests.resilience.soak_corpus import (
     CorpusReport,
     generate_scenario,
     run_corpus,
@@ -33,7 +33,7 @@ async def test_same_seed_same_signature():
 
 
 async def test_failure_is_captured_not_raised(monkeypatch):
-    import repro.resilience.corpus as corpus_module
+    import tests.resilience.soak_corpus as corpus_module
 
     async def boom(scenario):
         raise RuntimeError("scripted crash")

@@ -327,10 +327,15 @@ class MetricCondition:
 
 
 class Execution(NamedTuple):
-    """One recorded execution of a check's function, for observability."""
+    """One recorded execution of a check's function, for observability.
+
+    ``due`` is the deadline the tick was armed for (``None`` when the
+    caller did not say), so ``at - due`` is the tick's delay.
+    """
 
     at: float
     result: int
+    due: float | None = None
 
 
 @dataclass
@@ -413,7 +418,9 @@ class CheckProgress:
         self.total = 0
         self.consecutive_no_data = 0
 
-    def apply(self, evaluation: ConditionEvaluation, at: float) -> TickOutcome:
+    def apply(
+        self, evaluation: ConditionEvaluation, at: float, due: float | None = None
+    ) -> TickOutcome:
         """Fold one condition evaluation into the run; returns the tick's fate."""
         check = self.check
         if not evaluation.data_available and isinstance(check, ExceptionCheck):
@@ -429,7 +436,7 @@ class CheckProgress:
                 return TickOutcome(execution=None, triggered=False)
             if policy.mode == "tolerate":
                 self.consecutive_no_data += 1
-                execution = Execution(at=at, result=0)
+                execution = Execution(at, 0, due)
                 self.executions.append(execution)
                 return TickOutcome(
                     execution=execution,
@@ -439,7 +446,7 @@ class CheckProgress:
         else:
             self.consecutive_no_data = 0
         result = evaluation.result
-        execution = Execution(at, result)
+        execution = Execution(at, result, due)
         self.executions.append(execution)
         self.total += result
         return TickOutcome(execution, result == 0 and isinstance(check, ExceptionCheck))

@@ -25,7 +25,6 @@ import enum
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Awaitable
 
 from ..clock import Clock, RealClock
 from ..metrics.provider import MetricsProvider
@@ -205,22 +204,16 @@ class StrategyExecution:
         assert automaton is not None
         self.status = ExecutionStatus.RUNNING
         self._started_at = self.clock.now()
-        await self._publish(
-            EventKind.STRATEGY_STARTED, {"execution": self.execution_id}
-        )
+        self._publish(EventKind.STRATEGY_STARTED, {"execution": self.execution_id})
         state_name = automaton.start
         try:
             for _ in range(self.max_visits):
                 if not self._gate.is_set():
                     self.status = ExecutionStatus.PAUSED
-                    await self._publish(
-                        EventKind.STRATEGY_PAUSED, {"before_state": state_name}
-                    )
+                    self._publish(EventKind.STRATEGY_PAUSED, {"before_state": state_name})
                     await self._gate.wait()
                     self.status = ExecutionStatus.RUNNING
-                    await self._publish(
-                        EventKind.STRATEGY_RESUMED, {"next_state": state_name}
-                    )
+                    self._publish(EventKind.STRATEGY_RESUMED, {"next_state": state_name})
                 state = automaton.state(state_name)
                 visit = await self._execute_state(state)
                 self.visits.append(visit)
@@ -231,7 +224,7 @@ class StrategyExecution:
                         if is_rollback
                         else ExecutionStatus.COMPLETED
                     )
-                    await self._publish(
+                    self._publish(
                         EventKind.STRATEGY_COMPLETED,
                         {"final_state": state.name, "status": self.status.value},
                     )
@@ -257,7 +250,7 @@ class StrategyExecution:
                 logger.exception(
                     "safe-routing recovery for %s failed", self.strategy.name
                 )
-            await self._publish(EventKind.STRATEGY_FAILED, {"error": str(exc)})
+            self._publish(EventKind.STRATEGY_FAILED, {"error": str(exc)})
             return self._report(error=str(exc))
 
     def pause(self) -> None:
@@ -347,13 +340,13 @@ class StrategyExecution:
             except asyncio.CancelledError:
                 raise
             except Exception as exc:
-                await self._publish(
+                self._publish(
                     EventKind.SAFE_ROUTING_FAILED,
                     {"service": service, "reason": reason, "error": str(exc)},
                 )
                 continue
             self._last_applied[service] = config
-            await self._publish(
+            self._publish(
                 EventKind.SAFE_ROUTING_APPLIED,
                 {"service": service, "reason": reason, "config": config.to_wire()},
             )
@@ -382,7 +375,7 @@ class StrategyExecution:
     async def _execute_state(self, state: State) -> StateVisit:
         visit = StateVisit(state=state.name, entered_at=self.clock.now())
         self.current_state = state.name
-        await self._publish(EventKind.STATE_ENTERED, {"state": state.name})
+        self._publish(EventKind.STATE_ENTERED, {"state": state.name})
         await self._apply_routing(state)
 
         try:
@@ -391,7 +384,7 @@ class StrategyExecution:
             visit.left_at = self.clock.now()
             visit.via_exception = True
             visit.next_state = trigger.check.fallback_state
-            await self._publish(
+            self._publish(
                 EventKind.EXCEPTION_TRIGGERED,
                 {
                     "state": state.name,
@@ -408,7 +401,7 @@ class StrategyExecution:
         visit.left_at = self.clock.now()
         if state.transitions is not None:
             visit.next_state = state.transitions.next_state(outcome)
-        await self._publish(
+        self._publish(
             EventKind.STATE_COMPLETED,
             {
                 "state": state.name,
@@ -429,7 +422,7 @@ class StrategyExecution:
             self._entry_configs.setdefault(service_name, config)
             await self.controller.apply(service_name, config, endpoints)
             self._last_applied[service_name] = config
-            await self._publish(
+            self._publish(
                 EventKind.ROUTING_APPLIED,
                 {
                     "state": state.name,
@@ -472,18 +465,16 @@ class StrategyExecution:
             dwell.cancel()
         return results
 
-    # Plain methods returning the bus's awaitable: the scheduler awaits it
-    # only when it is not DELIVERED, so a tick with sync subscribers has none.
-
-    def _check_observer(self, check, execution) -> Awaitable[None]:
+    def _check_observer(self, check, execution) -> None:
         # Stamped with the tick's own instant: one clock read per tick.
-        data = {"state": self.current_state, "check": check.name, "result": execution.result}
-        return self.bus.publish(
+        data = {"state": self.current_state, "check": check.name,
+                "result": execution.result, "due": execution.due}
+        self.bus.publish(
             Event(EventKind.CHECK_EXECUTED, self.strategy.name, execution.at, data)
         )
 
-    def _check_completed(self, result: CheckResult) -> Awaitable[None]:
-        return self._publish(
+    def _check_completed(self, result: CheckResult) -> None:
+        self._publish(
             EventKind.CHECK_COMPLETED,
             {
                 "state": self.current_state,
@@ -493,8 +484,8 @@ class StrategyExecution:
             },
         )
 
-    def _publish(self, kind: EventKind, data: dict) -> Awaitable[None]:
-        return self.bus.publish(Event(kind, self.strategy.name, self.clock.now(), data))
+    def _publish(self, kind: EventKind, data: dict) -> None:
+        self.bus.publish(Event(kind, self.strategy.name, self.clock.now(), data))
 
     def _report(self, error: str | None = None) -> ExecutionReport:
         return ExecutionReport(

@@ -5,20 +5,19 @@ dashboard over Socket.IO.  Here, an :class:`EventBus` carries typed
 :class:`Event` records to any number of in-process subscribers (tests,
 the CLI's event stream) and keeps the history the engine API serves.
 
-Delivery is sync-first: :meth:`EventBus.publish` calls the subscribers in
-order before it returns, and while none returns a coroutine it returns
-the already-done :data:`DELIVERED`.  The first coroutine hands the rest
-of delivery, in the same order, to the coroutine ``publish`` returns, so
-``await bus.publish(event)`` is always correct.
+Delivery is plain calls: :meth:`EventBus.publish` records the event and
+calls the subscribers in order before it returns.  A subscriber is a
+plain function; :meth:`EventBus.subscribe` rejects a coroutine function,
+whose events would otherwise be dropped unawaited.
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
+import inspect
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable
+from typing import Any, Callable
 
 logger = logging.getLogger(__name__)
 
@@ -77,18 +76,7 @@ class Event:
         }
 
 
-Subscriber = Callable[[Event], Awaitable[None] | None]
-
-
-class _Delivered:
-    """An already-done awaitable: awaiting it never suspends."""
-
-    def __await__(self):
-        return iter(())
-
-
-#: What :meth:`EventBus.publish` returns once every subscriber has run.
-DELIVERED = _Delivered()
+Subscriber = Callable[[Event], None]
 
 
 class EventBus:
@@ -105,6 +93,8 @@ class EventBus:
         self.history: list[Event] = []
 
     def subscribe(self, callback: Subscriber) -> None:
+        if inspect.iscoroutinefunction(callback):
+            raise TypeError(f"an event subscriber must be a plain callable, not {callback!r}")
         self._subscribers += (callback,)
 
     def unsubscribe(self, callback: Subscriber) -> None:
@@ -112,35 +102,14 @@ class EventBus:
             index = self._subscribers.index(callback)
             self._subscribers = self._subscribers[:index] + self._subscribers[index + 1 :]
 
-    def publish(self, event: Event) -> Awaitable[None]:
-        """Record and deliver *event*; await the result to finish delivery."""
+    def publish(self, event: Event) -> None:
+        """Record *event* and call every subscriber, in order."""
         self.history.append(event)
-        subscribers = self._subscribers
-        for index, callback in enumerate(subscribers):
+        for callback in self._subscribers:
             try:
-                outcome = callback(event)
+                callback(event)
             except Exception:
                 # Observability must not break enactment.
-                logger.exception("event subscriber failed")
-                continue
-            if outcome is not None and asyncio.iscoroutine(outcome):
-                return self._deliver_rest(event, outcome, subscribers, index + 1)
-        return DELIVERED
-
-    async def _deliver_rest(
-        self, event: Event, pending, subscribers: tuple[Subscriber, ...], start: int
-    ) -> None:
-        """The coroutine path: finish *pending*, then the subscribers after it."""
-        try:
-            await pending
-        except Exception:
-            logger.exception("event subscriber failed")
-        for callback in subscribers[start:]:
-            try:
-                outcome = callback(event)
-                if asyncio.iscoroutine(outcome):
-                    await outcome
-            except Exception:
                 logger.exception("event subscriber failed")
 
     def of_kind(self, kind: EventKind) -> list[Event]:

@@ -4,13 +4,14 @@ The historical engine paid one asyncio task plus one pending ``clock.sleep``
 per check — the paper's Figure 9/10 sweep (hundreds to thousands of
 parallel checks) therefore meant hundreds to thousands of parked tasks,
 each woken individually per tick.  :class:`CheckScheduler` replaces that
-with a single heap-driven driver task: every scheduled check contributes
-one heap entry, the driver sleeps until the earliest deadline, and the
-checks due together are evaluated as one *wave*.  Each distinct
-``(provider, query)`` in flight is fetched once, and its answer is handed
-to every check that asked: the checks of one wave, and any check of a
-later wave that asked while it was in flight.  The new questions one
-dispatch asks of one provider are one short-lived task and one
+with a single heap and one clock timer (:meth:`~repro.clock.Clock.call_at`):
+every scheduled check contributes one heap entry, the timer is set for
+the earliest deadline, and the checks due together when it fires are
+evaluated as one *wave*.  Each distinct ``(provider, query)`` in flight
+is fetched once, and its answer is handed to every check that asked: the
+checks of one wave, and any check of a later wave that asked while it
+was in flight.  The new questions one dispatch asks of one provider are
+one short-lived task and one
 :meth:`~repro.metrics.provider.MetricsProvider.ask` call, which folds
 each check in the step that brought its last answer.
 
@@ -20,12 +21,13 @@ hold/tolerate handling, observer callbacks — live in
 scheduler to a one-loop-per-check oracle folding ticks through the same
 object, under a :class:`~repro.clock.VirtualClock`.
 
-Cost model: N checks waiting for their next tick cost one parked timer
-(the driver's sleep) and zero dedicated tasks; a wave costs one task per
-provider it asks a question not already in flight, none per check.  The
-checks scheduled together (a phase's) are one group with one future,
-resolved when the last completes: completing a check costs no future, no
-callback and no driver wake, only a flag and a counter.
+Cost model: N checks waiting for their next tick cost one clock timer
+and zero tasks; a wave costs one task per provider it asks a question
+not already in flight, none per check.  A fold is plain calls: the
+observer and ``on_complete`` are plain callables.  The checks scheduled
+together (a phase's) are one group with one future, resolved when the
+last completes: completing a check costs no future and no callback, only
+a flag and a counter.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import itertools
 import logging
 import math
 from contextlib import aclosing
-from typing import AsyncIterator, Awaitable
+from typing import AsyncIterator
 
 from ..clock import Clock
 from ..metrics.provider import Asked, MetricsProvider
@@ -50,8 +52,6 @@ from .checks import (
     ExecutionObserver,
     answer_of,
 )
-from .events import DELIVERED
-
 logger = logging.getLogger(__name__)
 
 
@@ -95,6 +95,7 @@ class _Entry:
         "check",
         "group",
         "slot",
+        "due",
         "done",
         "progress",
         "remaining",
@@ -107,6 +108,8 @@ class _Entry:
         self.group = group
         #: This check's position among its group's results.
         self.slot = slot
+        #: The deadline this check was last armed for.
+        self.due = 0.0
         self.done = False
         self.progress = CheckProgress(check)
         self.remaining = check.timer.repetitions
@@ -160,15 +163,8 @@ class _Group(asyncio.Future):
         return super().cancel(msg)
 
 
-async def _then(pending: Awaitable[None], step, *args) -> None:
-    """Await *pending*, then ``step(*args)`` and the coroutine it returns."""
-    await pending
-    if (pending := step(*args)) is not None:
-        await pending
-
-
 class CheckScheduler:
-    """Runs many checks' timed loops off one heap and one driver task.
+    """Runs many checks' timed loops off one heap and one clock timer.
 
     ``schedule_group`` arms a phase's checks as one group and returns one
     future resolving to their :class:`CheckResult` list, in order, once
@@ -182,8 +178,8 @@ class CheckScheduler:
     with a question somebody does is not.  Cancelling the future retires
     every check of the group still scheduled.
 
-    The driver starts lazily on the first ``schedule`` and exits on its
-    own once no checks remain, so a scheduler needs no explicit lifecycle
+    The timer is set by the first ``schedule`` and cancelled once no
+    checks remain, so a scheduler needs no explicit lifecycle
     management; ``close`` exists for eager teardown (engine shutdown).
     """
 
@@ -194,10 +190,11 @@ class CheckScheduler:
         #: How many checks are scheduled, and the groups they belong to.
         self._pending = 0
         self._groups: set[_Group] = set()
-        self._wake = asyncio.Event()
-        #: The parked driver's deadline (``inf``: none; ``-inf``: not parked).
-        self._sleep_until = -math.inf
-        self._driver: asyncio.Task[None] | None = None
+        #: The one clock timer and the deadline it is set for (``inf``:
+        #: none set; ``-inf``: a dispatch's re-arm is pending, so an arm
+        #: leaves the timer to it).
+        self._timer = None
+        self._timer_at = math.inf
         #: The batches whose task has not finished.
         self._batches: set[_Batch] = set()
         #: Every fetch whose answer has not been handed out, by
@@ -228,11 +225,11 @@ class CheckScheduler:
     ) -> "asyncio.Future[list[CheckResult]]":
         """Arm *checks* together; returns one future for their results.
 
-        *observer* is invoked after every recorded execution.
-        *on_complete*, when given, is awaited with each check's final
+        *observer* is called after every recorded execution.
+        *on_complete*, when given, is called with each check's final
         :class:`CheckResult` before that check counts as complete (the
         engine publishes CHECK_COMPLETED there without needing a
-        dedicated awaiting task per check).
+        dedicated awaiting task per check).  Both are plain callables.
         """
         return self._schedule(checks, providers, observer, on_complete, single=False)
 
@@ -256,38 +253,42 @@ class CheckScheduler:
         group.results = [None] * len(entries)
         self._pending += len(entries)
         self._groups.add(group)
-        self._ensure_driver()
         return group
 
     # -- internal machinery ------------------------------------------------
 
     def _arm(self, entry: _Entry, deadline: float) -> None:
+        entry.due = deadline
         heapq.heappush(self._heap, (deadline, next(self._sequence), entry))
-        # Only a parked driver that would sleep past *deadline* needs waking.
-        if deadline < self._sleep_until:
-            self._wake.set()
+        # Only a deadline earlier than the timer's moves it.
+        if deadline < self._timer_at:
+            self._set_timer(deadline)
 
-    def _ensure_driver(self) -> None:
-        if self._driver is None or self._driver.done():
-            self._driver = asyncio.get_running_loop().create_task(self._drive())
+    def _set_timer(self, deadline: float) -> None:
+        """Set the one timer for *deadline* (``inf``: none)."""
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer_at = deadline
+        self._timer = self.clock.call_at(deadline, self._on_timer) if deadline < math.inf else None
 
-    async def _drive(self) -> None:
-        while True:
-            self._dispatch_due()
-            if not self._pending:
-                return
-            # Drop dead entries from the heap top so their stale deadlines
-            # cannot stretch the next sleep.
-            while self._heap and self._heap[0][2].done:
-                heapq.heappop(self._heap)
-            if not self._heap:
-                # Every live check is mid-evaluation; a re-arm, or the last
-                # check retiring, sets the wake event.
-                await self._wait_for_wake(math.inf)
-                continue
-            deadline = self._heap[0][0]
-            if deadline > self.clock.now():
-                await self._wait_for_wake(deadline)
+    def _on_timer(self) -> None:
+        """Dispatch what is due; set the next timer once the batches this
+        started have taken their first step, so an answer due at an
+        instant lands before a dispatch due at the same instant."""
+        self._timer_at = -math.inf
+        self._dispatch_due()
+        asyncio.get_running_loop().call_soon(self._rearm)
+
+    def _rearm(self) -> None:
+        # Unless the last check retired since, or a new one set the timer.
+        if self._timer_at == -math.inf:
+            # Dead entries on the heap top must not set the timer early; an
+            # empty heap means every live check is mid-evaluation, and its
+            # re-arm sets the timer.
+            heap = self._heap
+            while heap and heap[0][2].done:
+                heapq.heappop(heap)
+            self._set_timer(heap[0][0] if heap else math.inf)
 
     def _dispatch_due(self) -> None:
         """Dispatch every due check as one evaluation wave.
@@ -355,23 +356,6 @@ class CheckScheduler:
                 lambda _, batch=batch: self._batches.discard(batch)
             )
 
-    async def _wait_for_wake(self, deadline: float) -> None:
-        """Park until *deadline* (``inf``: none), an earlier arm or a finish."""
-        if self._wake.is_set():
-            self._wake.clear()
-            return
-        self._sleep_until = deadline
-        waiting = [asyncio.ensure_future(self._wake.wait())]
-        if deadline < math.inf:
-            waiting.append(asyncio.ensure_future(self.clock.sleep(deadline - self.clock.now())))
-        try:
-            await asyncio.wait(waiting, return_when=asyncio.FIRST_COMPLETED)
-        finally:
-            for waiter in waiting:
-                waiter.cancel()
-            self._sleep_until = -math.inf
-        self._wake.clear()
-
     async def _ask(self, batch: _Batch) -> None:
         """Ask one provider a batch; fold each check whose last answer
         arrives in the step that brought it."""
@@ -386,19 +370,16 @@ class CheckScheduler:
                 return  # every owner left before the task started
             try:
                 async for position, value in answers:
-                    if (folding := self._deliver(fetches[position], value)) is not None:
-                        await folding
+                    self._deliver(fetches[position], value)
                     if not batch.live:
                         return  # the rest has no owner left
             except Exception as exc:  # an ask that raised instead of answering
                 for fetch in fetches:
                     if self._inflight.get(fetch.key) is fetch:
-                        if (folding := self._deliver(fetch, exc)) is not None:
-                            await folding
+                        self._deliver(fetch, exc)
 
-    def _deliver(self, fetch: _Fetch, value: float | None | Exception) -> Awaitable[None] | None:
-        """Hand *fetch*'s answer out, then fold every check it completed
-        (``None``, or a coroutine that finishes the folds)."""
+    def _deliver(self, fetch: _Fetch, value: float | None | Exception) -> None:
+        """Hand *fetch*'s answer out, then fold every check it completed."""
         answer = answer_of(fetch.query, value)
         # Leave the table before anything is folded, so no check joins a
         # fetch that has answered: the next tick asks afresh.
@@ -406,8 +387,8 @@ class CheckScheduler:
         if self._leave_table(fetch):
             batch.live -= 1
         # Hand the answer out before folding anything: from here on no
-        # entry lists this fetch, so a check cancelled while a peer's
-        # observer runs cannot take the fetch's owners away.
+        # entry lists this fetch, so a check retired by a peer's fold
+        # cannot take the fetch's owners away.
         complete: list[_Entry] = []
         for entry, position in fetch.askers:
             if entry.done:
@@ -416,81 +397,44 @@ class CheckScheduler:
             entry.fetches.remove(fetch)
             if not entry.fetches:
                 complete.append(entry)
-        return self._fold_each(batch, complete) if complete else None
-
-    def _fold_each(self, batch: _Batch, entries: list[_Entry]) -> Awaitable[None] | None:
-        """Fold *entries* in order, up to one that returns a coroutine;
-        then a coroutine that awaits it and folds the rest."""
-        # While a fold runs or waits, a batch that loses its last owner (a
-        # sibling's trigger, an observer cancelling) is not cancelled
-        # under it: _ask stops once the fold is done.
+        # While the folds run, a batch that loses its last owner (a
+        # sibling's trigger) is not cancelled under them: _ask stops
+        # once they are done.
         batch.folding = True
-        for index, entry in enumerate(entries):
-            if not entry.done and (pending := self._fold(entry)) is not None:
-                return _then(pending, self._fold_each, batch, entries[index + 1 :])
+        for entry in complete:
+            if not entry.done:
+                self._fold(entry)
         batch.folding = False
-        return None
 
-    def _fold(self, entry: _Entry) -> Awaitable[None] | None:
-        """One tick: decide on the wave's answers, fold in, re-arm or finish;
-        a coroutine only if the observer or ``on_complete`` returned one."""
+    def _fold(self, entry: _Entry) -> None:
+        """One tick: decide on the wave's answers, fold in, then trigger,
+        re-arm at ``at + interval``, or finish."""
         group = entry.group
+        check = entry.check
         try:
-            evaluation = entry.check.condition.evaluate_detailed(
-                group.providers, entry.answers
-            )
+            evaluation = check.condition.evaluate_detailed(group.providers, entry.answers)
             at = self.clock.now()
-            outcome = entry.progress.apply(evaluation, at)
+            outcome = entry.progress.apply(evaluation, at, entry.due)
             if outcome.execution is not None and group.observer is not None:
-                seen = group.observer(entry.check, outcome.execution)
-                if seen is not None and seen is not DELIVERED:
-                    return self._fold_after(entry, seen, outcome.triggered, at)
-            return self._advance(entry, outcome.triggered, at)
-        except Exception as exc:  # defensive: a broken observer or callback
+                group.observer(check, outcome.execution)
+            if outcome.triggered:
+                self._finish(entry, error=ExceptionTriggered(check, at))
+                return
+            entry.remaining -= 1
+            if entry.done:
+                return  # the observer retired it
+            if entry.remaining > 0:
+                self._arm(entry, at + check.timer.interval)
+                return
+            result = entry.progress.result()
+            if group.on_complete is not None:
+                try:
+                    group.on_complete(result)
+                except Exception:
+                    logger.exception("check %r completion callback failed", check.name)
+            self._complete(entry, result)
+        except Exception as exc:  # defensive: a broken observer
             self._finish(entry, error=exc)
-            return None
-
-    async def _fold_after(self, entry: _Entry, seen, triggered: bool, at: float) -> None:
-        try:
-            await _then(seen, self._advance, entry, triggered, at)
-        except Exception as exc:
-            self._finish(entry, error=exc)
-
-    def _advance(self, entry: _Entry, triggered: bool, at: float) -> Awaitable[None] | None:
-        """Trigger, re-arm at ``at + interval``, or finish (returning
-        ``on_complete``'s coroutine, if it returned one)."""
-        if triggered:
-            self._finish(entry, error=ExceptionTriggered(entry.check, at))
-            return None
-        entry.remaining -= 1
-        if entry.remaining <= 0:
-            return self._finish_result(entry)
-        if not entry.done:
-            self._arm(entry, at + entry.check.timer.interval)
-        return None
-
-    def _finish_result(self, entry: _Entry) -> Awaitable[None] | None:
-        if entry.done:
-            return None
-        result = entry.progress.result()
-        done = None
-        on_complete = entry.group.on_complete
-        if on_complete is not None:
-            try:
-                done = on_complete(result)
-            except Exception:
-                logger.exception("check %r completion callback failed", entry.check.name)
-        if done is not None and done is not DELIVERED:
-            return self._complete_after(done, entry, result)
-        self._complete(entry, result)
-        return None
-
-    async def _complete_after(self, done, entry: _Entry, result: CheckResult) -> None:
-        try:
-            await done
-        except Exception:
-            logger.exception("check %r completion callback failed", entry.check.name)
-        self._complete(entry, result)
 
     def _complete(self, entry: _Entry, result: CheckResult) -> None:
         """Record *entry*'s result; the group's last one resolves it."""
@@ -538,10 +482,8 @@ class CheckScheduler:
                     if not batch.live and not batch.folding and batch.answers is None:
                         batch.task.cancel()
             entry.fetches = []
-        # The driver parks with no deadline while every check is
-        # mid-evaluation; it needs waking only to exit.
         if not self._pending:
-            self._wake.set()
+            self._set_timer(math.inf)
 
     def _leave_table(self, fetch: _Fetch) -> bool:
         """Take *fetch* out of the in-flight table; False if it had left."""
@@ -556,13 +498,12 @@ class CheckScheduler:
         return self._pending
 
     async def close(self) -> None:
-        """Cancel every scheduled check, its batches, and the driver."""
+        """Cancel every scheduled check, its batches, and the timer."""
         for group in list(self._groups):
             group.cancel()
+        self._set_timer(math.inf)
         batches = list(self._batches)
         stopping = [batch.task for batch in batches]
-        if self._driver is not None and not self._driver.done():
-            stopping.append(self._driver)
         for task in stopping:
             task.cancel()
         self._inflight.clear()
@@ -570,5 +511,4 @@ class CheckScheduler:
         for batch in batches:
             if batch.answers is not None:  # its task never started
                 await batch.answers.aclose()
-        self._driver = None
         self._heap.clear()

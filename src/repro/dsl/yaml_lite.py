@@ -223,7 +223,10 @@ def parse_scalar(token: str, line_number: int | None = None) -> Any:
     if lowered == "false":
         return False
     if re.fullmatch(r"[+-]?\d+", token):
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # past the interpreter's digit limit
+            raise YamlError(f"integer too long: {token[:10]!r}...", line_number) from None
     if re.fullmatch(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?", token) and any(
         c in token for c in ".eE"
     ):

@@ -48,20 +48,17 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     port defaults to 80, matching the URL convention in
     :func:`repro.httpcore.client._split_url`.
     """
-    host, _, raw_port = endpoint.partition(":")
+    host, colon, port = endpoint.partition(":")
     if not host:
         raise ValueError(f"endpoint has no host: {endpoint!r}")
-    if not raw_port:
+    if not colon:
         return host, 80
-    try:
-        port = int(raw_port)
-    except ValueError as exc:
-        raise ValueError(f"endpoint has a bad port: {endpoint!r}") from exc
-    # Outside 1-65535 a connect raises OverflowError, not an OSError the
-    # data plane answers with 502.
-    if not 0 < port < 65536:
-        raise ValueError(f"endpoint port out of range: {endpoint!r}")
-    return host, port
+    # 1-5 ASCII digits, not every spelling int() takes ("+80", " 80",
+    # "8_0").  Outside 1-65535 a connect raises OverflowError, not an
+    # OSError the data plane answers with 502.
+    if not (len(port) <= 5 and port.isascii() and port.isdigit() and 0 < int(port) < 65536):
+        raise ValueError(f"endpoint has a bad port: {endpoint!r}")
+    return host, int(port)
 
 
 def normalize_endpoints(

@@ -19,7 +19,10 @@ enactment starts, it wraps the engine's dependencies in the
 ``Faulty*`` wrappers from :mod:`repro.resilience.faults`, arms and
 disarms each spec on ``STATE_ENTERED`` transitions, publishes ``CHAOS_*``
 events into the same bus as the execution, and runs the steady-state
-watch on the engine's shared check scheduler.
+watch on the engine's shared check scheduler.  Its bus subscriber and
+injection hook are plain calls, so a game day enacts through the same
+check path as any other enactment; only a violated hypothesis, which
+cancels the execution, awaits (in its steady-state task).
 
 Determinism: every schedule is derived from ``(campaign.seed,
 spec.name)`` via the blake2b-fraction idiom, so a campaign replayed under
@@ -392,7 +395,7 @@ class ChaosController:
         return _Binding(spec, gate)
 
     def _injection_hook(self, spec: FaultSpec):
-        async def on_inject(index: int, fault: Fault) -> None:
+        def on_inject(index: int, fault: Fault) -> None:
             injection = Injection(
                 spec=spec.name,
                 target=spec.target,
@@ -401,7 +404,7 @@ class ChaosController:
                 at=self.clock.now(),
             )
             self.injections.append(injection)
-            await self._publish(
+            self._publish(
                 EventKind.CHAOS_INJECTED,
                 {
                     "spec": spec.name,
@@ -417,25 +420,20 @@ class ChaosController:
         """Synchronously restore every wrapped seam and stop watching."""
         for binding in self._bindings:
             binding.gate.armed = False
-        for future in self._steady_futures:
-            if not future.done():
-                future.cancel()
+        self._stop_watch()
         self._steady_futures.clear()
-        for task in self._steady_tasks:
-            if not task.done():
-                task.cancel()
         self._steady_tasks.clear()
         while self._restores:
             self._restores.pop()()
 
     # -- event handling ----------------------------------------------------
 
-    async def _on_event(self, event: Event) -> None:
+    def _on_event(self, event: Event) -> None:
         if event.strategy != self.strategy_name:
             return
         if event.kind is EventKind.STRATEGY_STARTED:
             self.execution_id = event.data.get("execution", self.execution_id)
-            await self._publish(
+            self._publish(
                 EventKind.CHAOS_CAMPAIGN_STARTED,
                 {
                     "campaign": self.campaign.name,
@@ -446,17 +444,17 @@ class ChaosController:
             )
             self._start_steady_watch()
         elif event.kind is EventKind.STATE_ENTERED:
-            await self._sync_phase(event.data.get("state", ""))
+            self._sync_phase(event.data.get("state", ""))
         elif event.kind in (
             EventKind.STRATEGY_COMPLETED,
             EventKind.STRATEGY_FAILED,
         ):
-            await self._finish(event.kind.value)
+            self._finish(event.kind.value)
 
     def _bound_specs(self) -> list[FaultSpec]:
         return [binding.spec for binding in self._bindings if binding.bound]
 
-    async def _sync_phase(self, state_name: str) -> None:
+    def _sync_phase(self, state_name: str) -> None:
         for binding in self._bindings:
             if not binding.bound:
                 continue
@@ -466,7 +464,7 @@ class ChaosController:
             binding.gate.armed = should_arm
             if binding.provider is not None:
                 self._new_arming_period(binding.provider)
-            await self._publish(
+            self._publish(
                 EventKind.CHAOS_ARMED if should_arm else EventKind.CHAOS_DISARMED,
                 {
                     "spec": binding.spec.name,
@@ -483,18 +481,13 @@ class ChaosController:
             current = current.inner
         self.engine.providers[name] = _ArmingPeriod(current)
 
-    async def _finish(self, reason: str) -> None:
+    def _finish(self, reason: str) -> None:
         if self._finished:
             return
         self._finished = True
-        await self._sync_phase("")  # disarm everything still armed
-        for future in self._steady_futures:
-            if not future.done():
-                future.cancel()
-        for task in self._steady_tasks:
-            if not task.done():
-                task.cancel()
-        await self._publish(
+        self._sync_phase("")  # disarm everything still armed
+        self._stop_watch()
+        self._publish(
             EventKind.CHAOS_CAMPAIGN_FINISHED,
             {
                 "campaign": self.campaign.name,
@@ -506,6 +499,10 @@ class ChaosController:
         )
 
     # -- steady state ------------------------------------------------------
+
+    def _stop_watch(self) -> None:
+        for waiting in (*self._steady_futures, *self._steady_tasks):
+            waiting.cancel()
 
     def _start_steady_watch(self) -> None:
         if self._steady_tasks:
@@ -547,18 +544,18 @@ class ChaosController:
             "at": self.clock.now(),
         }
         self.violations.append(violation)
-        await self._publish(EventKind.CHAOS_STEADY_STATE_VIOLATED, violation)
-        await self._sync_phase("")  # disarm so recovery runs un-faulted
-        await self._publish(
+        self._publish(EventKind.CHAOS_STEADY_STATE_VIOLATED, violation)
+        self._sync_phase("")  # disarm so recovery runs un-faulted
+        self._publish(
             EventKind.CHAOS_ABORTED,
             {"campaign": self.campaign.name, "check": check.name},
         )
         if self.execution_id is not None:
             await self.engine.cancel(self.execution_id)
-        await self._finish("steady_state_violated")
+        self._finish("steady_state_violated")
 
-    async def _publish(self, kind: EventKind, data: dict) -> None:
-        await self.bus.publish(
+    def _publish(self, kind: EventKind, data: dict) -> None:
+        self.bus.publish(
             Event(
                 kind=kind,
                 strategy=self.strategy_name or self.campaign.name,

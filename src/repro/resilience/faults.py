@@ -29,10 +29,9 @@ virtual-clock test nothing.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Iterable
+from typing import Callable, Iterable
 
 from ..clock import Clock, RealClock
 from ..core.engine import ProxyController
@@ -205,15 +204,7 @@ class FaultSchedule:
 
 
 #: Called with (call_index, fault) each time a wrapper injects.
-InjectionHook = Callable[[int, Fault], Awaitable[None] | None]
-
-
-async def _notify(hook: InjectionHook | None, index: int, fault: Fault) -> None:
-    if hook is None:
-        return
-    result = hook(index, fault)
-    if asyncio.iscoroutine(result):
-        await result
+InjectionHook = Callable[[int, Fault], None]
 
 
 class FaultyProvider(MetricsProvider):
@@ -240,7 +231,8 @@ class FaultyProvider(MetricsProvider):
         fault = self.schedule.fault_for(self.calls, self.clock.now())
         if fault is not None:
             self.injected.append((self.calls, fault))
-            await _notify(self.on_inject, self.calls, fault)
+            if self.on_inject is not None:
+                self.on_inject(self.calls, fault)
             await fault.apply(self.clock)
         return await self.inner.query(query)
 
@@ -279,7 +271,8 @@ class FaultyController(ProxyController):
             if isinstance(fault, ErrorFault) and fault.exception is ProviderError:
                 fault = ErrorFault(fault.message, RuntimeError)
             self.injected.append((self.calls, fault))
-            await _notify(self.on_inject, self.calls, fault)
+            if self.on_inject is not None:
+                self.on_inject(self.calls, fault)
             await fault.apply(self.clock)
         await self.inner.apply(service, config, endpoints)
 
@@ -326,7 +319,8 @@ class FaultyUpstream:
                 if isinstance(fault, ErrorFault) and fault.exception is ProviderError:
                     fault = ErrorFault(fault.message, ConnectionError)
                 self.injected.append((self.calls, fault))
-                await _notify(self.on_inject, self.calls, fault)
+                if self.on_inject is not None:
+                    self.on_inject(self.calls, fault)
                 await fault.apply(self.clock)
         # kwargs (timeout, stream) pass through untouched: the wrapper must
         # not change how a streaming proxy talks to its upstream.

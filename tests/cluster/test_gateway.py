@@ -70,6 +70,34 @@ def test_upstream_for():
     gateway = Gateway()
     gateway.add_route("/", "front:1")
     gateway.add_route("/api/v1", "api:1")
-    assert gateway.upstream_for("/api/v1/things") == "api:1"
-    assert gateway.upstream_for("/api") == "front:1"
+    assert gateway.upstream_for("/api/v1/things") == ("/api/v1", "api:1", "api", 1)
+    assert gateway.upstream_for("/api") == ("/", "front:1", "front", 1)
     assert Gateway().upstream_for("/x") is None
+
+
+def test_a_bad_upstream_fails_in_add_route():
+    gateway = Gateway()
+    for bad in ["", ":80", "h:", "h:+80", "h:0", "h:65536"]:
+        with pytest.raises(ValueError):
+            gateway.add_route("/", bad)
+    assert gateway.upstream_for("/") is None
+
+
+async def test_a_request_does_not_parse_its_upstream(monkeypatch):
+    import repro.cluster.gateway as module
+
+    front = upstream("frontend")
+    await front.start()
+    gateway = Gateway()
+    gateway.add_route("/", front.address)
+    await gateway.start()
+    calls = []
+    monkeypatch.setattr(module, "parse_endpoint", lambda text: calls.append(text))
+    try:
+        async with HttpClient() as client:
+            response = await client.get(f"http://{gateway.address}/x")
+            assert response.json()["tag"] == "frontend"
+    finally:
+        await gateway.stop()
+        await front.stop()
+    assert calls == []

@@ -307,17 +307,3 @@ async def test_runner_notifies_observer_per_execution():
 
     await run_with_clock(check, {"static": provider}, clock, 3, observer)
     assert seen == [("c", 1.0, 1), ("c", 2.0, 1), ("c", 3.0, 1)]
-
-
-async def test_runner_supports_async_observer():
-    clock = VirtualClock()
-    provider = StaticProvider({"q": 1.0})
-    check = simple_basic_check("c", "q", "<5", interval=1, repetitions=2,
-                               provider="static")
-    seen = []
-
-    async def observer(observed_check, execution):
-        seen.append(execution.result)
-
-    await run_with_clock(check, {"static": provider}, clock, 2, observer)
-    assert seen == [1, 1]

@@ -1,11 +1,13 @@
 """Tests for the engine event bus."""
 
-import asyncio
+import inspect
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro.core
 from repro.clock import VirtualClock
 from repro.core import (
     Engine,
@@ -19,26 +21,28 @@ from repro.core import (
 )
 from repro.metrics import StaticProvider
 
+CORE = str(Path(repro.core.__file__).parent)
+
 
 def make_event(kind=EventKind.STATE_ENTERED, **data):
     return Event(kind=kind, strategy="s", at=1.0, data=data)
 
 
-async def test_publish_reaches_sync_and_async_subscribers():
+def test_subscribe_rejects_a_coroutine_function():
     bus = EventBus()
-    seen_sync, seen_async = [], []
-    bus.subscribe(lambda event: seen_sync.append(event.kind))
+    seen = []
 
     async def async_subscriber(event):
-        seen_async.append(event.kind)
+        seen.append(event.kind)
 
-    bus.subscribe(async_subscriber)
-    await bus.publish(make_event())
-    assert seen_sync == [EventKind.STATE_ENTERED]
-    assert seen_async == [EventKind.STATE_ENTERED]
+    with pytest.raises(TypeError, match="plain callable"):
+        bus.subscribe(async_subscriber)
+    bus.subscribe(lambda event: seen.append(event.kind))
+    bus.publish(make_event())
+    assert seen == [EventKind.STATE_ENTERED]
 
 
-async def test_subscriber_exception_does_not_break_publishing():
+def test_subscriber_exception_does_not_break_publishing():
     bus = EventBus()
     seen = []
 
@@ -47,26 +51,26 @@ async def test_subscriber_exception_does_not_break_publishing():
 
     bus.subscribe(broken)
     bus.subscribe(lambda event: seen.append(event))
-    await bus.publish(make_event())
+    bus.publish(make_event())
     assert len(seen) == 1
 
 
-async def test_unsubscribe():
+def test_unsubscribe():
     bus = EventBus()
     seen = []
     callback = lambda event: seen.append(event)  # noqa: E731
     bus.subscribe(callback)
     bus.unsubscribe(callback)
     bus.unsubscribe(callback)  # idempotent
-    await bus.publish(make_event())
+    bus.publish(make_event())
     assert seen == []
 
 
-async def test_history_and_of_kind():
+def test_history_and_of_kind():
     bus = EventBus()
-    await bus.publish(make_event(EventKind.STATE_ENTERED))
-    await bus.publish(make_event(EventKind.CHECK_EXECUTED))
-    await bus.publish(make_event(EventKind.STATE_ENTERED))
+    bus.publish(make_event(EventKind.STATE_ENTERED))
+    bus.publish(make_event(EventKind.CHECK_EXECUTED))
+    bus.publish(make_event(EventKind.STATE_ENTERED))
     assert len(bus.history) == 3
     assert len(bus.of_kind(EventKind.STATE_ENTERED)) == 2
     assert len(bus.of_kind(EventKind.STRATEGY_FAILED)) == 0
@@ -88,77 +92,51 @@ def test_event_json_round_trip():
     }
 
 
-# -- sync-first delivery ------------------------------------------------------
+# -- delivery ------------------------------------------------------------------
 
-#: (name, kind) rows: each subscriber records its name, then behaves as its
-#: kind says.
-DELIVERY_TABLE = [
-    ("a", "sync"),
-    ("b", "async"),
-    ("c", "sync"),
-    ("d", "raising sync"),
-    ("e", "raising async"),
-]
+#: (name, raises) rows: each subscriber records its name, then raises if told.
+DELIVERY_TABLE = [("a", False), ("b", False), ("c", True), ("d", False), ("e", True)]
 
 
-def table_subscriber(name, kind, calls):
-    def record():
+def table_subscriber(name, raises, calls):
+    def subscriber(event):
         calls.append(name)
-        if kind.startswith("raising"):
+        if raises:
             raise RuntimeError(f"subscriber {name} failed")
-
-    if kind.endswith("async"):
-
-        async def subscriber(event):
-            await asyncio.sleep(0)  # really suspend
-            record()
-
-    else:
-
-        def subscriber(event):
-            record()
 
     return subscriber
 
 
-async def test_delivery_table_order_errors_history(caplog):
+def test_delivery_table_order_errors_history(caplog):
     bus = EventBus()
     calls = []
-    for name, kind in DELIVERY_TABLE:
-        bus.subscribe(table_subscriber(name, kind, calls))
+    for name, raises in DELIVERY_TABLE:
+        bus.subscribe(table_subscriber(name, raises, calls))
     event = make_event()
-
-    delivery = bus.publish(event)
-    # The first coroutine hands the rest to the returned awaitable.
-    assert calls == ["a"]
-    await delivery
+    bus.publish(event)
 
     # Every subscriber ran once, in order.
     assert calls == [name for name, _ in DELIVERY_TABLE]
     failures = [r for r in caplog.records if r.getMessage() == "event subscriber failed"]
     assert [str(r.exc_info[1]) for r in failures] == [
-        "subscriber d failed",
+        "subscriber c failed",
         "subscriber e failed",
     ]
     assert bus.history == [event]
 
 
-async def test_sync_subscribers_have_run_when_publish_returns():
+def test_sync_subscribers_have_run_when_publish_returns():
     bus = EventBus()
     seen = []
     bus.subscribe(seen.append)
     bus.subscribe(lambda event: seen.append(event.kind))
     event = make_event()
 
-    delivery = bus.publish(event)
-    assert seen == [event, EventKind.STATE_ENTERED]
-    assert not asyncio.iscoroutine(delivery)
-    await delivery
-    await delivery  # already done, so awaiting again is harmless
+    assert bus.publish(event) is None
     assert seen == [event, EventKind.STATE_ENTERED]
 
 
-async def test_a_subscriber_leaving_mid_publish_does_not_skip_the_next():
+def test_a_subscriber_leaving_mid_publish_does_not_skip_the_next():
     bus = EventBus()
     seen = []
 
@@ -166,28 +144,33 @@ async def test_a_subscriber_leaving_mid_publish_does_not_skip_the_next():
         bus.unsubscribe(once)
         seen.append(("once", event.data["n"]))
 
-    async def after(event):
+    def after(event):
         seen.append(("after", event.data["n"]))
 
     bus.subscribe(once)
     bus.subscribe(lambda event: seen.append(("next", event.data["n"])))
     bus.subscribe(after)
-    await bus.publish(make_event(n=1))
-    await bus.publish(make_event(n=2))
+    bus.publish(make_event(n=1))
+    bus.publish(make_event(n=2))
     assert seen == [
         ("once", 1), ("next", 1), ("after", 1), ("next", 2), ("after", 2)
     ]
 
 
-async def count_coroutine_path_entries(engine, seconds):
+async def count_core_coroutines(engine, seconds):
     """Advance the engine's clock by *seconds* under ``sys.setprofile``;
-    returns (events published, bus coroutine-path coroutines entered)."""
-    path = EventBus._deliver_rest.__code__
-    frames = []  # kept alive, so distinct coroutines never share an id
+    returns (events published, coroutines from ``repro/core/`` started,
+    by qualified name)."""
+    started: dict[str, list] = {}  # frames kept alive, so ids stay distinct
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is path:
-            frames.append(frame)
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_flags & inspect.CO_COROUTINE
+            and code.co_filename.startswith(CORE)
+        ):
+            started.setdefault(code.co_qualname, []).append(frame)
 
     published = len(engine.bus.history)
     sys.setprofile(profile)
@@ -195,7 +178,9 @@ async def count_coroutine_path_entries(engine, seconds):
         await engine.clock.advance(seconds)
     finally:
         sys.setprofile(None)
-    return len(engine.bus.history) - published, len({id(f) for f in frames})
+    return len(engine.bus.history) - published, {
+        name: len({id(frame) for frame in frames}) for name, frames in started.items()
+    }
 
 
 def ticking_strategy():
@@ -210,7 +195,7 @@ def ticking_strategy():
 
 
 @pytest.mark.parametrize("chaos", [False, True], ids=["sync-only", "chaos-attached"])
-async def test_a_warm_tick_takes_the_coroutine_path_only_for_async_subscribers(chaos):
+async def test_a_warm_tick_starts_no_coroutine_but_the_batch(chaos):
     from repro.resilience.chaos import ChaosCampaign
 
     engine = Engine(clock=VirtualClock())
@@ -221,8 +206,11 @@ async def test_a_warm_tick_takes_the_coroutine_path_only_for_async_subscribers(c
     )
     await engine.clock.advance(2)  # warm: routing pushed, two ticks folded
 
-    events, entered = await count_coroutine_path_entries(engine, 3)
+    # With the chaos controller attached, its subscriber sees every event
+    # and the engine still folds each tick without a coroutine: one batch
+    # task per tick, nothing else from repro/core/.
+    events, started = await count_core_coroutines(engine, 3)
     kinds = [event.kind for event in engine.bus.history[-events:]]
     assert kinds == [EventKind.CHECK_EXECUTED] * 3
-    assert entered == (events if chaos else 0)
+    assert started == {"CheckScheduler._ask": 3}
     await engine.cancel(execution_id)

@@ -1,8 +1,8 @@
 """Unit tests for the shared check scheduler.
 
 Behavioral coverage for :class:`repro.core.scheduler.CheckScheduler` —
-timer fan-in (many checks, one parked sleep), cancellation/preemption,
-completion callbacks, and driver lifecycle.  Equivalence with the per-task
+timer fan-in (many checks, one clock timer), cancellation/preemption,
+completion callbacks, and the timer's lifecycle.  Equivalence with the per-task
 reference runner is property-tested in
 ``tests/property/test_scheduler_equivalence.py``.
 """
@@ -31,7 +31,7 @@ def make_check(name="c", interval=5.0, repetitions=4, query="q"):
 
 
 async def test_many_idle_checks_park_one_timer():
-    """N scheduled checks between ticks cost one clock sleeper, not N."""
+    """N scheduled checks between ticks cost one clock timer, not N."""
     clock = VirtualClock()
     providers = {"static": StaticProvider({"q": 1.0})}
     scheduler = CheckScheduler(clock)
@@ -42,7 +42,7 @@ async def test_many_idle_checks_park_one_timer():
     await asyncio.sleep(0)
     await asyncio.sleep(0)
     assert scheduler.pending_checks == 50
-    assert clock.pending_sleepers == 1  # the driver's single parked sleep
+    assert clock.pending_sleepers == 1  # the scheduler's one timer
     await clock.advance(20.0)
     results = await asyncio.gather(*futures)
     assert all(result.mapped == 1 for result in results)
@@ -113,7 +113,7 @@ async def test_on_complete_runs_before_future_resolves():
     scheduler = CheckScheduler(clock)
     order = []
 
-    async def on_complete(result):
+    def on_complete(result):
         order.append(("callback", result.mapped))
 
     future = scheduler.schedule(
@@ -126,22 +126,22 @@ async def test_on_complete_runs_before_future_resolves():
     assert order == [("callback", 1), ("resolved",)]
 
 
-async def test_driver_exits_when_idle_and_restarts_on_schedule():
+async def test_an_idle_scheduler_holds_no_timer_and_no_task():
     clock = VirtualClock()
     providers = {"static": StaticProvider({"q": 1.0})}
     scheduler = CheckScheduler(clock)
+    tasks = asyncio.all_tasks()
     first = scheduler.schedule(make_check(interval=1.0, repetitions=1), providers)
-    await asyncio.sleep(0)
+    assert clock.pending_sleepers == 1
     await clock.advance(1.0)
     await first
-    for _ in range(5):  # let the driver observe the empty heap and return
-        await asyncio.sleep(0)
-    assert scheduler._driver.done()
+    assert scheduler._timer is None
     assert clock.pending_sleepers == 0  # nothing parked while idle
+    assert asyncio.all_tasks() == tasks
     second = scheduler.schedule(make_check(interval=2.0, repetitions=2), providers)
-    await asyncio.sleep(0)
     await clock.advance(4.0)
     assert (await second).aggregated == 2
+    assert scheduler._timer is None and asyncio.all_tasks() == tasks
     await scheduler.close()
 
 
@@ -215,30 +215,27 @@ async def test_schedule_subscribes_queries_to_plan_aware_providers():
 
 
 class CountingClock(VirtualClock):
-    """A VirtualClock that counts ``sleep`` calls: one per driver park."""
+    """A VirtualClock that counts the timers set on it."""
 
     def __init__(self):
         super().__init__()
-        self.sleeps = 0
+        self.timers = 0
 
-    async def sleep(self, seconds):
-        self.sleeps += 1
-        await super().sleep(seconds)
+    def call_at(self, when, callback):
+        self.timers += 1
+        return super().call_at(when, callback)
 
 
-async def test_only_an_earlier_deadline_wakes_the_parked_driver():
+async def test_only_an_earlier_deadline_moves_the_timer():
     clock = CountingClock()
     providers = {"static": StaticProvider({"q": 1.0})}
     scheduler = CheckScheduler(clock)
     first = scheduler.schedule(make_check("first", interval=5.0, repetitions=1), providers)
-    await clock.advance(0)
-    assert clock.sleeps == 1  # parked until t=5
+    assert (clock.timers, scheduler._timer_at) == (1, 5.0)
     later = scheduler.schedule(make_check("later", interval=8.0, repetitions=1), providers)
-    await clock.advance(0)
-    assert clock.sleeps == 1  # t=8 is after t=5: still the same park
+    assert (clock.timers, scheduler._timer_at) == (1, 5.0)  # t=8 is after t=5
     earlier = scheduler.schedule(make_check("earlier", interval=2.0, repetitions=1), providers)
-    await clock.advance(0)
-    assert clock.sleeps == 2  # woken, and parked again until t=2
+    assert (clock.timers, scheduler._timer_at) == (2, 2.0)  # moved to t=2
     assert clock.pending_sleepers == 1
     await clock.advance(10.0)
     results = await asyncio.gather(first, later, earlier)

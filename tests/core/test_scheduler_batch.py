@@ -10,8 +10,17 @@ only the checks that asked it.
 
 import asyncio
 
+import pytest
+
 from repro.clock import VirtualClock
-from repro.core import CheckScheduler, simple_basic_check
+from repro.core import (
+    CheckScheduler,
+    ExceptionCheck,
+    ExceptionTriggered,
+    MetricCondition,
+    Timer,
+    simple_basic_check,
+)
 from repro.httpcore import HttpConnection
 from repro.metrics import HttpPrometheusProvider, MetricsServer, StaticProvider
 from repro.resilience import FaultSchedule, FaultyProvider, HangFault
@@ -136,24 +145,34 @@ async def test_a_batch_with_one_owner_left_still_answers_it():
 
 
 async def test_a_fold_in_progress_is_not_cancelled_with_its_batch():
-    """The batch's last owned question loses its owner while the batch
-    task folds another check: the fold finishes, then the batch stops."""
+    """A trigger inside the fold a batch task runs retires the sibling
+    that owned the batch's last question still out: the fold finishes,
+    then the batch stops on its own instead of being cancelled under it."""
     clock = VirtualClock()
     provider = ScriptedProvider(clock, hanging={"y"})
     scheduler = CheckScheduler(clock)
-
-    async def slow_observer(check, execution):
-        await clock.sleep(1.0)
-
-    futures = [
-        scheduler.schedule(basic("a", "x"), {"p": provider}, observer=slow_observer),
-        scheduler.schedule(basic("b", "y"), {"p": provider}),
-    ]
-    await clock.advance(5.0)  # a's fold is parked in its observer
-    futures[1].cancel()
-    await clock.advance(1.0)
-    assert futures[0].done()
-    assert futures[0].result().mapped == 1
+    trips = ExceptionCheck(
+        name="a",
+        condition=MetricCondition.simple("x", "<0.5", provider="p"),
+        timer=Timer(5.0, 1),
+        fallback_state="rollback",
+    )
+    group = scheduler.schedule_group([trips, basic("b", "y")], {"p": provider})
+    await clock.advance(4.0)
+    created = []
+    loop = asyncio.get_running_loop()
+    loop.set_task_factory(
+        lambda loop, coro, **kwargs: created.append(asyncio.Task(coro, loop=loop, **kwargs))
+        or created[-1]
+    )
+    try:
+        await clock.advance(1.0)
+    finally:
+        loop.set_task_factory(None)
+    with pytest.raises(ExceptionTriggered):
+        group.result()
+    (batch,) = [task for task in created if task.get_coro().__qualname__ == "CheckScheduler._ask"]
+    assert batch.done() and not batch.cancelled()
     await assert_nothing_left(clock, scheduler)
 
 

@@ -42,9 +42,6 @@ from repro.metrics import (
 from repro.resilience import FaultSchedule, FaultyProvider
 
 
-#: While a wave is out the driver parks once on its wake event: one Task
-#: per wave whatever the wave's size (``_wait_for_wake``), beside the batches.
-DRIVER_PARK = 1
 #: The coroutine of a batch's Task, and of the default ``ask``'s Task per
 #: question in a batch of several.
 BATCH = "CheckScheduler._ask"
@@ -121,9 +118,9 @@ def one_phase_strategy(name, checks, passing):
 
 
 async def one_wave(clock, scheduler, checks, providers):
-    """Schedule *checks*, park the driver, then count what one wave creates."""
+    """Schedule *checks*, then count what one wave creates."""
     futures = [scheduler.schedule(check, providers) for check in checks]
-    await clock.advance(4.0)  # the driver and its timer are parked now
+    await clock.advance(4.0)
     counter = TaskCounter()
     await clock.advance(1.0)
     return futures, counter
@@ -153,7 +150,7 @@ async def test_wave_costs_one_task_and_one_call_per_distinct_question(checks, di
     # batch, whose default ``ask`` awaits a single question inline.
     assert counter.batches == 1
     assert counter.questions == (distinct if distinct > 1 else 0)
-    assert counter.created == counter.batches + counter.questions + DRIVER_PARK
+    assert counter.created == counter.batches + counter.questions
     assert scheduler.last_wave_size == checks
 
 
@@ -442,7 +439,7 @@ async def test_check_due_while_its_question_is_in_flight_joins_that_fetch():
     counter = TaskCounter()
     await clock.advance(0.5)  # "late" is dispatched now
     assert counter.batches == 0
-    assert counter.created == DRIVER_PARK
+    assert counter.created == 0
     await clock.advance(1.0)
     early, late = await asyncio.gather(*futures)
     assert provider.calls == ["q"]
@@ -477,7 +474,7 @@ async def test_fetch_whose_last_owner_left_is_not_joined():
     ]
 
     async def leave_at_six():
-        # Parked before the driver's sleep for 6, so it wakes first there.
+        # Set before the scheduler's timer for 6, so it fires first there.
         await clock.sleep(6.0)
         futures[0].cancel()
 

@@ -1,16 +1,17 @@
 """One check tick: what a fold starts, when it re-arms, what it stamps.
 
-A tick is decided, recorded, published and re-armed in one plain call.
-Only a subscriber that returns a coroutine (an ``async`` one, such as the
-chaos controller's) makes the scheduler await, and the check re-arms
-after it.  A tick reads the clock once: the execution, its
-``CHECK_EXECUTED`` event and the next deadline share that instant.
+A tick is decided, recorded, published and re-armed in one plain call:
+subscribers and observers are plain callables.  A tick reads the clock
+once: the execution, its ``CHECK_EXECUTED`` event and the next deadline
+share that instant.
 """
 
 import asyncio
 import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro.core
 from repro.clock import VirtualClock
@@ -24,15 +25,12 @@ from repro.core import (
     single_version,
 )
 from repro.metrics import StaticProvider
+from tests.core.test_scheduler_wave import ScriptedProvider
 
 CORE = str(Path(repro.core.__file__).parent)
 
-#: The driver's park and the batch task are per wave, not per fold.
-PER_WAVE = {
-    "CheckScheduler._drive",
-    "CheckScheduler._wait_for_wake",
-    "CheckScheduler._ask",
-}
+#: The batch task is per wave, not per fold.
+PER_WAVE = {"CheckScheduler._ask"}
 
 
 def wave_strategy(checks=4, interval=1, repetitions=10):
@@ -89,43 +87,17 @@ async def test_a_wave_with_sync_subscribers_folds_without_a_coroutine():
     await engine.cancel(execution_id)
 
 
-async def test_a_check_re_arms_only_after_its_async_subscriber_finished():
-    release = asyncio.Event()
-    seen = []
-
-    async def slow(event):
-        if event.kind is EventKind.CHECK_EXECUTED:
-            seen.append(("slow", event.at))
-            await release.wait()
-
-    def after(event):
-        if event.kind is EventKind.CHECK_EXECUTED:
-            seen.append(("after", event.at))
-
-    engine, execution_id = await started_engine(wave_strategy(checks=1), slow, after)
-    await engine.clock.advance(5)
-    # The tick at t=1 is still being delivered, so the check has not
-    # re-armed: no tick at t=2..5, and the later subscriber waits too.
-    assert seen == [("slow", 1.0)]
-    release.set()
-    await engine.clock.advance(0)
-    # Re-armed at 1 + 1, already past: the next tick runs at once.
-    assert seen == [("slow", 1.0), ("after", 1.0), ("slow", 5.0), ("after", 5.0)]
-    executed = engine.bus.of_kind(EventKind.CHECK_EXECUTED)
-    assert [("slow", event.at) for event in executed] == seen[::2]
-    await engine.cancel(execution_id)
-
-
 async def test_check_executed_is_stamped_with_the_tick_and_re_arms_from_it():
-    async def slow(event):
-        if event.kind is EventKind.CHECK_EXECUTED:
-            await engine.clock.sleep(0.25)
+    stamps = []
 
-    engine, execution_id = await started_engine(wave_strategy(checks=1), slow)
+    def stamp(event):
+        if event.kind is EventKind.CHECK_EXECUTED:
+            stamps.append((event.at, engine.clock.now()))
+
+    engine, execution_id = await started_engine(wave_strategy(checks=1), stamp)
     await engine.clock.advance(4.5)
-    # The subscriber's own quarter second does not stretch the interval.
-    executed = engine.bus.of_kind(EventKind.CHECK_EXECUTED)
-    assert [event.at for event in executed] == [1.0, 2.0, 3.0, 4.0]
+    # Published in the tick, stamped with its instant, re-armed from it.
+    assert stamps == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
     await engine.cancel(execution_id)
 
 
@@ -134,9 +106,8 @@ async def test_execution_at_is_the_tick_and_the_next_deadline_is_at_plus_interva
     scheduler = CheckScheduler(clock)
     observed = []
 
-    async def observer(check, execution):
-        observed.append(execution.at)
-        await clock.sleep(0.5)
+    def observer(check, execution):
+        observed.append((execution.at, clock.now()))
 
     future = scheduler.schedule(
         simple_basic_check("c", "q", "<5", interval=2.0, repetitions=3, provider="p"),
@@ -146,5 +117,21 @@ async def test_execution_at_is_the_tick_and_the_next_deadline_is_at_plus_interva
     await clock.advance(10.0)
     result = await future
     assert [execution.at for execution in result.executions] == [2.0, 4.0, 6.0]
-    assert observed == [2.0, 4.0, 6.0]
+    assert observed == [(2.0, 2.0), (4.0, 4.0), (6.0, 6.0)]
     await scheduler.close()
+
+
+async def test_an_execution_keeps_the_deadline_it_was_armed_for():
+    clock = VirtualClock()
+    engine = Engine(clock=clock)
+    engine.register_provider("static", ScriptedProvider(clock, latencies={"q": 0.3}))
+    execution_id = engine.enact(wave_strategy(checks=2, interval=1, repetitions=3))
+    await clock.advance(10)
+    report = await engine.wait(execution_id)
+    assert report.path == ["canary", "done"]
+    executed = engine.bus.of_kind(EventKind.CHECK_EXECUTED)
+    assert len(executed) == 6
+    for event in executed:
+        assert event.at - event.data["due"] == pytest.approx(0.3)
+    # Re-armed from the tick, so each deadline is the last tick plus 1 s.
+    assert sorted({event.data["due"] for event in executed}) == pytest.approx([1.0, 2.3, 3.6])

@@ -238,3 +238,10 @@ def test_error_carries_line_number():
 )
 def test_dumps_loads_round_trip(value):
     assert loads(dumps(value)) == value
+
+
+def test_an_integer_past_the_digit_limit_is_a_yaml_error():
+    # int() refuses more than 4,300 digits with a ValueError.
+    with pytest.raises(YamlError, match="line 1: integer too long"):
+        loads("a: " + "9" * 5000)
+    assert loads("a: " + "9" * 4300)["a"] == int("9" * 4300)

@@ -5,7 +5,8 @@ requests against a proxy with an installed routing configuration.  A
 ``PUT`` body is a configuration document in which each field is either
 well formed or replaced by a hostile value: another JSON type, a number
 that is not finite, out of range or past a float, an empty or long name,
-an endpoint with no host, a bad port or a port outside 1-65535, a missing
+an endpoint with no host, a bad port (one ``int()`` takes but that is not
+1-5 ASCII digits among them) or a port outside 1-65535, a missing
 or an unknown key.  The encoded document may then be cut short or made
 invalid UTF-8, and the body may be sent chunked.  ``GET`` and ``DELETE``
 carry an optional body, and a target may carry a query string.
@@ -37,7 +38,9 @@ HEADERS = ["X-Bifrost-Group", "x-bifrost-group", "", "a\r\nb", "h" * 300]
 FILTERS = ["cookie", "header", "Header", ""]
 #: Endpoint texts: only the stub is reachable; every other one must be
 #: refused, so no accepted configuration names a host but the loopback.
-ENDPOINTS = [STUB, STUB, STUB, STUB, STUB, "", ":80", "127.0.0.1:http", "127.0.0.1:99999", "127.0.0.1:-1", "127.0.0.1:0"]
+#: Port spellings ``int()`` takes but an endpoint refuses.
+BAD_PORTS = ["127.0.0.1:", "127.0.0.1:+80", "127.0.0.1: 80", "127.0.0.1:8_0"]
+ENDPOINTS = [STUB, STUB, STUB, STUB, STUB, "", ":80", "127.0.0.1:http", "127.0.0.1:99999", "127.0.0.1:-1", "127.0.0.1:0", *BAD_PORTS]
 QUERIES = ["", "", "", "?", "?x=1", "?%zz", "?a&b=", "?routing=%7B%7D"]
 
 #: A value of another JSON type than the field expects.  No text: an
@@ -144,6 +147,8 @@ GOOD = {"routing": single_version("stable").to_wire(), "endpoints": {"stable": S
 HEADER_NAME_A_NUMBER = dict(
     GOOD, routing=dict(GOOD["routing"], filter="header", header=5)
 )
+#: The installed configuration with a bad port spelling: each is a 400.
+BAD_PORT_BODIES = [json.dumps(GOOD).replace(STUB, bad).encode() for bad in BAD_PORTS]
 
 
 def frame(method: str, target: str, body: bytes, chunked: bool) -> bytes:
@@ -211,6 +216,8 @@ def test_hostile_admin_requests_are_answered_below_500():
         before = installed(proxy)
         status, answer = send(method, "/bifrost/config" + query, body, chunked)
         assert status < 500, (method, query, body[:300], answer[:300])
+        if body in BAD_PORT_BODIES:
+            assert status == 400, (body, answer[:300])
         assert send("GET", "/bifrost/config")[0] == 200
         if 400 <= status < 500:
             assert installed(proxy) == before
@@ -218,6 +225,8 @@ def test_hostile_admin_requests_are_answered_below_500():
             user, answer = send("GET", "/products", chunked=False)
             assert user < 500, (body[:300], answer[:300])
 
+    for body in BAD_PORT_BODIES:
+        hostile = example(request=("PUT", "", body, False))(hostile)
     try:
         hostile()
     finally:

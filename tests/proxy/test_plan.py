@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core import RoutingConfig, RoutingError, ShadowRoute, TrafficSplit
-from repro.proxy.plan import NO_SHADOWS, EndpointRing, RoutingPlan
+from repro.proxy.plan import NO_SHADOWS, EndpointRing, RoutingPlan, parse_endpoint
 
 
 def test_ring_parses_endpoints_once():
@@ -14,6 +14,39 @@ def test_ring_parses_endpoints_once():
         ("svc-a:8001", "svc-a", 8001),
         ("bare-host", "bare-host", 80),
     )
+
+
+@pytest.mark.parametrize(
+    "text, parsed",
+    [
+        ("h", ("h", 80)),
+        ("h:80", ("h", 80)),
+        ("h:1", ("h", 1)),
+        ("h:65535", ("h", 65535)),
+        ("h:00080", ("h", 80)),
+        ("127.0.0.1:8080", ("127.0.0.1", 8080)),
+        ("h:", None),
+        ("h:+80", None),
+        ("h: 80", None),
+        ("h:80 ", None),
+        ("h:8_0", None),
+        ("h:-1", None),
+        ("h:0", None),
+        ("h:65536", None),
+        ("h:000080", None),
+        ("h:\u0668\u0660", None),
+        ("h:http", None),
+        ("h:80:81", None),
+        (":80", None),
+        ("", None),
+    ],
+)
+def test_parse_endpoint(text, parsed):
+    if parsed is None:
+        with pytest.raises(ValueError):
+            parse_endpoint(text)
+    else:
+        assert parse_endpoint(text) == parsed
 
 
 def test_ring_round_robins():

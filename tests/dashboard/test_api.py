@@ -292,7 +292,15 @@ BAD_REQUESTS = [
         400,
     ),
     ("dsl-error", "POST", "/api/strategies", b"not: a strategy", 400),
+    ("empty-body", "POST", "/api/strategies", b"", 400),
     ("yaml-list", "POST", "/api/strategies", b"- a\n- b\n", 400),
+    (
+        "yaml-nested-past-the-parser",
+        "POST",
+        "/api/strategies",
+        "\n".join(" " * i + "a:" for i in range(400)).encode(),
+        400,
+    ),
     ("negative-since", "GET", "/api/events?since=-3", b"", 400),
     ("non-integer-since", "GET", "/api/events?since=abc", b"", 400),
     ("get-unknown", "GET", UNKNOWN, b"", 404),
